@@ -51,7 +51,6 @@ EXIT_SOLVER = 4
 DEFAULT_TOL_RELATION = 1e-10
 DEFAULT_TOL_COMPAT = 1e-8
 DEFAULT_TOL_CURVATURE_FD = 1e-5
-DEFAULT_TOL_CURVATURE_EXACT = 1e-10
 DEFAULT_TOL_EINSTEIN = 1e-6
 
 
@@ -135,7 +134,13 @@ def root_report_dict(report: RootReport) -> dict:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Aggregated certificate for one (m, beta) parameter pair."""
+    """Aggregated certificate for one (m, beta) parameter pair.
+
+    The verdict gates the relation, compatibility, curvature and Einstein
+    residuals against `tolerances`.  `vertical_ricci_max_error` (max of
+    |vertical Ricci coefficient + lambda|) is informational and not part
+    of the verdict.
+    """
 
     m: int
     beta: float
@@ -209,8 +214,7 @@ def run_verification(
     samples = strip_samples(strip[0], strip[1], nu)
 
     pseudo = verify_pseudospherical(pq, samples, tol=tol_curvature,
-                                    compat_tol=tol_compat, h_samples=nv,
-                                    deriv="fd")
+                                    compat_tol=tol_compat, h_samples=nv)
 
     # Base metric with curvature K: undo the unit-curvature rescaling.
     s = integrate_s(pq, samples[0], samples[-1])

@@ -21,7 +21,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import AdmissibilityError, DomainError, PositivityError
+from .errors import (
+    AdmissibilityError, DomainError, PositivityError, require_finite_positive,
+)
 from .geometry2d import Metric2D, Point2, gauss_curvature, profile_field
 from .profiles import (
     ProfileFn, POSITIVE_AXIS, const_profile, exp_profile, linear_profile,
@@ -80,8 +82,7 @@ def pq_from_params(m: int, lam: float, beta: float) -> PQPair:
     Raises AdmissibilityError when m < 2, lam + beta >= 0 (p degenerate or
     imaginary) or K >= 0 (no negative-curvature rescaling).
     """
-    if beta <= 0.0:
-        raise ValueError(f"screening parameter beta must be positive, got {beta}")
+    require_finite_positive("screening parameter beta", beta)
     if m < 2:
         raise AdmissibilityError(
             f"fiber dimension m = {m} < 2: the gradient normalization divides by m - 1",
@@ -265,8 +266,6 @@ def verify_pseudospherical(
     tol: float,
     compat_tol: float = 1e-8,
     h_samples: int = DEFAULT_STRIP_SHAPE[1],
-    deriv: str = "fd",
-    fd_step: float = 1e-4,
 ) -> PseudosphericalReport:
     """Certify a profile pair both ways: ODE residual and curvature.
 
@@ -275,26 +274,22 @@ def verify_pseudospherical(
     compatibility residual over the f samples.  The equivalence of the
     construction says both checks must agree on success/failure.
 
-    `deriv` selects how the metric components are differentiated for the
-    curvature evaluation: "fd" (central differences of component values,
-    the independent certificate) or "exact" (whatever callbacks the
-    profiles carry).
+    The curvature is evaluated from central finite differences of the
+    metric component values (`Metric2D.with_fd_derivatives`), so it does
+    not share the profiles' closed-form derivatives with the ODE residual:
+    the two certificates stay independent.
     """
     if tol <= 0.0:
         raise ValueError("curvature tolerance must be positive")
     samples = sorted(float(t) for t in samples)
     if len(samples) < 2:
         raise ValueError("need at least two profile samples")
-    if deriv not in ("fd", "exact"):
-        raise ValueError(f"unknown derivative mode {deriv!r}")
 
     max_resid = max(abs(compat_residual(pq, t)) for t in samples)
 
     f0, f1 = samples[0], samples[-1]
     s = integrate_s(pq, f0, f1)
-    g = build_metric(pq, s)
-    if deriv == "fd":
-        g = g.with_fd_derivatives(fd_step)
+    g = build_metric(pq, s).with_fd_derivatives()
 
     h_coords = [(-1.0 + 2.0 * j / (h_samples - 1)) if h_samples > 1 else 0.0
                 for j in range(h_samples)]

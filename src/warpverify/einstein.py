@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import PositivityError
+from .errors import PositivityError, require_finite_positive
 from .geometry2d import (
     Metric2D, Point2, ScalarField2D, SymMat2,
     gauss_curvature, grad_norm_sq, hessian, laplace_beltrami,
@@ -44,8 +44,7 @@ class WarpParams:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"fiber dimension m must be >= 1, got {self.m}")
-        if self.beta <= 0.0:
-            raise ValueError(f"screening parameter beta must be positive, got {self.beta}")
+        require_finite_positive("screening parameter beta", self.beta)
 
     @classmethod
     def ricci_flat_fiber(cls, m: int, lam: float, beta: float = 1.0) -> "WarpParams":

@@ -1,4 +1,7 @@
-"""Exception taxonomy shared across the toolkit."""
+"""Exception taxonomy shared across the toolkit, and the one guard for
+finite positive parameters."""
+
+import math
 
 
 class ToolkitError(Exception):
@@ -35,3 +38,9 @@ class SolverError(ToolkitError):
     def __init__(self, message, final_residual=None):
         super().__init__(message)
         self.final_residual = final_residual
+
+
+def require_finite_positive(name: str, x) -> None:
+    """Raise ValueError unless `x` is a finite number > 0 (rejects NaN, inf)."""
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError(f"{name} must be finite and positive, got {x}")

@@ -65,15 +65,13 @@ class ScalarField2D:
     value : callable
         (u, v) -> f(u, v).
     du, dv, duu, duv, dvv : callable, optional
-        Exact partial derivatives.  The single `duv` callback represents
-        both mixed partials, so exact second derivatives are symmetric by
-        construction.  Any missing callback falls back to central finite
-        differences with step `fd_step`.
+        Exact partial derivatives, all five or none.  The single `duv`
+        callback represents both mixed partials, so exact second
+        derivatives are symmetric by construction.  Without them every
+        derivative is a central finite difference of `value` with step
+        `fd_step`.
     fd_step : float
         Finite-difference step (must be positive).
-    richardson : bool
-        When True, finite differences are Richardson-extrapolated from
-        steps h and h/2, giving O(h^4) truncation.
     """
 
     def __init__(
@@ -81,135 +79,111 @@ class ScalarField2D:
         value: Callable[[float, float], float],
         du=None, dv=None, duu=None, duv=None, dvv=None,
         fd_step: float = DEFAULT_FD_STEP,
-        richardson: bool = False,
     ):
         if fd_step <= 0:
             raise ValueError("finite-difference step must be positive")
+        partials = (du, dv, duu, duv, dvv)
+        given = sum(cb is not None for cb in partials)
+        if given not in (0, 5):
+            raise ValueError(
+                f"give all five exact partial derivatives or none, got {given}")
         self._value = value
-        self._du, self._dv = du, dv
-        self._duu, self._duv, self._dvv = duu, duv, dvv
+        self._partials = partials if given else None
         self.fd_step = fd_step
-        self.richardson = richardson
 
     @property
     def deriv_mode(self) -> str:
-        exact = all(cb is not None
-                    for cb in (self._du, self._dv, self._duu, self._duv, self._dvv))
-        return "exact" if exact else "finite_difference"
+        return "finite_difference" if self._partials is None else "exact"
 
     def val(self, p: Point2) -> float:
         return self._value(p.u, p.v)
 
     __call__ = val
 
-    # -- finite-difference kernels -------------------------------------------
-
-    def _fd_du(self, u, v, h):
-        return (self._value(u + h, v) - self._value(u - h, v)) / (2.0 * h)
-
-    def _fd_dv(self, u, v, h):
-        return (self._value(u, v + h) - self._value(u, v - h)) / (2.0 * h)
-
-    def _fd_duu(self, u, v, h):
-        return (self._value(u + h, v) - 2.0 * self._value(u, v)
-                + self._value(u - h, v)) / (h * h)
-
-    def _fd_dvv(self, u, v, h):
-        return (self._value(u, v + h) - 2.0 * self._value(u, v)
-                + self._value(u, v - h)) / (h * h)
-
-    def _fd_duv(self, u, v, h):
-        return (self._value(u + h, v + h) - self._value(u + h, v - h)
-                - self._value(u - h, v + h) + self._value(u - h, v - h)) / (4.0 * h * h)
-
-    def _fd(self, kernel, u, v):
-        h = self.fd_step
-        if not self.richardson:
-            return kernel(u, v, h)
-        # Richardson: error(h) = c h^2 + O(h^4)  ->  (4 A(h/2) - A(h)) / 3.
-        return (4.0 * kernel(u, v, 0.5 * h) - kernel(u, v, h)) / 3.0
-
     # -- derivative access ----------------------------------------------------
 
     def grad(self, p: Point2) -> tuple[float, float]:
         u, v = p.u, p.v
-        fu = self._du(u, v) if self._du is not None else self._fd(self._fd_du, u, v)
-        fv = self._dv(u, v) if self._dv is not None else self._fd(self._fd_dv, u, v)
-        return fu, fv
+        if self._partials is None:
+            f, h = self._value, self.fd_step
+            return ((f(u + h, v) - f(u - h, v)) / (2.0 * h),
+                    (f(u, v + h) - f(u, v - h)) / (2.0 * h))
+        du, dv = self._partials[:2]
+        return du(u, v), dv(u, v)
 
     def second(self, p: Point2) -> tuple[float, float, float]:
         u, v = p.u, p.v
-        fuu = self._duu(u, v) if self._duu is not None else self._fd(self._fd_duu, u, v)
-        fuv = self._duv(u, v) if self._duv is not None else self._fd(self._fd_duv, u, v)
-        fvv = self._dvv(u, v) if self._dvv is not None else self._fd(self._fd_dvv, u, v)
-        return fuu, fuv, fvv
+        if self._partials is None:
+            f, h = self._value, self.fd_step
+            return ((f(u + h, v) - 2.0 * f(u, v) + f(u - h, v)) / (h * h),
+                    (f(u + h, v + h) - f(u + h, v - h)
+                     - f(u - h, v + h) + f(u - h, v - h)) / (4.0 * h * h),
+                    (f(u, v + h) - 2.0 * f(u, v) + f(u, v - h)) / (h * h))
+        duu, duv, dvv = self._partials[2:]
+        return duu(u, v), duv(u, v), dvv(u, v)
 
     # -- transforms ------------------------------------------------------------
 
-    def without_exact(self, fd_step: Optional[float] = None,
-                      richardson: bool = False) -> "ScalarField2D":
+    def without_exact(self, fd_step: Optional[float] = None) -> "ScalarField2D":
         """Same values, derivatives forced through finite differences."""
-        return ScalarField2D(self._value, fd_step=fd_step or self.fd_step,
-                             richardson=richardson)
+        return ScalarField2D(self._value, fd_step=fd_step or self.fd_step)
 
     def __add__(self, other):
         other = _as_field(other)
-
-        def pick(a, b, op):
-            if a is None or b is None:
-                return None
-            return lambda u, v: op(a(u, v), b(u, v))
-
-        add = lambda x, y: x + y
+        value = lambda u, v: self._value(u, v) + other._value(u, v)
+        fd_step = min(self.fd_step, other.fd_step)
+        if self._partials is None or other._partials is None:
+            return ScalarField2D(value, fd_step=fd_step)
         return ScalarField2D(
-            lambda u, v: self._value(u, v) + other._value(u, v),
-            du=pick(self._du, other._du, add), dv=pick(self._dv, other._dv, add),
-            duu=pick(self._duu, other._duu, add), duv=pick(self._duv, other._duv, add),
-            dvv=pick(self._dvv, other._dvv, add),
-            fd_step=min(self.fd_step, other.fd_step),
-        )
+            value, *(_sum(a, b) for a, b in zip(self._partials, other._partials)),
+            fd_step=fd_step)
 
     __radd__ = __add__
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             c = float(other)
-
-            def scaled(cb):
-                return None if cb is None else (lambda u, v: c * cb(u, v))
-
-            return ScalarField2D(
-                lambda u, v: c * self._value(u, v),
-                du=scaled(self._du), dv=scaled(self._dv), duu=scaled(self._duu),
-                duv=scaled(self._duv), dvv=scaled(self._dvv),
-                fd_step=self.fd_step, richardson=self.richardson,
-            )
+            value = lambda u, v: c * self._value(u, v)
+            if self._partials is None:
+                return ScalarField2D(value, fd_step=self.fd_step)
+            return ScalarField2D(value, *(_scaled(c, cb) for cb in self._partials),
+                                 fd_step=self.fd_step)
         other = _as_field(other)
-        if self.deriv_mode != "exact" or other.deriv_mode != "exact":
+        if self._partials is None or other._partials is None:
             return ScalarField2D(
                 lambda u, v: self._value(u, v) * other._value(u, v),
                 fd_step=min(self.fd_step, other.fd_step))
-        f, g = self, other
+        f, g = self._value, other._value
+        fu, fv, fuu, fuv, fvv = self._partials
+        gu, gv, guu, guv, gvv = other._partials
         return ScalarField2D(
-            lambda u, v: f._value(u, v) * g._value(u, v),
-            du=lambda u, v: f._du(u, v) * g._value(u, v) + f._value(u, v) * g._du(u, v),
-            dv=lambda u, v: f._dv(u, v) * g._value(u, v) + f._value(u, v) * g._dv(u, v),
-            duu=lambda u, v: (f._duu(u, v) * g._value(u, v)
-                              + 2.0 * f._du(u, v) * g._du(u, v)
-                              + f._value(u, v) * g._duu(u, v)),
-            duv=lambda u, v: (f._duv(u, v) * g._value(u, v)
-                              + f._du(u, v) * g._dv(u, v)
-                              + f._dv(u, v) * g._du(u, v)
-                              + f._value(u, v) * g._duv(u, v)),
-            dvv=lambda u, v: (f._dvv(u, v) * g._value(u, v)
-                              + 2.0 * f._dv(u, v) * g._dv(u, v)
-                              + f._value(u, v) * g._dvv(u, v)),
+            lambda u, v: f(u, v) * g(u, v),
+            du=lambda u, v: fu(u, v) * g(u, v) + f(u, v) * gu(u, v),
+            dv=lambda u, v: fv(u, v) * g(u, v) + f(u, v) * gv(u, v),
+            duu=lambda u, v: (fuu(u, v) * g(u, v)
+                              + 2.0 * fu(u, v) * gu(u, v)
+                              + f(u, v) * guu(u, v)),
+            duv=lambda u, v: (fuv(u, v) * g(u, v)
+                              + fu(u, v) * gv(u, v)
+                              + fv(u, v) * gu(u, v)
+                              + f(u, v) * guv(u, v)),
+            dvv=lambda u, v: (fvv(u, v) * g(u, v)
+                              + 2.0 * fv(u, v) * gv(u, v)
+                              + f(u, v) * gvv(u, v)),
         )
 
     __rmul__ = __mul__
 
     def __sub__(self, other):
         return self + (_as_field(other) * -1.0)
+
+
+def _sum(a, b):
+    return lambda u, v: a(u, v) + b(u, v)
+
+
+def _scaled(c, cb):
+    return lambda u, v: c * cb(u, v)
 
 
 def _as_field(x) -> ScalarField2D:
@@ -273,13 +247,11 @@ def profile_field(profile: ProfileFn, axis: str = "u") -> ScalarField2D:
             lambda u, v: profile(u),
             du=lambda u, v: profile.d1(u), dv=z,
             duu=lambda u, v: profile.d2(u), duv=z, dvv=z,
-            fd_step=profile.fd_step,
         )
     return ScalarField2D(
         lambda u, v: profile(v),
         du=z, dv=lambda u, v: profile.d1(v),
         duu=z, duv=z, dvv=lambda u, v: profile.d2(v),
-        fd_step=profile.fd_step,
     )
 
 
@@ -295,15 +267,7 @@ def radial_field(profile: ProfileFn) -> ScalarField2D:
         duu=lambda u, v: 4.0 * u * u * profile.d2(w(u, v)) + 2.0 * profile.d1(w(u, v)),
         duv=lambda u, v: 4.0 * u * v * profile.d2(w(u, v)),
         dvv=lambda u, v: 4.0 * v * v * profile.d2(w(u, v)) + 2.0 * profile.d1(w(u, v)),
-        fd_step=profile.fd_step,
     )
-
-
-def fd_field(value: Callable[[float, float], float],
-             fd_step: float = DEFAULT_FD_STEP,
-             richardson: bool = False) -> ScalarField2D:
-    """Wrap a bare callable; all derivatives by finite differences."""
-    return ScalarField2D(value, fd_step=fd_step, richardson=richardson)
 
 
 def cosh_distance_field() -> ScalarField2D:
@@ -346,16 +310,14 @@ class Metric2D:
     def components(self, p: Point2) -> tuple[float, float]:
         return self.E.val(p), self.G.val(p)
 
-    def with_fd_derivatives(self, fd_step: float = DEFAULT_FD_STEP,
-                            richardson: bool = False) -> "Metric2D":
+    def with_fd_derivatives(self, fd_step: float = DEFAULT_FD_STEP) -> "Metric2D":
         """Same component values, all derivatives via finite differences.
 
         Used to certify curvature independently of any exact-derivative
         callbacks the components may carry.
         """
-        return Metric2D(self.E.without_exact(fd_step, richardson),
-                        self.G.without_exact(fd_step, richardson),
-                        self._domain, self.kind)
+        return Metric2D(self.E.without_exact(fd_step),
+                        self.G.without_exact(fd_step), self._domain, self.kind)
 
 
 def poincare_disk() -> Metric2D:
@@ -379,11 +341,6 @@ def poincare_half_plane() -> Metric2D:
 def flat_metric() -> Metric2D:
     one = constant_field(1.0)
     return Metric2D(one, one, lambda u, v: True, kind="flat")
-
-
-def custom_metric(E: ScalarField2D, G: ScalarField2D,
-                  domain: Callable[[float, float], bool] = lambda u, v: True) -> Metric2D:
-    return Metric2D(E, G, domain, kind="custom")
 
 
 # -- operator helpers ----------------------------------------------------------

@@ -1,10 +1,9 @@
-"""One-dimensional profile functions with derivative access.
+"""One-dimensional profile functions with closed-form derivatives.
 
 The profile machinery backs both the (p, q) reduction of the warped-product
 system and the scalar-field catalog of the 2D geometry kernel.  A profile is
-a real function on an open interval together with first and second
-derivatives, either supplied in closed form or approximated by central
-finite differences.
+a real function on an open interval together with its first and second
+derivatives, both supplied in closed form.
 
 Combinators (`+`, `-`, `*`, `/`, composition, sqrt, exp, log, power) chain
 exact derivatives through the usual calculus rules, so profiles assembled
@@ -21,25 +20,16 @@ from .errors import DomainError
 FULL_LINE = (-math.inf, math.inf)
 POSITIVE_AXIS = (0.0, math.inf)
 
-# Default step for finite-difference fallbacks.  1e-4 keeps the second
-# derivative's rounding noise near 1e-8 for O(1) values.
-DEFAULT_FD_STEP = 1e-4
-
 
 class ProfileFn:
     """Real-valued function of one variable with derivative access.
 
     Parameters
     ----------
-    value : callable
-        t -> f(t).
-    deriv, deriv2 : callable, optional
-        Exact first and second derivatives.  Missing callbacks fall back
-        to central finite differences of `value` with step `fd_step`.
+    value, deriv, deriv2 : callable
+        t -> f(t), f'(t) and f''(t), all in closed form.
     domain : (lo, hi)
         Open interval on which the profile may be evaluated.
-    fd_step : float
-        Step used by the finite-difference fallback.
     structure : tuple, optional
         Structural tag used for closed-form detection downstream:
         ("const", c) or ("linear", a, b) for a*t + b.
@@ -48,19 +38,15 @@ class ProfileFn:
     def __init__(
         self,
         value: Callable[[float], float],
-        deriv: Optional[Callable[[float], float]] = None,
-        deriv2: Optional[Callable[[float], float]] = None,
+        deriv: Callable[[float], float],
+        deriv2: Callable[[float], float],
         domain: tuple[float, float] = FULL_LINE,
-        fd_step: float = DEFAULT_FD_STEP,
         structure: Optional[tuple] = None,
     ):
-        if fd_step <= 0:
-            raise ValueError("finite-difference step must be positive")
         self._value = value
         self._deriv = deriv
         self._deriv2 = deriv2
         self.domain = (float(domain[0]), float(domain[1]))
-        self.fd_step = fd_step
         self.structure = structure
 
     # -- evaluation ---------------------------------------------------------
@@ -76,23 +62,10 @@ class ProfileFn:
         return self._value(self._check(t))
 
     def d1(self, t: float) -> float:
-        t = self._check(t)
-        if self._deriv is not None:
-            return self._deriv(t)
-        h = self.fd_step
-        return (self._value(t + h) - self._value(t - h)) / (2.0 * h)
+        return self._deriv(self._check(t))
 
     def d2(self, t: float) -> float:
-        t = self._check(t)
-        if self._deriv2 is not None:
-            return self._deriv2(t)
-        h = self.fd_step
-        return (self._value(t + h) - 2.0 * self._value(t) + self._value(t - h)) / (h * h)
-
-    @property
-    def exact(self) -> bool:
-        """True when both derivatives are supplied in closed form."""
-        return self._deriv is not None and self._deriv2 is not None
+        return self._deriv2(self._check(t))
 
     # -- algebra ------------------------------------------------------------
 
@@ -107,7 +80,6 @@ class ProfileFn:
             lambda t: self.d1(t) + other.d1(t),
             lambda t: self.d2(t) + other.d2(t),
             domain=self._merged_domain(other),
-            fd_step=min(self.fd_step, other.fd_step),
         )
 
     __radd__ = __add__
@@ -118,7 +90,6 @@ class ProfileFn:
             lambda t: -self.d1(t),
             lambda t: -self.d2(t),
             domain=self.domain,
-            fd_step=self.fd_step,
         )
 
     def __sub__(self, other):
@@ -139,7 +110,6 @@ class ProfileFn:
                 lambda t: c * self.d1(t),
                 lambda t: c * self.d2(t),
                 domain=self.domain,
-                fd_step=self.fd_step,
                 structure=structure,
             )
         other = as_profile(other)
@@ -149,7 +119,6 @@ class ProfileFn:
             lambda t: (self.d2(t) * other(t) + 2.0 * self.d1(t) * other.d1(t)
                        + self(t) * other.d2(t)),
             domain=self._merged_domain(other),
-            fd_step=min(self.fd_step, other.fd_step),
         )
 
     __rmul__ = __mul__
@@ -168,9 +137,7 @@ class ProfileFn:
         def w2(t):
             return (self.d2(t) - 2.0 * w1(t) * other.d1(t) - w(t) * other.d2(t)) / other(t)
 
-        return ProfileFn(w, w1, w2,
-                         domain=self._merged_domain(other),
-                         fd_step=min(self.fd_step, other.fd_step))
+        return ProfileFn(w, w1, w2, domain=self._merged_domain(other))
 
     def __rtruediv__(self, other):
         return as_profile(other) / self
@@ -247,7 +214,7 @@ def sqrt_profile(inner: ProfileFn) -> ProfileFn:
         s = value(t)
         return inner.d2(t) / (2.0 * s) - inner.d1(t) ** 2 / (4.0 * s ** 3)
 
-    return ProfileFn(value, d1, d2, domain=inner.domain, fd_step=inner.fd_step)
+    return ProfileFn(value, d1, d2, domain=inner.domain)
 
 
 def exp_profile(inner: ProfileFn) -> ProfileFn:
@@ -259,7 +226,6 @@ def exp_profile(inner: ProfileFn) -> ProfileFn:
         lambda t: value(t) * inner.d1(t),
         lambda t: value(t) * (inner.d1(t) ** 2 + inner.d2(t)),
         domain=inner.domain,
-        fd_step=inner.fd_step,
     )
 
 
@@ -272,22 +238,5 @@ def log_profile(inner: ProfileFn) -> ProfileFn:
         d1,
         lambda t: inner.d2(t) / inner(t) - d1(t) ** 2,
         domain=inner.domain,
-        fd_step=inner.fd_step,
     )
 
-
-def cosh_profile(inner: ProfileFn) -> ProfileFn:
-    return ProfileFn(
-        lambda t: math.cosh(inner(t)),
-        lambda t: math.sinh(inner(t)) * inner.d1(t),
-        lambda t: (math.cosh(inner(t)) * inner.d1(t) ** 2
-                   + math.sinh(inner(t)) * inner.d2(t)),
-        domain=inner.domain,
-        fd_step=inner.fd_step,
-    )
-
-
-def fd_profile(value: Callable[[float], float], domain=FULL_LINE,
-               fd_step: float = DEFAULT_FD_STEP) -> ProfileFn:
-    """Wrap a bare callable; derivatives by central differences."""
-    return ProfileFn(value, domain=domain, fd_step=fd_step)

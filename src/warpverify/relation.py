@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from .errors import require_finite_positive
+
 Number = Union[int, float, Fraction]
 
 PUBLISHED = "published"
@@ -37,15 +39,6 @@ VARIANTS = (PUBLISHED, REDERIVED)
 
 # Back-substitution acceptance: |P(root)| <= BACKSUB_RTOL * max(1, |a0|).
 BACKSUB_RTOL = 1e-10
-
-
-def _exact(x: Number) -> tuple[Number, bool]:
-    """Return (value, is_exact); ints and Fractions stay rational."""
-    if isinstance(x, Fraction):
-        return x, True
-    if isinstance(x, int):
-        return Fraction(x), True
-    return float(x), False
 
 
 @dataclass(frozen=True)
@@ -70,19 +63,27 @@ class RelationPoly:
         a2, a1, a0 = self.coeffs_float()
         return (a2 * lam + a1) * lam + a0
 
-    def eval_exact(self, lam: Fraction) -> Fraction:
-        return (Fraction(self.a2) * lam + Fraction(self.a1)) * lam + Fraction(self.a0)
-
     @property
     def is_exact(self) -> bool:
         return all(isinstance(c, Fraction) for c in (self.a2, self.a1, self.a0))
 
 
-def _check_params(m: Number, beta: Number):
+def _shared_terms(m: Number, beta: Number) -> tuple[Number, ...]:
+    """Validated (m, beta, 1/2, a2, a1); both variants share a2 and a1.
+
+    All five are Fractions when m and beta are both int/Fraction, floats
+    otherwise.
+    """
     if float(m) < 1:
         raise ValueError(f"fiber dimension m must be >= 1, got {m}")
-    if float(beta) <= 0.0:
-        raise ValueError(f"screening parameter beta must be positive, got {beta}")
+    require_finite_positive("screening parameter beta", beta)
+    if isinstance(m, (int, Fraction)) and isinstance(beta, (int, Fraction)):
+        mv, bv, half = Fraction(m), Fraction(beta), Fraction(1, 2)
+    else:
+        mv, bv, half = float(m), float(beta), 0.5
+    a2 = 2 - mv
+    a1 = bv * (1 + 3 * mv * half - mv * mv * half)
+    return mv, bv, half, a2, a1
 
 
 def poly_published(m: Number, beta: Number) -> RelationPoly:
@@ -92,16 +93,7 @@ def poly_published(m: Number, beta: Number) -> RelationPoly:
     a1 = beta (1 + 3m/2 - m^2/2)
     a0 = m^2 (1 - beta^2/2) + m (5 beta^2/2 - 2)
     """
-    _check_params(m, beta)
-    mv, m_exact = _exact(m)
-    bv, b_exact = _exact(beta)
-    if not (m_exact and b_exact):
-        mv, bv = float(m), float(beta)
-        half = 0.5
-    else:
-        half = Fraction(1, 2)
-    a2 = 2 - mv
-    a1 = bv * (1 + 3 * mv * half - mv * mv * half)
+    mv, bv, half, a2, a1 = _shared_terms(m, beta)
     a0 = mv * mv * (1 - bv * bv * half) + mv * (5 * bv * bv * half - 2)
     return RelationPoly(a2, a1, a0, PUBLISHED, m, beta)
 
@@ -117,16 +109,7 @@ def poly_rederived(m: Number, beta: Number) -> RelationPoly:
     the relation is equivalent to (lam + m beta)^2 =
     (m - 1)(lam + beta)(lam + m beta / 2).  Roots scale linearly in beta.
     """
-    _check_params(m, beta)
-    mv, m_exact = _exact(m)
-    bv, b_exact = _exact(beta)
-    if not (m_exact and b_exact):
-        mv, bv = float(m), float(beta)
-        half = 0.5
-    else:
-        half = Fraction(1, 2)
-    a2 = 2 - mv
-    a1 = bv * (1 + 3 * mv * half - mv * mv * half)
+    mv, bv, half, a2, a1 = _shared_terms(m, beta)
     a0 = bv * bv * (mv * mv + mv) * half
     return RelationPoly(a2, a1, a0, REDERIVED, m, beta)
 

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import SolverError
+from .errors import SolverError, require_finite_positive
 
 # Lattice node tags.
 INTERIOR, BOUNDARY, EXTERIOR = 0, 1, 2
@@ -31,16 +31,6 @@ CG_MAX_ITER = 100_000
 CG_RTOL = 1e-12
 
 XYCallable = Callable[[float, float], float]
-
-
-def _as_xy_callable(fn) -> Optional[XYCallable]:
-    """Accept (x, y) callables or anything with a .val(Point2) interface."""
-    if fn is None:
-        return None
-    if hasattr(fn, "val"):
-        from .geometry2d import Point2
-        return lambda x, y: fn.val(Point2(x, y))
-    return fn
 
 
 @dataclass(frozen=True)
@@ -56,23 +46,23 @@ class GridSpec:
     beta: float
     r_max: float = 0.8
     h: float = 0.02
-    source: Optional[object] = None
-    boundary: Optional[object] = None
+    source: Optional[XYCallable] = None
+    boundary: Optional[XYCallable] = None
 
     def __post_init__(self):
-        if self.beta <= 0.0:
-            raise ValueError(f"screening parameter beta must be positive, got {self.beta}")
+        require_finite_positive("screening parameter beta", self.beta)
         if not 0.0 < self.r_max <= 1.0 - 1e-3:
             raise ValueError(f"need 0 < r_max <= 0.999, got {self.r_max}")
-        if self.h <= 0.0 or self.h >= self.r_max / 4.0:
+        require_finite_positive("mesh spacing h", self.h)
+        if self.h >= self.r_max / 4.0:
             raise ValueError(
                 f"mesh spacing h = {self.h} must satisfy 0 < h < r_max/4 = {self.r_max / 4.0}")
 
     def source_fn(self) -> XYCallable:
-        return _as_xy_callable(self.source) or (lambda x, y: 0.0)
+        return self.source or (lambda x, y: 0.0)
 
     def boundary_fn(self) -> XYCallable:
-        return _as_xy_callable(self.boundary) or (lambda x, y: 0.0)
+        return self.boundary or (lambda x, y: 0.0)
 
 
 @dataclass(frozen=True)
@@ -104,18 +94,22 @@ class GridField:
         """Max |f - exact| over non-exterior nodes."""
         X, Y = self.meshes()
         mask = self.tags != EXTERIOR
-        ref = np.array([exact(x, y) for x, y in zip(X[mask], Y[mask])])
+        ref = _sample(exact, X[mask], Y[mask])
         return float(np.max(np.abs(self.values[mask] - ref)))
 
 
-def _classify(axis: np.ndarray, r_max: float) -> np.ndarray:
+def _sample(fn: XYCallable, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """fn at every (X[k], Y[k]) pair, one scalar call per node, in order."""
+    return np.fromiter(map(fn, X, Y), dtype=float, count=X.size)
+
+
+def _classify(X: np.ndarray, Y: np.ndarray, r_max: float) -> np.ndarray:
     """Tag every lattice node interior/boundary/exterior.
 
     Interior nodes have themselves and all four neighbors inside
     r <= r_max; inside nodes with an exterior (or off-lattice) neighbor
     are boundary nodes.
     """
-    X, Y = np.meshgrid(axis, axis, indexing="ij")
     inside = X * X + Y * Y <= r_max * r_max + 1e-12
     interior = np.zeros_like(inside)
     interior[1:-1, 1:-1] = (
@@ -129,9 +123,12 @@ def _classify(axis: np.ndarray, r_max: float) -> np.ndarray:
     return tags
 
 
-def _lattice_axis(spec: GridSpec) -> np.ndarray:
+def _lattice(spec: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The spec's 1D axis, node tags and the two coordinate meshes."""
     n = int(math.floor(spec.r_max / spec.h + 1e-12))
-    return np.arange(-n, n + 1, dtype=float) * spec.h
+    axis = np.arange(-n, n + 1, dtype=float) * spec.h
+    X, Y = np.meshgrid(axis, axis, indexing="ij")
+    return axis, _classify(X, Y, spec.r_max), X, Y
 
 
 def _conformal_weight(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -148,9 +145,7 @@ def assemble_and_solve(spec: GridSpec) -> GridField:
     (the weight is positive, so dividing each row by it yields an SPD
     matrix).  Raises SolverError on a degenerate grid or CG stall.
     """
-    axis = _lattice_axis(spec)
-    tags = _classify(axis, spec.r_max)
-    X, Y = np.meshgrid(axis, axis, indexing="ij")
+    axis, tags, X, Y = _lattice(spec)
     interior = tags == INTERIOR
     boundary = tags == BOUNDARY
 
@@ -165,14 +160,9 @@ def assemble_and_solve(spec: GridSpec) -> GridField:
     w = np.zeros(tags.shape)
     w[interior] = _conformal_weight(X[interior], Y[interior])
 
-    src = spec.source_fn()
-    bnd = spec.boundary_fn()
     bvals = np.zeros(tags.shape)
-    bi, bj = np.nonzero(boundary)
-    for i, j in zip(bi, bj):
-        bvals[i, j] = bnd(X[i, j], Y[i, j])
-
-    rhs = np.array([src(x, y) for x, y in zip(X[interior], Y[interior])])
+    bvals[boundary] = _sample(spec.boundary_fn(), X[boundary], Y[boundary])
+    rhs = _sample(spec.source_fn(), X[interior], Y[interior])
 
     rows = [np.arange(n_int)]
     cols = [np.arange(n_int)]
@@ -222,10 +212,9 @@ def residual_field(field: GridField, spec: GridSpec) -> float:
     residual; for an exact solution sampled on the lattice it measures the
     truncation error of the five-point stencil.
     """
-    axis = _lattice_axis(spec)
+    axis, tags, X, Y = _lattice(spec)
     if axis.shape != field.axis.shape or not np.allclose(axis, field.axis):
         raise ValueError("lattice mismatch between field and spec")
-    tags = _classify(axis, spec.r_max)
     if not np.array_equal(tags, field.tags):
         raise ValueError("lattice mismatch: node classification differs")
 
@@ -235,22 +224,18 @@ def residual_field(field: GridField, spec: GridSpec) -> float:
     lap5 = np.zeros_like(f)
     lap5[1:-1, 1:-1] = (f[:-2, 1:-1] + f[2:, 1:-1] + f[1:-1, :-2] + f[1:-1, 2:]
                         - 4.0 * f[1:-1, 1:-1]) / h2
-    X, Y = field.meshes()
     w = _conformal_weight(X[interior], Y[interior])
-    src = spec.source_fn()
-    psi = np.array([src(x, y) for x, y in zip(X[interior], Y[interior])])
+    psi = _sample(spec.source_fn(), X[interior], Y[interior])
     res = w * lap5[interior] - spec.beta * f[interior] + psi
     return float(np.max(np.abs(res)))
 
 
 def sample_exact(spec: GridSpec, exact: XYCallable) -> GridField:
     """Exact solution sampled on the spec's lattice (NaN at exterior)."""
-    axis = _lattice_axis(spec)
-    tags = _classify(axis, spec.r_max)
-    X, Y = np.meshgrid(axis, axis, indexing="ij")
+    axis, tags, X, Y = _lattice(spec)
     values = np.full(tags.shape, np.nan)
     mask = tags != EXTERIOR
-    values[mask] = [exact(x, y) for x, y in zip(X[mask], Y[mask])]
+    values[mask] = _sample(exact, X[mask], Y[mask])
     return GridField(axis=axis, tags=tags, values=values, h=spec.h,
                      r_max=spec.r_max)
 
@@ -275,7 +260,6 @@ def convergence_study(spec: GridSpec, h_list: Sequence[float],
         raise ValueError("need at least two mesh widths")
     if any(h2 >= h1 for h1, h2 in zip(hs, hs[1:])):
         raise ValueError("mesh widths must be strictly decreasing")
-    exact = _as_xy_callable(exact)
 
     rows: list[ConvergenceRow] = []
     prev: Optional[ConvergenceRow] = None

@@ -101,7 +101,7 @@ def test_criterion_04_discrepancy_certificate():
 def test_criterion_05_constructed_metric_curvature():
     pq = pq_from_params(3, -2.0, 1.0)
     rep = verify_pseudospherical(pq, strip_samples(0.5, 4.0, 32), tol=1e-5,
-                                 h_samples=8, deriv="fd")
+                                 h_samples=8)
     ok = rep.max_abs_curvature_plus_one < 1e-5 and rep.passed
     report(5, "constructed-metric curvature", ok,
            f"max |K + 1| = {rep.max_abs_curvature_plus_one:.3g} over 32x8 FD strip")

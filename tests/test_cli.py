@@ -165,6 +165,22 @@ class TestUsageErrors:
         code, _ = invoke("relation", "solve", "--m", "3", "--beta", "-1")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ("pde", "solve", "--out", "/dev/null"),
+        ("pde", "converge", "--h", "0.08,0.04", "--rmax", "0.6"),
+        ("relation", "sweep", "--m", "2..3"),
+        ("relation", "solve", "--m", "3"),
+        ("verify", "--m", "3"),
+    ])
+    def test_nonfinite_beta_is_usage_error(self, argv, beta, capsys):
+        code, out = invoke(*argv, "--beta", beta, "--quiet")
+        assert code == EXIT_USAGE
+        assert out == ""
+        err = capsys.readouterr().err
+        assert "must be finite and positive" in err
+        assert "Traceback" not in err
+
 
 class TestDeterminismAndBanner:
     def test_banner_suppressed_by_quiet(self):

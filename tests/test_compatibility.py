@@ -97,8 +97,9 @@ class TestPqFromParams:
         assert ei.value.reason == "fiber_dimension"
 
     def test_beta_must_be_positive(self):
-        with pytest.raises(ValueError):
-            pq_from_params(3, -2.0, 0.0)
+        for beta in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                pq_from_params(3, -2.0, beta)
 
 
 class TestIntegrateS:
@@ -245,9 +246,14 @@ class TestVerifyPseudospherical:
             pq_from_params(3, 3.0, 1.0)
 
     def test_exact_mode_tightens(self):
+        # the profiles' closed-form derivatives over the same 32x8 strip
         pq = pq_from_params(3, -2.0, 1.0)
-        rep = verify_pseudospherical(pq, strip_samples(), tol=1e-10, deriv="exact")
-        assert rep.max_abs_curvature_plus_one < 1e-10
+        samples = strip_samples()
+        g = build_metric(pq, integrate_s(pq, samples[0], samples[-1]))
+        h_coords = [-1.0 + 2.0 * j / 7 for j in range(8)]
+        worst = max(abs(gauss_curvature(g, Point2(t, hc)) + 1.0)
+                    for t in samples for hc in h_coords)
+        assert worst < 1e-10
 
     @pytest.mark.parametrize("m,beta", [(3, 0.5), (5, 1.0), (9, 2.0)])
     def test_equivalence_over_admissible_family(self, m, beta):

@@ -209,8 +209,9 @@ class TestWarpParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             WarpParams(m=0, lam=0.0)
-        with pytest.raises(ValueError):
-            WarpParams(m=2, lam=0.0, beta=0.0)
+        for beta in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                WarpParams(m=2, lam=0.0, beta=beta)
 
     def test_ricci_flat_fiber_constraints(self):
         wp = WarpParams.ricci_flat_fiber(3, -2.0)

@@ -14,7 +14,7 @@ from warpverify.errors import DomainError, PositivityError
 from warpverify.geometry2d import (
     Metric2D, Point2, ScalarField2D, SymMat2,
     christoffel_symbols, constant_field, coordinate_u, coordinate_v,
-    cosh_distance_field, fd_field, flat_metric, gauss_curvature,
+    cosh_distance_field, flat_metric, gauss_curvature,
     grad_norm_sq, hessian, laplace_beltrami, poincare_disk,
     poincare_half_plane, poly_field, profile_field, radial_field, rescale,
 )
@@ -249,14 +249,6 @@ class TestInvariants:
         ratio = errs[0] / errs[1]
         assert 3.5 <= ratio <= 4.5
 
-    def test_richardson_beats_plain_fd(self):
-        p = Point2(0.3, 0.2)
-        exact = laplace_beltrami(DISK, FSTAR, p)
-        plain = abs(laplace_beltrami(DISK, FSTAR.without_exact(1e-3), p) - exact)
-        rich = abs(laplace_beltrami(
-            DISK, FSTAR.without_exact(1e-3, richardson=True), p) - exact)
-        assert rich < plain / 100.0
-
 
 # ---------------------------------------------------------------------------
 # misc structure
@@ -281,8 +273,15 @@ def test_christoffel_flat_vanishes():
 
 def test_deriv_mode_tags():
     assert FSTAR.deriv_mode == "exact"
-    assert fd_field(fstar_value).deriv_mode == "finite_difference"
+    assert ScalarField2D(fstar_value).deriv_mode == "finite_difference"
     assert coordinate_v().deriv_mode == "exact"
+
+
+@pytest.mark.parametrize("given", [1, 2, 4])
+def test_partial_set_of_partials_rejected(given):
+    z = lambda u, v: 0.0
+    with pytest.raises(ValueError):
+        ScalarField2D(fstar_value, *([z] * given))
 
 
 def test_profile_field_axis_v():

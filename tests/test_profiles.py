@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from warpverify.errors import DomainError
 from warpverify.profiles import (
-    ProfileFn, const_profile, exp_profile, fd_profile, linear_profile,
+    ProfileFn, const_profile, exp_profile, linear_profile,
     log_profile, poly_profile, power_profile, sqrt_profile,
 )
 
@@ -46,11 +46,6 @@ def test_domain_enforced():
         p(0.5)
 
 
-def test_fd_profile_second_derivative():
-    p = fd_profile(lambda t: math.sin(t))
-    assert p.d2(0.9) == pytest.approx(-math.sin(0.9), abs=1e-6)
-
-
 def test_structure_tags_survive_scaling():
     p = linear_profile(3.0, 1.0) * 2.0
     assert p.structure == ("linear", 6.0, 2.0)
@@ -69,6 +64,10 @@ def test_linear_profile_values(a, b, t):
 
 
 def test_exactness_flag():
-    assert poly_profile([1.0, 2.0]).exact
-    assert not fd_profile(lambda t: t).exact
-    assert not ProfileFn(lambda t: t, deriv=lambda t: 1.0).exact
+    # both derivatives are required: a profile has no finite-difference mode
+    with pytest.raises(TypeError):
+        ProfileFn(lambda t: t)
+    with pytest.raises(TypeError):
+        ProfileFn(lambda t: t, deriv=lambda t: 1.0)
+    p = ProfileFn(lambda t: t, lambda t: 1.0, lambda t: 0.0)
+    assert (p(2.0), p.d1(2.0), p.d2(2.0)) == (2.0, 1.0, 0.0)

@@ -5,6 +5,7 @@ expanding (lam + m b)^2 - (m-1)(lam + b)(lam + m b/2) as a polynomial in
 lam with Fraction coefficients and comparing coefficientwise.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -59,8 +60,11 @@ class TestPolyPublished:
     def test_preconditions(self):
         with pytest.raises(ValueError):
             poly_published(0, 1)
-        with pytest.raises(ValueError):
-            poly_published(3, 0)
+        for beta in (0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                poly_published(3, beta)
+            with pytest.raises(ValueError):
+                poly_rederived(3, beta)
 
 
 class TestPolyRederived:

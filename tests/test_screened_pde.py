@@ -23,6 +23,11 @@ class TestGridSpec:
             GridSpec(beta=1.0, r_max=1.0)
         with pytest.raises(ValueError):
             GridSpec(beta=1.0, r_max=0.4, h=0.2)   # h >= r_max/4
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                GridSpec(beta=bad)
+            with pytest.raises(ValueError):
+                GridSpec(beta=1.0, h=bad)
 
 
 class TestAssembleAndSolve:
@@ -51,6 +56,25 @@ class TestAssembleAndSolve:
                         source=lambda x, y: x, boundary=lambda x, y: x)
         field = assemble_and_solve(spec)
         assert field.max_error_against(lambda x, y: x) < 1e-12
+
+    def test_data_callbacks_once_per_node_in_row_major_order(self):
+        calls = []
+
+        def record(tag):
+            def fn(x, y):
+                calls.append((tag, x, y))
+                return 0.0
+            return fn
+
+        spec = GridSpec(beta=1.0, r_max=0.3, h=0.05,
+                        source=record("src"), boundary=record("bnd"))
+        field = assemble_and_solve(spec)
+        X, Y = field.meshes()
+        expected = [("bnd", x, y) for x, y in zip(X[field.boundary_mask],
+                                                   Y[field.boundary_mask])]
+        expected += [("src", x, y) for x, y in zip(X[field.interior_mask],
+                                                    Y[field.interior_mask])]
+        assert calls == expected
 
     def test_solver_residual_definition(self):
         spec = manufactured_spec(beta=1.5, r_max=0.7, h=0.04)
