@@ -27,7 +27,9 @@ from typing import Sequence
 
 from . import __version__
 from .einstein import WarpParams, residual_report, vertical_ricci_coeff
-from .errors import AdmissibilityError, SolverError, ToolkitError
+from .errors import (
+    AdmissibilityError, SolverError, ToolkitError, require_finite_positive,
+)
 from .compatibility import (
     build_metric, integrate_s, pq_from_params, strip_samples,
     verify_pseudospherical,
@@ -193,8 +195,12 @@ def run_verification(
     unit-curvature rescaling, where the warping function is the first
     chart coordinate.
 
-    Raises AdmissibilityError when the relation has no admissible root.
+    Raises AdmissibilityError when the relation has no admissible root,
+    and ValueError when a tolerance is not finite and positive.
     """
+    for name, tol in (("relation", tol_relation), ("compat", tol_compat),
+                      ("curvature", tol_curvature), ("einstein", tol_einstein)):
+        require_finite_positive(f"{name} tolerance", tol)
     report = solve_lambda(relation_poly(m, beta, variant))
     admissible = report.admissible_roots
     if not admissible:

@@ -79,10 +79,13 @@ def pq_from_params(m: int, lam: float, beta: float) -> PQPair:
         p(f) = f sqrt(-(lam + beta)) / sqrt((m - 1)(-K)),
         q    = beta sqrt(m - 1) / (sqrt(-(lam + beta)) sqrt(-K)).
 
-    Raises AdmissibilityError when m < 2, lam + beta >= 0 (p degenerate or
-    imaginary) or K >= 0 (no negative-curvature rescaling).
+    Raises ValueError on a non-finite lam or a beta that is not finite and
+    positive, and AdmissibilityError when m < 2, lam + beta >= 0 (p
+    degenerate or imaginary) or K >= 0 (no negative-curvature rescaling).
     """
     require_finite_positive("screening parameter beta", beta)
+    if not math.isfinite(lam):
+        raise ValueError(f"Einstein constant lambda must be finite, got {lam}")
     if m < 2:
         raise AdmissibilityError(
             f"fiber dimension m = {m} < 2: the gradient normalization divides by m - 1",
@@ -279,8 +282,8 @@ def verify_pseudospherical(
     not share the profiles' closed-form derivatives with the ODE residual:
     the two certificates stay independent.
     """
-    if tol <= 0.0:
-        raise ValueError("curvature tolerance must be positive")
+    require_finite_positive("curvature tolerance", tol)
+    require_finite_positive("compat tolerance", compat_tol)
     samples = sorted(float(t) for t in samples)
     if len(samples) < 2:
         raise ValueError("need at least two profile samples")

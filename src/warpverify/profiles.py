@@ -47,25 +47,35 @@ class ProfileFn:
         self._deriv = deriv
         self._deriv2 = deriv2
         self.domain = (float(domain[0]), float(domain[1]))
+        self._lo, self._hi = self.domain
         self.structure = structure
 
     # -- evaluation ---------------------------------------------------------
-
-    def _check(self, t: float) -> float:
-        t = float(t)
-        lo, hi = self.domain
-        if not (lo < t < hi) or math.isnan(t):
-            raise DomainError(f"profile argument {t!r} outside domain ({lo}, {hi})")
-        return t
+    # The domain test is written out in each entry point: these run once
+    # per profile evaluation, and a shared helper costs a call each time.
+    # NaN fails the chained comparison, so it is rejected too.
 
     def __call__(self, t: float) -> float:
-        return self._value(self._check(t))
+        t = float(t)
+        if not self._lo < t < self._hi:
+            raise self._outside(t)
+        return self._value(t)
 
     def d1(self, t: float) -> float:
-        return self._deriv(self._check(t))
+        t = float(t)
+        if not self._lo < t < self._hi:
+            raise self._outside(t)
+        return self._deriv(t)
 
     def d2(self, t: float) -> float:
-        return self._deriv2(self._check(t))
+        t = float(t)
+        if not self._lo < t < self._hi:
+            raise self._outside(t)
+        return self._deriv2(t)
+
+    def _outside(self, t: float) -> DomainError:
+        return DomainError(
+            f"profile argument {t!r} outside domain ({self._lo}, {self._hi})")
 
     # -- algebra ------------------------------------------------------------
 

@@ -30,6 +30,10 @@ DIRECT_SOLVE_LIMIT = 100_000
 CG_MAX_ITER = 100_000
 CG_RTOL = 1e-12
 
+# Largest lattice half-width n (the axis holds 2n + 1 points).  A 999^2
+# lattice, about a million nodes, keeps each per-node float array near 8 MB.
+MAX_HALF_WIDTH = 499
+
 XYCallable = Callable[[float, float], float]
 
 
@@ -57,6 +61,12 @@ class GridSpec:
         if self.h >= self.r_max / 4.0:
             raise ValueError(
                 f"mesh spacing h = {self.h} must satisfy 0 < h < r_max/4 = {self.r_max / 4.0}")
+        n = _half_width(self.r_max, self.h)
+        if n > MAX_HALF_WIDTH:
+            raise ValueError(
+                f"mesh spacing h = {self.h} gives a {2 * n + 1}^2 lattice, above "
+                f"the {2 * MAX_HALF_WIDTH + 1}^2 cap; the smallest usable h at "
+                f"r_max = {self.r_max} is {self.r_max / MAX_HALF_WIDTH:.6g}")
 
     def source_fn(self) -> XYCallable:
         return self.source or (lambda x, y: 0.0)
@@ -123,9 +133,14 @@ def _classify(X: np.ndarray, Y: np.ndarray, r_max: float) -> np.ndarray:
     return tags
 
 
+def _half_width(r_max: float, h: float) -> int:
+    """Lattice half-width n: the axis runs over k h for |k| <= n."""
+    return int(math.floor(r_max / h + 1e-12))
+
+
 def _lattice(spec: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The spec's 1D axis, node tags and the two coordinate meshes."""
-    n = int(math.floor(spec.r_max / spec.h + 1e-12))
+    n = _half_width(spec.r_max, spec.h)
     axis = np.arange(-n, n + 1, dtype=float) * spec.h
     X, Y = np.meshgrid(axis, axis, indexing="ij")
     return axis, _classify(X, Y, spec.r_max), X, Y
@@ -261,10 +276,11 @@ def convergence_study(spec: GridSpec, h_list: Sequence[float],
     if any(h2 >= h1 for h1, h2 in zip(hs, hs[1:])):
         raise ValueError("mesh widths must be strictly decreasing")
 
+    # Build every level first, so an invalid width fails before any solve.
+    runs = [replace(spec, h=h) for h in hs]
     rows: list[ConvergenceRow] = []
     prev: Optional[ConvergenceRow] = None
-    for h in hs:
-        run = replace(spec, h=h)
+    for h, run in zip(hs, runs):
         field = assemble_and_solve(run)
         err = field.max_error_against(exact)
         rate = None
@@ -278,21 +294,27 @@ def convergence_study(spec: GridSpec, h_list: Sequence[float],
 def write_grid_csv(field: GridField, dest: Union[str, TextIO]):
     """Emit the lattice as CSV: header x1,x2,tag,value, row-major order.
 
-    Exterior nodes carry an empty value column.  Floats are written with
-    17 significant digits so output is bit-stable across runs.
+    Nodes valued NaN (the exterior ones) carry an empty value column.
+    Floats are written with 17 significant digits so output is bit-stable
+    across runs.  Each axis value is formatted once, and each lattice row
+    goes out in one write, built from prebuilt ",x2,tag," cells.
     """
+    coords = [format(x, ".17g") for x in field.axis.tolist()]
+    n = len(coords)
+    # cells[tag, j]: the middle of a line at column j, tag included.
+    cells = np.array([[f",{x2},{TAG_NAMES[tag]}," for x2 in coords]
+                      for tag in (INTERIOR, BOUNDARY, EXTERIOR)], dtype=object)
+    columns = np.arange(n)
     own = isinstance(dest, str)
     fh = open(dest, "w", encoding="ascii", newline="") if own else dest
     try:
         fh.write("x1,x2,tag,value\n")
-        n = len(field.axis)
-        for i in range(n):
-            for j in range(n):
-                tag = TAG_NAMES[int(field.tags[i, j])]
-                val = field.values[i, j]
-                sval = "" if math.isnan(val) else format(val, ".17g")
-                fh.write(f"{format(field.axis[i], '.17g')},"
-                         f"{format(field.axis[j], '.17g')},{tag},{sval}\n")
+        for x1, tags, vals in zip(coords, field.tags, field.values):
+            known = ~np.isnan(vals)
+            svals = np.full(n, "", dtype=object)
+            svals[known] = [format(v, ".17g") for v in vals[known].tolist()]
+            lines = (cells[tags, columns] + svals).tolist()
+            fh.write(x1 + ("\n" + x1).join(lines) + "\n")
     finally:
         if own:
             fh.close()

@@ -182,6 +182,30 @@ class TestUsageErrors:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--tol-relation", "--tol-compat",
+                                      "--tol-curvature", "--tol-einstein"])
+    def test_nonfinite_tolerance_is_usage_error(self, flag, value, capsys):
+        code, out = invoke("verify", "--m", "3", "--beta", "1", flag, value,
+                           "--quiet")
+        assert code == EXIT_USAGE
+        assert out == ""
+        err = capsys.readouterr().err
+        assert "tolerance must be finite and positive" in err
+        assert "Traceback" not in err
+
+    def test_oversized_pde_grid_is_usage_error(self, tmp_path, capsys):
+        out_path = tmp_path / "grid.csv"
+        code, out = invoke("pde", "solve", "--beta", "1", "--h", "1e-5",
+                           "--out", str(out_path), "--quiet")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert not out_path.exists()
+        err = capsys.readouterr().err
+        assert "smallest usable h" in err
+        assert "Traceback" not in err
+
+
 class TestDeterminismAndBanner:
     def test_banner_suppressed_by_quiet(self):
         code, loud = invoke("curvature", "--model", "disk", "--at", "0,0")

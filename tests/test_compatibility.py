@@ -100,6 +100,9 @@ class TestPqFromParams:
         for beta in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 pq_from_params(3, -2.0, beta)
+        for lam in (math.nan, -math.inf, math.inf):
+            with pytest.raises(ValueError, match="lambda must be finite"):
+                pq_from_params(3, lam, 1.0)
 
 
 class TestIntegrateS:

@@ -7,11 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from warpverify.cli import BOUNDARY_CATALOG, run
 from warpverify.errors import SolverError
 from warpverify.screened_pde import (
-    BOUNDARY, EXTERIOR, INTERIOR, ConvergenceRow, GridSpec,
-    assemble_and_solve, convergence_study, coshdist_exact, manufactured_spec,
-    residual_field, sample_exact, write_grid_csv,
+    BOUNDARY, EXTERIOR, INTERIOR, TAG_NAMES, ConvergenceRow, GridField,
+    GridSpec, assemble_and_solve, convergence_study, coshdist_exact,
+    manufactured_spec, residual_field, sample_exact, write_grid_csv,
 )
 
 
@@ -28,6 +29,28 @@ class TestGridSpec:
                 GridSpec(beta=bad)
             with pytest.raises(ValueError):
                 GridSpec(beta=1.0, h=bad)
+
+    def test_lattice_size_cap(self):
+        # 160001^2 nodes would take ~200 GB per array; the spec is refused
+        # before any lattice exists, and the message names a usable h
+        with pytest.raises(ValueError, match="smallest usable h") as ei:
+            GridSpec(beta=1.0, h=1e-5)
+        usable = float(str(ei.value).rsplit(" ", 1)[1])
+        assert GridSpec(beta=1.0, h=usable).h == usable
+        # h = r_max/500 is the first width past the cap, r_max/499 the last
+        # width within it, and the finest benchmark widths stay well inside
+        with pytest.raises(ValueError):
+            GridSpec(beta=1.0, r_max=0.5, h=0.001)
+        GridSpec(beta=1.0, r_max=0.5, h=0.5 / 499)
+        GridSpec(beta=1.0, r_max=0.8, h=0.0025)
+
+    def test_convergence_ladder_checks_every_width_before_solving(self):
+        calls = []
+        spec = GridSpec(beta=1.0, r_max=0.6, h=0.1,
+                        boundary=lambda x, y: calls.append(1) or 0.0)
+        with pytest.raises(ValueError):
+            convergence_study(spec, [0.1, 1e-5], lambda x, y: 0.0)
+        assert calls == []
 
 
 class TestAssembleAndSolve:
@@ -245,7 +268,69 @@ class TestSymmetry:
         assert np.max(np.abs(rotated - vals)) < 1e-11
 
 
+def reference_grid_csv(field, fh):
+    """Reference writer: one `.17g` format per coordinate and value, one
+    write per node.  `write_grid_csv` must match it byte for byte."""
+    fh.write("x1,x2,tag,value\n")
+    n = len(field.axis)
+    for i in range(n):
+        for j in range(n):
+            tag = TAG_NAMES[int(field.tags[i, j])]
+            val = field.values[i, j]
+            sval = "" if math.isnan(val) else format(val, ".17g")
+            fh.write(f"{format(field.axis[i], '.17g')},"
+                     f"{format(field.axis[j], '.17g')},{tag},{sval}\n")
+
+
+def reference_text(field):
+    buf = io.StringIO()
+    reference_grid_csv(field, buf)
+    return buf.getvalue()
+
+
+def written_text(field, dest_kind, tmp_path):
+    if dest_kind == "textio":
+        buf = io.StringIO()
+        write_grid_csv(field, buf)
+        return buf.getvalue()
+    path = tmp_path / "grid.csv"
+    write_grid_csv(field, str(path))
+    return path.read_bytes().decode("ascii")
+
+
 class TestCsvOutput:
+    @pytest.mark.parametrize("dest_kind", ["path", "textio"])
+    def test_matches_reference_on_edge_values(self, dest_kind, tmp_path):
+        axis = np.array([-1e300, -0.0, 5e-324, 0.1 + 0.2])
+        tags = np.array([[EXTERIOR, BOUNDARY, INTERIOR, EXTERIOR],
+                         [BOUNDARY, INTERIOR, INTERIOR, BOUNDARY],
+                         [EXTERIOR, INTERIOR, BOUNDARY, EXTERIOR],
+                         [EXTERIOR, EXTERIOR, EXTERIOR, EXTERIOR]], dtype=np.int8)
+        # the value column is empty exactly where the value is NaN, so an
+        # interior NaN and a finite exterior value are in here too
+        values = np.array([[math.nan, -0.0, 5e-324, math.nan],
+                           [1e300, -1e300, math.nan, -5e-324],
+                           [math.nan, 2.5e-310, 0.0, 1.0 / 3.0],
+                           [math.nan, math.nan, math.nan, math.nan]])
+        field = GridField(axis=axis, tags=tags, values=values, h=0.1, r_max=0.3)
+        text = written_text(field, dest_kind, tmp_path)
+        assert text == reference_text(field)
+        assert "\n-0,-0,interior,-1.0000000000000001e+300\n" in text
+        assert text.endswith("0.30000000000000004,0.30000000000000004,exterior,\n")
+
+    @pytest.mark.parametrize("bc", sorted(BOUNDARY_CATALOG))
+    def test_matches_reference_on_pde_solve_lattice(self, bc, tmp_path):
+        path = tmp_path / "grid.csv"
+        code = run(["pde", "solve", "--beta", "1.3", "--rmax", "0.9",
+                    "--h", "0.03", "--bc", bc, "--out", str(path), "--quiet"],
+                   out=io.StringIO())
+        assert code == 0
+        field = assemble_and_solve(
+            GridSpec(beta=1.3, r_max=0.9, h=0.03, boundary=BOUNDARY_CATALOG[bc]))
+        expected = reference_text(field)
+        assert path.read_bytes() == expected.encode("ascii")
+        assert written_text(field, "textio", tmp_path) == expected
+
     def test_format_and_determinism(self):
         spec = GridSpec(beta=1.0, r_max=0.5, h=0.1,
                         boundary=lambda x, y: x + 2 * y)
