@@ -31,7 +31,7 @@ from .errors import (
     AdmissibilityError, SolverError, ToolkitError, require_finite_positive,
 )
 from .compatibility import (
-    build_metric, integrate_s, pq_from_params, strip_samples,
+    build_metric, integrate_s, pq_from_params, strip_points, strip_samples,
     verify_pseudospherical,
 )
 from .geometry2d import (
@@ -183,8 +183,6 @@ def run_verification(
     tol_compat: float = DEFAULT_TOL_COMPAT,
     tol_curvature: float = DEFAULT_TOL_CURVATURE_FD,
     tol_einstein: float = DEFAULT_TOL_EINSTEIN,
-    strip: tuple[float, float] = (0.5, 4.0),
-    strip_shape: tuple[int, int] = (32, 8),
 ) -> VerifyReport:
     """Full pipeline for one parameter pair.
 
@@ -193,7 +191,8 @@ def run_verification(
     (finite differences), and evaluates all three residuals of the
     warped-product system on the base metric recovered by undoing the
     unit-curvature rescaling, where the warping function is the first
-    chart coordinate.
+    chart coordinate.  Both the curvature certificate and the Einstein
+    residuals sample the default strip (`strip_points(strip_samples())`).
 
     Raises AdmissibilityError when the relation has no admissible root,
     and ValueError when a tolerance is not finite and positive.
@@ -216,11 +215,10 @@ def run_verification(
     K = lam + m * beta / 2.0
 
     pq = pq_from_params(m, lam, beta)
-    nu, nv = strip_shape
-    samples = strip_samples(strip[0], strip[1], nu)
+    samples = strip_samples()
 
     pseudo = verify_pseudospherical(pq, samples, tol=tol_curvature,
-                                    compat_tol=tol_compat, h_samples=nv)
+                                    compat_tol=tol_compat)
 
     # Base metric with curvature K: undo the unit-curvature rescaling.
     s = integrate_s(pq, samples[0], samples[-1])
@@ -228,8 +226,7 @@ def run_verification(
     g_base = rescale(g_unit, 1.0 / (-K))
     f = coordinate_u()
     wp = WarpParams.ricci_flat_fiber(m=m, lam=lam, beta=beta)
-    h_coords = [-1.0 + 2.0 * j / (nv - 1) for j in range(nv)]
-    points = [Point2(t, hc) for t in samples for hc in h_coords]
+    points = strip_points(samples)
     res = residual_report(g_base, f, wp, points)
 
     ricci_err = 0.0
@@ -535,10 +532,7 @@ def run(argv: Sequence[str], out=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))
-    except _UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return EXIT_USAGE
-    except (ValueError, argparse.ArgumentError) as exc:
+    except (_UsageError, ValueError, argparse.ArgumentError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
 

@@ -268,14 +268,13 @@ def verify_pseudospherical(
     samples: Sequence[float],
     tol: float,
     compat_tol: float = 1e-8,
-    h_samples: int = DEFAULT_STRIP_SHAPE[1],
 ) -> PseudosphericalReport:
     """Certify a profile pair both ways: ODE residual and curvature.
 
     Integrates s, builds the chart metric and reports the max of
-    |K + 1| over the strip samples x h-samples next to the max
-    compatibility residual over the f samples.  The equivalence of the
-    construction says both checks must agree on success/failure.
+    |K + 1| over `strip_points(samples)` next to the max compatibility
+    residual over the f samples.  The equivalence of the construction
+    says both checks must agree on success/failure.
 
     The curvature is evaluated from central finite differences of the
     metric component values (`Metric2D.with_fd_derivatives`), so it does
@@ -294,13 +293,10 @@ def verify_pseudospherical(
     s = integrate_s(pq, f0, f1)
     g = build_metric(pq, s).with_fd_derivatives()
 
-    h_coords = [(-1.0 + 2.0 * j / (h_samples - 1)) if h_samples > 1 else 0.0
-                for j in range(h_samples)]
+    points = strip_points(samples)
     max_kp1 = 0.0
-    for t in samples:
-        for hc in h_coords:
-            k = gauss_curvature(g, Point2(t, hc))
-            max_kp1 = max(max_kp1, abs(k + 1.0))
+    for p in points:
+        max_kp1 = max(max_kp1, abs(gauss_curvature(g, p) + 1.0))
 
     return PseudosphericalReport(
         max_abs_compat_residual=max_resid,
@@ -309,7 +305,7 @@ def verify_pseudospherical(
         curvature_ok=max_kp1 <= tol,
         curvature_tol=tol,
         compat_tol=compat_tol,
-        sample_count=len(samples) * h_samples,
+        sample_count=len(points),
     )
 
 
@@ -319,6 +315,14 @@ def strip_samples(f0: float = DEFAULT_STRIP[0], f1: float = DEFAULT_STRIP[1],
     if n < 2:
         raise ValueError("need at least two samples")
     return [f0 + (f1 - f0) * i / (n - 1) for i in range(n)]
+
+
+def strip_points(samples: Sequence[float]) -> list[Point2]:
+    """Chart points (t, h) for every f-sample t, t-major, with the
+    DEFAULT_STRIP_SHAPE[1] h-values evenly spaced on [-1, 1]."""
+    nh = DEFAULT_STRIP_SHAPE[1]
+    h_coords = [-1.0 + 2.0 * j / (nh - 1) for j in range(nh)]
+    return [Point2(t, hc) for t in samples for hc in h_coords]
 
 
 def max_compat_residual_for_params(

@@ -9,8 +9,9 @@ class ToolkitError(Exception):
 
 
 class DomainError(ToolkitError):
-    """A point or interval lies outside the declared chart domain,
-    or a finite-difference stencil would leave it."""
+    """A point or interval lies outside the declared chart domain, a
+    finite-difference stencil would leave it, or a value at the point is
+    outside the floating-point range an operator can evaluate."""
 
 
 class PositivityError(ToolkitError):

@@ -5,18 +5,21 @@ E, G > 0 (no off-diagonal term).  The catalog covers the Poincare disk,
 the Poincare half-plane, the flat plane, constant rescalings, and metrics
 assembled from 1D profiles (used by the warped-product construction).
 
-Scalar fields carry either exact partial derivatives or central
-finite differences; every operator below consumes that interface, so the
-same code path serves closed-form and FD evaluation.
+Scalar fields carry exact partial derivatives.  `CentralDifferences`
+differentiates a field's values by central differences instead; it exists
+only for the curvature certificate, which must not share the closed-form
+derivatives it is checking.  Every operator below consumes the common
+val/grad/second interface of both.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Union
 
-from .errors import DomainError, PositivityError
+from .errors import DomainError, PositivityError, require_finite_positive
 from .profiles import ProfileFn, const_profile, poly_profile
 
 # Domain guard: points within eps of a chart singularity are rejected.
@@ -25,8 +28,10 @@ EPS_DOMAIN = 1e-8
 # Default finite-difference step; second-derivative rounding noise ~1e-8.
 DEFAULT_FD_STEP = 1e-4
 
-# Metric positivity tolerance for curvature evaluation.
-EG_POSITIVITY_TOL = 1e-30
+# Range of sqrt(EG) over which the Brioschi formula's divisor 2 (EG)^(3/2)
+# is a normal double: outside it the division underflows or overflows.
+BRIOSCHI_SCALE = (sys.float_info.min ** (1.0 / 3.0),
+                  (sys.float_info.max / 2.0) ** (1.0 / 3.0))
 
 
 @dataclass(frozen=True)
@@ -58,42 +63,19 @@ class SymMat2:
 
 
 class ScalarField2D:
-    """Scalar function on a 2D chart with first/second derivative access.
+    """Scalar function on a 2D chart with exact first/second derivatives.
 
     Parameters
     ----------
-    value : callable
-        (u, v) -> f(u, v).
-    du, dv, duu, duv, dvv : callable, optional
-        Exact partial derivatives, all five or none.  The single `duv`
-        callback represents both mixed partials, so exact second
-        derivatives are symmetric by construction.  Without them every
-        derivative is a central finite difference of `value` with step
-        `fd_step`.
-    fd_step : float
-        Finite-difference step (must be positive).
+    value, du, dv, duu, duv, dvv : callable
+        (u, v) -> f(u, v) and its five exact partial derivatives.  The
+        single `duv` callback represents both mixed partials, so second
+        derivatives are symmetric by construction.
     """
 
-    def __init__(
-        self,
-        value: Callable[[float, float], float],
-        du=None, dv=None, duu=None, duv=None, dvv=None,
-        fd_step: float = DEFAULT_FD_STEP,
-    ):
-        if fd_step <= 0:
-            raise ValueError("finite-difference step must be positive")
-        partials = (du, dv, duu, duv, dvv)
-        given = sum(cb is not None for cb in partials)
-        if given not in (0, 5):
-            raise ValueError(
-                f"give all five exact partial derivatives or none, got {given}")
+    def __init__(self, value: Callable[[float, float], float], du, dv, duu, duv, dvv):
         self._value = value
-        self._partials = partials if given else None
-        self.fd_step = fd_step
-
-    @property
-    def deriv_mode(self) -> str:
-        return "finite_difference" if self._partials is None else "exact"
+        self._partials = (du, dv, duu, duv, dvv)
 
     def val(self, p: Point2) -> float:
         return self._value(p.u, p.v)
@@ -103,56 +85,33 @@ class ScalarField2D:
     # -- derivative access ----------------------------------------------------
 
     def grad(self, p: Point2) -> tuple[float, float]:
-        u, v = p.u, p.v
-        if self._partials is None:
-            f, h = self._value, self.fd_step
-            return ((f(u + h, v) - f(u - h, v)) / (2.0 * h),
-                    (f(u, v + h) - f(u, v - h)) / (2.0 * h))
         du, dv = self._partials[:2]
-        return du(u, v), dv(u, v)
+        return du(p.u, p.v), dv(p.u, p.v)
 
     def second(self, p: Point2) -> tuple[float, float, float]:
-        u, v = p.u, p.v
-        if self._partials is None:
-            f, h = self._value, self.fd_step
-            return ((f(u + h, v) - 2.0 * f(u, v) + f(u - h, v)) / (h * h),
-                    (f(u + h, v + h) - f(u + h, v - h)
-                     - f(u - h, v + h) + f(u - h, v - h)) / (4.0 * h * h),
-                    (f(u, v + h) - 2.0 * f(u, v) + f(u, v - h)) / (h * h))
         duu, duv, dvv = self._partials[2:]
-        return duu(u, v), duv(u, v), dvv(u, v)
+        return duu(p.u, p.v), duv(p.u, p.v), dvv(p.u, p.v)
 
     # -- transforms ------------------------------------------------------------
 
-    def without_exact(self, fd_step: Optional[float] = None) -> "ScalarField2D":
-        """Same values, derivatives forced through finite differences."""
-        return ScalarField2D(self._value, fd_step=fd_step or self.fd_step)
+    def without_exact(self, step: float = DEFAULT_FD_STEP) -> "CentralDifferences":
+        """Same values, derivatives by central differences of width `step`."""
+        return CentralDifferences(self._value, step)
 
     def __add__(self, other):
         other = _as_field(other)
-        value = lambda u, v: self._value(u, v) + other._value(u, v)
-        fd_step = min(self.fd_step, other.fd_step)
-        if self._partials is None or other._partials is None:
-            return ScalarField2D(value, fd_step=fd_step)
         return ScalarField2D(
-            value, *(_sum(a, b) for a, b in zip(self._partials, other._partials)),
-            fd_step=fd_step)
+            lambda u, v: self._value(u, v) + other._value(u, v),
+            *(_sum(a, b) for a, b in zip(self._partials, other._partials)))
 
     __radd__ = __add__
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             c = float(other)
-            value = lambda u, v: c * self._value(u, v)
-            if self._partials is None:
-                return ScalarField2D(value, fd_step=self.fd_step)
-            return ScalarField2D(value, *(_scaled(c, cb) for cb in self._partials),
-                                 fd_step=self.fd_step)
+            return ScalarField2D(lambda u, v: c * self._value(u, v),
+                                 *(_scaled(c, cb) for cb in self._partials))
         other = _as_field(other)
-        if self._partials is None or other._partials is None:
-            return ScalarField2D(
-                lambda u, v: self._value(u, v) * other._value(u, v),
-                fd_step=min(self.fd_step, other.fd_step))
         f, g = self._value, other._value
         fu, fv, fuu, fuv, fvv = self._partials
         gu, gv, guu, guv, gvv = other._partials
@@ -176,6 +135,38 @@ class ScalarField2D:
 
     def __sub__(self, other):
         return self + (_as_field(other) * -1.0)
+
+
+class CentralDifferences:
+    """Derivatives of a value callback (u, v) -> f by central differences.
+
+    Second-order accurate in `step`; the stencil reaches `step` away from
+    the evaluation point along each axis and diagonal.
+    """
+
+    def __init__(self, value: Callable[[float, float], float],
+                 step: float = DEFAULT_FD_STEP):
+        require_finite_positive("finite-difference step", step)
+        self._value = value
+        self.step = step
+
+    def val(self, p: Point2) -> float:
+        return self._value(p.u, p.v)
+
+    def grad(self, p: Point2) -> tuple[float, float]:
+        u, v, f, h = p.u, p.v, self._value, self.step
+        return ((f(u + h, v) - f(u - h, v)) / (2.0 * h),
+                (f(u, v + h) - f(u, v - h)) / (2.0 * h))
+
+    def second(self, p: Point2) -> tuple[float, float, float]:
+        u, v, f, h = p.u, p.v, self._value, self.step
+        return ((f(u + h, v) - 2.0 * f(u, v) + f(u - h, v)) / (h * h),
+                (f(u + h, v + h) - f(u + h, v - h)
+                 - f(u - h, v + h) + f(u - h, v - h)) / (4.0 * h * h),
+                (f(u, v + h) - 2.0 * f(u, v) + f(u, v - h)) / (h * h))
+
+
+Field = Union[ScalarField2D, CentralDifferences]
 
 
 def _sum(a, b):
@@ -295,7 +286,7 @@ class Metric2D:
     KINDS = ("poincare_disk", "poincare_half_plane", "constructed",
              "custom", "rescaled", "flat")
 
-    def __init__(self, E: ScalarField2D, G: ScalarField2D,
+    def __init__(self, E: Field, G: Field,
                  domain: Callable[[float, float], bool], kind: str = "custom"):
         if kind not in self.KINDS:
             raise ValueError(f"unknown metric kind {kind!r}")
@@ -310,14 +301,14 @@ class Metric2D:
     def components(self, p: Point2) -> tuple[float, float]:
         return self.E.val(p), self.G.val(p)
 
-    def with_fd_derivatives(self, fd_step: float = DEFAULT_FD_STEP) -> "Metric2D":
-        """Same component values, all derivatives via finite differences.
+    def with_fd_derivatives(self) -> "Metric2D":
+        """Same component values, derivatives by central differences.
 
-        Used to certify curvature independently of any exact-derivative
-        callbacks the components may carry.
+        Used to certify curvature independently of the exact partials the
+        components carry.
         """
-        return Metric2D(self.E.without_exact(fd_step),
-                        self.G.without_exact(fd_step), self._domain, self.kind)
+        return Metric2D(self.E.without_exact(), self.G.without_exact(),
+                        self._domain, self.kind)
 
 
 def poincare_disk() -> Metric2D:
@@ -330,11 +321,16 @@ def poincare_disk() -> Metric2D:
 
 
 def poincare_half_plane() -> Metric2D:
-    """Upper half-plane model, E = G = 1 / v^2, curvature -1."""
+    """Upper half-plane model, E = G = 1 / v^2, curvature -1.
+
+    The chart keeps EPS_DOMAIN <= v <= 1/EPS_DOMAIN, away from both ideal
+    boundary ends v = 0 and v = infinity: far out, the partials of 1/v^2
+    underflow before the value does and K silently goes wrong.
+    """
     factor = profile_field(
         const_profile(1.0) / poly_profile([0.0, 0.0, 1.0], domain=(0.0, math.inf)),
         axis="v")
-    domain = lambda u, v: v >= EPS_DOMAIN
+    domain = lambda u, v: EPS_DOMAIN <= v <= 1.0 / EPS_DOMAIN
     return Metric2D(factor, factor, domain, kind="poincare_half_plane")
 
 
@@ -351,13 +347,14 @@ def _require_in_domain(g: Metric2D, p: Point2):
         raise DomainError(f"point ({p.u}, {p.v}) outside the {g.kind} chart domain")
 
 
-def _require_stencil(g: Metric2D, p: Point2, *fields: ScalarField2D):
+def _require_stencil(g: Metric2D, p: Point2, *fields: Field):
     """FD stencils must not poke outside the chart.
 
     Checking the four corner points suffices for the convex chart domains
     in the catalog.
     """
-    h = max((f.fd_step for f in fields if f.deriv_mode != "exact"), default=None)
+    h = max((f.step for f in fields if isinstance(f, CentralDifferences)),
+            default=None)
     if h is None:
         return
     for su in (-1.0, 1.0):
@@ -370,7 +367,7 @@ def _require_stencil(g: Metric2D, p: Point2, *fields: ScalarField2D):
 
 def _metric_at(g: Metric2D, p: Point2) -> tuple[float, float]:
     E, G = g.components(p)
-    if E <= 0.0 or G <= 0.0:
+    if not (E > 0.0 and G > 0.0):
         raise PositivityError(
             f"metric components must be positive, got E={E}, G={G} at ({p.u}, {p.v})")
     return E, G
@@ -379,7 +376,7 @@ def _metric_at(g: Metric2D, p: Point2) -> tuple[float, float]:
 # -- operations ----------------------------------------------------------------
 
 
-def laplace_beltrami(g: Metric2D, f: ScalarField2D, p: Point2) -> float:
+def laplace_beltrami(g: Metric2D, f: Field, p: Point2) -> float:
     """Laplace-Beltrami operator of f at p.
 
     Divergence form for orthogonal coordinates:
@@ -404,7 +401,7 @@ def laplace_beltrami(g: Metric2D, f: ScalarField2D, p: Point2) -> float:
     return (A_u * fu + A * fuu + B_v * fv + B * fvv) / S
 
 
-def grad_norm_sq(g: Metric2D, f: ScalarField2D, p: Point2) -> float:
+def grad_norm_sq(g: Metric2D, f: Field, p: Point2) -> float:
     """Squared gradient norm f_u^2/E + f_v^2/G at p (always >= 0)."""
     _require_in_domain(g, p)
     _require_stencil(g, p, f)
@@ -421,6 +418,10 @@ def christoffel_symbols(g: Metric2D, p: Point2) -> dict[str, float]:
     """
     _require_in_domain(g, p)
     _require_stencil(g, p, g.E, g.G)
+    return _christoffel(g, p)
+
+
+def _christoffel(g: Metric2D, p: Point2) -> dict[str, float]:
     E, G = _metric_at(g, p)
     Eu, Ev = g.E.grad(p)
     Gu, Gv = g.G.grad(p)
@@ -434,11 +435,11 @@ def christoffel_symbols(g: Metric2D, p: Point2) -> dict[str, float]:
     }
 
 
-def hessian(g: Metric2D, f: ScalarField2D, p: Point2) -> SymMat2:
+def hessian(g: Metric2D, f: Field, p: Point2) -> SymMat2:
     """Covariant Hessian Hess(f)_ij = d_i d_j f - Gamma^k_ij d_k f at p."""
     _require_in_domain(g, p)
     _require_stencil(g, p, g.E, g.G, f)
-    gam = christoffel_symbols(g, p)
+    gam = _christoffel(g, p)
     fu, fv = f.grad(p)
     fuu, fuv, fvv = f.second(p)
     return SymMat2(
@@ -453,30 +454,27 @@ def gauss_curvature(g: Metric2D, p: Point2) -> float:
 
         K = -(1/(2 sqrt(EG))) [ d_u( G_u / sqrt(EG) ) + d_v( E_v / sqrt(EG) ) ]
 
-    The scalar curvature of the surface is 2K.
+    The scalar curvature of the surface is 2K.  Raises DomainError where
+    sqrt(EG) leaves BRIOSCHI_SCALE.
     """
     _require_in_domain(g, p)
     _require_stencil(g, p, g.E, g.G)
-    E, G = g.components(p)
-    if E * G < EG_POSITIVITY_TOL:
-        raise PositivityError(
-            f"determinant EG = {E * G} below positivity tolerance at ({p.u}, {p.v})")
+    E, G = _metric_at(g, p)
+    S = math.sqrt(E * G)
+    if not BRIOSCHI_SCALE[0] <= S <= BRIOSCHI_SCALE[1]:
+        raise DomainError(
+            f"metric scale sqrt(EG) = {S} at ({p.u}, {p.v}) is outside the "
+            f"double-precision range of the curvature formula {BRIOSCHI_SCALE}")
     Eu, Ev = g.E.grad(p)
     Gu, Gv = g.G.grad(p)
     Euu, Euv, Evv = g.E.second(p)
     Guu, Guv, Gvv = g.G.second(p)
 
-    S = math.sqrt(E * G)
     dEG_u = Eu * G + E * Gu
     dEG_v = Ev * G + E * Gv
     term_u = Guu / S - Gu * dEG_u / (2.0 * S ** 3)
     term_v = Evv / S - Ev * dEG_v / (2.0 * S ** 3)
     return -(term_u + term_v) / (2.0 * S)
-
-
-def scalar_curvature(g: Metric2D, p: Point2) -> float:
-    """R = 2K for a surface."""
-    return 2.0 * gauss_curvature(g, p)
 
 
 def rescale(g: Metric2D, c: float) -> Metric2D:

@@ -25,7 +25,7 @@ given as int/Fraction, so identities can be asserted exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -229,7 +229,6 @@ class SweepRecord:
     admissible_root: Optional[float]
     K: Optional[float]
     exists: str  # "true" | "false" | "out_of_domain"
-    report: Optional[RootReport] = field(default=None, repr=False, compare=False)
 
 
 def existence_sweep(m_range: tuple[int, int], betas: Sequence[Number],
@@ -263,6 +262,5 @@ def existence_sweep(m_range: tuple[int, int], betas: Sequence[Number],
                 admissible_root=root,
                 K=None if root is None else root + m * float(beta) / 2.0,
                 exists=verdict,
-                report=report,
             ))
     return records

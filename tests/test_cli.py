@@ -120,6 +120,13 @@ class TestCurvature:
         code, _ = invoke("curvature", "--model", "disk", "--at", "2,0", "--quiet")
         assert code == EXIT_USAGE
 
+    def test_halfplane_far_from_boundary(self):
+        # E = G = 1e-16 there: tiny but positive, so the metric is valid
+        code, out = invoke("curvature", "--model", "halfplane", "--at", "0,1e8",
+                           "--quiet")
+        assert code == EXIT_OK
+        assert out == "K(0, 100000000) = -1\n"
+
 
 class TestPde:
     def test_solve_writes_grid(self, tmp_path):
@@ -204,6 +211,15 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "smallest usable h" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("beta", ["1e-110", "1e110"])
+    def test_metric_scale_beyond_double_range_is_usage_error(self, beta, capsys):
+        # the base metric is the unit metric times 1/(-K), about 1/beta here
+        code, out = invoke("verify", "--m", "3", "--beta", beta, "--quiet")
+        assert code == EXIT_USAGE
+        assert out == ""
+        err = capsys.readouterr().err
+        assert "double-precision range of the curvature formula" in err
 
 
 class TestDeterminismAndBanner:

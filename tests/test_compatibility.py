@@ -208,7 +208,7 @@ class TestBuildMetric:
         f0 = 1.5
         s = sqrt_profile(poly_profile([-1.0, 0.0, 1.0], domain=(1.0, math.inf)))
         s = s * (1.0 / math.sqrt(f0 * f0 - 1.0))
-        g = build_metric(pq, s).with_fd_derivatives(1e-4)
+        g = build_metric(pq, s).with_fd_derivatives()
         for q in (Point2(1.8, 0.3), Point2(2.5, 0.0), Point2(3.6, -0.7)):
             assert gauss_curvature(g, q) == pytest.approx(-1.0, abs=1e-5)
 
@@ -218,7 +218,7 @@ class TestBuildMetric:
         g = build_metric(pq, s)
         for q in (Point2(1.8, 0.3), Point2(2.5, 0.0), Point2(3.6, -0.7)):
             assert gauss_curvature(g, q) == pytest.approx(-1.0, abs=1e-9)
-        gfd = g.with_fd_derivatives(1e-4)
+        gfd = g.with_fd_derivatives()
         for q in (Point2(1.8, 0.3), Point2(2.5, 0.0)):
             assert gauss_curvature(gfd, q) == pytest.approx(-1.0, abs=1e-5)
 
@@ -235,6 +235,7 @@ class TestVerifyPseudospherical:
         assert rep.max_abs_curvature_plus_one < 1e-6
         assert rep.max_abs_compat_residual < 1e-10
         assert rep.passed and rep.certificates_agree
+        assert rep.sample_count == 256
 
     def test_flat_pair_fails_both_ways(self):
         pq = PQPair(const_profile(1.0), const_profile(0.0))

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from warpverify.errors import DomainError, PositivityError
 from warpverify.geometry2d import (
-    Metric2D, Point2, ScalarField2D, SymMat2,
+    CentralDifferences, Metric2D, Point2, ScalarField2D, SymMat2,
     christoffel_symbols, constant_field, coordinate_u, coordinate_v,
     cosh_distance_field, flat_metric, gauss_curvature,
     grad_norm_sq, hessian, laplace_beltrami, poincare_disk,
@@ -159,6 +159,33 @@ class TestGaussCurvature:
         with pytest.raises(PositivityError):
             gauss_curvature(g, Point2(0.0, 0.0))
 
+    @pytest.mark.parametrize("c", [-1.0, math.nan])
+    def test_negative_or_nan_metric_rejected(self, c):
+        # E G > 0 at c = -1, but E and G are negative: not a Riemannian metric
+        field = constant_field(c)
+        g = Metric2D(field, field, lambda u, v: True, kind="custom")
+        p = Point2(0.0, 0.0)
+        with pytest.raises(PositivityError):
+            gauss_curvature(g, p)
+        with pytest.raises(PositivityError):
+            laplace_beltrami(g, coordinate_u(), p)
+
+    @pytest.mark.parametrize("c", [1e-210, 1e210])
+    def test_scale_beyond_double_range_rejected(self, c):
+        # K = -1/c is representable, but the Brioschi divisor is not
+        with pytest.raises(DomainError):
+            gauss_curvature(rescale(DISK, c), Point2(0.1, 0.2))
+
+    @pytest.mark.parametrize("v", [1e-8, 1e8])
+    def test_half_plane_chart_ends_included(self, v):
+        assert gauss_curvature(HALF_PLANE, Point2(0.0, v)) == pytest.approx(-1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("v", [0.5e-8, 2e8, 1e45])
+    def test_half_plane_beyond_chart_ends_rejected(self, v):
+        # at v = 1e45 the exact partials underflow and the formula gives -3
+        with pytest.raises(DomainError):
+            gauss_curvature(HALF_PLANE, Point2(0.0, v))
+
 
 # ---------------------------------------------------------------------------
 # rescale
@@ -272,16 +299,29 @@ def test_christoffel_flat_vanishes():
 
 
 def test_deriv_mode_tags():
-    assert FSTAR.deriv_mode == "exact"
-    assert ScalarField2D(fstar_value).deriv_mode == "finite_difference"
-    assert coordinate_v().deriv_mode == "exact"
+    # the derivative source is the type: exact fields vs. central differences
+    assert isinstance(FSTAR, ScalarField2D)
+    assert isinstance(coordinate_v(), ScalarField2D)
+    fd = FSTAR.without_exact()
+    assert isinstance(fd, CentralDifferences)
+    assert fd.step == 1e-4
+    assert FSTAR.without_exact(1e-3).step == 1e-3
+    fd_metric = DISK.with_fd_derivatives()
+    assert isinstance(fd_metric.E, CentralDifferences)
+    assert isinstance(fd_metric.G, CentralDifferences)
 
 
 @pytest.mark.parametrize("given", [1, 2, 4])
 def test_partial_set_of_partials_rejected(given):
     z = lambda u, v: 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         ScalarField2D(fstar_value, *([z] * given))
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-4, math.nan, math.inf])
+def test_central_differences_step_must_be_finite_positive(step):
+    with pytest.raises(ValueError):
+        CentralDifferences(fstar_value, step)
 
 
 def test_profile_field_axis_v():
@@ -292,7 +332,7 @@ def test_profile_field_axis_v():
 
 
 def test_fd_field_on_scalarfield_mode():
-    f = ScalarField2D(fstar_value, fd_step=1e-4)
+    f = CentralDifferences(fstar_value, 1e-4)
     p = Point2(0.2, 0.1)
     fu, fv = f.grad(p)
     eu, ev = FSTAR.grad(p)
