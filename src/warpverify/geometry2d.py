@@ -165,6 +165,15 @@ class CentralDifferences:
                  - f(u - h, v + h) + f(u - h, v - h)) / (4.0 * h * h),
                 (f(u, v + h) - 2.0 * f(u, v) + f(u, v - h)) / (h * h))
 
+    def __mul__(self, other):
+        """c * f for a finite constant c > 0, differenced at the same step."""
+        if not isinstance(other, (int, float)):
+            return NotImplemented
+        require_finite_positive("field scale factor", other)
+        return CentralDifferences(_scaled(float(other), self._value), self.step)
+
+    __rmul__ = __mul__
+
 
 Field = Union[ScalarField2D, CentralDifferences]
 

@@ -10,6 +10,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from warpverify.cli import DEFAULT_TOL_CURVATURE_FD
 from warpverify.errors import DomainError, PositivityError
 from warpverify.geometry2d import (
     CentralDifferences, Metric2D, Point2, ScalarField2D, SymMat2,
@@ -213,6 +214,28 @@ class TestRescale:
             rescale(DISK, 0.0)
         with pytest.raises(ValueError):
             rescale(DISK, -2.0)
+
+    @pytest.mark.parametrize("c", [0.5, 2.0, 10.0])
+    def test_fd_metric_curvature_scaling(self, c):
+        # the certificate's central differences survive a rescaling, at
+        # the same step, and still give K_cg = K_g / c
+        g = rescale(DISK.with_fd_derivatives(), c)
+        assert isinstance(g.E, CentralDifferences) and g.E.step == 1e-4
+        for p in (Point2(0.1, 0.0), Point2(0.3, -0.4), Point2(-0.5, 0.2)):
+            assert gauss_curvature(g, p) == pytest.approx(
+                -1.0 / c, abs=DEFAULT_TOL_CURVATURE_FD)
+
+
+def test_central_differences_scale_by_positive_constant():
+    f = CentralDifferences(fstar_value, 1e-3)
+    g = f * 2.5
+    p = Point2(0.2, 0.1)
+    assert g.step == 1e-3
+    assert g.val(p) == 2.5 * f.val(p)
+    assert (2.5 * f).val(p) == g.val(p)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            f * bad
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,14 @@ import math
 import numpy as np
 import pytest
 
+from warpverify import screened_pde
 from warpverify.cli import BOUNDARY_CATALOG, run
 from warpverify.errors import SolverError
 from warpverify.screened_pde import (
-    BOUNDARY, EXTERIOR, INTERIOR, TAG_NAMES, ConvergenceRow, GridField,
-    GridSpec, assemble_and_solve, convergence_study, coshdist_exact,
-    manufactured_spec, residual_field, sample_exact, write_grid_csv,
+    BOUNDARY, EXTERIOR, INTERIOR, ND_LEAF_NODES, TAG_NAMES, ConvergenceRow,
+    GridField, GridSpec, _dissect, _lattice, _nested_dissection,
+    assemble_and_solve, convergence_study, coshdist_exact, manufactured_spec,
+    residual_field, sample_exact, write_grid_csv,
 )
 
 
@@ -266,6 +268,102 @@ class TestSymmetry:
         rotated = np.rot90(vals)
         assert np.array_equal(np.rot90(field.tags), field.tags)
         assert np.max(np.abs(rotated - vals)) < 1e-11
+
+
+def interior_mask(spec):
+    return _lattice(spec)[1] == INTERIOR
+
+
+DISSECTED_SPECS = [
+    GridSpec(beta=1.0, r_max=0.3, h=0.05),
+    GridSpec(beta=1.3, r_max=0.9, h=0.03),
+    manufactured_spec(beta=2.5, r_max=0.8, h=0.01),
+]
+
+
+class TestNestedDissection:
+    @pytest.mark.parametrize("spec", DISSECTED_SPECS)
+    def test_order_is_a_permutation(self, spec):
+        interior = interior_mask(spec)
+        order = _nested_dissection(interior)
+        assert order.dtype.kind == "i"
+        assert np.array_equal(np.sort(order), np.arange(interior.sum()))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 200), (9, 8), (61, 61),
+                                       (161, 161), (37, 250)])
+    def test_pieces_tile_the_lattice_and_leaves_touch_only_separators(self, shape):
+        pieces = _dissect(shape)
+        label = np.full(shape, -1)
+        for k, (rows, cols, _) in enumerate(pieces):
+            block = label[rows.start:rows.stop, cols.start:cols.stop]
+            assert np.all(block == -1)
+            block[...] = k
+        assert np.all(label >= 0)
+        is_leaf = np.array([split is None for _, _, split in pieces])
+        for rows, cols, split in pieces:
+            if split is None:
+                assert len(rows) * len(cols) <= ND_LEAF_NODES
+            else:
+                assert len(rows) == 1 or len(cols) == 1
+        # every five-point edge between two leaf nodes stays in one leaf
+        for a, b in ((label[:-1, :], label[1:, :]), (label[:, :-1], label[:, 1:])):
+            both = is_leaf[a] & is_leaf[b]
+            assert np.array_equal(a[both], b[both])
+
+    @pytest.mark.parametrize("spec", DISSECTED_SPECS)
+    def test_separators_eliminated_after_the_blocks_they_split(self, spec):
+        interior = interior_mask(spec)
+        order = _nested_dissection(interior)
+        step = np.full(interior.shape, -1)
+        step[interior] = np.argsort(order)      # when each node is eliminated
+        separators = 0
+        for rows, cols, split in _dissect(interior.shape):
+            if split is None:
+                continue
+            line = step[rows.start:rows.stop, cols.start:cols.stop]
+            block = step[split[0].start:split[0].stop, split[1].start:split[1].stop]
+            line, block = line[line >= 0], block[block >= 0]
+            if line.size == 0:
+                continue
+            separators += 1
+            # the block is one contiguous stretch of the order, its
+            # separator line at the end of it
+            assert np.array_equal(np.sort(block),
+                                  np.arange(block.max() - block.size + 1, block.max() + 1))
+            assert line.min() == block.max() - line.size + 1
+        assert separators > 0
+
+    @pytest.mark.parametrize("spec", [
+        *(GridSpec(beta=1.3, r_max=0.9, h=0.02, boundary=fn)
+          for _, fn in sorted(BOUNDARY_CATALOG.items())),
+        manufactured_spec(beta=2.5, r_max=0.8, h=0.02),
+    ], ids=[*sorted(BOUNDARY_CATALOG), "manufactured"])
+    def test_direct_solve_matches_natural_order(self, spec, monkeypatch):
+        field = assemble_and_solve(spec)
+        monkeypatch.setattr(screened_pde, "_nested_dissection",
+                            lambda interior: np.arange(interior.sum()))
+        natural = assemble_and_solve(spec)
+        mask = field.tags != EXTERIOR
+        scale = np.max(np.abs(natural.values[mask]))
+        assert np.max(np.abs(field.values[mask] - natural.values[mask])) <= 1e-12 * scale
+
+    def test_homogeneous_problem_makes_no_source_calls(self, monkeypatch):
+        calls = {"source": 0, "boundary": 0}
+
+        def counting(tag, fn):
+            def wrapper(x, y):
+                calls[tag] += 1
+                return fn(x, y)
+            return wrapper
+
+        real_source_fn = GridSpec.source_fn
+        monkeypatch.setattr(GridSpec, "source_fn",
+                            lambda spec: counting("source", real_source_fn(spec)))
+        spec = GridSpec(beta=1.3, r_max=0.9, h=0.03,
+                        boundary=counting("boundary", coshdist_exact))
+        field = assemble_and_solve(spec)
+        assert residual_field(field, spec) <= 1e-10
+        assert calls == {"source": 0, "boundary": int(field.boundary_mask.sum())}
 
 
 def reference_grid_csv(field, fh):
