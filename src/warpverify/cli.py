@@ -21,9 +21,12 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from . import __version__
 from .einstein import WarpParams, residual_report, vertical_ricci_coeff
@@ -345,6 +348,17 @@ def _parse_floats(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x != ""]
 
 
+def _output_path(text: str) -> str:
+    """An output file path, refused at parse time (before any solve) when
+    it is empty or a directory, or its directory does not exist."""
+    folder = os.path.dirname(text) or "."
+    if not text or os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a file name")
+    if not os.path.isdir(folder):
+        raise argparse.ArgumentTypeError(f"{folder!r} is not an existing directory")
+    return text
+
+
 def _parse_point(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -356,7 +370,7 @@ BOUNDARY_CATALOG = {
     "zero": lambda x, y: 0.0,
     "one": lambda x, y: 1.0,
     "coshdist": pde.coshdist_exact,
-    "angular": lambda x, y: math.sin(2.0 * math.atan2(y, x)),
+    "angular": lambda x, y: np.sin(2.0 * np.arctan2(y, x)),
 }
 
 
@@ -412,7 +426,8 @@ def build_parser() -> _Parser:
     ps.add_argument("--rmax", type=float, default=0.8)
     ps.add_argument("--h", type=float, default=0.02)
     ps.add_argument("--bc", choices=sorted(BOUNDARY_CATALOG), default="zero")
-    ps.add_argument("--out", required=True, help="CSV output path")
+    ps.add_argument("--out", type=_output_path, required=True,
+                    help="CSV output path")
 
     pc = pd_sub.add_parser("converge", parents=[common],
                            help="manufactured-solution convergence study")
@@ -498,9 +513,9 @@ def _cmd_pde_solve(args, out) -> int:
 
 
 def _cmd_pde_converge(args, out) -> int:
-    base = pde.manufactured_spec(args.beta, r_max=args.rmax,
-                                 h=max(args.h))
-    rows = pde.convergence_study(base, args.h, pde.coshdist_exact)
+    hs = pde.mesh_widths(args.h)
+    base = pde.manufactured_spec(args.beta, r_max=args.rmax, h=hs[0])
+    rows = pde.convergence_study(base, hs, pde.coshdist_exact)
     if args.format == "json":
         out.write(to_json(convergence_json(args.beta, args.rmax, rows)) + "\n")
     elif args.format == "csv":

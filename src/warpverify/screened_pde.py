@@ -38,7 +38,7 @@ ND_LEAF_NODES = 64
 # lattice, about a million nodes, keeps each per-node float array near 8 MB.
 MAX_HALF_WIDTH = 499
 
-XYCallable = Callable[[float, float], float]
+XYCallable = Callable[[np.ndarray, np.ndarray], Union[float, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,9 @@ class GridSpec:
     """Problem statement for one Dirichlet solve.
 
     beta > 0 is the screening parameter, the lattice covers the subdisk
-    r <= r_max < 1 with spacing h, `source` is psi (None means the
-    homogeneous case) and `boundary` supplies Dirichlet values, evaluated
-    at the staircase boundary nodes' own coordinates.
+    r <= r_max < 1 with spacing h.  `source` is psi (None: homogeneous) and
+    `boundary` the Dirichlet data, array callables that `_sample` calls once
+    per node set with its row-major coordinates: `np.sin`, not `math.sin`.
     """
 
     beta: float
@@ -97,10 +97,6 @@ class GridField:
     def interior_mask(self) -> np.ndarray:
         return self.tags == INTERIOR
 
-    @property
-    def boundary_mask(self) -> np.ndarray:
-        return self.tags == BOUNDARY
-
     def meshes(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self.axis, self.axis, indexing="ij")
 
@@ -108,21 +104,23 @@ class GridField:
         """Max |f - exact| over non-exterior nodes."""
         X, Y = self.meshes()
         mask = self.tags != EXTERIOR
-        ref = _sample(exact, X[mask], Y[mask])
+        ref = _sample(exact, X[mask], Y[mask], "exact solution")
         return float(np.max(np.abs(self.values[mask] - ref)))
 
 
-def _sample(fn: XYCallable, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """fn at every (X[k], Y[k]) pair, one scalar call per node, in order."""
-    return np.fromiter(map(fn, X, Y), dtype=float, count=X.size)
-
-
-def _source(spec: GridSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """psi at the nodes (X[k], Y[k]): zeros without a call in the
-    homogeneous case, one source call per node otherwise."""
-    if spec.source is None:
-        return np.zeros(X.shape)
-    return _sample(spec.source_fn(), X, Y)
+def _sample(fn: XYCallable, X: np.ndarray, Y: np.ndarray, datum: str) -> np.ndarray:
+    """The datum fn at the nodes (X[k], Y[k]): one call fn(X, Y), broadcast to
+    X's shape.  ValueError names the datum if the result is not real, does
+    not broadcast or is not finite (array arithmetic makes x/0 a silent inf)."""
+    vals, out = fn(X, Y), np.empty(X.shape)
+    try:
+        np.copyto(out, vals, casting="same_kind")
+    except (TypeError, ValueError):
+        raise ValueError(f"{datum}: need real values for {X.size} nodes, got "
+                         f"shape {np.shape(vals)}") from None
+    if not np.isfinite(out).all():
+        raise ValueError(f"{datum} is not finite at every node")
+    return out
 
 
 def _classify(X: np.ndarray, Y: np.ndarray, r_max: float) -> np.ndarray:
@@ -241,8 +239,8 @@ def assemble_and_solve(spec: GridSpec) -> GridField:
     w[interior] = _conformal_weight(X[interior], Y[interior])
 
     bvals = np.zeros(tags.shape)
-    bvals[boundary] = _sample(spec.boundary_fn(), X[boundary], Y[boundary])
-    rhs = _source(spec, X[interior], Y[interior])
+    bvals[boundary] = _sample(spec.boundary_fn(), X[boundary], Y[boundary], "boundary")
+    rhs = _sample(spec.source_fn(), X[interior], Y[interior], "source")
 
     rows = [np.arange(n_int)]
     cols = [np.arange(n_int)]
@@ -293,13 +291,12 @@ def residual_field(field: GridField, spec: GridSpec) -> float:
 
     For a field returned by `assemble_and_solve` this is the linear-solve
     residual; for an exact solution sampled on the lattice it measures the
-    truncation error of the five-point stencil.
+    truncation error of the five-point stencil.  It is absolute, so it has
+    a rounding floor near eps * w * max|f| / h^2, w = (1 - r^2)^2/4.
     """
     axis, tags, X, Y = _lattice(spec)
-    if axis.shape != field.axis.shape or not np.allclose(axis, field.axis):
+    if not (np.array_equal(axis, field.axis) and np.array_equal(tags, field.tags)):
         raise ValueError("lattice mismatch between field and spec")
-    if not np.array_equal(tags, field.tags):
-        raise ValueError("lattice mismatch: node classification differs")
 
     f = field.values
     interior = tags == INTERIOR
@@ -308,7 +305,7 @@ def residual_field(field: GridField, spec: GridSpec) -> float:
     lap5[1:-1, 1:-1] = (f[:-2, 1:-1] + f[2:, 1:-1] + f[1:-1, :-2] + f[1:-1, 2:]
                         - 4.0 * f[1:-1, 1:-1]) / h2
     w = _conformal_weight(X[interior], Y[interior])
-    psi = _source(spec, X[interior], Y[interior])
+    psi = _sample(spec.source_fn(), X[interior], Y[interior], "source")
     res = w * lap5[interior] - spec.beta * f[interior] + psi
     return float(np.max(np.abs(res)))
 
@@ -318,7 +315,7 @@ def sample_exact(spec: GridSpec, exact: XYCallable) -> GridField:
     axis, tags, X, Y = _lattice(spec)
     values = np.full(tags.shape, np.nan)
     mask = tags != EXTERIOR
-    values[mask] = _sample(exact, X[mask], Y[mask])
+    values[mask] = _sample(exact, X[mask], Y[mask], "exact solution")
     return GridField(axis=axis, tags=tags, values=values, h=spec.h,
                      r_max=spec.r_max)
 
@@ -338,25 +335,27 @@ def convergence_study(spec: GridSpec, h_list: Sequence[float],
     rows; for halvings this is the usual log2 ratio, expected near 2 for
     the five-point stencil.
     """
+    hs = mesh_widths(h_list)
+    # Build every level first, so an invalid width fails before any solve.
+    runs = [replace(spec, h=h) for h in hs]
+    rows: list[ConvergenceRow] = []
+    for h, run in zip(hs, runs):
+        err = assemble_and_solve(run).max_error_against(exact)
+        rate = None
+        if rows and err > 0.0 and rows[-1].max_error > 0.0:
+            rate = math.log(rows[-1].max_error / err) / math.log(rows[-1].h / h)
+        rows.append(ConvergenceRow(h=h, max_error=err, observed_rate=rate))
+    return rows
+
+
+def mesh_widths(h_list: Sequence[float]) -> list[float]:
+    """The widths of a convergence ladder: at least two, strictly decreasing."""
     hs = [float(h) for h in h_list]
     if len(hs) < 2:
         raise ValueError("need at least two mesh widths")
     if any(h2 >= h1 for h1, h2 in zip(hs, hs[1:])):
         raise ValueError("mesh widths must be strictly decreasing")
-
-    # Build every level first, so an invalid width fails before any solve.
-    runs = [replace(spec, h=h) for h in hs]
-    rows: list[ConvergenceRow] = []
-    prev: Optional[ConvergenceRow] = None
-    for h, run in zip(hs, runs):
-        field = assemble_and_solve(run)
-        err = field.max_error_against(exact)
-        rate = None
-        if prev is not None and err > 0.0 and prev.max_error > 0.0:
-            rate = math.log(prev.max_error / err) / math.log(prev.h / h)
-        prev = ConvergenceRow(h=h, max_error=err, observed_rate=rate)
-        rows.append(prev)
-    return rows
+    return hs
 
 
 def write_grid_csv(field: GridField, dest: Union[str, TextIO]):
@@ -388,10 +387,10 @@ def write_grid_csv(field: GridField, dest: Union[str, TextIO]):
             fh.close()
 
 
-def coshdist_exact(x: float, y: float) -> float:
-    """(1 + r^2)/(1 - r^2): satisfies lap_g f = 2 f on the disk chart, so
-    it solves the homogeneous problem at beta = 2 and, with the
-    manufactured source (beta - 2) f, the problem at any beta."""
+def coshdist_exact(x, y):
+    """(1 + r^2)/(1 - r^2), on floats or arrays: satisfies lap_g f = 2 f on
+    the disk chart, so it solves the homogeneous problem at beta = 2 and,
+    with the manufactured source (beta - 2) f, the problem at any beta."""
     r2 = x * x + y * y
     return (1.0 + r2) / (1.0 - r2)
 

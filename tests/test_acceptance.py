@@ -178,10 +178,10 @@ def test_criterion_09_maximum_principle():
         coeffs = rng.normal(size=6)
 
         def bd(x, y, c=coeffs):
-            th = math.atan2(y, x)
-            return (c[0] + c[1] * math.sin(th) + c[2] * math.cos(th)
-                    + c[3] * math.sin(2 * th) + c[4] * math.cos(2 * th)
-                    + c[5] * math.sin(3 * th))
+            th = np.arctan2(y, x)
+            return (c[0] + c[1] * np.sin(th) + c[2] * np.cos(th)
+                    + c[3] * np.sin(2 * th) + c[4] * np.cos(2 * th)
+                    + c[5] * np.sin(3 * th))
 
         spec = GridSpec(beta=beta, r_max=float(rng.uniform(0.4, 0.8)),
                         h=0.04, boundary=bd)

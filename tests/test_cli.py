@@ -1,17 +1,21 @@
 """Command-line interface: dispatch, exit codes, output formats, schemas."""
 
+import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
 from warpverify.cli import (
-    EXIT_NO_ADMISSIBLE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL,
+    EXIT_NO_ADMISSIBLE, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, EXIT_VERIFY_FAIL,
     SWEEP_CSV_HEADER, run, to_json,
 )
 
@@ -212,6 +216,34 @@ class TestUsageErrors:
         assert "smallest usable h" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("case", ["missing_directory", "directory"])
+    def test_unwritable_out_path_is_refused_before_the_solve(
+            self, case, tmp_path, monkeypatch, capsys):
+        from warpverify import cli
+
+        def solve(spec):
+            raise AssertionError("the solve ran")
+
+        monkeypatch.setattr(cli.pde, "assemble_and_solve", solve)
+        dest = {"missing_directory": tmp_path / "no" / "such" / "g.csv",
+                "directory": tmp_path}[case]
+        code, out = invoke("pde", "solve", "--beta", "1", "--out", str(dest),
+                           "--quiet")
+        assert code == EXIT_USAGE
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: argument --out: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("widths", ["", ",", "0.04"])
+    def test_fewer_than_two_mesh_widths_is_usage_error(self, widths, capsys):
+        code, out = invoke("pde", "converge", "--beta", "2", "--h", widths,
+                           "--rmax", "0.6", "--quiet")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert capsys.readouterr().err == "usage error: need at least two mesh widths\n"
+
     @pytest.mark.parametrize("beta", ["1e-110", "1e110"])
     def test_metric_scale_beyond_double_range_is_usage_error(self, beta, capsys):
         # the base metric is the unit metric times 1/(-K), about 1/beta here
@@ -245,7 +277,7 @@ class TestDeterminismAndBanner:
 
 
 class TestSolverFailureExit:
-    def test_exit_code_four(self, monkeypatch):
+    def test_exit_code_four_and_no_file(self, monkeypatch, tmp_path):
         from warpverify import cli
         from warpverify.errors import SolverError
 
@@ -253,10 +285,12 @@ class TestSolverFailureExit:
             raise SolverError("stalled", final_residual=1e-3)
 
         monkeypatch.setattr(cli.pde, "assemble_and_solve", boom)
+        dest = tmp_path / "g.csv"
         code, _ = invoke("pde", "solve", "--beta", "1", "--rmax", "0.5",
-                         "--h", "0.05", "--bc", "zero", "--out", "/dev/null",
+                         "--h", "0.05", "--bc", "zero", "--out", str(dest),
                          "--quiet")
-        assert code == 4
+        assert code == EXIT_SOLVER
+        assert not dest.exists()
 
 
 class TestJsonEmitter:
@@ -269,3 +303,75 @@ class TestJsonEmitter:
     def test_round_trips_through_stdlib(self):
         payload = {"x": 1 / 3, "nested": {"y": [2.5e-300, 1e17]}}
         assert json.loads(to_json(payload)) == payload
+
+
+# Values for the `pde` options.  Valid ones keep every solve to a few
+# milliseconds; the bad ones are nan, inf, 0, negative, out-of-range,
+# over-the-lattice-cap and malformed values, bad paths and bad ladders.
+GOOD = {
+    "beta": st.sampled_from(["1", "2.5", "0.05", "1e-300", "1e300"]),
+    "rmax": st.sampled_from([None, "0.6", "0.999"]),
+    "h": st.sampled_from(["0.1", "0.05", "0.04"]),
+    "ladder": st.sampled_from(["0.1,0.05", "0.08,0.04,0.02", "0.125,0.0625"]),
+    "out": st.just("file"),
+}
+BAD_NUMBERS = st.sampled_from([
+    "nan", "-nan", "inf", "-inf", "0", "-0", "-1", "-0.05", "1e-5", "1",
+    "1e-320", "0.5", "abc", "",
+])
+BAD = {
+    "beta": BAD_NUMBERS,
+    "rmax": BAD_NUMBERS,
+    "h": BAD_NUMBERS,
+    "ladder": st.one_of(
+        st.lists(BAD_NUMBERS, max_size=3).map(",".join),
+        st.sampled_from(["", ",", "0.1", "0.05,0.1", "0.1,0.1", "0.1,,0.05",
+                         "0.1;0.05", "0.1 0.05", "0.1,0.05,", "0.1,1e-5"])),
+    "out": st.sampled_from(["missing_directory", "directory", "empty", "under_a_file"]),
+}
+
+
+class TestPdeArgvProperty:
+    """Fuzzes `pde solve` and `pde converge` argv, breaking up to two
+    options at a time.
+
+    The relation commands are left out: near beta = sqrt(2) the published
+    relation at large m raises an ArithmeticError that the CLI does not
+    catch yet, and that defect is pinned by the strict xfail in
+    perfbench/test_perfbench.py.
+    """
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_and_streams(self, data):
+        command = data.draw(st.sampled_from(["solve", "converge"]))
+        broken = data.draw(st.sets(st.sampled_from(sorted(GOOD)), max_size=2))
+        arg = {name: data.draw((BAD if name in broken else GOOD)[name])
+               for name in sorted(GOOD)}
+        with tempfile.TemporaryDirectory() as tmp:
+            blocker = os.path.join(tmp, "blocker")
+            open(blocker, "w").close()
+            dest = {"file": os.path.join(tmp, "g.csv"),
+                    "missing_directory": os.path.join(tmp, "no", "g.csv"),
+                    "directory": tmp, "empty": "",
+                    "under_a_file": os.path.join(blocker, "g.csv")}[arg["out"]]
+            argv = ["pde", command, "--beta", arg["beta"], "--quiet"]
+            argv += [] if arg["rmax"] is None else ["--rmax", arg["rmax"]]
+            if command == "solve":
+                argv += ["--h", arg["h"], "--out", dest,
+                         "--bc", data.draw(st.sampled_from(["zero", "one", "coshdist",
+                                                            "angular"]))]
+            else:
+                argv += ["--h", arg["ladder"],
+                         "--format", data.draw(st.sampled_from(["text", "csv", "json"]))]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code, out = invoke(*argv)
+            wrote = os.path.exists(os.path.join(tmp, "g.csv"))
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_SOLVER), argv
+        assert "Traceback" not in err.getvalue()
+        if code == EXIT_OK:
+            assert "nan" not in out.lower(), argv
+        else:
+            assert out == "" and err.getvalue().count("\n") == 1, argv
+            assert not wrote, argv

@@ -109,6 +109,95 @@ class TestPolyRederived:
         assert pub.a0 - red.a0 == Fraction(m) * (m - 2) * (1 - Fraction(b) ** 2)
 
 
+class TestSymbolicRelation:
+    """Sympy oracle for the relation: the compatibility ODE, fed the
+    `pq_from_params` pair with symbolic m, lambda and beta, gives the
+    rederived quadratic exactly."""
+
+    @staticmethod
+    def ode_relation(sp, m, beta, lam):
+        """(a2, a1, a0) of the relation the compatibility ODE imposes on
+        lambda, normalized to a2 = 2 - m like both coefficient sets."""
+        f = sp.Symbol("f", positive=True)
+        # -(lambda + beta), -K and m - 1: positive wherever pq_from_params
+        # builds the pair, so sqrt((m - 1)(-K)) splits and radicals cancel.
+        A, N, m1 = sp.symbols("A N m1", positive=True)
+        p = f * sp.sqrt(A) / sp.sqrt(m1 * N)
+        q = beta * sp.sqrt(m1) / (sp.sqrt(A) * sp.sqrt(N))
+        ode = (p * p.diff(f, 2) - p.diff(f) ** 2 + 2 * q * p.diff(f)
+               - p * q.diff(f) - q ** 2 + 1)
+        num, den = sp.fraction(sp.together(sp.expand(ode)))
+        assert not (num.has(f) or den.has(f))
+        for power in (num * den).atoms(sp.Pow):
+            assert power.exp.is_integer
+        # The denominator is positive, so the ODE holds iff num = 0.
+        assert sp.expand(den - A * N * m1) == 0
+        num = num.subs({A: -(lam + beta), N: -(lam + m * beta / 2), m1: m - 1})
+        poly = sp.Poly(sp.expand(num), lam)
+        assert poly.degree() == 2
+        a2 = sp.expand(poly.coeff_monomial(lam ** 2))
+        assert sp.expand(a2 + (2 - m)) == 0
+        return [sp.expand(-poly.coeff_monomial(lam ** k)) for k in (2, 1, 0)]
+
+    @staticmethod
+    def code_coefficients(sp, poly_fn, m, beta):
+        """poly_fn's (a2, a1, a0) as polynomials in m and beta: Lagrange
+        interpolation of its exact Fraction values on a 3 x 3 grid, which
+        determines a polynomial of degree <= 2 in each variable, confirmed
+        exactly on a 5 x 5 grid so a higher degree cannot pass."""
+        ms = [2, 3, 4]
+        betas = [Fraction(1, 2), Fraction(1), Fraction(3)]
+
+        def basis(nodes, x):
+            return [sp.prod([(x - sp.Rational(o)) / (sp.Rational(n) - sp.Rational(o))
+                             for o in nodes if o != n]) for n in nodes]
+
+        weights = [(mi, bj, lm * lb) for mi, lm in zip(ms, basis(ms, m))
+                   for bj, lb in zip(betas, basis(betas, beta))]
+        coeffs = []
+        for name in ("a2", "a1", "a0"):
+            expr = sp.expand(sum(sp.Rational(getattr(poly_fn(mi, bj), name)) * w
+                                 for mi, bj, w in weights))
+            for mi in range(2, 7):
+                for bj in (Fraction(k, 3) for k in range(1, 6)):
+                    value = getattr(poly_fn(mi, bj), name)
+                    assert expr.subs({m: mi, beta: sp.Rational(bj)}) == sp.Rational(value)
+            coeffs.append(expr)
+        return coeffs
+
+    @pytest.fixture
+    def sym(self):
+        sp = pytest.importorskip("sympy")
+        m, beta = sp.symbols("m beta", positive=True)
+        return sp, m, beta, sp.Symbol("lambda", real=True)
+
+    def test_transcribed_pair_is_pq_from_params(self, sym):
+        sp, m, beta, lam = sym
+        A, N, m1 = -(lam + beta), -(lam + m * beta / 2), m - 1
+        slope = sp.sqrt(A) / sp.sqrt(m1 * N)
+        q_val = beta * sp.sqrt(m1) / (sp.sqrt(A) * sp.sqrt(N))
+        for mv, bv in ((3, 1.0), (7, 0.8), (40, 2.5)):
+            lv = solve_lambda(poly_rederived(mv, bv)).admissible_roots[0]
+            pq = pq_from_params(mv, lv, bv)
+            at = {m: mv, beta: bv, lam: lv}
+            assert pq.p.d1(1.0) == pytest.approx(float(slope.subs(at)), rel=1e-14)
+            assert pq.q(1.0) == pytest.approx(float(q_val.subs(at)), rel=1e-14)
+
+    def test_compatibility_ode_gives_the_rederived_coefficients(self, sym):
+        sp, m, beta, lam = sym
+        ode = self.ode_relation(sp, m, beta, lam)
+        code = self.code_coefficients(sp, poly_rederived, m, beta)
+        assert [sp.expand(a - b) for a, b in zip(ode, code)] == [0, 0, 0]
+        assert ode[2] == sp.expand(beta ** 2 * (m ** 2 + m) / 2)
+
+    def test_published_constant_term_is_off_by_the_stated_amount(self, sym):
+        sp, m, beta, lam = sym
+        ode = self.ode_relation(sp, m, beta, lam)
+        published = self.code_coefficients(sp, poly_published, m, beta)
+        assert [sp.expand(a - b) for a, b in zip(published, ode)] == [
+            0, 0, sp.expand(m * (m - 2) * (1 - beta ** 2))]
+
+
 class TestUnitScreeningEquality:
     def test_exact_for_m_up_to_50(self):
         for m in range(1, 51):

@@ -3,6 +3,7 @@ maximum principle, symmetry, CSV output."""
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -82,29 +83,95 @@ class TestAssembleAndSolve:
         field = assemble_and_solve(spec)
         assert field.max_error_against(lambda x, y: x) < 1e-12
 
-    def test_data_callbacks_once_per_node_in_row_major_order(self):
-        calls = []
-
-        def record(tag):
-            def fn(x, y):
-                calls.append((tag, x, y))
-                return 0.0
-            return fn
-
-        spec = GridSpec(beta=1.0, r_max=0.3, h=0.05,
-                        source=record("src"), boundary=record("bnd"))
-        field = assemble_and_solve(spec)
-        X, Y = field.meshes()
-        expected = [("bnd", x, y) for x, y in zip(X[field.boundary_mask],
-                                                   Y[field.boundary_mask])]
-        expected += [("src", x, y) for x, y in zip(X[field.interior_mask],
-                                                    Y[field.interior_mask])]
-        assert calls == expected
-
     def test_solver_residual_definition(self):
         spec = manufactured_spec(beta=1.5, r_max=0.7, h=0.04)
         field = assemble_and_solve(spec)
         assert residual_field(field, spec) <= 1e-10
+
+
+class TestDataCallbacks:
+    @pytest.mark.parametrize("source", [lambda x, y: x * y, None],
+                             ids=["source", "homogeneous"])
+    def test_each_datum_called_once_per_node_set_in_row_major_order(
+            self, source, monkeypatch):
+        # the data are read through source_fn/boundary_fn, so wrapping
+        # those sees the zero default of the homogeneous problem as well
+        calls = []
+
+        def recorded(tag, fn):
+            def wrapper(x, y):
+                calls.append((tag, x.copy(), y.copy()))
+                return fn(x, y)
+            return wrapper
+
+        for method, tag in (("source_fn", "source"), ("boundary_fn", "boundary")):
+            real = getattr(GridSpec, method)
+            monkeypatch.setattr(GridSpec, method,
+                                lambda spec, real=real, tag=tag: recorded(tag, real(spec)))
+        spec = GridSpec(beta=1.3, r_max=0.3, h=0.05, source=source,
+                        boundary=coshdist_exact)
+        field = assemble_and_solve(spec)
+        X, Y = field.meshes()
+        nodes = {"boundary": field.tags == BOUNDARY, "source": field.interior_mask,
+                 "exact": field.tags != EXTERIOR}
+
+        def assert_calls(*tags):
+            assert [tag for tag, _, _ in calls] == list(tags)
+            for tag, x, y in calls:
+                assert np.array_equal(x, X[nodes[tag]])
+                assert np.array_equal(y, Y[nodes[tag]])
+            calls.clear()
+
+        assert_calls("boundary", "source")
+        assert residual_field(field, spec) <= 1e-10
+        assert_calls("source")
+        exact = recorded("exact", coshdist_exact)
+        field.max_error_against(exact)
+        assert_calls("exact")
+        sample_exact(spec, exact)
+        assert_calls("exact")
+
+    @pytest.mark.parametrize("datum", ["boundary", "source"])
+    @pytest.mark.parametrize("value", [
+        lambda x, y: 1.0 / (x - x),                             # inf at every node
+        lambda x, y: np.where(x > 0.1, np.nan, 1.0),            # NaN at some nodes
+    ], ids=["inf", "nan"])
+    def test_non_finite_data_is_a_value_error(self, datum, value):
+        spec = GridSpec(beta=1.0, r_max=0.3, h=0.05, **{datum: value})
+        with np.errstate(divide="ignore"), pytest.raises(ValueError, match=datum):
+            assemble_and_solve(spec)
+
+    @pytest.mark.parametrize("value", [
+        lambda x, y: x[:-1],                         # one node short
+        lambda x, y: np.zeros((x.size, 2)),          # two values per node
+        lambda x, y: [0.0, 1.0],                     # a list of the wrong length
+        lambda x, y: 1j * x,                         # complex
+        lambda x, y: "zero",                         # not a number
+        lambda x, y: None,                           # no value at all
+    ], ids=["short", "two-per-node", "list", "complex", "string", "none"])
+    def test_data_that_does_not_fit_the_nodes_is_a_value_error(self, value):
+        spec = GridSpec(beta=1.0, r_max=0.3, h=0.05, boundary=value)
+        with pytest.raises(ValueError, match="boundary: need real values"):
+            assemble_and_solve(spec)
+
+    def test_exact_solution_is_checked_like_the_data(self):
+        spec = GridSpec(beta=1.0, r_max=0.3, h=0.05)
+        field = assemble_and_solve(spec)
+        with pytest.raises(ValueError, match="exact solution"):
+            field.max_error_against(lambda x, y: np.full(x.size, np.inf))
+        with pytest.raises(ValueError, match="exact solution: need real values"):
+            sample_exact(spec, lambda x, y: x[:-1])
+
+    def test_angular_data_match_per_node_math_evaluation(self):
+        # np.sin/np.arctan2 and their math counterparts may differ in the
+        # last bit; the solved values must stay within 1e-12 * max|f|
+        per_node = GridSpec(beta=1.3, r_max=0.9, h=0.03, boundary=lambda x, y: np.array(
+            [math.sin(2.0 * math.atan2(b, a)) for a, b in zip(x.tolist(), y.tolist())]))
+        field = assemble_and_solve(per_node)
+        angular = assemble_and_solve(replace(per_node, boundary=BOUNDARY_CATALOG["angular"]))
+        mask = field.tags != EXTERIOR
+        scale = np.max(np.abs(field.values[mask]))
+        assert np.max(np.abs(angular.values[mask] - field.values[mask])) <= 1e-12 * scale
 
 
 class TestResidualField:
@@ -239,9 +306,9 @@ class TestMaximumPrinciple:
             coeffs = rng.normal(size=5)
 
             def bd(x, y, c=coeffs):
-                th = math.atan2(y, x)
-                return (c[0] + c[1] * math.sin(th) + c[2] * math.cos(th)
-                        + c[3] * math.sin(2 * th) + c[4] * math.cos(2 * th))
+                th = np.arctan2(y, x)
+                return (c[0] + c[1] * np.sin(th) + c[2] * np.cos(th)
+                        + c[3] * np.sin(2 * th) + c[4] * np.cos(2 * th))
 
             spec = GridSpec(beta=beta, r_max=0.6, h=0.04, boundary=bd)
             field = assemble_and_solve(spec)
@@ -346,24 +413,6 @@ class TestNestedDissection:
         mask = field.tags != EXTERIOR
         scale = np.max(np.abs(natural.values[mask]))
         assert np.max(np.abs(field.values[mask] - natural.values[mask])) <= 1e-12 * scale
-
-    def test_homogeneous_problem_makes_no_source_calls(self, monkeypatch):
-        calls = {"source": 0, "boundary": 0}
-
-        def counting(tag, fn):
-            def wrapper(x, y):
-                calls[tag] += 1
-                return fn(x, y)
-            return wrapper
-
-        real_source_fn = GridSpec.source_fn
-        monkeypatch.setattr(GridSpec, "source_fn",
-                            lambda spec: counting("source", real_source_fn(spec)))
-        spec = GridSpec(beta=1.3, r_max=0.9, h=0.03,
-                        boundary=counting("boundary", coshdist_exact))
-        field = assemble_and_solve(spec)
-        assert residual_field(field, spec) <= 1e-10
-        assert calls == {"source": 0, "boundary": int(field.boundary_mask.sum())}
 
 
 def reference_grid_csv(field, fh):
