@@ -9,8 +9,11 @@ curvature        --model disk|halfplane --at x,y
 pde solve        --beta B --rmax R --h H --bc NAME --out PATH
 pde converge     --beta B --h H1,H2,... [--rmax R]
 
-Exit codes: 0 success/pass, 1 usage error, 2 no admissible root,
-3 verification fail, 4 solver non-convergence.
+Exit codes: 0 success/pass, 1 usage or I/O error, 2 no admissible root,
+3 verification fail, 4 solver non-convergence.  A `pde solve` CSV that
+cannot be written exits 1 with "error: cannot write PATH: REASON" and
+leaves no partial file; standard output closed early (`| head`) ends the
+command with exit 1 and no message.
 
 Output is deterministic: identical argv produce byte-identical stdout,
 modulo the version banner which `--quiet` suppresses.  JSON floats carry
@@ -267,48 +270,64 @@ def run_verification(
     )
 
 
-# -- CSV emitters ----------------------------------------------------------------
+# -- sweep emitters ----------------------------------------------------------------
 
 SWEEP_CSV_HEADER = "m,beta,variant,a2,a1,a0,root1,root2,admissible_root,K,exists"
 
+# Sweep rows are formatted and written this many at a time, so output
+# streams while memory stays flat.
+SWEEP_BLOCK_ROWS = 1024
 
-def sweep_csv_lines(records) -> list[str]:
-    lines = [SWEEP_CSV_HEADER]
-    for rec in records:
-        roots = list(rec.roots) + ["", ""]
-        cells = [
-            str(rec.m),
-            format(rec.beta, ".17g"),
-            rec.variant,
-            format(rec.a2, ".17g"),
-            format(rec.a1, ".17g"),
-            format(rec.a0, ".17g"),
-            format(roots[0], ".17g") if roots[0] != "" else "",
-            format(roots[1], ".17g") if roots[1] != "" else "",
-            format(rec.admissible_root, ".17g") if rec.admissible_root is not None else "",
-            format(rec.K, ".17g") if rec.K is not None else "",
-            rec.exists,
-        ]
-        lines.append(",".join(cells))
-    return lines
+_G = "%.17g"
+_SKIP = "%.0s"  # consumes an absent (NaN) value and prints nothing
 
 
-def sweep_json(records) -> dict:
-    return {
-        "rows": [
-            {
-                "m": rec.m,
-                "beta": rec.beta,
-                "variant": rec.variant,
-                "a2": rec.a2, "a1": rec.a1, "a0": rec.a0,
-                "roots": list(rec.roots),
-                "admissible_root": rec.admissible_root,
-                "K": rec.K,
-                "exists": rec.exists,
-            }
-            for rec in records
-        ]
-    }
+def _write_sweep(table, out, template, head, separator, tail):
+    """Write `head`, the rows joined by `separator`, then `tail`.  Each row
+    is one %-format of (m, beta, a2, a1, a0, root1, root2, admissible_root,
+    K, exists) with `template(roots, admissible)` for its number of roots
+    and whether one is admissible."""
+    templates = [template(n, adm) for n in range(3) for adm in (False, True)]
+    kinds = (2 * np.isfinite(table.root1) + 2 * np.isfinite(table.root2)
+             + np.isfinite(table.admissible_root)).tolist()
+    columns = (table.m, table.beta, table.a2, table.a1, table.a0, table.root1,
+               table.root2, table.admissible_root, table.K, table.exists)
+    out.write(head)
+    for lo in range(0, len(kinds), SWEEP_BLOCK_ROWS):
+        block = slice(lo, lo + SWEEP_BLOCK_ROWS)
+        rows = zip(kinds[block], zip(*(col[block].tolist() for col in columns)))
+        out.write((separator if lo else "")
+                  + separator.join([templates[k] % row for k, row in rows]))
+    out.write(tail)
+
+
+def sweep_csv_lines(table, out) -> None:
+    """Write an existence sweep as CSV: the header, then one line per row
+    with 17-digit floats and empty cells for absent values."""
+    def template(roots, admissible):
+        return ",".join(["%d", _G, table.variant, _G, _G, _G]
+                        + [_G] * roots + [_SKIP] * (2 - roots)
+                        + [_G if admissible else _SKIP] * 2 + ["%s"])
+
+    _write_sweep(table, out, template, SWEEP_CSV_HEADER + "\n", "\n", "\n")
+
+
+def sweep_json(table, out) -> None:
+    """Write an existence sweep as the `to_json` text of {"rows": [...]},
+    one object per row, absent roots left out and absent values null."""
+    def template(roots, admissible):
+        listed = ",".join(["\n        " + _G] * roots)
+        fields = {
+            "m": "%d", "beta": _G, "variant": f'"{table.variant}"',
+            "a2": _G, "a1": _G, "a0": _G,
+            "roots": (f"[{listed}\n      ]" if roots else "[]") + _SKIP * (2 - roots),
+            "admissible_root": _G if admissible else "null" + _SKIP,
+            "K": _G if admissible else "null" + _SKIP,
+            "exists": '"%s"',
+        }
+        return "    {\n" + ",\n".join(f'      "{k}": {v}' for k, v in fields.items()) + "\n    }"
+
+    _write_sweep(table, out, template, '{\n  "rows": [\n', ",\n", "\n  ]\n}\n")
 
 
 def convergence_json(beta, r_max, rows) -> dict:
@@ -463,11 +482,8 @@ def _cmd_relation_solve(args, out) -> int:
 
 
 def _cmd_relation_sweep(args, out) -> int:
-    records = existence_sweep(args.m, args.beta, args.variant)
-    if args.format == "csv":
-        out.write("\n".join(sweep_csv_lines(records)) + "\n")
-    else:
-        out.write(to_json(sweep_json(records)) + "\n")
+    table = existence_sweep(args.m, args.beta, args.variant)
+    (sweep_csv_lines if args.format == "csv" else sweep_json)(table, out)
     return EXIT_OK
 
 
@@ -503,7 +519,10 @@ def _cmd_pde_solve(args, out) -> int:
     spec = pde.GridSpec(beta=args.beta, r_max=args.rmax, h=args.h,
                         boundary=BOUNDARY_CATALOG[args.bc])
     field = pde.assemble_and_solve(spec)
-    pde.write_grid_csv(field, args.out)
+    try:
+        pde.write_grid_csv(field, args.out)
+    except OSError as exc:
+        raise ToolkitError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     res = pde.residual_field(field, spec)
     n_int = int(field.interior_mask.sum())
     out.write(f"interior nodes: {n_int}\n")
@@ -567,7 +586,15 @@ def run(argv: Sequence[str], out=None) -> int:
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (`| head`).  Point stdout at devnull so the
+        # flush at interpreter exit cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -24,10 +24,11 @@ given as int/Fraction, so identities can be asserted exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
+
+import numpy as np
 
 from .errors import require_finite_positive
 
@@ -39,6 +40,10 @@ VARIANTS = (PUBLISHED, REDERIVED)
 
 # Back-substitution acceptance: |P(root)| <= BACKSUB_RTOL * max(1, |a0|).
 BACKSUB_RTOL = 1e-10
+
+# Largest existence sweep, in (m, beta) rows; the same order as the
+# ~1e6-node cap on screened-PDE lattices.
+MAX_SWEEP_ROWS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -68,22 +73,29 @@ class RelationPoly:
         return all(isinstance(c, Fraction) for c in (self.a2, self.a1, self.a0))
 
 
-def _shared_terms(m: Number, beta: Number) -> tuple[Number, ...]:
-    """Validated (m, beta, 1/2, a2, a1); both variants share a2 and a1.
-
-    All five are Fractions when m and beta are both int/Fraction, floats
-    otherwise.
-    """
+def _validated(m: Number, beta: Number) -> tuple[Number, Number, Number]:
+    """Validated (m, beta, 1/2): Fractions when m and beta are both
+    int/Fraction, floats otherwise."""
     if float(m) < 1:
         raise ValueError(f"fiber dimension m must be >= 1, got {m}")
     require_finite_positive("screening parameter beta", beta)
     if isinstance(m, (int, Fraction)) and isinstance(beta, (int, Fraction)):
-        mv, bv, half = Fraction(m), Fraction(beta), Fraction(1, 2)
-    else:
-        mv, bv, half = float(m), float(beta), 0.5
+        return Fraction(m), Fraction(beta), Fraction(1, 2)
+    return float(m), float(beta), 0.5
+
+
+def _coefficients(mv, bv, half, variant: str):
+    """(a2, a1, a0) of `variant`, evaluated alike on Fractions, floats and
+    float arrays, so a sweep row and `relation_poly` give the same doubles."""
     a2 = 2 - mv
     a1 = bv * (1 + 3 * mv * half - mv * mv * half)
-    return mv, bv, half, a2, a1
+    if variant == PUBLISHED:
+        a0 = mv * mv * (1 - bv * bv * half) + mv * (5 * bv * bv * half - 2)
+    elif variant == REDERIVED:
+        a0 = bv * bv * (mv * mv + mv) * half
+    else:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    return a2, a1, a0
 
 
 def poly_published(m: Number, beta: Number) -> RelationPoly:
@@ -93,9 +105,7 @@ def poly_published(m: Number, beta: Number) -> RelationPoly:
     a1 = beta (1 + 3m/2 - m^2/2)
     a0 = m^2 (1 - beta^2/2) + m (5 beta^2/2 - 2)
     """
-    mv, bv, half, a2, a1 = _shared_terms(m, beta)
-    a0 = mv * mv * (1 - bv * bv * half) + mv * (5 * bv * bv * half - 2)
-    return RelationPoly(a2, a1, a0, PUBLISHED, m, beta)
+    return relation_poly(m, beta, PUBLISHED)
 
 
 def poly_rederived(m: Number, beta: Number) -> RelationPoly:
@@ -109,17 +119,12 @@ def poly_rederived(m: Number, beta: Number) -> RelationPoly:
     the relation is equivalent to (lam + m beta)^2 =
     (m - 1)(lam + beta)(lam + m beta / 2).  Roots scale linearly in beta.
     """
-    mv, bv, half, a2, a1 = _shared_terms(m, beta)
-    a0 = bv * bv * (mv * mv + mv) * half
-    return RelationPoly(a2, a1, a0, REDERIVED, m, beta)
+    return relation_poly(m, beta, REDERIVED)
 
 
 def relation_poly(m: Number, beta: Number, variant: str = REDERIVED) -> RelationPoly:
-    if variant == PUBLISHED:
-        return poly_published(m, beta)
-    if variant == REDERIVED:
-        return poly_rederived(m, beta)
-    raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    a2, a1, a0 = _coefficients(*_validated(m, beta), variant)
+    return RelationPoly(a2, a1, a0, variant, m, beta)
 
 
 @dataclass(frozen=True)
@@ -150,17 +155,59 @@ class RootReport:
         return [a.root for a in self.admissibility if a.overall]
 
 
-def _classify(root: float, m: float, beta: float) -> RootAdmissibility:
+def _admissibility(root, m, beta):
+    """(K, lam + beta < 0, K < 0, admissible) for roots `root`; admissible
+    iff lam + beta < 0, K = lam + m beta/2 < 0 and m >= 2.  NaN roots are
+    inadmissible."""
     K = root + m * beta / 2.0
     lpb = root + beta < 0.0
     kn = K < 0.0
-    return RootAdmissibility(
-        root=root,
-        lambda_plus_beta_negative=lpb,
-        K_negative=kn,
-        overall=lpb and kn and m >= 2,
-        K=K,
-    )
+    return K, lpb, kn, lpb & kn & (m >= 2)
+
+
+def _real_roots(a2, a1, a0, m, beta) -> tuple[np.ndarray, np.ndarray]:
+    """Real roots of the rows a2 lam^2 + a1 lam + a0 (float arrays) by the
+    cancellation-safe quadratic formula, and their |P(root)|: two (rows, 2)
+    arrays, roots ascending, NaN where a row has fewer than two roots (a
+    vanishing a2 gives the linear root, a zero discriminant one double root).
+
+    Raises ValueError naming m and beta of the first row whose coefficients,
+    discriminant, roots or residuals are not finite, then ArithmeticError at
+    the first root whose residual exceeds BACKSUB_RTOL * max(1, |a0|).
+    """
+    linear = a2 == 0.0
+    constant = linear & (a1 == 0.0)
+    if constant.any():
+        raise ValueError("relation polynomial is identically " + (
+            "zero" if a0[constant][0] == 0.0 else "constant; no roots to solve"))
+    # every row runs the whole formula; lanes it does not apply to are masked
+    with np.errstate(all="ignore"):
+        disc = a1 * a1 - 4.0 * a2 * a0
+        sq = np.sqrt(disc)
+        # q = -(a1 + sign(a1) sqrt(disc))/2 avoids subtractive cancellation
+        qq = -0.5 * (a1 + np.where(a1 >= 0.0, sq, -sq))
+        r1, r2 = qq / a2, a0 / qq
+        two = ~linear & (disc > 0.0)
+        present = np.stack([linear | (disc >= 0.0), two], axis=1)
+        first = np.where(linear, -a0 / a1, np.where(two, np.fmin(r1, r2), -a1 / (2.0 * a2)))
+        roots = np.where(present, np.stack([first, np.fmax(r1, r2)], axis=1), np.nan)
+        residuals = np.abs((a2[:, None] * roots + a1[:, None]) * roots + a0[:, None])
+    finite = (np.isfinite(a2) & np.isfinite(a1) & np.isfinite(a0)
+              & (linear | np.isfinite(disc))
+              & (np.isfinite(roots) & np.isfinite(residuals) | ~present).all(axis=1))
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(
+            f"the relation at m = {m[i]:.17g}, beta = {float(beta[i])!r} leaves the "
+            "double range: a coefficient, the discriminant or a root is not finite")
+    bound = BACKSUB_RTOL * np.maximum(1.0, np.abs(a0))
+    rejected = residuals > bound[:, None]
+    if rejected.any():
+        i, j = np.unravel_index(np.argmax(rejected), rejected.shape)
+        raise ArithmeticError(
+            f"root {float(roots[i, j])} fails back-substitution: "
+            f"|P(root)| = {float(residuals[i, j])} > {float(bound[i])}")
+    return roots, residuals
 
 
 def solve_lambda(poly: RelationPoly) -> RootReport:
@@ -170,97 +217,90 @@ def solve_lambda(poly: RelationPoly) -> RootReport:
     discriminant reports one root with multiplicity 2.  Every root is
     classified admissible iff lam + beta < 0, lam + m beta/2 < 0 and
     m >= 2.  Non-integer m is accepted but flagged as formal extrapolation.
+    Coefficients, roots or residuals that leave the double range raise
+    ValueError, a root failing back-substitution ArithmeticError.
     """
     a2, a1, a0 = poly.coeffs_float()
     m, beta = float(poly.m), float(poly.beta)
-    if a2 == 0.0 and a1 == 0.0:
-        raise ValueError("relation polynomial is identically "
-                         + ("zero" if a0 == 0.0 else "constant; no roots to solve"))
-
-    if a2 == 0.0:
-        roots = [-a0 / a1]
-        mults = [1]
-        degenerate = True
-    else:
-        degenerate = False
-        disc = a1 * a1 - 4.0 * a2 * a0
-        if disc < 0.0:
-            roots, mults = [], []
-        elif disc == 0.0:
-            roots, mults = [-a1 / (2.0 * a2)], [2]
-        else:
-            # q = -(a1 + sign(a1) sqrt(disc))/2 avoids subtractive cancellation
-            sq = math.sqrt(disc)
-            sign = 1.0 if a1 >= 0.0 else -1.0
-            qq = -0.5 * (a1 + sign * sq)
-            r1, r2 = qq / a2, a0 / qq
-            roots = sorted((r1, r2))
-            mults = [1, 1]
-
-    residuals = [abs(poly.eval_at(r)) for r in roots]
-    bound = BACKSUB_RTOL * max(1.0, abs(a0))
-    for r, res in zip(roots, residuals):
-        if res > bound:
-            raise ArithmeticError(
-                f"root {r} fails back-substitution: |P(root)| = {res} > {bound}")
-
+    roots, residuals = _real_roots(*(np.array([x]) for x in (a2, a1, a0, m, beta)))
+    present = ~np.isnan(roots[0])
+    roots, residuals = roots[0, present], residuals[0, present]
+    degenerate = a2 == 0.0
+    K, lpb, kn, overall = (x.tolist() for x in _admissibility(roots, m, beta))
+    roots = roots.tolist()
     return RootReport(
         poly=poly,
         roots=roots,
-        multiplicities=mults,
+        multiplicities=[2] if len(roots) == 1 and not degenerate else [1] * len(roots),
         degenerate_linear=degenerate,
-        admissibility=[_classify(r, m, beta) for r in roots],
-        backsub_residuals=residuals,
-        formal_extrapolation=not float(m).is_integer(),
+        admissibility=[RootAdmissibility(*adm) for adm in zip(roots, lpb, kn, overall, K)],
+        backsub_residuals=residuals.tolist(),
+        formal_extrapolation=not m.is_integer(),
     )
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One (m, beta) row of an existence sweep."""
+@dataclass(frozen=True, eq=False)
+class SweepTable:
+    """An existence sweep as columns, one entry per (m, beta) row.  Float
+    columns hold NaN where a row has no such value (root2 of a single
+    root, both roots when none is real, admissible_root and K when no root
+    is admissible); `exists` holds "true", "false" or "out_of_domain"."""
 
-    m: int
-    beta: float
     variant: str
-    a2: float
-    a1: float
-    a0: float
-    roots: list[float]
-    admissible_root: Optional[float]
-    K: Optional[float]
-    exists: str  # "true" | "false" | "out_of_domain"
+    m: np.ndarray
+    beta: np.ndarray
+    a2: np.ndarray
+    a1: np.ndarray
+    a0: np.ndarray
+    root1: np.ndarray
+    root2: np.ndarray
+    admissible_root: np.ndarray
+    K: np.ndarray
+    exists: np.ndarray
+
+
+_VERDICTS = np.array(["false", "true", "out_of_domain"], dtype=object)
 
 
 def existence_sweep(m_range: tuple[int, int], betas: Sequence[Number],
-                    variant: str = REDERIVED) -> list[SweepRecord]:
-    """One record per (m, beta), m ascending then beta ascending.
+                    variant: str = REDERIVED) -> SweepTable:
+    """Every (m, beta) row, m ascending then beta ascending, in one array pass.
 
-    Existence verdict: "true" when at least one admissible root exists,
-    "false" otherwise, "out_of_domain" for m = 1 (the profile
-    normalization needs m >= 2, so the relation has no geometric content
-    there even though its coefficients evaluate).
+    Floats only: each row holds the doubles `solve_lambda(relation_poly(m,
+    float(beta), variant))` gives, from the same expressions and root
+    kernel; exact rational arithmetic stays with those two.  A row's
+    admissible root is its smaller admissible one.  Verdict: "true" when an
+    admissible root exists, "false" otherwise, "out_of_domain" for m = 1
+    (the profile normalization needs m >= 2, so the relation has no
+    geometric content there even though its coefficients evaluate).  More
+    than MAX_SWEEP_ROWS rows are refused before any array is built.
     """
     m_lo, m_hi = m_range
     if m_lo > m_hi or not betas:
         raise ValueError("need a nonempty m range and at least one beta")
-    records = []
-    for m in range(m_lo, m_hi + 1):
-        for beta in sorted(betas, key=float):
-            poly = relation_poly(m, beta, variant)
-            report = solve_lambda(poly)
-            a2, a1, a0 = poly.coeffs_float()
-            admissible = report.admissible_roots
-            root = admissible[0] if admissible else None
-            if m < 2:
-                verdict = "out_of_domain"
-            else:
-                verdict = "true" if admissible else "false"
-            records.append(SweepRecord(
-                m=m, beta=float(beta), variant=variant,
-                a2=a2, a1=a1, a0=a0,
-                roots=report.roots,
-                admissible_root=root,
-                K=None if root is None else root + m * float(beta) / 2.0,
-                exists=verdict,
-            ))
-    return records
+    rows = (m_hi - m_lo + 1) * len(betas)
+    if rows > MAX_SWEEP_ROWS:
+        raise ValueError(f"a sweep of {rows} rows exceeds the cap of "
+                         f"MAX_SWEEP_ROWS = {MAX_SWEEP_ROWS} rows")
+    if m_hi >= 2 ** 63:
+        raise ValueError(f"fiber dimension m must be below 2**63, got {m_hi}")
+    ordered = sorted(betas, key=float)
+    for beta in ordered:
+        _validated(m_lo, beta)
+    m = np.repeat(np.arange(m_lo, m_hi + 1), len(ordered))
+    beta = np.tile(np.array(ordered, dtype=float), m_hi - m_lo + 1)
+    mv = m.astype(float)
+    with np.errstate(all="ignore"):  # rows outside the double range fail below
+        a2, a1, a0 = _coefficients(mv, beta, 0.5, variant)
+    roots, _ = _real_roots(a2, a1, a0, mv, beta)
+    K, _, _, ok = _admissibility(roots, mv[:, None], beta[:, None])
+
+    def first_admissible(values):
+        return np.where(ok[:, 0], values[:, 0], np.where(ok[:, 1], values[:, 1], np.nan))
+
+    return SweepTable(
+        variant=variant, m=m, beta=beta, a2=a2, a1=a1, a0=a0,
+        root1=roots[:, 0], root2=roots[:, 1],
+        admissible_root=first_admissible(roots), K=first_admissible(K),
+        exists=_VERDICTS[np.where(m < 2, 2, ok.any(axis=1))],
+    )

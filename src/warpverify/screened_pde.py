@@ -12,6 +12,7 @@ discrete maximum principle.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, TextIO, Union
 
@@ -364,27 +365,36 @@ def write_grid_csv(field: GridField, dest: Union[str, TextIO]):
     Nodes valued NaN (the exterior ones) carry an empty value column.
     Floats are written with 17 significant digits so output is bit-stable
     across runs.  Each axis value is formatted once, and each lattice row
-    goes out in one write, built from prebuilt ",x2,tag," cells.
+    goes out in one write, built from prebuilt ",x2,tag," cells.  A file
+    named by `dest` is removed again when writing it fails.
     """
+    if not isinstance(dest, str):
+        _write_grid_rows(field, dest)
+        return
+    fh = open(dest, "w", encoding="ascii", newline="")
+    try:
+        with fh:
+            _write_grid_rows(field, fh)
+    except BaseException:
+        if os.path.isfile(dest):  # a device such as /dev/full stays
+            os.remove(dest)
+        raise
+
+
+def _write_grid_rows(field: GridField, fh: TextIO):
     coords = [format(x, ".17g") for x in field.axis.tolist()]
     n = len(coords)
     # cells[tag, j]: the middle of a line at column j, tag included.
     cells = np.array([[f",{x2},{TAG_NAMES[tag]}," for x2 in coords]
                       for tag in (INTERIOR, BOUNDARY, EXTERIOR)], dtype=object)
     columns = np.arange(n)
-    own = isinstance(dest, str)
-    fh = open(dest, "w", encoding="ascii", newline="") if own else dest
-    try:
-        fh.write("x1,x2,tag,value\n")
-        for x1, tags, vals in zip(coords, field.tags, field.values):
-            known = ~np.isnan(vals)
-            svals = np.full(n, "", dtype=object)
-            svals[known] = [format(v, ".17g") for v in vals[known].tolist()]
-            lines = (cells[tags, columns] + svals).tolist()
-            fh.write(x1 + ("\n" + x1).join(lines) + "\n")
-    finally:
-        if own:
-            fh.close()
+    fh.write("x1,x2,tag,value\n")
+    for x1, tags, vals in zip(coords, field.tags, field.values):
+        known = ~np.isnan(vals)
+        svals = np.full(n, "", dtype=object)
+        svals[known] = [format(v, ".17g") for v in vals[known].tolist()]
+        lines = (cells[tags, columns] + svals).tolist()
+        fh.write(x1 + ("\n" + x1).join(lines) + "\n")
 
 
 def coshdist_exact(x, y):

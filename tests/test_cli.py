@@ -1,6 +1,7 @@
 """Command-line interface: dispatch, exit codes, output formats, schemas."""
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -252,6 +253,72 @@ class TestUsageErrors:
         assert out == ""
         err = capsys.readouterr().err
         assert "double-precision range of the curvature formula" in err
+
+
+class TestNonFiniteRelation:
+    @pytest.mark.parametrize("argv", [
+        ("relation", "sweep", "--m", "2..3"),
+        ("relation", "solve", "--m", "3"),
+        ("verify", "--m", "3"),
+    ])
+    def test_relation_outside_the_double_range_is_usage_error(self, argv, capsys):
+        code, out = invoke(*argv, "--beta", "1e200", "--quiet")
+        assert code == EXIT_USAGE
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: the relation at m = ")
+        assert "beta = 1e+200" in err and "not finite" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_sweep_beyond_the_row_cap_is_usage_error(self, capsys):
+        code, out = invoke("relation", "sweep", "--m", "1..500001", "--beta", "1,2",
+                           "--quiet")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "exceeds the cap of MAX_SWEEP_ROWS = 1000000 rows" in capsys.readouterr().err
+
+
+class TestOutputFailures:
+    def test_failed_csv_write_is_reported_and_leaves_no_file(
+            self, tmp_path, monkeypatch, capsys):
+        from warpverify import cli
+
+        def write_then_fail(field, fh):
+            fh.write("x1,x2,tag,value\n")
+            fh.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli.pde, "_write_grid_rows", write_then_fail)
+        dest = tmp_path / "g.csv"
+        code, out = invoke("pde", "solve", "--beta", "1", "--rmax", "0.5",
+                           "--h", "0.05", "--out", str(dest), "--quiet")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert capsys.readouterr().err == \
+            f"error: cannot write {dest}: No space left on device\n"
+        assert sorted(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device(self, capsys):
+        code, out = invoke("pde", "solve", "--beta", "1", "--rmax", "0.5",
+                           "--h", "0.05", "--out", "/dev/full", "--quiet")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert capsys.readouterr().err == \
+            "error: cannot write /dev/full: No space left on device\n"
+        assert os.path.exists("/dev/full")
+
+    def test_stdout_closed_early_ends_quietly(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "warpverify", "relation", "sweep",
+             "--m", "2..30000", "--beta", "0.5,1,2", "--quiet"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == (SWEEP_CSV_HEADER + "\n").encode()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_USAGE
+        assert err == b""
 
 
 class TestDeterminismAndBanner:

@@ -5,18 +5,24 @@ expanding (lam + m b)^2 - (m-1)(lam + b)(lam + m b/2) as a polynomial in
 lam with Fraction coefficients and comparing coefficientwise.
 """
 
+import io
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from warpverify import relation
+from warpverify.cli import SWEEP_BLOCK_ROWS, SWEEP_CSV_HEADER, run, to_json
 from warpverify.compatibility import (
     max_compat_residual_for_params, pq_from_params, strip_samples,
 )
 from warpverify.relation import (
-    PUBLISHED, REDERIVED, existence_sweep, poly_published, poly_rederived,
-    relation_poly, solve_lambda,
+    MAX_SWEEP_ROWS, PUBLISHED, REDERIVED, existence_sweep, poly_published,
+    poly_rederived, relation_poly, solve_lambda,
 )
 
 
@@ -274,39 +280,332 @@ class TestSolveLambda:
 
 class TestExistenceSweep:
     def test_unit_screening_verdicts(self):
-        recs = existence_sweep((2, 4), [1.0], REDERIVED)
-        assert [r.exists for r in recs] == ["true"] * 3
-        assert [r.admissible_root for r in recs] == [
+        table = existence_sweep((2, 4), [1.0], REDERIVED)
+        assert table.exists.tolist() == ["true"] * 3
+        assert table.admissible_root.tolist() == [
             pytest.approx(-1.5), pytest.approx(-2.0), pytest.approx(-2.5)]
+        assert table.K.tolist() == pytest.approx(table.admissible_root + table.m / 2.0)
 
     def test_m2_scaling(self):
         for beta in (0.25, 1.0, 7.0):
-            recs = existence_sweep((2, 2), [beta], REDERIVED)
-            assert recs[0].admissible_root == pytest.approx(-1.5 * beta)
-            assert recs[0].exists == "true"
+            table = existence_sweep((2, 2), [beta], REDERIVED)
+            assert table.admissible_root[0] == pytest.approx(-1.5 * beta)
+            assert np.isnan(table.root2[0])
+            assert table.exists[0] == "true"
 
     def test_published_equals_rederived_at_unit_screening(self):
         a = existence_sweep((2, 4), [1.0], PUBLISHED)
         b = existence_sweep((2, 4), [1.0], REDERIVED)
-        for ra, rb in zip(a, b):
-            assert (ra.a2, ra.a1, ra.a0) == (rb.a2, rb.a1, rb.a0)
-            assert ra.roots == rb.roots
-            assert ra.exists == rb.exists
+        for name in ("a2", "a1", "a0", "root1", "root2", "exists"):
+            assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=name != "exists")
 
     def test_row_ordering(self):
-        recs = existence_sweep((2, 3), [2.0, 0.5], REDERIVED)
-        assert [(r.m, r.beta) for r in recs] == [(2, 0.5), (2, 2.0), (3, 0.5), (3, 2.0)]
+        table = existence_sweep((2, 3), [2.0, 0.5], REDERIVED)
+        assert list(zip(table.m.tolist(), table.beta.tolist())) == [
+            (2, 0.5), (2, 2.0), (3, 0.5), (3, 2.0)]
 
     def test_m1_out_of_domain(self):
-        recs = existence_sweep((1, 2), [1.0], REDERIVED)
-        assert recs[0].exists == "out_of_domain"
-        assert recs[1].exists == "true"
+        table = existence_sweep((1, 2), [1.0], REDERIVED)
+        assert table.exists.tolist() == ["out_of_domain", "true"]
+        # m = 1, beta = 1 is the double root -1 of lam^2 + 2 lam + 1
+        assert table.root1[0] == -1.0 and np.isnan(table.root2[0])
+        assert np.isnan(table.admissible_root[0]) and np.isnan(table.K[0])
+
+    def test_published_rows_without_real_roots(self):
+        # at m = 1 the published discriminant is 4 - 4 beta^2
+        table = existence_sweep((1, 1), [2.0], PUBLISHED)
+        assert np.isnan(table.root1[0]) and np.isnan(table.root2[0])
+        assert table.exists[0] == "out_of_domain"
+
+    def test_columns_equal_solve_lambda_row_by_row(self):
+        betas = [0.3, 1.0, 2.5, 3.3]
+        for variant in (PUBLISHED, REDERIVED):
+            table = existence_sweep((1, 12), betas, variant)
+            for i, (m, beta) in enumerate(zip(table.m.tolist(), table.beta.tolist())):
+                report = solve_lambda(relation_poly(m, beta, variant))
+                assert (table.a2[i], table.a1[i], table.a0[i]) == report.poly.coeffs_float()
+                roots = [r for r in (table.root1[i], table.root2[i]) if not np.isnan(r)]
+                assert roots == report.roots
+                admissible = report.admissible_roots
+                assert (table.admissible_root[i] == admissible[0] if admissible
+                        else np.isnan(table.admissible_root[i]))
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
             existence_sweep((3, 2), [1.0])
         with pytest.raises(ValueError):
             existence_sweep((2, 3), [])
+
+    @pytest.mark.parametrize("m_range, betas", [((0, 3), [1.0]), ((2, 3), [1.0, math.nan]),
+                                               ((2, 3), [-1.0])])
+    def test_invalid_rows_rejected(self, m_range, betas):
+        with pytest.raises(ValueError):
+            existence_sweep(m_range, betas)
+
+    def test_published_root_rejection_near_sqrt2_still_raises(self):
+        # the known back-substitution defect: |P(root)| = 3.16e-10 > 1.45e-10
+        with pytest.raises(ArithmeticError, match="fails back-substitution"):
+            existence_sweep((145, 145), [1.4292354702724506], PUBLISHED)
+        with pytest.raises(ArithmeticError, match="fails back-substitution"):
+            solve_lambda(poly_published(145, 1.4292354702724506))
+
+    def test_rows_outside_the_double_range_are_value_errors(self):
+        with pytest.raises(ValueError, match=r"m = 2, beta = 1e\+200"):
+            existence_sweep((2, 3), [1.0, 1e200])
+
+    @pytest.mark.parametrize("m_hi", [MAX_SWEEP_ROWS, MAX_SWEEP_ROWS + 1])
+    def test_row_cap_checked_before_any_array(self, m_hi, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        sizes = []
+
+        def solve(mv, bv, half, variant):
+            sizes.append(len(mv))
+            raise Reached
+
+        monkeypatch.setattr(relation, "_coefficients", solve)
+        if m_hi <= MAX_SWEEP_ROWS:
+            with pytest.raises(Reached):
+                existence_sweep((1, m_hi), [1.0])
+            assert sizes == [MAX_SWEEP_ROWS]
+        else:
+            with pytest.raises(ValueError, match=f"MAX_SWEEP_ROWS = {MAX_SWEEP_ROWS}"):
+                existence_sweep((1, m_hi), [1.0])
+            assert sizes == []
+
+
+class TestRootKernel:
+    @staticmethod
+    def roots(a2, a1, a0, m=3.0, beta=1.0):
+        return relation._real_roots(*(np.array([x], dtype=float)
+                                      for x in (a2, a1, a0, m, beta)))
+
+    def test_double_root(self):
+        roots, residuals = self.roots(1, 2, 1)
+        assert roots[0, 0] == -1.0 and np.isnan(roots[0, 1])
+        assert residuals[0, 0] == 0.0
+        from warpverify.relation import RelationPoly
+        rep = solve_lambda(RelationPoly(1.0, 2.0, 1.0, REDERIVED, 3, 1.0))
+        assert rep.roots == [-1.0] and rep.multiplicities == [2]
+
+    def test_linear_and_missing_roots(self):
+        roots, _ = self.roots(0, 2, 3)
+        assert roots[0, 0] == -1.5 and np.isnan(roots[0, 1])
+        roots, residuals = self.roots(1, 0, 1)
+        assert np.isnan(roots).all() and np.isnan(residuals).all()
+
+    @pytest.mark.parametrize("coeffs", [(1, 0, math.inf), (1, math.nan, 1),
+                                        (1e200, 1e200, -1e200), (-1, 0, 1e308)])
+    def test_non_finite_values_name_the_row(self, coeffs):
+        with pytest.raises(ValueError, match="m = 3, beta = 1.0 leaves the double range"):
+            self.roots(*coeffs)
+
+
+# Reference implementation: the per-row sweep and its emitters as they were
+# before the columnar rewrite, kept verbatim (relation coefficients, root
+# formula, one record per row, one format call per cell).  The CLI must
+# match it byte for byte.
+
+def reference_shared_terms(m, beta):
+    if float(m) < 1:
+        raise ValueError(f"fiber dimension m must be >= 1, got {m}")
+    if isinstance(m, (int, Fraction)) and isinstance(beta, (int, Fraction)):
+        mv, bv, half = Fraction(m), Fraction(beta), Fraction(1, 2)
+    else:
+        mv, bv, half = float(m), float(beta), 0.5
+    a2 = 2 - mv
+    a1 = bv * (1 + 3 * mv * half - mv * mv * half)
+    return mv, bv, half, a2, a1
+
+
+def reference_relation_poly(m, beta, variant):
+    from warpverify.relation import RelationPoly
+    mv, bv, half, a2, a1 = reference_shared_terms(m, beta)
+    if variant == PUBLISHED:
+        a0 = mv * mv * (1 - bv * bv * half) + mv * (5 * bv * bv * half - 2)
+    else:
+        a0 = bv * bv * (mv * mv + mv) * half
+    return RelationPoly(a2, a1, a0, variant, m, beta)
+
+
+def reference_classify(root, m, beta):
+    from warpverify.relation import RootAdmissibility
+    K = root + m * beta / 2.0
+    lpb = root + beta < 0.0
+    kn = K < 0.0
+    return RootAdmissibility(
+        root=root,
+        lambda_plus_beta_negative=lpb,
+        K_negative=kn,
+        overall=lpb and kn and m >= 2,
+        K=K,
+    )
+
+
+def reference_solve_lambda(poly):
+    from warpverify.relation import BACKSUB_RTOL, RootReport
+    a2, a1, a0 = poly.coeffs_float()
+    m, beta = float(poly.m), float(poly.beta)
+    if a2 == 0.0 and a1 == 0.0:
+        raise ValueError("relation polynomial is identically "
+                         + ("zero" if a0 == 0.0 else "constant; no roots to solve"))
+
+    if a2 == 0.0:
+        roots = [-a0 / a1]
+        mults = [1]
+        degenerate = True
+    else:
+        degenerate = False
+        disc = a1 * a1 - 4.0 * a2 * a0
+        if disc < 0.0:
+            roots, mults = [], []
+        elif disc == 0.0:
+            roots, mults = [-a1 / (2.0 * a2)], [2]
+        else:
+            # q = -(a1 + sign(a1) sqrt(disc))/2 avoids subtractive cancellation
+            sq = math.sqrt(disc)
+            sign = 1.0 if a1 >= 0.0 else -1.0
+            qq = -0.5 * (a1 + sign * sq)
+            r1, r2 = qq / a2, a0 / qq
+            roots = sorted((r1, r2))
+            mults = [1, 1]
+
+    residuals = [abs(poly.eval_at(r)) for r in roots]
+    bound = BACKSUB_RTOL * max(1.0, abs(a0))
+    for r, res in zip(roots, residuals):
+        if res > bound:
+            raise ArithmeticError(
+                f"root {r} fails back-substitution: |P(root)| = {res} > {bound}")
+
+    return RootReport(
+        poly=poly,
+        roots=roots,
+        multiplicities=mults,
+        degenerate_linear=degenerate,
+        admissibility=[reference_classify(r, m, beta) for r in roots],
+        backsub_residuals=residuals,
+        formal_extrapolation=not float(m).is_integer(),
+    )
+
+
+@dataclass(frozen=True)
+class SweepRecord:
+    """One (m, beta) row of an existence sweep."""
+
+    m: int
+    beta: float
+    variant: str
+    a2: float
+    a1: float
+    a0: float
+    roots: list[float]
+    admissible_root: Optional[float]
+    K: Optional[float]
+    exists: str  # "true" | "false" | "out_of_domain"
+
+
+def reference_existence_sweep(m_range, betas, variant=REDERIVED):
+    m_lo, m_hi = m_range
+    if m_lo > m_hi or not betas:
+        raise ValueError("need a nonempty m range and at least one beta")
+    records = []
+    for m in range(m_lo, m_hi + 1):
+        for beta in sorted(betas, key=float):
+            poly = reference_relation_poly(m, beta, variant)
+            report = reference_solve_lambda(poly)
+            a2, a1, a0 = poly.coeffs_float()
+            admissible = report.admissible_roots
+            root = admissible[0] if admissible else None
+            if m < 2:
+                verdict = "out_of_domain"
+            else:
+                verdict = "true" if admissible else "false"
+            records.append(SweepRecord(
+                m=m, beta=float(beta), variant=variant,
+                a2=a2, a1=a1, a0=a0,
+                roots=report.roots,
+                admissible_root=root,
+                K=None if root is None else root + m * float(beta) / 2.0,
+                exists=verdict,
+            ))
+    return records
+
+
+def reference_sweep_csv_lines(records):
+    lines = [SWEEP_CSV_HEADER]
+    for rec in records:
+        roots = list(rec.roots) + ["", ""]
+        cells = [
+            str(rec.m),
+            format(rec.beta, ".17g"),
+            rec.variant,
+            format(rec.a2, ".17g"),
+            format(rec.a1, ".17g"),
+            format(rec.a0, ".17g"),
+            format(roots[0], ".17g") if roots[0] != "" else "",
+            format(roots[1], ".17g") if roots[1] != "" else "",
+            format(rec.admissible_root, ".17g") if rec.admissible_root is not None else "",
+            format(rec.K, ".17g") if rec.K is not None else "",
+            rec.exists,
+        ]
+        lines.append(",".join(cells))
+    return lines
+
+
+def reference_sweep_json(records):
+    return {
+        "rows": [
+            {
+                "m": rec.m,
+                "beta": rec.beta,
+                "variant": rec.variant,
+                "a2": rec.a2, "a1": rec.a1, "a0": rec.a0,
+                "roots": list(rec.roots),
+                "admissible_root": rec.admissible_root,
+                "K": rec.K,
+                "exists": rec.exists,
+            }
+            for rec in records
+        ]
+    }
+
+
+def reference_stdout(m_range, betas, variant, fmt):
+    records = reference_existence_sweep(m_range, betas, variant)
+    if fmt == "csv":
+        return "\n".join(reference_sweep_csv_lines(records)) + "\n"
+    return to_json(reference_sweep_json(records)) + "\n"
+
+
+class TestSweepMatchesReference:
+    GRIDS = {
+        # m = 1 (out_of_domain, the double root at beta = 1 and, published,
+        # no real roots for beta > 1), m = 2 (linear), duplicate betas
+        "edge": ((1, 7), [3.3, 0.5, 1.0, 1.0, 2.0, 1e-3, 40.0]),
+        # 2 * SWEEP_BLOCK_ROWS + 1 rows: two full blocks and one row
+        "blocks": ((2, 2 * SWEEP_BLOCK_ROWS // 3 + 2), [0.5, 1.0, 2.0]),
+        "single": ((2, 2), [1.0]),
+        "wide_m": ((1, 400), [0.25, 1.41, 1.46, 4.0]),
+    }
+
+    @pytest.mark.parametrize("variant", [PUBLISHED, REDERIVED])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_cli_stdout_is_byte_identical(self, grid, fmt, variant):
+        (m_lo, m_hi), betas = self.GRIDS[grid]
+        if grid == "blocks":
+            assert (m_hi - m_lo + 1) * len(betas) == 2 * SWEEP_BLOCK_ROWS + 1
+        buf = io.StringIO()
+        code = run(["relation", "sweep", "--m", f"{m_lo}..{m_hi}",
+                    "--beta", ",".join(repr(b) for b in betas),
+                    "--variant", variant, "--format", fmt, "--quiet"], out=buf)
+        assert code == 0
+        assert buf.getvalue() == reference_stdout((m_lo, m_hi), betas, variant, fmt)
+
+    def test_reference_raises_where_the_sweep_does(self):
+        with pytest.raises(ArithmeticError):
+            reference_existence_sweep((145, 145), [1.4292354702724506], PUBLISHED)
 
 
 def test_relation_poly_dispatch():
