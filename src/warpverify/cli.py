@@ -282,20 +282,32 @@ _G = "%.17g"
 _SKIP = "%.0s"  # consumes an absent (NaN) value and prints nothing
 
 
+def _distinct_text(column):
+    """column as `_G` strings: (the distinct strings, each row's index into
+    them).  Values are told apart by their bits, each formatted once."""
+    bits, at = np.unique(column.view(np.int64), return_inverse=True)
+    return np.array([_G % x for x in bits.view(float).tolist()], dtype=object), at
+
+
 def _write_sweep(table, out, template, head, separator, tail):
     """Write `head`, the rows joined by `separator`, then `tail`.  Each row
     is one %-format of (m, beta, a2, a1, a0, root1, root2, admissible_root,
     K, exists) with `template(roots, admissible)` for its number of roots
-    and whether one is admissible."""
+    and whether one is admissible.  beta and a2 arrive as strings: a sweep
+    has few distinct values of each, so they are formatted once."""
     templates = [template(n, adm) for n in range(3) for adm in (False, True)]
     kinds = (2 * np.isfinite(table.root1) + 2 * np.isfinite(table.root2)
              + np.isfinite(table.admissible_root)).tolist()
-    columns = (table.m, table.beta, table.a2, table.a1, table.a0, table.root1,
-               table.root2, table.admissible_root, table.K, table.exists)
+    beta, beta_at = _distinct_text(table.beta)
+    a2, a2_at = _distinct_text(table.a2)
+    numbers = (table.a1, table.a0, table.root1, table.root2,
+               table.admissible_root, table.K, table.exists)
     out.write(head)
     for lo in range(0, len(kinds), SWEEP_BLOCK_ROWS):
         block = slice(lo, lo + SWEEP_BLOCK_ROWS)
-        rows = zip(kinds[block], zip(*(col[block].tolist() for col in columns)))
+        columns = (table.m[block], beta[beta_at[block]], a2[a2_at[block]],
+                   *(col[block] for col in numbers))
+        rows = zip(kinds[block], zip(*(col.tolist() for col in columns)))
         out.write((separator if lo else "")
                   + separator.join([templates[k] % row for k, row in rows]))
     out.write(tail)
@@ -305,7 +317,7 @@ def sweep_csv_lines(table, out) -> None:
     """Write an existence sweep as CSV: the header, then one line per row
     with 17-digit floats and empty cells for absent values."""
     def template(roots, admissible):
-        return ",".join(["%d", _G, table.variant, _G, _G, _G]
+        return ",".join(["%d", "%s", table.variant, "%s", _G, _G]
                         + [_G] * roots + [_SKIP] * (2 - roots)
                         + [_G if admissible else _SKIP] * 2 + ["%s"])
 
@@ -318,8 +330,8 @@ def sweep_json(table, out) -> None:
     def template(roots, admissible):
         listed = ",".join(["\n        " + _G] * roots)
         fields = {
-            "m": "%d", "beta": _G, "variant": f'"{table.variant}"',
-            "a2": _G, "a1": _G, "a0": _G,
+            "m": "%d", "beta": "%s", "variant": f'"{table.variant}"',
+            "a2": "%s", "a1": _G, "a0": _G,
             "roots": (f"[{listed}\n      ]" if roots else "[]") + _SKIP * (2 - roots),
             "admissible_root": _G if admissible else "null" + _SKIP,
             "K": _G if admissible else "null" + _SKIP,

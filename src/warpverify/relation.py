@@ -75,7 +75,10 @@ class RelationPoly:
 
 def _validated(m: Number, beta: Number) -> tuple[Number, Number, Number]:
     """Validated (m, beta, 1/2): Fractions when m and beta are both
-    int/Fraction, floats otherwise."""
+    int/Fraction, floats otherwise.  m must lie in [1, 2**63), the range of
+    a sweep's int64 m column, which also keeps float(m) finite."""
+    if m >= 2 ** 63:
+        raise ValueError(f"fiber dimension m must be below 2**63, got {m}")
     if float(m) < 1:
         raise ValueError(f"fiber dimension m must be >= 1, got {m}")
     require_finite_positive("screening parameter beta", beta)
@@ -282,11 +285,10 @@ def existence_sweep(m_range: tuple[int, int], betas: Sequence[Number],
     if rows > MAX_SWEEP_ROWS:
         raise ValueError(f"a sweep of {rows} rows exceeds the cap of "
                          f"MAX_SWEEP_ROWS = {MAX_SWEEP_ROWS} rows")
-    if m_hi >= 2 ** 63:
-        raise ValueError(f"fiber dimension m must be below 2**63, got {m_hi}")
     ordered = sorted(betas, key=float)
     for beta in ordered:
         _validated(m_lo, beta)
+    _validated(m_hi, ordered[0])
     m = np.repeat(np.arange(m_lo, m_hi + 1), len(ordered))
     beta = np.tile(np.array(ordered, dtype=float), m_hi - m_lo + 1)
     mv = m.astype(float)

@@ -245,6 +245,20 @@ class TestUsageErrors:
         assert out == ""
         assert capsys.readouterr().err == "usage error: need at least two mesh widths\n"
 
+    @pytest.mark.parametrize("m", [str(2 ** 63), str(10 ** 400)])
+    @pytest.mark.parametrize("argv", [
+        ("relation", "solve"),
+        ("verify",),
+        ("relation", "sweep"),
+    ])
+    def test_m_beyond_int64_is_usage_error(self, argv, m, capsys):
+        # 10**400 used to end in an OverflowError traceback from float(m)
+        code, out = invoke(*argv, "--m", m, "--beta", "1", "--quiet")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert capsys.readouterr().err == (
+            f"usage error: fiber dimension m must be below 2**63, got {m}\n")
+
     @pytest.mark.parametrize("beta", ["1e-110", "1e110"])
     def test_metric_scale_beyond_double_range_is_usage_error(self, beta, capsys):
         # the base metric is the unit metric times 1/(-K), about 1/beta here

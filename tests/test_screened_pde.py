@@ -7,14 +7,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from warpverify import screened_pde
 from warpverify.cli import BOUNDARY_CATALOG, run
 from warpverify.errors import SolverError
 from warpverify.screened_pde import (
     BOUNDARY, EXTERIOR, INTERIOR, ND_LEAF_NODES, TAG_NAMES, ConvergenceRow,
-    GridField, GridSpec, _dissect, _lattice, _nested_dissection,
-    assemble_and_solve, convergence_study, coshdist_exact, manufactured_spec,
+    GridField, GridSpec, _assemble, _class_system, _conformal_weight, _dissect,
+    _dissection_rank, _lattice, assemble_and_solve, convergence_study, coshdist_exact, manufactured_spec,
     residual_field, sample_exact, write_grid_csv,
 )
 
@@ -341,6 +342,23 @@ def interior_mask(spec):
     return _lattice(spec)[1] == INTERIOR
 
 
+def nd_order(interior):
+    """The interior unknowns (row-major) in nested-dissection order."""
+    return np.argsort(_dissection_rank(interior.shape)[interior])
+
+
+def reference_solve(spec, **options):
+    """Interior values from one unsplit `spsolve` of the assembled system."""
+    *_, M, rhs = _assemble(spec)
+    return spla.spsolve(M, rhs, **options)
+
+
+def assert_matches_reference(field, reference):
+    solved = field.values[field.interior_mask]
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(solved - reference)) <= 1e-12 * scale
+
+
 DISSECTED_SPECS = [
     GridSpec(beta=1.0, r_max=0.3, h=0.05),
     GridSpec(beta=1.3, r_max=0.9, h=0.03),
@@ -352,7 +370,7 @@ class TestNestedDissection:
     @pytest.mark.parametrize("spec", DISSECTED_SPECS)
     def test_order_is_a_permutation(self, spec):
         interior = interior_mask(spec)
-        order = _nested_dissection(interior)
+        order = nd_order(interior)
         assert order.dtype.kind == "i"
         assert np.array_equal(np.sort(order), np.arange(interior.sum()))
 
@@ -380,7 +398,7 @@ class TestNestedDissection:
     @pytest.mark.parametrize("spec", DISSECTED_SPECS)
     def test_separators_eliminated_after_the_blocks_they_split(self, spec):
         interior = interior_mask(spec)
-        order = _nested_dissection(interior)
+        order = nd_order(interior)
         step = np.full(interior.shape, -1)
         step[interior] = np.argsort(order)      # when each node is eliminated
         separators = 0
@@ -405,14 +423,90 @@ class TestNestedDissection:
           for _, fn in sorted(BOUNDARY_CATALOG.items())),
         manufactured_spec(beta=2.5, r_max=0.8, h=0.02),
     ], ids=[*sorted(BOUNDARY_CATALOG), "manufactured"])
-    def test_direct_solve_matches_natural_order(self, spec, monkeypatch):
-        field = assemble_and_solve(spec)
-        monkeypatch.setattr(screened_pde, "_nested_dissection",
-                            lambda interior: np.arange(interior.sum()))
-        natural = assemble_and_solve(spec)
-        mask = field.tags != EXTERIOR
-        scale = np.max(np.abs(natural.values[mask]))
-        assert np.max(np.abs(field.values[mask] - natural.values[mask])) <= 1e-12 * scale
+    def test_direct_solve_matches_natural_order(self, spec):
+        # the split, dissected solve against one unsplit natural-order solve
+        assert_matches_reference(assemble_and_solve(spec),
+                                 reference_solve(spec, permc_spec="NATURAL"))
+
+
+def mirrored(a):
+    """a under x -> -x, y -> -y and x <-> y on the lattice."""
+    return a[::-1, :], a[:, ::-1], a.T
+
+
+def seeded_asymmetric_spec(seed, beta=0.9, r_max=0.85, h=0.03):
+    """Source and boundary data with no mirror symmetry: all four parity
+    classes of the split carry a right-hand side."""
+    c = np.random.default_rng(seed).normal(size=6)
+    return GridSpec(
+        beta=beta, r_max=r_max, h=h,
+        source=lambda x, y: c[0] * x + c[1] * y * y + c[2] * x * y + np.exp(c[3] * x - y),
+        boundary=lambda x, y: np.sin(3.0 * x + c[4]) + c[5] * y)
+
+
+SPLIT_SPECS = {
+    **{bc: GridSpec(beta=1.3, r_max=0.9, h=0.025, boundary=fn)
+       for bc, fn in sorted(BOUNDARY_CATALOG.items())},
+    "manufactured": manufactured_spec(beta=2.5, r_max=0.8, h=0.02),
+    "asymmetric-1": seeded_asymmetric_spec(1),
+    "asymmetric-2": seeded_asymmetric_spec(2, beta=3.7, r_max=0.6, h=0.011),
+    "odd-in-x": GridSpec(beta=1.0, r_max=0.7, h=0.02, source=lambda x, y: x * np.cos(y),
+                         boundary=lambda x, y: x * y * y),
+    "odd-in-y": GridSpec(beta=1.0, r_max=0.7, h=0.02, boundary=lambda x, y: y),
+}
+
+
+class TestMirrorSplit:
+    @pytest.mark.parametrize("r_max, h", [(0.3, 0.05), (0.9, 0.03), (0.8, 0.0123),
+                                          (0.95, 0.0031)])
+    def test_lattice_and_weight_are_exactly_mirror_invariant(self, r_max, h):
+        axis, tags, X, Y = _lattice(GridSpec(beta=1.0, r_max=r_max, h=h))
+        assert np.array_equal(axis[::-1], -axis)
+        w = _conformal_weight(X, Y)
+        for image in mirrored(tags):
+            assert np.array_equal(image, tags)
+        for image in mirrored(w):
+            assert np.array_equal(image, w)
+
+    @pytest.mark.parametrize("name", ["angular", "asymmetric-1"])
+    def test_even_odd_matrix_is_the_transposed_odd_even_one(self, name):
+        _, tags, _, _, M, _ = _assemble(SPLIT_SPECS[name])
+        interior = tags == INTERIOR
+        rank = _dissection_rank((tags.shape[0] // 2 + 1,) * 2)
+        (k, l), even_odd = _class_system(M, interior, rank, (0, 1))
+        (k_t, l_t), odd_even = _class_system(M, interior, rank.T, (1, 0))
+        assert np.array_equal(k, l_t) and np.array_equal(l, k_t)
+        assert even_odd.shape == odd_even.shape == (k.size, k.size)
+        assert (even_odd != odd_even).nnz == 0
+        assert even_odd.nnz == odd_even.nnz
+
+    @pytest.mark.parametrize("name", sorted(SPLIT_SPECS))
+    def test_split_solve_matches_one_unsplit_spsolve(self, name):
+        spec = SPLIT_SPECS[name]
+        assert_matches_reference(assemble_and_solve(spec), reference_solve(spec))
+
+    @pytest.mark.parametrize("name, solves, classes", [
+        ("coshdist", 1, 1), ("one", 1, 1), ("manufactured", 1, 1), ("zero", 0, 0),
+        ("odd-in-x", 1, 1), ("odd-in-y", 1, 1), ("asymmetric-1", 3, 4), ("angular", 3, 4),
+    ])
+    def test_one_factorization_per_class_the_data_excite(self, name, solves, classes,
+                                                         monkeypatch):
+        # radial data excite only the (even, even) class; the two mixed
+        # classes share one matrix and one solve with two right-hand sides;
+        # zero data need no solve at all
+        calls = []
+        solve = spla.spsolve
+
+        def counted(A, b, **options):
+            calls.append((A.shape[0], 1 if b.ndim == 1 else b.shape[1]))
+            return solve(A, b, **options)
+
+        monkeypatch.setattr(screened_pde.spla, "spsolve", counted)
+        field = assemble_and_solve(SPLIT_SPECS[name])
+        assert len(calls) == solves
+        assert sum(columns for _, columns in calls) == classes
+        quarter, edge = field.interior_mask.sum() / 4, 2 * len(field.axis)
+        assert all(quarter - edge < unknowns < quarter + edge for unknowns, _ in calls)
 
 
 def reference_grid_csv(field, fh):
