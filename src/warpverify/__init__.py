@@ -4,12 +4,14 @@ equation.
 
 Submodules
 ----------
+profiles      : 1D profiles with closed-form derivatives.
 geometry2d    : 2D orthogonal-metric kernel (Laplace-Beltrami, gradient,
                 Hessian, Gaussian curvature, rescaling, model catalog).
-einstein      : residuals of the warped-product Einstein system and the
-                vertical Ricci coefficient.
-compatibility : profile-pair reduction, conformal-profile integration,
-                constructed chart metric, pseudospherical certification.
+einstein      : residuals of the Einstein system for a Ricci-flat fiber
+                over a surface, and the vertical Ricci coefficient.
+compatibility : profile-pair reduction, the closed-form conformal profile
+                of the (linear p, constant q) pair, constructed chart
+                metric, pseudospherical certification.
 relation      : the lambda-m-beta quadratic relation (published and
                 rederived variants), root solving, existence sweeps.
 screened_pde  : finite-difference Dirichlet solver for [lap - beta] f = -psi

@@ -7,8 +7,8 @@ compatibility ODE
     p p'' - p'^2 + 2 q p' - p q' - q^2 + 1 = 0.
 
 This module evaluates that residual, generates the rescaled pair from a
-parameter triple (m, lambda, beta), integrates the conformal profile s
-with s'/s = (q - p')/p, assembles the chart metric
+parameter triple (m, lambda, beta), solves s'/s = (q - p')/p for the
+conformal profile s in closed form, assembles the chart metric
 
     g = (df / p(f))^2 + (s(f) dh)^2
 
@@ -26,17 +26,13 @@ from .errors import (
 )
 from .geometry2d import Metric2D, Point2, gauss_curvature, profile_field
 from .profiles import (
-    ProfileFn, POSITIVE_AXIS, const_profile, exp_profile, linear_profile,
-    power_profile,
+    ProfileFn, POSITIVE_AXIS, const_profile, linear_profile, power_profile,
 )
 
 # Default verification strip: the construction is scale-covariant in f,
 # so any window bounded away from 0 is representative.
 DEFAULT_STRIP = (0.5, 4.0)
 DEFAULT_STRIP_SHAPE = (32, 8)
-
-SIMPSON_TOL = 1e-10
-SIMPSON_MAX_DEPTH = 40
 
 
 @dataclass(frozen=True)
@@ -116,38 +112,13 @@ def pq_from_params(m: int, lam: float, beta: float) -> PQPair:
 # -- the conformal profile s ---------------------------------------------------
 
 
-def _adaptive_simpson(fn, a: float, b: float, tol: float) -> float:
-    """Classic recursive adaptive Simpson quadrature (deterministic)."""
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
-        x1 = 0.5 * (x0 + x2)
-        lm, rm = 0.5 * (x0 + x1), 0.5 * (x1 + x2)
-        flm, frm = fn(lm), fn(rm)
-        left = simpson(x0, x1, f0, flm, f1)
-        right = simpson(x1, x2, f1, frm, f2)
-        if depth >= SIMPSON_MAX_DEPTH or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(x0, x1, f0, flm, f1, left, eps / 2.0, depth + 1)
-                + recurse(x1, x2, f1, frm, f2, right, eps / 2.0, depth + 1))
-
-    if a == b:
-        return 0.0
-    f0, f2 = fn(a), fn(b)
-    f1 = fn(0.5 * (a + b))
-    whole = simpson(a, b, f0, f1, f2)
-    return recurse(a, b, f0, f1, f2, whole, tol, 0)
-
-
 def integrate_s(pq: PQPair, f0: float, f1: float) -> ProfileFn:
     """Solve s' = s (q - p')/p on [f0, f1], normalized to s(f0) = 1.
 
     The solution is unique up to a constant multiple; the normalization
-    pins it.  When p is linear and q constant the closed form is used
-    (for p = a t through the origin: s(f) = (f/f0)^((q - a)/a)); otherwise
-    log s is accumulated by adaptive Simpson quadrature and the returned
-    profile differentiates through the defining ODE.
+    pins it.  Only the pair `pq_from_params` builds is accepted, p = a t
+    with a > 0 and constant q = c, for which s(f) = (f/f0)^((c - a)/a);
+    any other pair raises ValueError.
     """
     if not (0.0 < f0 < f1):
         raise ValueError(f"need 0 < f0 < f1, got f0 = {f0}, f1 = {f1}")
@@ -160,54 +131,16 @@ def integrate_s(pq: PQPair, f0: float, f1: float) -> ProfileFn:
         if p(t) <= 0.0:
             raise PositivityError(f"profile p must be positive on the interval, "
                                   f"p({t}) = {p(t)}")
-
-    p_struct, q_struct = p.structure, q.structure
-    if (p_struct is not None and p_struct[0] in ("linear", "const")
-            and q_struct is not None and q_struct[0] == "const"):
-        c = q_struct[1]
-        if p_struct[0] == "const":
-            a, b = 0.0, p_struct[1]
-        else:
-            a, b = p_struct[1], p_struct[2]
-        if a == 0.0:
-            # s = exp((c/b) (f - f0))
-            rate = c / b
-            return exp_profile(linear_profile(rate, -rate * f0, domain=pq.domain))
-        if b == 0.0:
-            # s = (f/f0)^((c-a)/a)
-            k = (c - a) / a
-            return power_profile(k, coeff=f0 ** (-k), domain=pq.domain)
-        # s = ((a f + b)/(a f0 + b))^((c-a)/a)
-        k = (c - a) / a
-        s = power_profile(k, coeff=(a * f0 + b) ** (-k), domain=POSITIVE_AXIS)
-        return ProfileFn(
-            lambda t: s(a * t + b),
-            lambda t: s.d1(a * t + b) * a,
-            lambda t: s.d2(a * t + b) * a * a,
-            domain=pq.domain,
-        )
-
-    def log_deriv(t):
-        return (q(t) - p.d1(t)) / p(t)
-
-    def log_s(t):
-        if t >= f0:
-            return _adaptive_simpson(log_deriv, f0, t, SIMPSON_TOL)
-        return -_adaptive_simpson(log_deriv, t, f0, SIMPSON_TOL)
-
-    def value(t):
-        return math.exp(log_s(t))
-
-    def d1(t):
-        return value(t) * log_deriv(t)
-
-    def d2(t):
-        # differentiate s' = s (q - p')/p once more
-        ld = log_deriv(t)
-        ld_prime = (q.d1(t) - p.d2(t)) / p(t) - ld * p.d1(t) / p(t)
-        return value(t) * (ld * ld + ld_prime)
-
-    return ProfileFn(value, d1, d2, domain=pq.domain)
+    # a > 0 follows from the probes: p(f0) = a f0 > 0.
+    if not (p.structure is not None and p.structure[0] == "linear"
+            and p.structure[2] == 0.0
+            and q.structure is not None and q.structure[0] == "const"):
+        raise ValueError(
+            "integrate_s needs p = a t with a > 0 and a constant q, got "
+            f"p tagged {p.structure} and q tagged {q.structure}")
+    a, c = p.structure[1], q.structure[1]
+    k = (c - a) / a
+    return power_profile(k, coeff=f0 ** (-k), domain=pq.domain)
 
 
 # -- constructed metric ---------------------------------------------------------

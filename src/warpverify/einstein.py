@@ -1,20 +1,22 @@
 """Residual evaluation for the Einstein warped-product system.
 
-A warped product with base metric g, warping function f > 0, fiber
-dimension m and Einstein constants (lambda, mu) is Einstein exactly when
+A warped product of a surface (B, g) with a Ricci-flat fiber of dimension
+m, warping function f > 0 and Einstein constant lambda is Einstein
+exactly when
 
     Ric_B - (m/f) Hess(f) = lambda g_B            (tensor equation)
-    R_B f - m lap(f)      = n f lambda            (contracted equation)
-    f lap(f) + (m-1) |grad f|^2 + lambda f^2 = mu (scalar constraint)
+    R_B f - m lap(f)      = 2 f lambda            (contracted equation)
+    f lap(f) + (m-1) |grad f|^2 + lambda f^2 = 0  (scalar constraint)
 
-On a surface Ric_B = K g_B, so the tensor residual is evaluated pointwise
-from the Gaussian curvature; the fiber enters only through mu.
+The last right-hand side is the fiber's Einstein constant, zero for a
+Ricci-flat fiber.  On a surface Ric_B = K g_B, so the tensor residual is
+evaluated pointwise from the Gaussian curvature.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import PositivityError, require_finite_positive
 from .geometry2d import (
@@ -25,21 +27,16 @@ from .geometry2d import (
 
 @dataclass(frozen=True)
 class WarpParams:
-    """Constant block of the warped-product system.
+    """Constant block of the warped-product system over a surface.
 
-    m is the fiber dimension, lam the Einstein constant, beta the screening
-    parameter of the warping equation lap(f) = beta f, mu the fiber Einstein
-    constant and K the (intended constant) base Gaussian curvature.  The
-    base dimension n is kept general for the contracted equations but the
-    tensor equation is implemented for n = 2 only.
+    m is the fiber dimension, lam the Einstein constant and beta the
+    screening parameter of the warping equation lap(f) = beta f.  The
+    fiber is Ricci-flat.
     """
 
     m: int
     lam: float
     beta: float = 1.0
-    mu: float = 0.0
-    n: int = 2
-    K: Optional[float] = None
 
     def __post_init__(self):
         if self.m < 1:
@@ -48,25 +45,17 @@ class WarpParams:
 
     @classmethod
     def ricci_flat_fiber(cls, m: int, lam: float, beta: float = 1.0) -> "WarpParams":
-        """Ricci-flat fiber over a 2D base; K follows from the contracted
-        equation as lam + m*beta/2.  Requires m >= 2, lam < 0 and K < 0."""
-        K = lam + m * beta / 2.0
-        wp = cls(m=m, lam=lam, beta=beta, mu=0.0, n=2, K=K)
+        """Parameters of a solution: the contracted equation fixes the base
+        curvature K = lam + m*beta/2.  Requires m >= 2, lam < 0 and K < 0."""
+        wp = cls(m=m, lam=lam, beta=beta)
         if m < 2:
             raise ValueError("ricci-flat fiber setup needs fiber dimension m >= 2")
         if lam >= 0.0:
             raise ValueError(f"ricci-flat fiber setup needs lambda < 0, got {lam}")
+        K = lam + m * beta / 2.0
         if K >= 0.0:
             raise ValueError(f"ricci-flat fiber setup needs negative base curvature, got K = {K}")
         return wp
-
-    @property
-    def fiber_scalar_curvature(self) -> float:
-        return self.mu * self.m
-
-    @property
-    def base_scalar_curvature(self) -> Optional[float]:
-        return None if self.K is None else 2.0 * self.K
 
 
 @dataclass(frozen=True)
@@ -95,13 +84,8 @@ def _warp_value(f: ScalarField2D, p: Point2) -> float:
 
 def tensor_residual(g: Metric2D, f: ScalarField2D, wp: WarpParams,
                     p: Point2) -> SymMat2:
-    """Componentwise residual of Ric_B - (m/f) Hess(f) - lambda g_B at p.
-
-    Uses Ric_B = K g_B, valid only on surfaces; refuses wp.n != 2.
-    """
-    if wp.n != 2:
-        raise ValueError(
-            f"tensor residual uses the surface identity Ric = K g; n must be 2, got {wp.n}")
+    """Componentwise residual of Ric_B - (m/f) Hess(f) - lambda g_B at p,
+    with the surface identity Ric_B = K g_B."""
     fv = _warp_value(f, p)
     K = gauss_curvature(g, p)
     E, G = g.components(p)
@@ -116,20 +100,20 @@ def tensor_residual(g: Metric2D, f: ScalarField2D, wp: WarpParams,
 
 def contracted_residual(g: Metric2D, f: ScalarField2D, wp: WarpParams,
                         p: Point2) -> float:
-    """Residual of R_B f - m lap(f) - n f lambda at p, with R_B = 2K."""
+    """Residual of R_B f - m lap(f) - 2 f lambda at p, with R_B = 2K."""
     fv = _warp_value(f, p)
     R_B = 2.0 * gauss_curvature(g, p)
     lap = laplace_beltrami(g, f, p)
-    return R_B * fv - wp.m * lap - wp.n * fv * wp.lam
+    return R_B * fv - wp.m * lap - 2.0 * fv * wp.lam
 
 
 def scalar_constraint_residual(g: Metric2D, f: ScalarField2D, wp: WarpParams,
                                p: Point2) -> float:
-    """Residual of f lap(f) + (m-1) |grad f|^2 + lambda f^2 - mu at p."""
+    """Residual of f lap(f) + (m-1) |grad f|^2 + lambda f^2 at p."""
     fv = _warp_value(f, p)
     lap = laplace_beltrami(g, f, p)
     gsq = grad_norm_sq(g, f, p)
-    return fv * lap + (wp.m - 1) * gsq + wp.lam * fv * fv - wp.mu
+    return fv * lap + (wp.m - 1) * gsq + wp.lam * fv * fv
 
 
 def vertical_ricci_coeff(f_val: float, lap: float, gradsq: float, m: int) -> float:

@@ -5,7 +5,8 @@ E, G > 0 (no off-diagonal term).  The catalog covers the Poincare disk,
 the Poincare half-plane, the flat plane, constant rescalings, and metrics
 assembled from 1D profiles (used by the warped-product construction).
 
-Scalar fields carry exact partial derivatives.  `CentralDifferences`
+Scalar fields carry exact partial derivatives; the only field algebra is
+scaling by a constant, which `rescale` uses.  `CentralDifferences`
 differentiates a field's values by central differences instead; it exists
 only for the curvature certificate, which must not share the closed-form
 derivatives it is checking.  Every operator below consumes the common
@@ -44,10 +45,6 @@ class Point2:
     def __post_init__(self):
         if not (math.isfinite(self.u) and math.isfinite(self.v)):
             raise ValueError(f"chart point must be finite, got ({self.u}, {self.v})")
-
-    @property
-    def r2(self) -> float:
-        return self.u * self.u + self.v * self.v
 
 
 @dataclass(frozen=True)
@@ -98,43 +95,11 @@ class ScalarField2D:
         """Same values, derivatives by central differences of width `step`."""
         return CentralDifferences(self._value, step)
 
-    def __add__(self, other):
-        other = _as_field(other)
-        return ScalarField2D(
-            lambda u, v: self._value(u, v) + other._value(u, v),
-            *(_sum(a, b) for a, b in zip(self._partials, other._partials)))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            c = float(other)
-            return ScalarField2D(lambda u, v: c * self._value(u, v),
-                                 *(_scaled(c, cb) for cb in self._partials))
-        other = _as_field(other)
-        f, g = self._value, other._value
-        fu, fv, fuu, fuv, fvv = self._partials
-        gu, gv, guu, guv, gvv = other._partials
-        return ScalarField2D(
-            lambda u, v: f(u, v) * g(u, v),
-            du=lambda u, v: fu(u, v) * g(u, v) + f(u, v) * gu(u, v),
-            dv=lambda u, v: fv(u, v) * g(u, v) + f(u, v) * gv(u, v),
-            duu=lambda u, v: (fuu(u, v) * g(u, v)
-                              + 2.0 * fu(u, v) * gu(u, v)
-                              + f(u, v) * guu(u, v)),
-            duv=lambda u, v: (fuv(u, v) * g(u, v)
-                              + fu(u, v) * gv(u, v)
-                              + fv(u, v) * gu(u, v)
-                              + f(u, v) * guv(u, v)),
-            dvv=lambda u, v: (fvv(u, v) * g(u, v)
-                              + 2.0 * fv(u, v) * gv(u, v)
-                              + f(u, v) * gvv(u, v)),
-        )
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return self + (_as_field(other) * -1.0)
+    def __mul__(self, c: float) -> "ScalarField2D":
+        """c * f for a constant c, with every partial scaled by c."""
+        c = float(c)
+        return ScalarField2D(lambda u, v: c * self._value(u, v),
+                             *(_scaled(c, cb) for cb in self._partials))
 
 
 class CentralDifferences:
@@ -165,33 +130,12 @@ class CentralDifferences:
                  - f(u - h, v + h) + f(u - h, v - h)) / (4.0 * h * h),
                 (f(u, v + h) - 2.0 * f(u, v) + f(u, v - h)) / (h * h))
 
-    def __mul__(self, other):
-        """c * f for a finite constant c > 0, differenced at the same step."""
-        if not isinstance(other, (int, float)):
-            return NotImplemented
-        require_finite_positive("field scale factor", other)
-        return CentralDifferences(_scaled(float(other), self._value), self.step)
-
-    __rmul__ = __mul__
-
 
 Field = Union[ScalarField2D, CentralDifferences]
 
 
-def _sum(a, b):
-    return lambda u, v: a(u, v) + b(u, v)
-
-
 def _scaled(c, cb):
     return lambda u, v: c * cb(u, v)
-
-
-def _as_field(x) -> ScalarField2D:
-    if isinstance(x, ScalarField2D):
-        return x
-    if isinstance(x, (int, float)):
-        return constant_field(float(x))
-    raise TypeError(f"cannot interpret {x!r} as a scalar field")
 
 
 # -- field catalog ------------------------------------------------------------
@@ -231,10 +175,6 @@ def poly_field(coeffs: dict[tuple[int, int], float]) -> ScalarField2D:
 
 def coordinate_u() -> ScalarField2D:
     return poly_field({(1, 0): 1.0})
-
-
-def coordinate_v() -> ScalarField2D:
-    return poly_field({(0, 1): 1.0})
 
 
 def profile_field(profile: ProfileFn, axis: str = "u") -> ScalarField2D:
@@ -419,18 +359,9 @@ def grad_norm_sq(g: Metric2D, f: Field, p: Point2) -> float:
     return fu * fu / E + fv * fv / G
 
 
-def christoffel_symbols(g: Metric2D, p: Point2) -> dict[str, float]:
-    """The six Christoffel symbols of an orthogonal metric at p.
-
-    Keys: 'uuu' for Gamma^u_{uu}, 'uuv' for Gamma^u_{uv}, 'uvv', 'vuu',
-    'vuv', 'vvv'.
-    """
-    _require_in_domain(g, p)
-    _require_stencil(g, p, g.E, g.G)
-    return _christoffel(g, p)
-
-
 def _christoffel(g: Metric2D, p: Point2) -> dict[str, float]:
+    """The six Christoffel symbols of an orthogonal metric at p: 'uuu' for
+    Gamma^u_{uu}, 'uuv' for Gamma^u_{uv}, 'uvv', 'vuu', 'vuv', 'vvv'."""
     E, G = _metric_at(g, p)
     Eu, Ev = g.E.grad(p)
     Gu, Gv = g.G.grad(p)
@@ -487,7 +418,7 @@ def gauss_curvature(g: Metric2D, p: Point2) -> float:
 
 
 def rescale(g: Metric2D, c: float) -> Metric2D:
-    """Constant rescaling c*g.
+    """Constant rescaling c*g of a metric with exact components.
 
     Satisfies lap_{cg} f = lap_g f / c, |grad f|^2_{cg} = |grad f|^2_g / c
     and K_{cg} = K_g / c.

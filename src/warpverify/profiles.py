@@ -1,13 +1,14 @@
 """One-dimensional profile functions with closed-form derivatives.
 
-The profile machinery backs both the (p, q) reduction of the warped-product
-system and the scalar-field catalog of the 2D geometry kernel.  A profile is
-a real function on an open interval together with its first and second
-derivatives, both supplied in closed form.
+A profile is a real function on an open interval together with its first
+and second derivatives, both supplied in closed form.  The builtin
+constructors cover constants, linear and polynomial profiles and scaled
+powers: the warping profile pair (p, q), the conformal profile s, and the
+1D factors of the model metrics in the 2D geometry kernel.
 
-Combinators (`+`, `-`, `*`, `/`, composition, sqrt, exp, log, power) chain
-exact derivatives through the usual calculus rules, so profiles assembled
-from the builtin constructors keep closed-form derivatives throughout.
+The product and the quotient of two profiles chain exact derivatives
+through the product and quotient rules; they build the metric components
+1/p^2 and s^2 and the rational factors of the model metrics.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ class ProfileFn:
     domain : (lo, hi)
         Open interval on which the profile may be evaluated.
     structure : tuple, optional
-        Structural tag used for closed-form detection downstream:
-        ("const", c) or ("linear", a, b) for a*t + b.
+        Structural tag read by `compatibility.integrate_s`: ("const", c)
+        from `const_profile` or ("linear", a, b) for a*t + b from
+        `linear_profile`.
     """
 
     def __init__(
@@ -83,46 +85,7 @@ class ProfileFn:
         return (max(self.domain[0], other.domain[0]),
                 min(self.domain[1], other.domain[1]))
 
-    def __add__(self, other):
-        other = as_profile(other)
-        return ProfileFn(
-            lambda t: self(t) + other(t),
-            lambda t: self.d1(t) + other.d1(t),
-            lambda t: self.d2(t) + other.d2(t),
-            domain=self._merged_domain(other),
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ProfileFn(
-            lambda t: -self(t),
-            lambda t: -self.d1(t),
-            lambda t: -self.d2(t),
-            domain=self.domain,
-        )
-
-    def __sub__(self, other):
-        return self + (-as_profile(other))
-
-    def __rsub__(self, other):
-        return as_profile(other) - self
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            c = float(other)
-            structure = None
-            if self.structure is not None:
-                kind, *coeffs = self.structure
-                structure = (kind, *[c * x for x in coeffs])
-            return ProfileFn(
-                lambda t: c * self(t),
-                lambda t: c * self.d1(t),
-                lambda t: c * self.d2(t),
-                domain=self.domain,
-                structure=structure,
-            )
-        other = as_profile(other)
+    def __mul__(self, other: "ProfileFn") -> "ProfileFn":
         return ProfileFn(
             lambda t: self(t) * other(t),
             lambda t: self.d1(t) * other(t) + self(t) * other.d1(t),
@@ -131,13 +94,7 @@ class ProfileFn:
             domain=self._merged_domain(other),
         )
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return self * (1.0 / float(other))
-        other = as_profile(other)
-
+    def __truediv__(self, other: "ProfileFn") -> "ProfileFn":
         def w(t):
             return self(t) / other(t)
 
@@ -148,17 +105,6 @@ class ProfileFn:
             return (self.d2(t) - 2.0 * w1(t) * other.d1(t) - w(t) * other.d2(t)) / other(t)
 
         return ProfileFn(w, w1, w2, domain=self._merged_domain(other))
-
-    def __rtruediv__(self, other):
-        return as_profile(other) / self
-
-
-def as_profile(x) -> ProfileFn:
-    if isinstance(x, ProfileFn):
-        return x
-    if isinstance(x, (int, float)):
-        return const_profile(float(x))
-    raise TypeError(f"cannot interpret {x!r} as a profile function")
 
 
 # -- builtin catalog ---------------------------------------------------------
@@ -189,13 +135,8 @@ def poly_profile(coeffs: Sequence[float], domain=FULL_LINE) -> ProfileFn:
             acc = acc * t + x
         return acc
 
-    structure = None
-    if len(c) <= 1:
-        structure = ("const", c[0] if c else 0.0)
-    elif len(c) == 2:
-        structure = ("linear", c[1], c[0])
     return ProfileFn(lambda t: horner(c, t), lambda t: horner(d1, t),
-                     lambda t: horner(d2, t), domain=domain, structure=structure)
+                     lambda t: horner(d2, t), domain=domain)
 
 
 def power_profile(exponent: float, coeff: float = 1.0,
@@ -207,46 +148,4 @@ def power_profile(exponent: float, coeff: float = 1.0,
         lambda t: c * k * t ** (k - 1.0),
         lambda t: c * k * (k - 1.0) * t ** (k - 2.0),
         domain=domain,
-        structure=("linear", c, 0.0) if k == 1.0 else (
-            ("const", c) if k == 0.0 else None),
     )
-
-
-def sqrt_profile(inner: ProfileFn) -> ProfileFn:
-    """sqrt of a (positive) profile, derivatives by the chain rule."""
-    def value(t):
-        return math.sqrt(inner(t))
-
-    def d1(t):
-        return inner.d1(t) / (2.0 * value(t))
-
-    def d2(t):
-        s = value(t)
-        return inner.d2(t) / (2.0 * s) - inner.d1(t) ** 2 / (4.0 * s ** 3)
-
-    return ProfileFn(value, d1, d2, domain=inner.domain)
-
-
-def exp_profile(inner: ProfileFn) -> ProfileFn:
-    def value(t):
-        return math.exp(inner(t))
-
-    return ProfileFn(
-        value,
-        lambda t: value(t) * inner.d1(t),
-        lambda t: value(t) * (inner.d1(t) ** 2 + inner.d2(t)),
-        domain=inner.domain,
-    )
-
-
-def log_profile(inner: ProfileFn) -> ProfileFn:
-    def d1(t):
-        return inner.d1(t) / inner(t)
-
-    return ProfileFn(
-        lambda t: math.log(inner(t)),
-        d1,
-        lambda t: inner.d2(t) / inner(t) - d1(t) ** 2,
-        domain=inner.domain,
-    )
-

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -355,6 +356,29 @@ class TestDeterminismAndBanner:
         runs = [subprocess.run(cmd, capture_output=True, check=True).stdout
                 for _ in range(2)]
         assert runs[0] == runs[1]
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+class TestGoldenOutput:
+    """Exact stdout and exit code of fixed command lines, recorded from
+    the release before the profile, field and compatibility kernels were
+    cut to the (linear p, constant q) pair."""
+
+    @pytest.mark.parametrize("name, argv, exit_code", [
+        ("verify_m3_beta1", ("verify", "--m", "3", "--beta", "1"), EXIT_OK),
+        ("verify_m5_beta0.6_published", ("verify", "--m", "5", "--beta", "0.6",
+                                         "--variant", "published"), EXIT_VERIFY_FAIL),
+        ("curvature_disk", ("curvature", "--model", "disk", "--at", "0.3,-0.4",
+                            "--format", "json"), EXIT_OK),
+        ("curvature_halfplane", ("curvature", "--model", "halfplane", "--at", "1.5,0.25",
+                                 "--format", "json"), EXIT_OK),
+    ])
+    def test_stdout_matches_the_golden_bytes(self, name, argv, exit_code):
+        code, out = invoke(*argv, "--quiet")
+        assert code == exit_code
+        assert out.encode() == (GOLDEN / f"{name}.txt").read_bytes()
 
 
 class TestSolverFailureExit:

@@ -1,5 +1,6 @@
-"""Profile reduction: compatibility ODE, pair generation, s-integration,
-constructed metric, and the two-sided pseudospherical certificate."""
+"""Profile reduction: compatibility ODE, pair generation, the closed-form
+conformal profile s, constructed metric, and the two-sided pseudospherical
+certificate."""
 
 import math
 
@@ -8,28 +9,31 @@ from hypothesis import given, settings, strategies as st
 
 from warpverify.compatibility import (
     PQPair, build_metric, compat_residual, integrate_s,
-    max_compat_residual_for_params, pq_from_params, strip_samples,
-    verify_pseudospherical,
+    max_compat_residual_for_params, pq_from_params, strip_points,
+    strip_samples, verify_pseudospherical,
 )
 from warpverify.errors import AdmissibilityError, DomainError, PositivityError
-from warpverify.geometry2d import Point2, gauss_curvature
+from warpverify.geometry2d import DEFAULT_FD_STEP, Metric2D, Point2, gauss_curvature
 from warpverify.profiles import (
-    ProfileFn, const_profile, linear_profile, poly_profile, sqrt_profile,
+    ProfileFn, const_profile, linear_profile, poly_profile,
 )
+
+POS = (0.0, math.inf)
+
+
+def scaled_sqrt_t2m1(c, domain=(1.0, math.inf)):
+    """c sqrt(t^2 - 1) with its closed-form derivatives."""
+    return ProfileFn(lambda t: c * math.sqrt(t * t - 1.0),
+                     lambda t: c * t / math.sqrt(t * t - 1.0),
+                     lambda t: -c * (t * t - 1.0) ** -1.5, domain=domain)
 
 
 def cosh_family(domain=(1.0, math.inf)):
     """p = sqrt(t^2 - 1), q = 2t / sqrt(t^2 - 1): the cosh-of-distance
     warping profile on a curvature -1 surface."""
-    t2m1 = poly_profile([-1.0, 0.0, 1.0], domain=domain)
-    p = sqrt_profile(t2m1)
+    p = scaled_sqrt_t2m1(1.0, domain)
     q = poly_profile([0.0, 2.0], domain=domain) / p
     return PQPair(p, q)
-
-
-def no_structure(fn, d1, d2, domain):
-    """Profile with callbacks but no structural tag, to force quadrature."""
-    return ProfileFn(fn, d1, d2, domain=domain)
 
 
 class TestCompatResidual:
@@ -126,53 +130,34 @@ class TestIntegrateS:
         s = integrate_s(pq, 1.0, 2.0)
         assert s(2.0) == pytest.approx(4.0, rel=1e-13)
 
-    def test_quadrature_matches_closed_form(self):
-        # same pair without structural tags takes the quadrature path
-        pq = PQPair(
-            no_structure(lambda t: t, lambda t: 1.0, lambda t: 0.0, (0.0, math.inf)),
-            no_structure(lambda t: 3.0, lambda t: 0.0, lambda t: 0.0, (0.0, math.inf)))
-        s = integrate_s(pq, 1.0, 2.0)
-        assert s(2.0) == pytest.approx(4.0, abs=1e-9)
-        assert s(1.5) == pytest.approx(2.25, abs=1e-9)
-        assert s.d1(1.5) == pytest.approx(3.0, abs=1e-8)
-        assert s.d2(1.5) == pytest.approx(2.0, abs=1e-8)
-
     def test_normalization(self):
-        pq = cosh_family()
+        pq = PQPair(linear_profile(1.5, 0.0, domain=POS), const_profile(2.0))
         s = integrate_s(pq, 1.5, 4.0)
         assert s(1.5) == pytest.approx(1.0, abs=1e-12)
 
     def test_uniqueness_up_to_constant(self):
-        pq = cosh_family()
+        pq = PQPair(linear_profile(0.8, 0.0, domain=POS), const_profile(2.9))
         s_a = integrate_s(pq, 1.5, 4.0)
         s_b = integrate_s(pq, 2.0, 4.0)
         ratios = [s_a(t) / s_b(t) for t in (1.7, 2.3, 3.1, 3.9)]
         for r in ratios[1:]:
-            assert r == pytest.approx(ratios[0], rel=1e-9)
+            assert r == pytest.approx(ratios[0], rel=1e-12)
 
-    def test_cosh_family_closed_form_cross_check(self):
-        # s'/s = t/(t^2-1) integrates to s = sqrt((t^2-1)/(f0^2-1))
-        pq = cosh_family()
-        f0 = 1.5
-        s = integrate_s(pq, f0, 4.0)
-        for t in (1.6, 2.0, 3.5):
-            ref = math.sqrt((t * t - 1.0) / (f0 * f0 - 1.0))
-            assert s(t) == pytest.approx(ref, rel=1e-9)
-
-    def test_constant_p_exponential(self):
-        pq = PQPair(const_profile(2.0), const_profile(1.0))
-        s = integrate_s(pq, 1.0, 3.0)
-        assert s(2.0) == pytest.approx(math.exp(0.5), rel=1e-12)
-
-    def test_affine_p_closed_form(self):
-        # p = t + 1, q = 3: s = ((t+1)/(f0+1))^2
-        pq = PQPair(linear_profile(1.0, 1.0, domain=(-1.0, math.inf)),
-                    const_profile(3.0))
-        s = integrate_s(pq, 1.0, 4.0)
-        assert s(3.0) == pytest.approx(4.0, rel=1e-12)
+    @pytest.mark.parametrize("pq", [
+        PQPair(ProfileFn(lambda t: t, lambda t: 1.0, lambda t: 0.0, domain=POS),
+               ProfileFn(lambda t: 3.0, lambda t: 0.0, lambda t: 0.0, domain=POS)),
+        PQPair(const_profile(2.0), const_profile(1.0)),
+        PQPair(linear_profile(1.0, 1.0, domain=(-1.0, math.inf)), const_profile(3.0)),
+        PQPair(linear_profile(1.0, 0.0, domain=POS), linear_profile(0.0, 2.0)),
+        cosh_family(),
+    ], ids=["untagged", "constant-p", "affine-p", "linear-q", "cosh"])
+    def test_other_pairs_are_refused(self, pq):
+        with pytest.raises(ValueError, match="needs p = a t"):
+            integrate_s(pq, 1.5, 4.0)
 
     def test_interval_validation(self):
-        pq = cosh_family()
+        pq = PQPair(linear_profile(1.0, 0.0, domain=(1.0, math.inf)),
+                    const_profile(2.0))
         with pytest.raises(ValueError):
             integrate_s(pq, 2.0, 2.0)
         with pytest.raises(DomainError):
@@ -204,22 +189,14 @@ class TestBuildMetric:
             assert gauss_curvature(g, q) == pytest.approx(-1.0, rel=1e-12)
 
     def test_cosh_family_pseudosphere_fd_brioschi(self):
+        # s'/s = t/(t^2 - 1) integrates to s = sqrt((t^2 - 1)/(f0^2 - 1))
         pq = cosh_family()
         f0 = 1.5
-        s = sqrt_profile(poly_profile([-1.0, 0.0, 1.0], domain=(1.0, math.inf)))
-        s = s * (1.0 / math.sqrt(f0 * f0 - 1.0))
-        g = build_metric(pq, s).with_fd_derivatives()
-        for q in (Point2(1.8, 0.3), Point2(2.5, 0.0), Point2(3.6, -0.7)):
-            assert gauss_curvature(g, q) == pytest.approx(-1.0, abs=1e-5)
-
-    def test_cosh_family_with_quadrature_s(self):
-        pq = cosh_family()
-        s = integrate_s(pq, 1.5, 4.0)
-        g = build_metric(pq, s)
+        g = build_metric(pq, scaled_sqrt_t2m1(1.0 / math.sqrt(f0 * f0 - 1.0)))
         for q in (Point2(1.8, 0.3), Point2(2.5, 0.0), Point2(3.6, -0.7)):
             assert gauss_curvature(g, q) == pytest.approx(-1.0, abs=1e-9)
         gfd = g.with_fd_derivatives()
-        for q in (Point2(1.8, 0.3), Point2(2.5, 0.0)):
+        for q in (Point2(1.8, 0.3), Point2(2.5, 0.0), Point2(3.6, -0.7)):
             assert gauss_curvature(gfd, q) == pytest.approx(-1.0, abs=1e-5)
 
     def test_positivity_guard(self):
@@ -238,7 +215,8 @@ class TestVerifyPseudospherical:
         assert rep.sample_count == 256
 
     def test_flat_pair_fails_both_ways(self):
-        pq = PQPair(const_profile(1.0), const_profile(0.0))
+        # s = 1 and E = 1/t^2: the chart metric (dt/t)^2 + dh^2 is flat
+        pq = PQPair(linear_profile(1.0, 0.0, domain=POS), const_profile(1.0))
         rep = verify_pseudospherical(pq, strip_samples(), tol=1e-5)
         assert rep.max_abs_compat_residual == pytest.approx(1.0)
         assert rep.max_abs_curvature_plus_one == pytest.approx(1.0, abs=1e-7)
@@ -276,6 +254,27 @@ class TestVerifyPseudospherical:
         rep = verify_pseudospherical(pq, strip_samples(), tol=1e-5)
         assert not rep.compat_ok and not rep.curvature_ok
         assert rep.certificates_agree
+
+
+def test_curvature_certificate_error_model():
+    # the verify metric at (m, beta) = (3, 1): the certificate's error is
+    # second-order truncation (about 8 step^2) until rounding, which grows
+    # like 1/step^2, takes over; the default step sits between the two
+    pq = pq_from_params(3, -2.0, 1.0)
+    samples = strip_samples()
+    g = build_metric(pq, integrate_s(pq, samples[0], samples[-1]))
+    points = strip_points(samples)
+
+    def error(fd):
+        return max(abs(gauss_curvature(fd, p) + 1.0) for p in points)
+
+    err = {h: error(Metric2D(g.E.without_exact(h), g.G.without_exact(h), g._domain))
+           for h in (1e-2, 1e-3, 1e-4, 1e-5)}
+    assert 80.0 <= err[1e-2] / err[1e-3] <= 120.0
+    default = error(g.with_fd_derivatives())
+    assert default == err[DEFAULT_FD_STEP]
+    assert default < err[1e-3] and default < err[1e-5]
+    assert default == verify_pseudospherical(pq, samples, tol=1e-5).max_abs_curvature_plus_one
 
 
 class TestAdmissibleRootNormalForm:

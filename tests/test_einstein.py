@@ -57,11 +57,6 @@ class TestTensorResidual:
         with pytest.raises(PositivityError):
             tensor_residual(DISK, constant_field(-1.0), wp, Point2(0.1, 0.1))
 
-    def test_refuses_higher_dimensional_base(self):
-        wp = WarpParams(m=2, lam=0.0, n=3)
-        with pytest.raises(ValueError):
-            tensor_residual(FLAT, constant_field(1.0), wp, Point2(0.0, 0.0))
-
 
 class TestContractedResidual:
     def test_trivial_flat(self):
@@ -80,21 +75,16 @@ class TestContractedResidual:
         for p in (Point2(0.6, 0.2), Point2(2.0, -0.5)):
             assert abs(contracted_residual(g, coordinate_u(), wp, p)) < 1e-8
 
-    def test_general_n_accepted(self):
-        wp = WarpParams(m=2, lam=0.0, n=4)
-        got = contracted_residual(FLAT, constant_field(2.0), wp, Point2(0.0, 0.0))
-        assert got == 0.0
-
 
 class TestScalarConstraintResidual:
     def test_constant_f_zero_lambda(self):
-        wp = WarpParams(m=3, lam=0.0, mu=0.0)
+        wp = WarpParams(m=3, lam=0.0)
         assert scalar_constraint_residual(FLAT, constant_field(2.0), wp,
                                           Point2(0.0, 0.0)) == 0.0
 
     def test_constant_f_negative_lambda(self):
         # only lam f^2 survives: -c^2 at lam = -1
-        wp = WarpParams(m=7, lam=-1.0, mu=0.0)
+        wp = WarpParams(m=7, lam=-1.0)
         got = scalar_constraint_residual(FLAT, constant_field(3.0), wp, Point2(0.0, 0.0))
         assert got == pytest.approx(-9.0, rel=1e-14)
 
@@ -214,11 +204,7 @@ class TestWarpParams:
                 WarpParams(m=2, lam=0.0, beta=beta)
 
     def test_ricci_flat_fiber_constraints(self):
-        wp = WarpParams.ricci_flat_fiber(3, -2.0)
-        assert wp.K == pytest.approx(-0.5)
-        assert wp.mu == 0.0 and wp.n == 2
-        assert wp.base_scalar_curvature == pytest.approx(-1.0)
-        assert wp.fiber_scalar_curvature == 0.0
+        assert WarpParams.ricci_flat_fiber(3, -2.0) == WarpParams(m=3, lam=-2.0, beta=1.0)
         with pytest.raises(ValueError):
             WarpParams.ricci_flat_fiber(3, 2.0)           # lam >= 0
         with pytest.raises(ValueError):

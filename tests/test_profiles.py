@@ -1,4 +1,5 @@
-"""Derivative correctness of the 1D profile combinators."""
+"""Derivative correctness of the 1D profile constructors, product and
+quotient."""
 
 import math
 
@@ -7,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from warpverify.errors import DomainError
 from warpverify.profiles import (
-    ProfileFn, const_profile, exp_profile, linear_profile,
-    log_profile, poly_profile, power_profile, sqrt_profile,
+    ProfileFn, const_profile, linear_profile, poly_profile, power_profile,
 )
 
 
@@ -24,11 +24,13 @@ CASES = [
     poly_profile([1.0, -2.0, 0.5, 3.0]),
     linear_profile(2.0, -1.0) * poly_profile([0.0, 1.0, 1.0]),
     poly_profile([1.0, 1.0]) / poly_profile([2.0, 0.0, 1.0]),
-    sqrt_profile(poly_profile([1.0, 0.0, 1.0])),
-    exp_profile(linear_profile(0.3, 0.1)),
-    log_profile(poly_profile([2.0, 0.0, 1.0])),
+    # the constructed metric's E = 1/p^2 and G = s^2
+    const_profile(1.0) / (linear_profile(1.3) * linear_profile(1.3)),
+    power_profile(2.0, 0.25) * power_profile(2.0, 0.25),
+    # the disk and half-plane conformal factors
+    const_profile(4.0) / (poly_profile([1.0, -1.0]) * poly_profile([1.0, -1.0])),
     power_profile(1.5, 2.0),
-    const_profile(4.0) - 2.0 * linear_profile(1.0),
+    const_profile(1.0) / poly_profile([0.0, 0.0, 1.0]),
 ]
 
 
@@ -40,18 +42,20 @@ def test_combinator_derivatives_match_finite_differences(profile, t):
 
 
 def test_domain_enforced():
-    p = sqrt_profile(poly_profile([-1.0, 0.0, 1.0], domain=(1.0, math.inf)))
-    assert p(2.0) == pytest.approx(math.sqrt(3.0))
+    # a quotient lives on the intersection of its factors' domains
+    p = poly_profile([-1.0, 0.0, 1.0], domain=(1.0, math.inf)) / linear_profile(2.0)
+    assert p(2.0) == pytest.approx(0.75)
     with pytest.raises(DomainError):
         p(0.5)
 
 
-def test_structure_tags_survive_scaling():
-    p = linear_profile(3.0, 1.0) * 2.0
-    assert p.structure == ("linear", 6.0, 2.0)
-    q = const_profile(5.0) * 0.5
-    assert q.structure == ("const", 2.5)
-    assert (p * q).structure is None
+def test_structure_tags_mark_linear_and_constant_profiles():
+    assert linear_profile(3.0, 1.0).structure == ("linear", 3.0, 1.0)
+    assert const_profile(5.0).structure == ("const", 5.0)
+    for untagged in (poly_profile([0.0, 3.0]), power_profile(1.0, 3.0),
+                     linear_profile(3.0) * const_profile(1.0),
+                     linear_profile(3.0) / const_profile(1.0)):
+        assert untagged.structure is None
 
 
 @given(a=st.floats(-5, 5), b=st.floats(-5, 5), t=st.floats(-3, 3))

@@ -18,8 +18,10 @@ from hypothesis import given, settings, strategies as st
 from warpverify import relation
 from warpverify.cli import SWEEP_BLOCK_ROWS, SWEEP_CSV_HEADER, run, to_json
 from warpverify.compatibility import (
-    max_compat_residual_for_params, pq_from_params, strip_samples,
+    PQPair, integrate_s, max_compat_residual_for_params, pq_from_params,
+    strip_samples,
 )
+from warpverify.profiles import const_profile, linear_profile
 from warpverify.relation import (
     MAX_SWEEP_ROWS, PUBLISHED, REDERIVED, existence_sweep, poly_published,
     poly_rederived, relation_poly, solve_lambda,
@@ -202,6 +204,53 @@ class TestSymbolicRelation:
         published = self.code_coefficients(sp, poly_published, m, beta)
         assert [sp.expand(a - b) for a, b in zip(published, ode)] == [
             0, 0, sp.expand(m * (m - 2) * (1 - beta ** 2))]
+
+
+    def test_rederived_relation_factors(self, sym):
+        sp, m, beta, lam = sym
+        a2, a1, a0 = self.code_coefficients(sp, poly_rederived, m, beta)
+        factored = (2 * lam + beta * (m + 1)) * ((2 - m) * lam + beta * m) / 2
+        assert sp.expand(a2 * lam ** 2 + a1 * lam + a0 - factored) == 0
+
+    def test_published_discriminant_is_not_a_perfect_square(self, sym):
+        # so the published roots are not rational in (m, beta), while the
+        # rederived discriminant is a square and its roots are
+        sp, m, beta, _ = sym
+
+        def odd_factors(poly_fn):
+            a2, a1, a0 = self.code_coefficients(sp, poly_fn, m, beta)
+            _, factors = sp.factor_list(sp.expand(a1 ** 2 - 4 * a2 * a0))
+            return [f for f, k in factors if k % 2 and f.free_symbols]
+
+        assert odd_factors(poly_published)
+        assert not odd_factors(poly_rederived)
+
+    def test_admissible_root_gives_the_pair_f_2(self, sym):
+        sp, _, beta, _ = sym
+        m1 = sp.Symbol("m1", positive=True)  # m - 1
+        m = m1 + 1
+        lam = -beta * (m + 1) / 2
+        A, N = -(lam + beta), -(lam + m * beta / 2)
+        assert sp.simplify(sp.sqrt(A) / sp.sqrt(m1 * N)) == 1
+        assert sp.simplify(beta * sp.sqrt(m1) / (sp.sqrt(A) * sp.sqrt(N))) == 2
+        for mv, bv in ((2, 0.5), (3, 1.0), (7, 0.8), (40, 2.5)):
+            pq = pq_from_params(mv, -bv * (mv + 1) / 2, bv)
+            assert pq.p.d1(1.0) == pytest.approx(1.0, rel=1e-14)
+            assert pq.q(1.0) == pytest.approx(2.0, rel=1e-14)
+
+    def test_closed_form_s_solves_the_conformal_ode(self, sym):
+        sp = sym[0]
+        f, f0, a = sp.symbols("f f0 a", positive=True)
+        c = sp.Symbol("c", real=True)
+        p, q = a * f, c
+        s = (f / f0) ** ((c - a) / a)
+        assert sp.simplify(s.diff(f) / s - (q - p.diff(f)) / p) == 0
+        assert s.subs(f, f0) == 1
+        pq = PQPair(linear_profile(0.7, 0.0, domain=(0.0, math.inf)), const_profile(1.9))
+        s_code = integrate_s(pq, 0.5, 4.0)
+        at = {a: 0.7, c: 1.9, f0: 0.5}
+        for t in (0.5, 1.3, 3.9):
+            assert s_code(t) == pytest.approx(float(s.subs({**at, f: t})), rel=1e-14)
 
 
 class TestUnitScreeningEquality:

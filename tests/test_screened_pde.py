@@ -487,13 +487,14 @@ class TestMirrorSplit:
 
     @pytest.mark.parametrize("name, solves, classes", [
         ("coshdist", 1, 1), ("one", 1, 1), ("manufactured", 1, 1), ("zero", 0, 0),
-        ("odd-in-x", 1, 1), ("odd-in-y", 1, 1), ("asymmetric-1", 3, 4), ("angular", 3, 4),
+        ("odd-in-x", 1, 1), ("odd-in-y", 1, 1), ("asymmetric-1", 3, 4), ("angular", 1, 1),
     ])
     def test_one_factorization_per_class_the_data_excite(self, name, solves, classes,
                                                          monkeypatch):
-        # radial data excite only the (even, even) class; the two mixed
-        # classes share one matrix and one solve with two right-hand sides;
-        # zero data need no solve at all
+        # radial data excite only the (even, even) class and the angular
+        # data only the (odd, odd) one; the two mixed classes share one
+        # matrix and one solve with two right-hand sides; zero data need no
+        # solve at all
         calls = []
         solve = spla.spsolve
 
