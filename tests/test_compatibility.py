@@ -36,6 +36,32 @@ def cosh_family(domain=(1.0, math.inf)):
     return PQPair(p, q)
 
 
+def quadrature_s(pq, f0, panels=2000):
+    """s with s(f0) = 1 solving s' = s (q - p')/p, log s by composite
+    Simpson over `panels` panels; s' and s'' come from the ODE."""
+    p, q = pq.p, pq.q
+
+    def log_deriv(t):
+        return (q(t) - p.d1(t)) / p(t)
+
+    def value(t):
+        h = (t - f0) / panels
+        acc = log_deriv(f0) + log_deriv(t)
+        for k in range(1, panels):
+            acc += (4.0 if k % 2 else 2.0) * log_deriv(f0 + k * h)
+        return math.exp(acc * h / 3.0)
+
+    def d1(t):
+        return value(t) * log_deriv(t)
+
+    def d2(t):
+        ld = log_deriv(t)
+        ld_prime = (q.d1(t) - p.d2(t)) / p(t) - ld * p.d1(t) / p(t)
+        return value(t) * (ld * ld + ld_prime)
+
+    return ProfileFn(value, d1, d2, domain=pq.domain)
+
+
 class TestCompatResidual:
     def test_constant_pair(self):
         pq = PQPair(const_profile(1.0), const_profile(0.0))
@@ -197,6 +223,22 @@ class TestBuildMetric:
             assert gauss_curvature(g, q) == pytest.approx(-1.0, abs=1e-9)
         gfd = g.with_fd_derivatives()
         for q in (Point2(1.8, 0.3), Point2(2.5, 0.0), Point2(3.6, -0.7)):
+            assert gauss_curvature(gfd, q) == pytest.approx(-1.0, abs=1e-5)
+
+    def test_cosh_family_with_quadrature_s(self):
+        # integrate_s refuses the cosh pair, so s is accumulated here from
+        # s'/s = (q - p')/p by composite Simpson, independent of the closed form
+        pq = cosh_family()
+        f0 = 1.5
+        s = quadrature_s(pq, f0)
+        closed = scaled_sqrt_t2m1(1.0 / math.sqrt(f0 * f0 - 1.0))
+        for t in (1.5, 2.2, 3.9):
+            assert s(t) == pytest.approx(closed(t), rel=1e-10)
+        g = build_metric(pq, s)
+        for q in (Point2(1.8, 0.3), Point2(2.5, 0.0), Point2(3.6, -0.7)):
+            assert gauss_curvature(g, q) == pytest.approx(-1.0, abs=1e-9)
+        gfd = g.with_fd_derivatives()
+        for q in (Point2(1.8, 0.3), Point2(2.5, 0.0)):
             assert gauss_curvature(gfd, q) == pytest.approx(-1.0, abs=1e-5)
 
     def test_positivity_guard(self):
