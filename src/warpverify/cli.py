@@ -23,6 +23,7 @@ modulo the version banner which `--quiet` suppresses.  JSON floats carry
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -403,7 +404,10 @@ BOUNDARY_CATALOG = {
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing keeps no
+    state between calls, so `run` reuses it."""
     parser = _Parser(prog="warpverify", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -573,9 +577,8 @@ _HANDLERS = {
 def run(argv: Sequence[str], out=None) -> int:
     """Dispatch one command line; returns the process exit code."""
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = build_parser().parse_args(list(argv))
     except (_UsageError, ValueError, argparse.ArgumentError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE

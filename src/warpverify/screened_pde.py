@@ -66,12 +66,14 @@ class GridSpec:
         if self.h >= self.r_max / 4.0:
             raise ValueError(
                 f"mesh spacing h = {self.h} must satisfy 0 < h < r_max/4 = {self.r_max / 4.0}")
-        n = _half_width(self.r_max, self.h)
-        if n > MAX_HALF_WIDTH:
+        # Checked as a float, before _half_width floors it to an int: r_max/h
+        # overflows to inf for a subnormal h.
+        width = self.r_max / self.h + 1e-12
+        if not width < MAX_HALF_WIDTH + 1:
             raise ValueError(
-                f"mesh spacing h = {self.h} gives a {2 * n + 1}^2 lattice, above "
-                f"the {2 * MAX_HALF_WIDTH + 1}^2 cap; the smallest usable h at "
-                f"r_max = {self.r_max} is {self.r_max / MAX_HALF_WIDTH:.6g}")
+                f"mesh spacing h = {self.h} gives a lattice of {2 * np.floor(width) + 1:.6g}^2 "
+                f"nodes, above the {2 * MAX_HALF_WIDTH + 1}^2 cap; the smallest "
+                f"usable h at r_max = {self.r_max} is {self.r_max / MAX_HALF_WIDTH:.6g}")
 
     def source_fn(self) -> XYCallable:
         return self.source or (lambda x, y: 0.0)
@@ -226,33 +228,34 @@ def _assemble(spec: GridSpec):
     num = np.full(tags.shape, -1, dtype=np.int64)
     num[interior] = np.arange(n_int)
 
-    h2 = spec.h * spec.h
-    w = np.zeros(tags.shape)
-    w[interior] = _conformal_weight(X[interior], Y[interior])
+    weight = _conformal_weight(X[interior], Y[interior])
+    scaled = weight / (spec.h * spec.h)
 
     bvals = np.zeros(tags.shape)
     bvals[boundary] = _sample(spec.boundary_fn(), X[boundary], Y[boundary], "boundary")
-    rhs = _sample(spec.source_fn(), X[interior], Y[interior], "source")
+    src = _sample(spec.source_fn(), X[interior], Y[interior], "source")
+    # A Dirichlet neighbour adds w/h^2 times its value to the right-hand
+    # side (bvals is 0 at the interior ones).  Summed as (E + W) + (N + S),
+    # the total is the same float under x -> -x, y -> -y and x <-> y, so
+    # data with one of these symmetries give a right-hand side with it.
+    inner = interior[1:-1, 1:-1]
+    east, west, north, south = (scaled * b[inner] for b in (
+        bvals[2:, 1:-1], bvals[:-2, 1:-1], bvals[1:-1, 2:], bvals[1:-1, :-2]))
+    rhs = src + ((east + west) + (north + south))
 
-    rows = [np.arange(n_int)]
-    cols = [np.arange(n_int)]
-    vals = [spec.beta + 4.0 * w[interior] / h2]
-    ii, jj = np.nonzero(interior)
-    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        ni, nj = ii + di, jj + dj
-        coupled = interior[ni, nj]
-        rows.append(num[ii[coupled], jj[coupled]])
-        cols.append(num[ni[coupled], nj[coupled]])
-        vals.append(-w[ii[coupled], jj[coupled]] / h2)
-        # Dirichlet neighbors contribute to the right-hand side.
-        fixed = ~coupled
-        rhs[num[ii[fixed], jj[fixed]]] += (
-            w[ii[fixed], jj[fixed]] / h2 * bvals[ni[fixed], nj[fixed]])
-
+    # In the row-major numbering the columns of a row, in increasing order,
+    # are the nodes at flat lattice offsets -(2n+1), -1, 0, 1, 2n+1 from it;
+    # Dirichlet neighbours are left out.
+    near = np.flatnonzero(interior)[:, None] + np.array(
+        [-tags.shape[1], -1, 0, 1, tags.shape[1]])
+    coupled = interior.reshape(-1)[near]
+    vals = np.repeat(-scaled[:, None], 5, axis=1)
+    vals[:, 2] = spec.beta + 4.0 * scaled
     M = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        (vals[coupled], num.reshape(-1)[near[coupled]],
+         np.concatenate(([0], np.cumsum(coupled.sum(axis=1))))),
         shape=(n_int, n_int))
-    return axis, tags, bvals, w[interior], M, rhs
+    return axis, tags, bvals, weight, M, rhs
 
 
 def _quadrants(a: np.ndarray) -> list:
@@ -265,28 +268,37 @@ def _quadrants(a: np.ndarray) -> list:
 
 def _mirror_transform(q: list) -> list:
     """out[a][b] = sum over s, t of (-1)^(a s + b t) q[s][t]; applied twice
-    it gives 4 q.  Quadrants that are mirror images of each other cancel
-    exactly, so data even in x (or y) leave the classes odd in it at 0."""
-    x_even = [q[0][t] + q[1][t] for t in (0, 1)]
-    x_odd = [q[0][t] - q[1][t] for t in (0, 1)]
-    return [[e[0] + e[1], e[0] - e[1]] for e in (x_even, x_odd)]
+    it gives 4 q.  The sums pair the quadrants that x <-> y swaps, so
+    quadrants that are mirror images of each other cancel exactly (data
+    even in x leave the classes odd in x at 0, and so on), and the (even,
+    even) and (odd, odd) outputs of data symmetric under x <-> y are
+    exactly symmetric under the transpose."""
+    diagonal, cross = q[0][0] + q[1][1], q[0][1] + q[1][0]
+    main, side = q[0][0] - q[1][1], q[1][0] - q[0][1]
+    return [[diagonal + cross, main + side], [main - side, diagonal - cross]]
 
 
-def _class_system(M, interior: np.ndarray, rank: np.ndarray, parity: tuple[int, int]):
+def _class_system(M, interior: np.ndarray, rank: np.ndarray, parity: tuple[int, int],
+                  swap: Optional[int] = None):
     """Unknowns and matrix of one mirror-symmetry class of M f = rhs.
 
     parity (a, b) selects the solutions even (0) or odd (1) under x -> -x
     and under y -> -y.  Such a solution is fixed by its values on the
     quarter (k, l) >= 0 of the lattice, zero on the axis of an odd parity.
-    Returns the quarter nodes (k, l) it keeps, sorted by `rank`, and the
-    rows of M at them with each column folded onto its mirror image in the
-    quarter, signed -1 per odd reflection that takes it there.
+    For a = b, swap c additionally selects the solutions even (0) or odd
+    (1) under x <-> y, fixed by their values on the octant l <= k of the
+    quarter (l < k when odd: they vanish on the diagonal).  Returns the
+    nodes (k, l) it keeps, sorted by `rank`, and the rows of M at them with
+    each column folded onto its mirror image among them, signed -1 per odd
+    reflection that takes it there.
     """
     n = interior.shape[0] // 2
     a, b = parity
     keep = interior[n:, n:].copy()
     keep[:a] = False        # an odd class is zero on its axis
     keep[:, :b] = False
+    if swap is not None:
+        keep &= np.tri(n + 1, dtype=bool, k=-swap)
     k, l = np.nonzero(keep)
     order = np.argsort(rank[k, l])
     k, l = k[order], l[order]
@@ -294,8 +306,13 @@ def _class_system(M, interior: np.ndarray, rank: np.ndarray, parity: tuple[int, 
     column[k, l] = np.arange(k.size)
 
     ii, jj = np.nonzero(interior)
-    folded = column[np.abs(ii - n), np.abs(jj - n)]
+    ki, lj = np.abs(ii - n), np.abs(jj - n)
     sign = np.where(ii < n, 1.0 - 2 * a, 1.0) * np.where(jj < n, 1.0 - 2 * b, 1.0)
+    if swap is not None:
+        flip = ki < lj
+        ki, lj = np.maximum(ki, lj), np.minimum(ki, lj)
+        sign[flip] *= 1.0 - 2 * swap
+    folded = column[ki, lj]
     kept = folded >= 0
     E = sp.csr_matrix((sign[kept], (np.flatnonzero(kept), folded[kept])),
                       shape=(ii.size, k.size))
@@ -305,36 +322,51 @@ def _class_system(M, interior: np.ndarray, rank: np.ndarray, parity: tuple[int, 
 
 
 def _mirror_solve(M, rhs: np.ndarray, interior: np.ndarray) -> np.ndarray:
-    """Solve M f = rhs by its mirror symmetry.
+    """Solve M f = rhs by its symmetry under the dihedral group of the square.
 
     The lattice, its interior and the conformal weight are exactly
     invariant under x -> -x, y -> -y and x <-> y, so M commutes with
-    them.  rhs splits into four parity classes, each solved on a quarter
-    lattice (Bossavit, Comput. Methods Appl. Mech. Eng. 56, 1986); the
-    (odd, even) matrix is the (even, odd) one transposed, so one
-    factorization serves both.  A class whose right-hand side is exactly
-    zero has solution zero and is skipped: radial data need one solve.
+    them.  rhs splits into four parity classes under the two reflections
+    (Bossavit, Comput. Methods Appl. Mech. Eng. 56, 1986), each posed on a
+    quarter lattice.  The (even, even) and (odd, odd) classes split again
+    by their parity under x <-> y and are solved on the octant l <= k of
+    the quarter, about N/8 unknowns each (Fassler & Stiefel, Group
+    Theoretical Methods and Their Applications, 1992, ch. 3); the quarter
+    is rebuilt as (symmetric + antisymmetric)/2.  The (odd, even) matrix is
+    the (even, odd) one transposed, so one quarter factorization with two
+    right-hand sides serves both.  A class whose right-hand side is
+    exactly zero has solution zero and is skipped: data symmetric under
+    the whole group (`one`, `coshdist`, the manufactured problem) or odd
+    in x and y and symmetric under x <-> y (`angular`) need one octant
+    solve, data odd in one coordinate one quarter solve, and data with no
+    symmetry four octant solves and one quarter solve.
     """
     n = interior.shape[0] // 2
     full = np.zeros(interior.shape)
     full[interior] = rhs
     r = _mirror_transform(_quadrants(full))
     v = [[np.zeros((n + 1, n + 1)) for _ in (0, 1)] for _ in (0, 1)]
+    halves = [[np.zeros((n + 1, n + 1)) for _ in (0, 1)] for _ in (0, 1)]
     rank = _dissection_rank((n + 1, n + 1))
-    # (parity, [(right-hand side, solution) on the quarter]): the (odd, even)
-    # class is the (even, odd) one on transposed quarters.
-    systems = (((0, 0), [(r[0][0], v[0][0])]),
-               ((1, 1), [(r[1][1], v[1][1])]),
-               ((0, 1), [(r[0][1], v[0][1]), (r[1][0].T, v[1][0].T)]))
-    for parity, pairs in systems:
+    # (parity, swap, [(right-hand side, solution)]): the octant classes
+    # first, then the (even, odd) quarter class with the (odd, even) one on
+    # transposed quarters.
+    systems = [((a, a), c, [(r[a][a] + (1 - 2 * c) * r[a][a].T, halves[a][c])])
+               for a in (0, 1) for c in (0, 1)]
+    systems.append(((0, 1), None, [(r[0][1], v[0][1]), (r[1][0].T, v[1][0].T)]))
+    for parity, swap, pairs in systems:
         pairs = [(given, out) for given, out in pairs if given.any()]
         if not pairs:
             continue
-        (k, l), A = _class_system(M, interior, rank, parity)
+        (k, l), A = _class_system(M, interior, rank, parity, swap)
         b = np.column_stack([given[k, l] for given, _ in pairs])
         x = spla.spsolve(A, b, permc_spec="NATURAL").reshape(k.size, -1)
         for (_, out), col in zip(pairs, x.T):
+            if swap is not None:
+                out[l, k] = (1 - 2 * swap) * col    # the mirror image across the diagonal
             out[k, l] = col
+    for a in (0, 1):
+        v[a][a] = (halves[a][0] + halves[a][1]) / 2.0
     f = np.empty(interior.shape)
     for dest, q in zip(_quadrants(f), _mirror_transform(v)):
         for d, part in zip(dest, q):
@@ -347,11 +379,16 @@ def assemble_and_solve(spec: GridSpec) -> GridField:
 
     Five-point Euclidean stencil scaled by the conformal weight
     (1 - r^2)^2/4 at each interior node.  Up to 1e5 unknowns a direct
-    solve split by mirror symmetry (`_mirror_solve`): at most three
-    quarter-lattice factorizations, one for radial data, each eliminated
-    in a nested-dissection order (`_dissection_rank`) under SuperLU's
-    NATURAL column order.  It agrees with one unsplit factorization up to
-    rounding, within 1e-12 relative.  Conjugate gradients on the
+    solve split by the symmetry of the square (`_mirror_solve`): one
+    octant factorization (about N/8 unknowns) for data symmetric under
+    x -> -x, y -> -y and x <-> y, or odd in x and y and symmetric under
+    x <-> y; one quarter factorization (about N/4) for data odd in one
+    coordinate; four octant and one quarter factorization for data with
+    no symmetry; none for zero data.  Each is eliminated in a
+    nested-dissection order (`_dissection_rank`) under SuperLU's NATURAL
+    column order.  It agrees with one unsplit factorization up to
+    rounding, within 1e-12 * max|f|, and symmetric data give an exactly
+    symmetric solution.  Conjugate gradients on the
     symmetrized system beyond (the weight is positive, so dividing each
     row by it yields an SPD matrix).  Raises SolverError on a degenerate
     grid or CG stall.
@@ -459,9 +496,13 @@ def write_grid_csv(field: GridField, dest: Union[str, TextIO]):
 
     Nodes valued NaN (the exterior ones) carry an empty value column.
     Floats are written with 17 significant digits so output is bit-stable
-    across runs.  Each axis value is formatted once, and each lattice row
-    goes out in one write, built from prebuilt ",x2,tag," cells.  A file
-    named by `dest` is removed again when writing it fails.
+    across runs.  Each axis value and each distinct node value (told apart
+    by its bits, so 0.0 and -0.0 stay apart) is formatted once, the values
+    in one %-format pass: a solution of symmetric data has about N/8
+    distinct values (N/4 when odd).  The body is one join of the prebuilt
+    pieces (x1, ",x2,tag,", value) picked by index, byte for byte what one
+    format per node gives.  A file named by `dest` is removed again when
+    writing it fails.
     """
     if not isinstance(dest, str):
         _write_grid_rows(field, dest)
@@ -479,17 +520,23 @@ def write_grid_csv(field: GridField, dest: Union[str, TextIO]):
 def _write_grid_rows(field: GridField, fh: TextIO):
     coords = [format(x, ".17g") for x in field.axis.tolist()]
     n = len(coords)
-    # cells[tag, j]: the middle of a line at column j, tag included.
-    cells = np.array([[f",{x2},{TAG_NAMES[tag]}," for x2 in coords]
-                      for tag in (INTERIOR, BOUNDARY, EXTERIOR)], dtype=object)
-    columns = np.arange(n)
+    values = field.values.reshape(-1)
+    known = ~np.isnan(values)
+    bits, value_at = np.unique(values[known].view(np.int64), return_inverse=True)
+    # The pieces of a line: x1 by row, ",x2,tag," by (tag, column), then
+    # the value with its newline ("\n" alone when NaN).
+    pieces = np.array(
+        coords + [f",{x2},{TAG_NAMES[tag]}," for tag in sorted(TAG_NAMES) for x2 in coords]
+        + ["\n"] + ("%.17g\n" * bits.size % tuple(bits.view(float).tolist())).splitlines(True),
+        dtype=object)
+    pick = np.empty((n, n, 3), dtype=np.intp)
+    pick[..., 0] = np.arange(n)[:, None]
+    pick[..., 1] = n * (1 + field.tags.astype(np.intp)) + np.arange(n)
+    value = np.full(values.size, 4 * n)
+    value[known] += 1 + value_at.reshape(-1)
+    pick[..., 2] = value.reshape(n, n)
     fh.write("x1,x2,tag,value\n")
-    for x1, tags, vals in zip(coords, field.tags, field.values):
-        known = ~np.isnan(vals)
-        svals = np.full(n, "", dtype=object)
-        svals[known] = [format(v, ".17g") for v in vals[known].tolist()]
-        lines = (cells[tags, columns] + svals).tolist()
-        fh.write(x1 + ("\n" + x1).join(lines) + "\n")
+    fh.write("".join(pieces[pick.reshape(-1)].tolist()))
 
 
 def coshdist_exact(x, y):

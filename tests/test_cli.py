@@ -218,6 +218,30 @@ class TestUsageErrors:
         assert "smallest usable h" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--h", "5e-324", "--out", "/dev/null"),
+        ("solve", "--h", "1e-310", "--out", "/dev/null"),
+        ("converge", "--h", "0.1,1e-310"),
+    ])
+    def test_subnormal_h_is_usage_error(self, argv, capsys):
+        # r_max/h overflows to inf; it used to reach int() in _half_width
+        # and end in an OverflowError traceback
+        code, out = invoke("pde", *argv, "--beta", "1", "--quiet")
+        assert code == EXIT_USAGE
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: mesh spacing h = ")
+        assert "gives a lattice of inf^2 nodes, above the 999^2 cap" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_cap_message_prints_a_huge_lattice_compactly(self, capsys):
+        code, _ = invoke("pde", "solve", "--beta", "1", "--h", "1e-300",
+                         "--out", "/dev/null", "--quiet")
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "usage error: mesh spacing h = 1e-300 gives a lattice of 1.6e+300^2 nodes, "
+            "above the 999^2 cap; the smallest usable h at r_max = 0.8 is 0.00160321\n")
+
     @pytest.mark.parametrize("case", ["missing_directory", "directory"])
     def test_unwritable_out_path_is_refused_before_the_solve(
             self, case, tmp_path, monkeypatch, capsys):
@@ -379,6 +403,43 @@ class TestGoldenOutput:
         code, out = invoke(*argv, "--quiet")
         assert code == exit_code
         assert out.encode() == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+class TestParserReuse:
+    def test_runs_match_a_fresh_parser(self, tmp_path, monkeypatch, capsys):
+        # one parser serves every run of the process; runs of different
+        # subcommands, with usage errors in between, behave as with a
+        # parser built for each run
+        from warpverify import cli
+
+        assert cli.build_parser() is cli.build_parser()
+        dest = str(tmp_path / "g.csv")
+        argvs = [
+            ("relation", "solve", "--m", "3", "--beta", "1", "--quiet"),
+            ("pde", "solve", "--beta", "1", "--rmax", "0.5", "--h", "0.05",
+             "--bc", "angular", "--out", dest, "--quiet"),
+            ("verify", "--m", "3", "--beta", "nan", "--quiet"),
+            ("relation", "sweep", "--m", "2..4", "--beta", "0.5,2", "--format", "json"),
+            ("pde", "solve", "--beta", "1"),
+            ("curvature", "--model", "disk", "--at", "0.1,0.2", "--format", "json"),
+            ("pde", "converge", "--beta", "2", "--h", "0.1,0.05", "--rmax", "0.6",
+             "--format", "csv", "--quiet"),
+            ("relation", "sweep", "--m", "2..x", "--beta", "1"),
+            ("no-such-command",),
+            ("curvature", "--model", "halfplane", "--at", "0.1,0.5", "--quiet"),
+        ]
+
+        def results():
+            seen = []
+            for argv in argvs:
+                code, out = invoke(*argv)
+                seen.append((code, out, capsys.readouterr().err))
+            return seen
+
+        cached = results()
+        assert [code for code, _, _ in cached] == [0, 0, 1, 0, 1, 0, 0, 1, 1, 0]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert results() == cached
 
 
 class TestSolverFailureExit:

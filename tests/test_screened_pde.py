@@ -326,6 +326,12 @@ class TestMaximumPrinciple:
         assert vals.min() >= 0.0 and vals.max() <= 1.0 + 1e-12
 
 
+def d4_images(a):
+    """a under the eight symmetries of the square lattice: the identity,
+    the reflections in the axes and diagonals and the rotations."""
+    return [b for t in (a, a.T) for b in (t, t[::-1, :], t[:, ::-1], t[::-1, ::-1])]
+
+
 class TestSymmetry:
     def test_quarter_turn_invariance(self):
         # radial boundary data on the origin-symmetric lattice
@@ -335,7 +341,25 @@ class TestSymmetry:
         vals = np.where(field.tags == EXTERIOR, 0.0, field.values)
         rotated = np.rot90(vals)
         assert np.array_equal(np.rot90(field.tags), field.tags)
-        assert np.max(np.abs(rotated - vals)) < 1e-11
+        assert np.array_equal(rotated, vals)
+
+    @pytest.mark.parametrize("spec", [
+        GridSpec(beta=1.3, r_max=0.9, h=0.013, boundary=coshdist_exact),
+        GridSpec(beta=0.4, r_max=0.77, h=0.0061, boundary=BOUNDARY_CATALOG["one"]),
+        manufactured_spec(beta=2.5, r_max=0.8, h=0.0093),
+    ], ids=["coshdist", "one", "manufactured"])
+    def test_radial_solutions_are_exactly_d4_invariant(self, spec):
+        values = assemble_and_solve(spec).values
+        for image in d4_images(values):
+            assert np.array_equal(image, values, equal_nan=True)
+
+    def test_angular_solution_is_exactly_odd_and_diagonal_symmetric(self):
+        spec = GridSpec(beta=1.3, r_max=0.9, h=0.011, boundary=BOUNDARY_CATALOG["angular"])
+        values = assemble_and_solve(spec).values
+        assert np.array_equal(-values[::-1, :], values, equal_nan=True)
+        assert np.array_equal(-values[:, ::-1], values, equal_nan=True)
+        assert np.array_equal(values.T, values, equal_nan=True)
+        assert np.nanmax(np.abs(values)) > 0.5
 
 
 def interior_mask(spec):
@@ -487,14 +511,16 @@ class TestMirrorSplit:
 
     @pytest.mark.parametrize("name, solves, classes", [
         ("coshdist", 1, 1), ("one", 1, 1), ("manufactured", 1, 1), ("zero", 0, 0),
-        ("odd-in-x", 1, 1), ("odd-in-y", 1, 1), ("asymmetric-1", 3, 4), ("angular", 1, 1),
+        ("odd-in-x", 1, 1), ("odd-in-y", 1, 1), ("asymmetric-1", 5, 6), ("angular", 1, 1),
     ])
     def test_one_factorization_per_class_the_data_excite(self, name, solves, classes,
                                                          monkeypatch):
-        # radial data excite only the (even, even) class and the angular
-        # data only the (odd, odd) one; the two mixed classes share one
-        # matrix and one solve with two right-hand sides; zero data need no
-        # solve at all
+        # data symmetric under the whole group excite only the symmetric
+        # (even, even) octant class, the angular data only the symmetric
+        # (odd, odd) one and data odd in one coordinate one mixed class;
+        # the two mixed classes share one quarter matrix and one solve with
+        # two right-hand sides; data with no symmetry excite the four
+        # octant classes as well, and zero data need no solve at all
         calls = []
         solve = spla.spsolve
 
@@ -506,8 +532,14 @@ class TestMirrorSplit:
         field = assemble_and_solve(SPLIT_SPECS[name])
         assert len(calls) == solves
         assert sum(columns for _, columns in calls) == classes
-        quarter, edge = field.interior_mask.sum() / 4, 2 * len(field.axis)
-        assert all(quarter - edge < unknowns < quarter + edge for unknowns, _ in calls)
+        # octant solves (about N/8 unknowns, one right-hand side each) come
+        # first, then the quarter solve (about N/4)
+        octants = {"odd-in-x": 0, "odd-in-y": 0, "asymmetric-1": 4}.get(name, solves)
+        n_int, edge = field.interior_mask.sum(), 2 * len(field.axis)
+        for k, (unknowns, columns) in enumerate(calls):
+            part = 8 if k < octants else 4
+            assert columns == 1 or part == 4
+            assert n_int / part - edge < unknowns < n_int / part + edge
 
 
 def reference_grid_csv(field, fh):
@@ -572,6 +604,27 @@ class TestCsvOutput:
         expected = reference_text(field)
         assert path.read_bytes() == expected.encode("ascii")
         assert written_text(field, "textio", tmp_path) == expected
+
+    def test_matches_reference_on_all_distinct_values(self):
+        # no symmetry: nothing for the writer to share between nodes
+        field = assemble_and_solve(seeded_asymmetric_spec(3, r_max=0.85, h=0.006))
+        known = field.values[~np.isnan(field.values)]
+        assert field.values.size > 80_000
+        assert np.unique(known).size == known.size
+        assert written_text(field, "textio", None) == reference_text(field)
+
+    def test_matches_reference_on_an_odd_field(self):
+        # exactly odd in x and y: +-v pairs share their digits but not their
+        # bits, and the axes carry both 0.0 and -0.0
+        field = assemble_and_solve(
+            GridSpec(beta=1.3, r_max=0.9, h=0.011, boundary=BOUNDARY_CATALOG["angular"]))
+        values = field.values
+        assert np.array_equal(-values[::-1, :], values, equal_nan=True)
+        zeros = values[values == 0.0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+        text = written_text(field, "textio", None)
+        assert text == reference_text(field)
+        assert ",boundary,-0\n" in text and ",boundary,0\n" in text
 
     def test_format_and_determinism(self):
         spec = GridSpec(beta=1.0, r_max=0.5, h=0.1,
