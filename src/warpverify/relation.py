@@ -24,6 +24,7 @@ given as int/Fraction, so identities can be asserted exactly.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -76,12 +77,17 @@ class RelationPoly:
 def _validated(m: Number, beta: Number) -> tuple[Number, Number, Number]:
     """Validated (m, beta, 1/2): Fractions when m and beta are both
     int/Fraction, floats otherwise.  m must lie in [1, 2**63), the range of
-    a sweep's int64 m column, which also keeps float(m) finite."""
+    a sweep's int64 m column, which also keeps float(m) finite.  beta**2
+    must be a normal double: a0 and the discriminant carry it, and below
+    that they lose digits to underflow or flush to 0."""
     if m >= 2 ** 63:
         raise ValueError(f"fiber dimension m must be below 2**63, got {m}")
     if float(m) < 1:
         raise ValueError(f"fiber dimension m must be >= 1, got {m}")
     require_finite_positive("screening parameter beta", beta)
+    if beta * beta < sys.float_info.min:
+        raise ValueError(f"screening parameter beta must have beta**2 >= "
+                         f"{sys.float_info.min!r} (the smallest normal double), got {beta}")
     if isinstance(m, (int, Fraction)) and isinstance(beta, (int, Fraction)):
         return Fraction(m), Fraction(beta), Fraction(1, 2)
     return float(m), float(beta), 0.5

@@ -31,10 +31,6 @@ DIRECT_SOLVE_LIMIT = 100_000
 CG_MAX_ITER = 100_000
 CG_RTOL = 1e-12
 
-# Nested dissection stops splitting at lattice blocks of at most this many
-# nodes (about 32-64 each) and numbers them row-major.
-ND_LEAF_NODES = 64
-
 # Largest lattice half-width n (the axis holds 2n + 1 points).  A 999^2
 # lattice, about a million nodes, keeps each per-node float array near 8 MB.
 MAX_HALF_WIDTH = 499
@@ -164,55 +160,6 @@ def _conformal_weight(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (1.0 - r2) ** 2 / 4.0
 
 
-def _dissect(shape: tuple[int, int]) -> list:
-    """Nested dissection of a lattice of the given shape, as the list of
-    its pieces in elimination order.
-
-    A block of more than ND_LEAF_NODES nodes is cut through the middle
-    lattice line of its longer side; its two halves come first, each
-    dissected in turn, and the line last.  Five-point neighbours never lie
-    on opposite sides of a lattice line, so the line separates the halves.
-    Each piece is (rows, cols, split): `split` is the (rows, cols) block
-    that a separator line cuts, None for a leaf block.
-    """
-    parts = []
-
-    def dissect(rows: range, cols: range):
-        if len(rows) * len(cols) <= ND_LEAF_NODES:
-            parts.append((rows, cols, None))
-        elif len(rows) >= len(cols):
-            mid = len(rows) // 2
-            dissect(rows[:mid], cols)
-            dissect(rows[mid + 1:], cols)
-            parts.append((rows[mid:mid + 1], cols, (rows, cols)))
-        else:
-            mid = len(cols) // 2
-            dissect(rows, cols[:mid])
-            dissect(rows, cols[mid + 1:])
-            parts.append((rows, cols[mid:mid + 1], (rows, cols)))
-
-    dissect(range(shape[0]), range(shape[1]))
-    return parts
-
-
-def _dissection_rank(shape: tuple[int, int]) -> np.ndarray:
-    """Elimination rank of every node of a lattice of the given shape:
-    piece by piece along `_dissect`, row-major inside a piece.
-
-    Sorting a set of unknowns by rank gives their nested-dissection order,
-    the near-optimal fill order of the five-point matrix of a 2-D grid
-    (George, SIAM J. Numer. Anal. 10, 1973).
-    """
-    rank = np.empty(shape, dtype=np.int64)
-    start = 0
-    for rows, cols, _ in _dissect(shape):
-        size = len(rows) * len(cols)
-        rank[rows.start:rows.stop, cols.start:cols.stop] = np.arange(
-            start, start + size).reshape(len(rows), len(cols))
-        start += size
-    return rank
-
-
 def _assemble(spec: GridSpec):
     """The spec's lattice and the system M f = rhs of its interior unknowns,
     numbered row-major: (axis, tags, boundary values on the lattice, the
@@ -278,7 +225,7 @@ def _mirror_transform(q: list) -> list:
     return [[diagonal + cross, main + side], [main - side, diagonal - cross]]
 
 
-def _class_system(M, interior: np.ndarray, rank: np.ndarray, parity: tuple[int, int],
+def _class_system(M, interior: np.ndarray, parity: tuple[int, int],
                   swap: Optional[int] = None):
     """Unknowns and matrix of one mirror-symmetry class of M f = rhs.
 
@@ -288,8 +235,8 @@ def _class_system(M, interior: np.ndarray, rank: np.ndarray, parity: tuple[int, 
     For a = b, swap c additionally selects the solutions even (0) or odd
     (1) under x <-> y, fixed by their values on the octant l <= k of the
     quarter (l < k when odd: they vanish on the diagonal).  Returns the
-    nodes (k, l) it keeps, sorted by `rank`, and the rows of M at them with
-    each column folded onto its mirror image among them, signed -1 per odd
+    nodes (k, l) it keeps, row-major, and the rows of M at them with each
+    column folded onto its mirror image among them, signed -1 per odd
     reflection that takes it there.
     """
     n = interior.shape[0] // 2
@@ -300,8 +247,6 @@ def _class_system(M, interior: np.ndarray, rank: np.ndarray, parity: tuple[int, 
     if swap is not None:
         keep &= np.tri(n + 1, dtype=bool, k=-swap)
     k, l = np.nonzero(keep)
-    order = np.argsort(rank[k, l])
-    k, l = k[order], l[order]
     column = np.full(keep.shape, -1)
     column[k, l] = np.arange(k.size)
 
@@ -339,7 +284,8 @@ def _mirror_solve(M, rhs: np.ndarray, interior: np.ndarray) -> np.ndarray:
     the whole group (`one`, `coshdist`, the manufactured problem) or odd
     in x and y and symmetric under x <-> y (`angular`) need one octant
     solve, data odd in one coordinate one quarter solve, and data with no
-    symmetry four octant solves and one quarter solve.
+    symmetry four octant solves and one quarter solve.  SuperLU orders
+    each class matrix by minimum degree on A^T + A (`MMD_AT_PLUS_A`).
     """
     n = interior.shape[0] // 2
     full = np.zeros(interior.shape)
@@ -347,7 +293,6 @@ def _mirror_solve(M, rhs: np.ndarray, interior: np.ndarray) -> np.ndarray:
     r = _mirror_transform(_quadrants(full))
     v = [[np.zeros((n + 1, n + 1)) for _ in (0, 1)] for _ in (0, 1)]
     halves = [[np.zeros((n + 1, n + 1)) for _ in (0, 1)] for _ in (0, 1)]
-    rank = _dissection_rank((n + 1, n + 1))
     # (parity, swap, [(right-hand side, solution)]): the octant classes
     # first, then the (even, odd) quarter class with the (odd, even) one on
     # transposed quarters.
@@ -358,9 +303,9 @@ def _mirror_solve(M, rhs: np.ndarray, interior: np.ndarray) -> np.ndarray:
         pairs = [(given, out) for given, out in pairs if given.any()]
         if not pairs:
             continue
-        (k, l), A = _class_system(M, interior, rank, parity, swap)
+        (k, l), A = _class_system(M, interior, parity, swap)
         b = np.column_stack([given[k, l] for given, _ in pairs])
-        x = spla.spsolve(A, b, permc_spec="NATURAL").reshape(k.size, -1)
+        x = spla.spsolve(A, b, permc_spec="MMD_AT_PLUS_A").reshape(k.size, -1)
         for (_, out), col in zip(pairs, x.T):
             if swap is not None:
                 out[l, k] = (1 - 2 * swap) * col    # the mirror image across the diagonal
@@ -384,14 +329,13 @@ def assemble_and_solve(spec: GridSpec) -> GridField:
     x -> -x, y -> -y and x <-> y, or odd in x and y and symmetric under
     x <-> y; one quarter factorization (about N/4) for data odd in one
     coordinate; four octant and one quarter factorization for data with
-    no symmetry; none for zero data.  Each is eliminated in a
-    nested-dissection order (`_dissection_rank`) under SuperLU's NATURAL
-    column order.  It agrees with one unsplit factorization up to
-    rounding, within 1e-12 * max|f|, and symmetric data give an exactly
-    symmetric solution.  Conjugate gradients on the
-    symmetrized system beyond (the weight is positive, so dividing each
-    row by it yields an SPD matrix).  Raises SolverError on a degenerate
-    grid or CG stall.
+    no symmetry; none for zero data.  SuperLU orders each by minimum
+    degree on A^T + A (`MMD_AT_PLUS_A`; Liu, ACM TOMS 11, 1985).  It
+    agrees with one unsplit factorization up to rounding, within
+    1e-12 * max|f|, and symmetric data give an exactly symmetric
+    solution.  Conjugate gradients on the symmetrized system beyond (the
+    weight is positive, so dividing each row by it yields an SPD matrix).
+    Raises SolverError on a degenerate grid or CG stall.
     """
     axis, tags, bvals, weight, M, rhs = _assemble(spec)
     interior = tags == INTERIOR

@@ -284,6 +284,23 @@ class TestUsageErrors:
         assert capsys.readouterr().err == (
             f"usage error: fiber dimension m must be below 2**63, got {m}\n")
 
+    @pytest.mark.parametrize("beta", ["1e-160", "1e-162"])
+    @pytest.mark.parametrize("argv, betas", [
+        (("relation", "solve", "--m", "3"), "{}"),
+        (("verify", "--m", "3"), "{}"),
+        (("relation", "sweep", "--m", "3..3"), "1,{}"),
+    ])
+    def test_beta_squared_below_the_smallest_normal_is_usage_error(
+            self, argv, betas, beta, capsys):
+        # 1e-160 used to print a root 6.5e-6 off as admissible, 1e-162 to
+        # find no admissible root: a0 = beta**2 (m**2 + m)/2 underflowed
+        code, out = invoke(*argv, "--beta", betas.format(beta), "--quiet")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert capsys.readouterr().err == (
+            "usage error: screening parameter beta must have beta**2 >= "
+            f"2.2250738585072014e-308 (the smallest normal double), got {beta}\n")
+
     @pytest.mark.parametrize("beta", ["1e-110", "1e110"])
     def test_metric_scale_beyond_double_range_is_usage_error(self, beta, capsys):
         # the base metric is the unit metric times 1/(-K), about 1/beta here
@@ -481,25 +498,74 @@ GOOD = {
     "ladder": st.sampled_from(["0.1,0.05", "0.08,0.04,0.02", "0.125,0.0625"]),
     "out": st.just("file"),
 }
-BAD_NUMBERS = st.sampled_from([
+BAD_NUMBER_VALUES = [
     "nan", "-nan", "inf", "-inf", "0", "-0", "-1", "-0.05", "1e-5", "1",
     "1e-320", "0.5", "abc", "",
-])
+]
+BAD_LADDER_VALUES = ["", ",", "0.1", "0.05,0.1", "0.1,0.1", "0.1,,0.05",
+                     "0.1;0.05", "0.1 0.05", "0.1,0.05,", "0.1,1e-5"]
+BAD_OUT_VALUES = ["missing_directory", "directory", "empty", "under_a_file"]
+BAD_NUMBERS = st.sampled_from(BAD_NUMBER_VALUES)
 BAD = {
     "beta": BAD_NUMBERS,
     "rmax": BAD_NUMBERS,
     "h": BAD_NUMBERS,
     "ladder": st.one_of(
         st.lists(BAD_NUMBERS, max_size=3).map(",".join),
-        st.sampled_from(["", ",", "0.1", "0.05,0.1", "0.1,0.1", "0.1,,0.05",
-                         "0.1;0.05", "0.1 0.05", "0.1,0.05,", "0.1,1e-5"])),
-    "out": st.sampled_from(["missing_directory", "directory", "empty", "under_a_file"]),
+        st.sampled_from(BAD_LADDER_VALUES)),
+    "out": st.sampled_from(BAD_OUT_VALUES),
 }
+# Every value a BAD strategy samples on its own (a ladder of one bad
+# number included), and one valid value of each option.
+EACH_BAD = {
+    "beta": BAD_NUMBER_VALUES,
+    "rmax": BAD_NUMBER_VALUES,
+    "h": BAD_NUMBER_VALUES,
+    "ladder": sorted(set(BAD_NUMBER_VALUES) | set(BAD_LADDER_VALUES)),
+    "out": BAD_OUT_VALUES,
+}
+ONE_GOOD = {"beta": "1", "rmax": "0.6", "h": "0.1", "ladder": "0.1,0.05", "out": "file"}
+PDE_OPTIONS = {"solve": ("beta", "rmax", "h", "out"), "converge": ("beta", "rmax", "ladder")}
+
+
+def run_pde_argv(command, arg, choice):
+    """Run `pde command` with the option values `arg` (`choice` is the
+    --bc of a solve, the --format of a study) in a fresh directory; returns
+    (argv, exit code, stdout, stderr, whether a grid file was left)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        blocker = os.path.join(tmp, "blocker")
+        open(blocker, "w").close()
+        dest = {"file": os.path.join(tmp, "g.csv"),
+                "missing_directory": os.path.join(tmp, "no", "g.csv"),
+                "directory": tmp, "empty": "",
+                "under_a_file": os.path.join(blocker, "g.csv")}[arg["out"]]
+        argv = ["pde", command, "--beta", arg["beta"], "--quiet"]
+        argv += [] if arg["rmax"] is None else ["--rmax", arg["rmax"]]
+        if command == "solve":
+            argv += ["--h", arg["h"], "--out", dest, "--bc", choice]
+        else:
+            argv += ["--h", arg["ladder"], "--format", choice]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = invoke(*argv)
+        wrote = os.path.exists(os.path.join(tmp, "g.csv"))
+    return argv, code, out, err.getvalue(), wrote
+
+
+def assert_exit_code_and_streams(argv, code, out, err, wrote):
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_SOLVER), argv
+    assert "Traceback" not in err
+    if code == EXIT_OK:
+        assert "nan" not in out.lower(), argv
+    else:
+        assert out == "" and err.count("\n") == 1, argv
+        assert not wrote, argv
 
 
 class TestPdeArgvProperty:
     """Fuzzes `pde solve` and `pde converge` argv, breaking up to two
-    options at a time.
+    options at a time, and breaks each option alone with each of its bad
+    values.
 
     The relation commands are left out: near beta = sqrt(2) the published
     relation at large m raises an ArithmeticError that the CLI does not
@@ -514,30 +580,18 @@ class TestPdeArgvProperty:
         broken = data.draw(st.sets(st.sampled_from(sorted(GOOD)), max_size=2))
         arg = {name: data.draw((BAD if name in broken else GOOD)[name])
                for name in sorted(GOOD)}
-        with tempfile.TemporaryDirectory() as tmp:
-            blocker = os.path.join(tmp, "blocker")
-            open(blocker, "w").close()
-            dest = {"file": os.path.join(tmp, "g.csv"),
-                    "missing_directory": os.path.join(tmp, "no", "g.csv"),
-                    "directory": tmp, "empty": "",
-                    "under_a_file": os.path.join(blocker, "g.csv")}[arg["out"]]
-            argv = ["pde", command, "--beta", arg["beta"], "--quiet"]
-            argv += [] if arg["rmax"] is None else ["--rmax", arg["rmax"]]
-            if command == "solve":
-                argv += ["--h", arg["h"], "--out", dest,
-                         "--bc", data.draw(st.sampled_from(["zero", "one", "coshdist",
-                                                            "angular"]))]
-            else:
-                argv += ["--h", arg["ladder"],
-                         "--format", data.draw(st.sampled_from(["text", "csv", "json"]))]
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                code, out = invoke(*argv)
-            wrote = os.path.exists(os.path.join(tmp, "g.csv"))
-        assert code in (EXIT_OK, EXIT_USAGE, EXIT_SOLVER), argv
-        assert "Traceback" not in err.getvalue()
-        if code == EXIT_OK:
-            assert "nan" not in out.lower(), argv
-        else:
-            assert out == "" and err.getvalue().count("\n") == 1, argv
-            assert not wrote, argv
+        choice = data.draw(st.sampled_from(
+            ["zero", "one", "coshdist", "angular"] if command == "solve"
+            else ["text", "csv", "json"]))
+        assert_exit_code_and_streams(*run_pde_argv(command, arg, choice))
+
+    @pytest.mark.parametrize("command, name, value", [
+        (command, name, value)
+        for command, names in PDE_OPTIONS.items()
+        for name in names for value in EACH_BAD[name]])
+    def test_each_bad_value_alone(self, command, name, value):
+        # the property draws few examples per value; here every bad value
+        # breaks its option once with every other option valid
+        arg = {**ONE_GOOD, name: value}
+        choice = "angular" if command == "solve" else "json"
+        assert_exit_code_and_streams(*run_pde_argv(command, arg, choice))

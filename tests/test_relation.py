@@ -327,6 +327,31 @@ class TestSolveLambda:
         assert worst < 1e-9
 
 
+class TestSmallestBeta:
+    """beta**2 enters a0 and the discriminant, so a beta whose square is
+    not a normal double is refused instead of solved in underflow: at
+    beta = 1e-160 the admissible root came out 6.5e-6 off, at 1e-162 a0
+    flushed to 0 and the root was lost."""
+
+    @pytest.mark.parametrize("variant", [REDERIVED, PUBLISHED])
+    @pytest.mark.parametrize("beta", [1e-160, 1e-162, 1.49e-154, Fraction(1, 10 ** 160)])
+    def test_beta_squared_below_the_smallest_normal_is_refused(self, beta, variant):
+        with pytest.raises(ValueError, match=r"beta must have beta\*\*2 >= "):
+            relation_poly(3, beta, variant)
+        with pytest.raises(ValueError, match=r"beta must have beta\*\*2 >= "):
+            existence_sweep((3, 4), [1.0, float(beta)], variant)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 100, 10 ** 6])
+    def test_beta_above_the_floor_keeps_the_closed_form_root(self, m):
+        beta = 2e-154
+        exact = -beta * (m + 1) / 2
+        lam = solve_lambda(poly_rederived(m, beta)).admissible_roots
+        row = existence_sweep((m, m), [beta]).admissible_root
+        assert len(lam) == 1 and row.shape == (1,)
+        for value in (lam[0], row[0]):
+            assert abs(value - exact) <= 1e-15 * abs(exact)
+
+
 class TestExistenceSweep:
     def test_unit_screening_verdicts(self):
         table = existence_sweep((2, 4), [1.0], REDERIVED)

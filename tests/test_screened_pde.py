@@ -13,9 +13,9 @@ from warpverify import screened_pde
 from warpverify.cli import BOUNDARY_CATALOG, run
 from warpverify.errors import SolverError
 from warpverify.screened_pde import (
-    BOUNDARY, EXTERIOR, INTERIOR, ND_LEAF_NODES, TAG_NAMES, ConvergenceRow,
-    GridField, GridSpec, _assemble, _class_system, _conformal_weight, _dissect,
-    _dissection_rank, _lattice, assemble_and_solve, convergence_study, coshdist_exact, manufactured_spec,
+    BOUNDARY, EXTERIOR, INTERIOR, TAG_NAMES, ConvergenceRow, GridField,
+    GridSpec, _assemble, _class_system, _conformal_weight, _lattice,
+    assemble_and_solve, convergence_study, coshdist_exact, manufactured_spec,
     residual_field, sample_exact, write_grid_csv,
 )
 
@@ -362,15 +362,6 @@ class TestSymmetry:
         assert np.nanmax(np.abs(values)) > 0.5
 
 
-def interior_mask(spec):
-    return _lattice(spec)[1] == INTERIOR
-
-
-def nd_order(interior):
-    """The interior unknowns (row-major) in nested-dissection order."""
-    return np.argsort(_dissection_rank(interior.shape)[interior])
-
-
 def reference_solve(spec, **options):
     """Interior values from one unsplit `spsolve` of the assembled system."""
     *_, M, rhs = _assemble(spec)
@@ -381,76 +372,6 @@ def assert_matches_reference(field, reference):
     solved = field.values[field.interior_mask]
     scale = np.max(np.abs(reference))
     assert np.max(np.abs(solved - reference)) <= 1e-12 * scale
-
-
-DISSECTED_SPECS = [
-    GridSpec(beta=1.0, r_max=0.3, h=0.05),
-    GridSpec(beta=1.3, r_max=0.9, h=0.03),
-    manufactured_spec(beta=2.5, r_max=0.8, h=0.01),
-]
-
-
-class TestNestedDissection:
-    @pytest.mark.parametrize("spec", DISSECTED_SPECS)
-    def test_order_is_a_permutation(self, spec):
-        interior = interior_mask(spec)
-        order = nd_order(interior)
-        assert order.dtype.kind == "i"
-        assert np.array_equal(np.sort(order), np.arange(interior.sum()))
-
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 200), (9, 8), (61, 61),
-                                       (161, 161), (37, 250)])
-    def test_pieces_tile_the_lattice_and_leaves_touch_only_separators(self, shape):
-        pieces = _dissect(shape)
-        label = np.full(shape, -1)
-        for k, (rows, cols, _) in enumerate(pieces):
-            block = label[rows.start:rows.stop, cols.start:cols.stop]
-            assert np.all(block == -1)
-            block[...] = k
-        assert np.all(label >= 0)
-        is_leaf = np.array([split is None for _, _, split in pieces])
-        for rows, cols, split in pieces:
-            if split is None:
-                assert len(rows) * len(cols) <= ND_LEAF_NODES
-            else:
-                assert len(rows) == 1 or len(cols) == 1
-        # every five-point edge between two leaf nodes stays in one leaf
-        for a, b in ((label[:-1, :], label[1:, :]), (label[:, :-1], label[:, 1:])):
-            both = is_leaf[a] & is_leaf[b]
-            assert np.array_equal(a[both], b[both])
-
-    @pytest.mark.parametrize("spec", DISSECTED_SPECS)
-    def test_separators_eliminated_after_the_blocks_they_split(self, spec):
-        interior = interior_mask(spec)
-        order = nd_order(interior)
-        step = np.full(interior.shape, -1)
-        step[interior] = np.argsort(order)      # when each node is eliminated
-        separators = 0
-        for rows, cols, split in _dissect(interior.shape):
-            if split is None:
-                continue
-            line = step[rows.start:rows.stop, cols.start:cols.stop]
-            block = step[split[0].start:split[0].stop, split[1].start:split[1].stop]
-            line, block = line[line >= 0], block[block >= 0]
-            if line.size == 0:
-                continue
-            separators += 1
-            # the block is one contiguous stretch of the order, its
-            # separator line at the end of it
-            assert np.array_equal(np.sort(block),
-                                  np.arange(block.max() - block.size + 1, block.max() + 1))
-            assert line.min() == block.max() - line.size + 1
-        assert separators > 0
-
-    @pytest.mark.parametrize("spec", [
-        *(GridSpec(beta=1.3, r_max=0.9, h=0.02, boundary=fn)
-          for _, fn in sorted(BOUNDARY_CATALOG.items())),
-        manufactured_spec(beta=2.5, r_max=0.8, h=0.02),
-    ], ids=[*sorted(BOUNDARY_CATALOG), "manufactured"])
-    def test_direct_solve_matches_natural_order(self, spec):
-        # the split, dissected solve against one unsplit natural-order solve
-        assert_matches_reference(assemble_and_solve(spec),
-                                 reference_solve(spec, permc_spec="NATURAL"))
 
 
 def mirrored(a):
@@ -496,10 +417,17 @@ class TestMirrorSplit:
     def test_even_odd_matrix_is_the_transposed_odd_even_one(self, name):
         _, tags, _, _, M, _ = _assemble(SPLIT_SPECS[name])
         interior = tags == INTERIOR
-        rank = _dissection_rank((tags.shape[0] // 2 + 1,) * 2)
-        (k, l), even_odd = _class_system(M, interior, rank, (0, 1))
-        (k_t, l_t), odd_even = _class_system(M, interior, rank.T, (1, 0))
-        assert np.array_equal(k, l_t) and np.array_equal(l, k_t)
+        (k, l), even_odd = _class_system(M, interior, (0, 1))
+        (k_t, l_t), odd_even = _class_system(M, interior, (1, 0))
+        # both number their nodes row-major; renumber the (odd, even)
+        # unknowns so that its j-th sits at the transpose of the j-th
+        # (even, odd) node
+        index = np.full(interior.shape, -1)
+        index[k_t, l_t] = np.arange(k_t.size)
+        order = index[l, k]
+        assert np.array_equal(np.sort(order), np.arange(k.size))
+        assert np.array_equal(k, l_t[order]) and np.array_equal(l, k_t[order])
+        odd_even = odd_even[order][:, order]
         assert even_odd.shape == odd_even.shape == (k.size, k.size)
         assert (even_odd != odd_even).nnz == 0
         assert even_odd.nnz == odd_even.nnz
@@ -508,6 +436,16 @@ class TestMirrorSplit:
     def test_split_solve_matches_one_unsplit_spsolve(self, name):
         spec = SPLIT_SPECS[name]
         assert_matches_reference(assemble_and_solve(spec), reference_solve(spec))
+
+    @pytest.mark.parametrize("spec", [
+        *(GridSpec(beta=1.3, r_max=0.9, h=0.02, boundary=fn)
+          for _, fn in sorted(BOUNDARY_CATALOG.items())),
+        manufactured_spec(beta=2.5, r_max=0.8, h=0.02),
+    ], ids=[*sorted(BOUNDARY_CATALOG), "manufactured"])
+    def test_direct_solve_matches_natural_order(self, spec):
+        # the split solve against one unsplit natural-order solve
+        assert_matches_reference(assemble_and_solve(spec),
+                                 reference_solve(spec, permc_spec="NATURAL"))
 
     @pytest.mark.parametrize("name, solves, classes", [
         ("coshdist", 1, 1), ("one", 1, 1), ("manufactured", 1, 1), ("zero", 0, 0),
