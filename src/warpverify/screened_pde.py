@@ -26,7 +26,8 @@ from .errors import SolverError, require_finite_positive
 INTERIOR, BOUNDARY, EXTERIOR = 0, 1, 2
 TAG_NAMES = {INTERIOR: "interior", BOUNDARY: "boundary", EXTERIOR: "exterior"}
 
-# Direct sparse factorization up to this many unknowns, CG beyond.
+# Each symmetry class is factorized up to this many lattice unknowns and
+# solved by conjugate gradients beyond.
 DIRECT_SOLVE_LIMIT = 100_000
 CG_MAX_ITER = 100_000
 CG_RTOL = 1e-12
@@ -225,7 +226,7 @@ def _mirror_transform(q: list) -> list:
     return [[diagonal + cross, main + side], [main - side, diagonal - cross]]
 
 
-def _class_system(M, interior: np.ndarray, parity: tuple[int, int],
+def _class_system(M, num: np.ndarray, parity: tuple[int, int],
                   swap: Optional[int] = None):
     """Unknowns and matrix of one mirror-symmetry class of M f = rhs.
 
@@ -234,14 +235,18 @@ def _class_system(M, interior: np.ndarray, parity: tuple[int, int],
     quarter (k, l) >= 0 of the lattice, zero on the axis of an odd parity.
     For a = b, swap c additionally selects the solutions even (0) or odd
     (1) under x <-> y, fixed by their values on the octant l <= k of the
-    quarter (l < k when odd: they vanish on the diagonal).  Returns the
-    nodes (k, l) it keeps, row-major, and the rows of M at them with each
-    column folded onto its mirror image among them, signed -1 per odd
-    reflection that takes it there.
+    quarter (l < k when odd: they vanish on the diagonal).  num numbers
+    the interior nodes of the lattice as the rows of M (-1 elsewhere).
+    Returns the nodes (k, l) it keeps, row-major, the rows of M at them
+    with each column folded onto its mirror image among them, and the
+    orbit size of each kept node: the number of interior nodes folded onto
+    it.  Only the stencils of the kept rows are read.  They reach an axis
+    or the diagonal on which the class is odd but never cross it, so no
+    fold changes a sign.
     """
-    n = interior.shape[0] // 2
+    n = num.shape[0] // 2
     a, b = parity
-    keep = interior[n:, n:].copy()
+    keep = num[n:, n:] >= 0
     keep[:a] = False        # an odd class is zero on its axis
     keep[:, :b] = False
     if swap is not None:
@@ -250,23 +255,49 @@ def _class_system(M, interior: np.ndarray, parity: tuple[int, int],
     column = np.full(keep.shape, -1)
     column[k, l] = np.arange(k.size)
 
-    ii, jj = np.nonzero(interior)
-    ki, lj = np.abs(ii - n), np.abs(jj - n)
-    sign = np.where(ii < n, 1.0 - 2 * a, 1.0) * np.where(jj < n, 1.0 - 2 * b, 1.0)
+    # The columns of a row of M, in increasing order, are its interior
+    # nodes among (k - 1, l), (k, l - 1), (k, l), (k, l + 1), (k + 1, l);
+    # the interior is mirror invariant, so it is read at their images.
+    i = np.abs(k[:, None] + np.array([-1, 0, 0, 0, 1]))
+    j = np.abs(l[:, None] + np.array([0, -1, 0, 1, 0]))
     if swap is not None:
-        flip = ki < lj
-        ki, lj = np.maximum(ki, lj), np.minimum(ki, lj)
-        sign[flip] *= 1.0 - 2 * swap
-    folded = column[ki, lj]
-    kept = folded >= 0
-    E = sp.csr_matrix((sign[kept], (np.flatnonzero(kept), folded[kept])),
-                      shape=(ii.size, k.size))
-    num = np.full(interior.shape, -1, dtype=np.int64)
-    num[interior] = np.arange(ii.size)
-    return (k, l), M[num[n + k, n + l]] @ E
+        i, j = np.maximum(i, j), np.minimum(i, j)
+    coupled = num[n + i, n + j] >= 0
+    values = np.zeros(i.shape)
+    values[coupled] = M[num[n + k, n + l]].data
+    folded = column[i, j]
+    kept = coupled & (folded >= 0)
+    A = sp.csr_matrix((values[kept], folded[kept], np.append(0, np.cumsum(kept.sum(axis=1)))),
+                      shape=(k.size, k.size))
+    A.sum_duplicates()
+    orbit = (1 + (k > 0)) * (1 + (l > 0)) * (1 + (swap is not None) * (k != l))
+    return (k, l), A, orbit
 
 
-def _mirror_solve(M, rhs: np.ndarray, interior: np.ndarray) -> np.ndarray:
+def _class_cg(A, b: np.ndarray, root: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Conjugate gradients on one class system A x = b.
+
+    root is the square root of the orbit size of each kept node (the
+    number of lattice nodes folded onto it) and w the conformal weight at
+    it.  Scaling class vectors by root maps them isometrically onto the
+    lattice vectors of the class, so B = diag(root / w) A diag(1 / root)
+    is the symmetric positive definite diag(1/w) M restricted to them and
+    CG on B y = (root / w) b, x = y / root, runs the same iteration as CG
+    on the whole lattice would (Hestenes & Stiefel, J. Res. NBS 49, 1952).
+    Raises SolverError with the class's relative residual on a stall.
+    """
+    B = sp.diags(root / w) @ A @ sp.diags(1.0 / root)
+    y, info = spla.cg(B, root / w * b, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAX_ITER)
+    x = y / root
+    if info != 0:
+        res = float(np.linalg.norm(A @ x - b) / np.linalg.norm(b))
+        raise SolverError(f"conjugate-gradient solve did not converge (info={info})",
+                          final_residual=res)
+    return x
+
+
+def _mirror_solve(M, rhs: np.ndarray, interior: np.ndarray, weight: np.ndarray,
+                  cg: bool) -> np.ndarray:
     """Solve M f = rhs by its symmetry under the dihedral group of the square.
 
     The lattice, its interior and the conformal weight are exactly
@@ -278,16 +309,20 @@ def _mirror_solve(M, rhs: np.ndarray, interior: np.ndarray) -> np.ndarray:
     the quarter, about N/8 unknowns each (Fassler & Stiefel, Group
     Theoretical Methods and Their Applications, 1992, ch. 3); the quarter
     is rebuilt as (symmetric + antisymmetric)/2.  The (odd, even) matrix is
-    the (even, odd) one transposed, so one quarter factorization with two
-    right-hand sides serves both.  A class whose right-hand side is
-    exactly zero has solution zero and is skipped: data symmetric under
-    the whole group (`one`, `coshdist`, the manufactured problem) or odd
-    in x and y and symmetric under x <-> y (`angular`) need one octant
-    solve, data odd in one coordinate one quarter solve, and data with no
-    symmetry four octant solves and one quarter solve.  SuperLU orders
-    each class matrix by minimum degree on A^T + A (`MMD_AT_PLUS_A`).
+    the (even, odd) one transposed, so one quarter matrix serves both.  A
+    class whose right-hand side is exactly zero has solution zero and is
+    skipped: data symmetric under the whole group (`one`, `coshdist`, the
+    manufactured problem) or odd in x and y and symmetric under x <-> y
+    (`angular`) need one octant solve, data odd in one coordinate one
+    quarter solve (two right-hand sides), and data with no symmetry four
+    octant solves and one quarter solve.  Each class is solved directly,
+    SuperLU ordering it by minimum degree on A^T + A (`MMD_AT_PLUS_A`), or
+    with `cg` by conjugate gradients (`_class_cg`), once per right-hand
+    side.
     """
     n = interior.shape[0] // 2
+    num = np.full(interior.shape, -1)
+    num[interior] = np.arange(rhs.size)
     full = np.zeros(interior.shape)
     full[interior] = rhs
     r = _mirror_transform(_quadrants(full))
@@ -303,9 +338,13 @@ def _mirror_solve(M, rhs: np.ndarray, interior: np.ndarray) -> np.ndarray:
         pairs = [(given, out) for given, out in pairs if given.any()]
         if not pairs:
             continue
-        (k, l), A = _class_system(M, interior, parity, swap)
+        (k, l), A, orbit = _class_system(M, num, parity, swap)
         b = np.column_stack([given[k, l] for given, _ in pairs])
-        x = spla.spsolve(A, b, permc_spec="MMD_AT_PLUS_A").reshape(k.size, -1)
+        if cg:
+            w = weight[num[n + k, n + l]]
+            x = np.column_stack([_class_cg(A, col, np.sqrt(orbit), w) for col in b.T])
+        else:
+            x = spla.spsolve(A, b, permc_spec="MMD_AT_PLUS_A").reshape(k.size, -1)
         for (_, out), col in zip(pairs, x.T):
             if swap is not None:
                 out[l, k] = (1 - 2 * swap) * col    # the mirror image across the diagonal
@@ -323,38 +362,25 @@ def assemble_and_solve(spec: GridSpec) -> GridField:
     """Discretize (beta I - lap_g) f = psi with Dirichlet data and solve.
 
     Five-point Euclidean stencil scaled by the conformal weight
-    (1 - r^2)^2/4 at each interior node.  Up to 1e5 unknowns a direct
-    solve split by the symmetry of the square (`_mirror_solve`): one
-    octant factorization (about N/8 unknowns) for data symmetric under
-    x -> -x, y -> -y and x <-> y, or odd in x and y and symmetric under
-    x <-> y; one quarter factorization (about N/4) for data odd in one
-    coordinate; four octant and one quarter factorization for data with
-    no symmetry; none for zero data.  SuperLU orders each by minimum
-    degree on A^T + A (`MMD_AT_PLUS_A`; Liu, ACM TOMS 11, 1985).  It
-    agrees with one unsplit factorization up to rounding, within
-    1e-12 * max|f|, and symmetric data give an exactly symmetric
-    solution.  Conjugate gradients on the symmetrized system beyond (the
-    weight is positive, so dividing each row by it yields an SPD matrix).
+    (1 - r^2)^2/4 at each interior node, solved split by the symmetry of
+    the square (`_mirror_solve`): one octant system (about N/8 unknowns)
+    for data symmetric under x -> -x, y -> -y and x <-> y, or odd in x and
+    y and symmetric under x <-> y; one quarter system (about N/4) for data
+    odd in one coordinate; four octant and one quarter system for data
+    with no symmetry; none for zero data.  Up to 1e5 unknowns each class
+    is factorized, SuperLU ordering it by minimum degree on A^T + A
+    (`MMD_AT_PLUS_A`; Liu, ACM TOMS 11, 1985); this agrees with one
+    unsplit factorization up to rounding, within 1e-12 * max|f|, and
+    symmetric data give an exactly symmetric solution.  Beyond, each class
+    runs conjugate gradients on its symmetrized system (`_class_cg`), the
+    whole-lattice iteration restricted to the class: each class stops at
+    ||r|| <= CG_RTOL ||b||, so the whole system meets that bound too.
     Raises SolverError on a degenerate grid or CG stall.
     """
     axis, tags, bvals, weight, M, rhs = _assemble(spec)
     interior = tags == INTERIOR
     boundary = tags == BOUNDARY
-
-    if M.shape[0] <= DIRECT_SOLVE_LIMIT:
-        sol = _mirror_solve(M, rhs, interior)
-    else:
-        # Symmetrize: rows share the factor w; dividing by it makes
-        # beta diag(1/w) + (five-point graph laplacian), which is SPD.
-        d = 1.0 / weight
-        D = sp.diags(d)
-        sol, info = spla.cg(D @ M, d * rhs, rtol=CG_RTOL, atol=0.0,
-                            maxiter=CG_MAX_ITER)
-        if info != 0:
-            res = float(np.linalg.norm(M @ sol - rhs) / np.linalg.norm(rhs))
-            raise SolverError(
-                f"conjugate-gradient solve did not converge (info={info})",
-                final_residual=res)
+    sol = _mirror_solve(M, rhs, interior, weight, cg=M.shape[0] > DIRECT_SOLVE_LIMIT)
 
     values = np.full(tags.shape, np.nan)
     values[interior] = sol

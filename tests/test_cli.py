@@ -160,6 +160,16 @@ class TestPde:
         assert lines[0] == "h,max_error,observed_rate"
         assert len(lines) == 3
 
+    def test_calibration_ladder_max_errors(self):
+        # the two coarse levels are solved directly, the finest (about
+        # 1.6e5 unknowns) by conjugate gradients on one octant
+        code, out = invoke("pde", "converge", "--beta", "2.5", "--h", "0.01,0.005,0.0035",
+                           "--rmax", "0.8", "--format", "json", "--quiet")
+        assert code == EXIT_OK
+        errors = [row["max_error"] for row in json.loads(out)["rows"]]
+        assert errors == pytest.approx([6.9056576344e-4, 1.8276706058e-4, 9.1718927e-5],
+                                       rel=0, abs=1e-10)
+
 
 class TestUsageErrors:
     def test_unknown_command(self):
@@ -474,6 +484,20 @@ class TestSolverFailureExit:
                          "--quiet")
         assert code == EXIT_SOLVER
         assert not dest.exists()
+
+    def test_conjugate_gradient_stall(self, monkeypatch, tmp_path, capsys):
+        from warpverify import screened_pde
+
+        monkeypatch.setattr(screened_pde, "DIRECT_SOLVE_LIMIT", 0)
+        monkeypatch.setattr(screened_pde, "CG_MAX_ITER", 1)
+        dest = tmp_path / "g.csv"
+        code, _ = invoke("pde", "solve", "--beta", "1", "--rmax", "0.5",
+                         "--h", "0.05", "--bc", "coshdist", "--out", str(dest),
+                         "--quiet")
+        assert code == EXIT_SOLVER
+        assert not dest.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: conjugate-gradient") and "Traceback" not in err
 
 
 class TestJsonEmitter:

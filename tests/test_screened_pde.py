@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from warpverify import screened_pde
@@ -401,6 +402,47 @@ SPLIT_SPECS = {
 }
 
 
+def numbering(interior):
+    """The rows of M at the interior nodes of the lattice, -1 elsewhere."""
+    num = np.full(interior.shape, -1)
+    num[interior] = np.arange(interior.sum())
+    return num
+
+
+def folded_whole_rows(M, interior, parity, swap=None):
+    """A class system built over every interior node: the fold map of all
+    of them onto the kept nodes as a signed matrix E, then M[rows] @ E.
+    Returns the kept nodes, the matrix and the orbit sizes (how many
+    interior nodes E folds onto each kept node)."""
+    n = interior.shape[0] // 2
+    a, b = parity
+    keep = interior[n:, n:].copy()
+    keep[:a] = False
+    keep[:, :b] = False
+    if swap is not None:
+        keep &= np.tri(n + 1, dtype=bool, k=-swap)
+    k, l = np.nonzero(keep)
+    column = np.full(keep.shape, -1)
+    column[k, l] = np.arange(k.size)
+    ii, jj = np.nonzero(interior)
+    ki, lj = np.abs(ii - n), np.abs(jj - n)
+    sign = np.where(ii < n, 1.0 - 2 * a, 1.0) * np.where(jj < n, 1.0 - 2 * b, 1.0)
+    if swap is not None:
+        flip = ki < lj
+        ki, lj = np.maximum(ki, lj), np.minimum(ki, lj)
+        sign[flip] *= 1.0 - 2 * swap
+    folded = column[ki, lj]
+    kept = folded >= 0
+    E = sp.csr_matrix((sign[kept], (np.flatnonzero(kept), folded[kept])),
+                      shape=(ii.size, k.size))
+    rows = numbering(interior)[n + k, n + l]
+    return (k, l), M[rows] @ E, np.bincount(folded[kept], minlength=k.size)
+
+
+CLASSES = [((0, 0), 0), ((0, 0), 1), ((1, 1), 0), ((1, 1), 1), ((0, 1), None),
+           ((1, 0), None), ((0, 0), None), ((1, 1), None)]
+
+
 class TestMirrorSplit:
     @pytest.mark.parametrize("r_max, h", [(0.3, 0.05), (0.9, 0.03), (0.8, 0.0123),
                                           (0.95, 0.0031)])
@@ -417,8 +459,8 @@ class TestMirrorSplit:
     def test_even_odd_matrix_is_the_transposed_odd_even_one(self, name):
         _, tags, _, _, M, _ = _assemble(SPLIT_SPECS[name])
         interior = tags == INTERIOR
-        (k, l), even_odd = _class_system(M, interior, (0, 1))
-        (k_t, l_t), odd_even = _class_system(M, interior, (1, 0))
+        (k, l), even_odd, _ = _class_system(M, numbering(interior), (0, 1))
+        (k_t, l_t), odd_even, _ = _class_system(M, numbering(interior), (1, 0))
         # both number their nodes row-major; renumber the (odd, even)
         # unknowns so that its j-th sits at the transpose of the j-th
         # (even, odd) node
@@ -431,6 +473,26 @@ class TestMirrorSplit:
         assert even_odd.shape == odd_even.shape == (k.size, k.size)
         assert (even_odd != odd_even).nnz == 0
         assert even_odd.nnz == odd_even.nnz
+
+    @pytest.mark.parametrize("spec", [
+        SPLIT_SPECS["angular"], SPLIT_SPECS["asymmetric-2"], GridSpec(beta=0.3, r_max=0.3, h=0.05),
+        GridSpec(beta=1.0, r_max=0.95, h=0.0031)], ids=["angular", "asymmetric-2", "small", "fine"])
+    def test_class_matrices_equal_the_folded_whole_rows(self, spec):
+        # folding only the stencil columns of the kept rows gives, entry
+        # for entry, the rows of M folded by the whole-lattice fold map
+        _, tags, _, _, M, _ = _assemble(spec)
+        interior = tags == INTERIOR
+        for parity, swap in CLASSES:
+            nodes, A, orbit = _class_system(M, numbering(interior), parity, swap)
+            want_nodes, want, want_orbit = folded_whole_rows(M, interior, parity, swap)
+            assert np.array_equal(nodes, want_nodes)
+            A.sort_indices()
+            want = want.tocsr()
+            want.sort_indices()
+            for got, expected in zip((A.indptr, A.indices, A.data),
+                                     (want.indptr, want.indices, want.data)):
+                assert np.array_equal(got, expected)
+            assert np.array_equal(orbit, want_orbit)
 
     @pytest.mark.parametrize("name", sorted(SPLIT_SPECS))
     def test_split_solve_matches_one_unsplit_spsolve(self, name):
@@ -478,6 +540,65 @@ class TestMirrorSplit:
             part = 8 if k < octants else 4
             assert columns == 1 or part == 4
             assert n_int / part - edge < unknowns < n_int / part + edge
+
+
+def counted_cg(monkeypatch):
+    """Replace `spla.cg` inside the solver by one that records the size of
+    each system and the iterations it runs."""
+    calls = []
+    cg = spla.cg
+
+    def counted(A, b, **options):
+        calls.append([A.shape[0], 0])
+        return cg(A, b, callback=lambda x: calls[-1].__setitem__(1, calls[-1][1] + 1),
+                  **options)
+
+    monkeypatch.setattr(screened_pde.spla, "cg", counted)
+    return calls
+
+
+class TestClassConjugateGradients:
+    @pytest.mark.parametrize("name, classes", [
+        ("coshdist", 1), ("one", 1), ("manufactured", 1), ("angular", 1), ("odd-in-x", 1),
+        ("asymmetric-1", 6), ("asymmetric-2", 6),
+    ])
+    def test_matches_the_direct_split(self, name, classes, monkeypatch):
+        spec = SPLIT_SPECS[name]
+        direct = assemble_and_solve(spec).values
+        monkeypatch.setattr(screened_pde, "DIRECT_SOLVE_LIMIT", 0)
+        calls = counted_cg(monkeypatch)
+        values = assemble_and_solve(spec).values
+        # one CG solve per excited class and right-hand side
+        assert len(calls) == classes
+        scale = np.nanmax(np.abs(direct))
+        assert np.nanmax(np.abs(values - direct)) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("name", ["coshdist", "one", "manufactured", "angular", "odd-in-x"])
+    def test_one_class_runs_the_whole_lattice_iteration(self, name, monkeypatch):
+        # the class iteration is CG on diag(1/w) M restricted to the class,
+        # so it stops after as many iterations as CG on the whole lattice
+        spec = SPLIT_SPECS[name]
+        *_, weight, M, rhs = _assemble(spec)
+        whole = []
+        d = 1.0 / weight
+        _, info = spla.cg(sp.diags(d) @ M, d * rhs, rtol=screened_pde.CG_RTOL, atol=0.0,
+                          callback=lambda x: whole.append(1))
+        assert info == 0
+        monkeypatch.setattr(screened_pde, "DIRECT_SOLVE_LIMIT", 0)
+        calls = counted_cg(monkeypatch)
+        assemble_and_solve(spec)
+        assert len(calls) == 1
+        unknowns, iterations = calls[0]
+        assert unknowns < M.shape[0] / 3
+        assert iterations == len(whole)
+
+    def test_stall_is_a_solver_error_with_the_class_residual(self, monkeypatch):
+        monkeypatch.setattr(screened_pde, "DIRECT_SOLVE_LIMIT", 0)
+        monkeypatch.setattr(screened_pde, "CG_MAX_ITER", 1)
+        with pytest.raises(SolverError) as info:
+            assemble_and_solve(SPLIT_SPECS["coshdist"])
+        assert math.isfinite(info.value.final_residual)
+        assert info.value.final_residual > 0.0
 
 
 def reference_grid_csv(field, fh):
