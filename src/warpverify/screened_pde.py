@@ -26,11 +26,15 @@ from .errors import SolverError, require_finite_positive
 INTERIOR, BOUNDARY, EXTERIOR = 0, 1, 2
 TAG_NAMES = {INTERIOR: "interior", BOUNDARY: "boundary", EXTERIOR: "exterior"}
 
-# Each symmetry class is factorized up to this many lattice unknowns and
-# solved by conjugate gradients beyond.
+# Every symmetry class is factorized when the whole interior has at most
+# this many unknowns, and solved by conjugate gradients when it has more.
 DIRECT_SOLVE_LIMIT = 100_000
 CG_MAX_ITER = 100_000
 CG_RTOL = 1e-12
+
+# Lattice rows per joined block of the grid CSV: about 3 MB of text on the
+# widest lattice.
+CSV_BLOCK_ROWS = 64
 
 # Largest lattice half-width n (the axis holds 2n + 1 points).  A 999^2
 # lattice, about a million nodes, keeps each per-node float array near 8 MB.
@@ -162,22 +166,18 @@ def _conformal_weight(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _assemble(spec: GridSpec):
-    """The spec's lattice and the system M f = rhs of its interior unknowns,
-    numbered row-major: (axis, tags, boundary values on the lattice, the
-    conformal weight at the unknowns, M as CSR, rhs)."""
+    """The spec's lattice and the data of its interior system: (axis, tags,
+    boundary values, conformal weight, right-hand side), all on the
+    lattice; the right-hand side is 0 off the interior.  The matrix itself
+    is never built: `_class_system` writes the stencil of each kept row."""
     axis, tags, X, Y = _lattice(spec)
     interior = tags == INTERIOR
     boundary = tags == BOUNDARY
-
-    n_int = int(interior.sum())
-    if n_int == 0:
+    if not interior.any():
         raise SolverError("degenerate grid: no interior nodes")
 
-    num = np.full(tags.shape, -1, dtype=np.int64)
-    num[interior] = np.arange(n_int)
-
-    weight = _conformal_weight(X[interior], Y[interior])
-    scaled = weight / (spec.h * spec.h)
+    weight = _conformal_weight(X, Y)
+    scaled = weight[interior] / (spec.h * spec.h)
 
     bvals = np.zeros(tags.shape)
     bvals[boundary] = _sample(spec.boundary_fn(), X[boundary], Y[boundary], "boundary")
@@ -189,21 +189,9 @@ def _assemble(spec: GridSpec):
     inner = interior[1:-1, 1:-1]
     east, west, north, south = (scaled * b[inner] for b in (
         bvals[2:, 1:-1], bvals[:-2, 1:-1], bvals[1:-1, 2:], bvals[1:-1, :-2]))
-    rhs = src + ((east + west) + (north + south))
-
-    # In the row-major numbering the columns of a row, in increasing order,
-    # are the nodes at flat lattice offsets -(2n+1), -1, 0, 1, 2n+1 from it;
-    # Dirichlet neighbours are left out.
-    near = np.flatnonzero(interior)[:, None] + np.array(
-        [-tags.shape[1], -1, 0, 1, tags.shape[1]])
-    coupled = interior.reshape(-1)[near]
-    vals = np.repeat(-scaled[:, None], 5, axis=1)
-    vals[:, 2] = spec.beta + 4.0 * scaled
-    M = sp.csr_matrix(
-        (vals[coupled], num.reshape(-1)[near[coupled]],
-         np.concatenate(([0], np.cumsum(coupled.sum(axis=1))))),
-        shape=(n_int, n_int))
-    return axis, tags, bvals, weight, M, rhs
+    rhs = np.zeros(tags.shape)
+    rhs[interior] = src + ((east + west) + (north + south))
+    return axis, tags, bvals, weight, rhs
 
 
 def _quadrants(a: np.ndarray) -> list:
@@ -226,27 +214,28 @@ def _mirror_transform(q: list) -> list:
     return [[diagonal + cross, main + side], [main - side, diagonal - cross]]
 
 
-def _class_system(M, num: np.ndarray, parity: tuple[int, int],
-                  swap: Optional[int] = None):
-    """Unknowns and matrix of one mirror-symmetry class of M f = rhs.
+def _class_system(interior: np.ndarray, weight: np.ndarray, beta: float, h: float,
+                  parity: tuple[int, int], swap: Optional[int] = None):
+    """Unknowns and matrix of one mirror-symmetry class of the interior
+    system M f = rhs, M = beta I - w/h^2 times the five-point Laplacian.
 
     parity (a, b) selects the solutions even (0) or odd (1) under x -> -x
     and under y -> -y.  Such a solution is fixed by its values on the
     quarter (k, l) >= 0 of the lattice, zero on the axis of an odd parity.
     For a = b, swap c additionally selects the solutions even (0) or odd
     (1) under x <-> y, fixed by their values on the octant l <= k of the
-    quarter (l < k when odd: they vanish on the diagonal).  num numbers
-    the interior nodes of the lattice as the rows of M (-1 elsewhere).
-    Returns the nodes (k, l) it keeps, row-major, the rows of M at them
-    with each column folded onto its mirror image among them, and the
-    orbit size of each kept node: the number of interior nodes folded onto
-    it.  Only the stencils of the kept rows are read.  They reach an axis
-    or the diagonal on which the class is odd but never cross it, so no
-    fold changes a sign.
+    quarter (l < k when odd: they vanish on the diagonal).  Returns the
+    nodes (k, l) it keeps, row-major, the rows of M at them with each
+    column folded onto its mirror image among them, and the orbit size of
+    each kept node: the number of interior nodes folded onto it.  Only the
+    stencils of the kept rows are written, -w/h^2 off the diagonal and
+    beta + 4 w/h^2 on it with w the weight at the row's node.  They reach
+    an axis or the diagonal on which the class is odd but never cross it,
+    so no fold changes a sign.
     """
-    n = num.shape[0] // 2
+    n = interior.shape[0] // 2
     a, b = parity
-    keep = num[n:, n:] >= 0
+    keep = interior[n:, n:].copy()
     keep[:a] = False        # an odd class is zero on its axis
     keep[:, :b] = False
     if swap is not None:
@@ -255,16 +244,17 @@ def _class_system(M, num: np.ndarray, parity: tuple[int, int],
     column = np.full(keep.shape, -1)
     column[k, l] = np.arange(k.size)
 
-    # The columns of a row of M, in increasing order, are its interior
-    # nodes among (k - 1, l), (k, l - 1), (k, l), (k, l + 1), (k + 1, l);
-    # the interior is mirror invariant, so it is read at their images.
+    # The stencil of (k, l) is (k - 1, l), (k, l - 1), (k, l), (k, l + 1),
+    # (k + 1, l), less its Dirichlet nodes; the interior is mirror
+    # invariant, so it is read at their images.
     i = np.abs(k[:, None] + np.array([-1, 0, 0, 0, 1]))
     j = np.abs(l[:, None] + np.array([0, -1, 0, 1, 0]))
     if swap is not None:
         i, j = np.maximum(i, j), np.minimum(i, j)
-    coupled = num[n + i, n + j] >= 0
-    values = np.zeros(i.shape)
-    values[coupled] = M[num[n + k, n + l]].data
+    coupled = interior[n + i, n + j]
+    scaled = weight[n + k, n + l] / (h * h)
+    values = np.repeat(-scaled[:, None], 5, axis=1)
+    values[:, 2] = beta + 4.0 * scaled
     folded = column[i, j]
     kept = coupled & (folded >= 0)
     A = sp.csr_matrix((values[kept], folded[kept], np.append(0, np.cumsum(kept.sum(axis=1)))),
@@ -296,9 +286,12 @@ def _class_cg(A, b: np.ndarray, root: np.ndarray, w: np.ndarray) -> np.ndarray:
     return x
 
 
-def _mirror_solve(M, rhs: np.ndarray, interior: np.ndarray, weight: np.ndarray,
-                  cg: bool) -> np.ndarray:
+def _mirror_solve(rhs: np.ndarray, interior: np.ndarray, weight: np.ndarray, beta: float,
+                  h: float, cg: bool) -> np.ndarray:
     """Solve M f = rhs by its symmetry under the dihedral group of the square.
+
+    rhs and the weight are lattice arrays, rhs 0 off the interior; the
+    returned lattice array holds f at the interior nodes (0 elsewhere).
 
     The lattice, its interior and the conformal weight are exactly
     invariant under x -> -x, y -> -y and x <-> y, so M commutes with
@@ -321,11 +314,7 @@ def _mirror_solve(M, rhs: np.ndarray, interior: np.ndarray, weight: np.ndarray,
     side.
     """
     n = interior.shape[0] // 2
-    num = np.full(interior.shape, -1)
-    num[interior] = np.arange(rhs.size)
-    full = np.zeros(interior.shape)
-    full[interior] = rhs
-    r = _mirror_transform(_quadrants(full))
+    r = _mirror_transform(_quadrants(rhs))
     v = [[np.zeros((n + 1, n + 1)) for _ in (0, 1)] for _ in (0, 1)]
     halves = [[np.zeros((n + 1, n + 1)) for _ in (0, 1)] for _ in (0, 1)]
     # (parity, swap, [(right-hand side, solution)]): the octant classes
@@ -338,10 +327,10 @@ def _mirror_solve(M, rhs: np.ndarray, interior: np.ndarray, weight: np.ndarray,
         pairs = [(given, out) for given, out in pairs if given.any()]
         if not pairs:
             continue
-        (k, l), A, orbit = _class_system(M, num, parity, swap)
+        (k, l), A, orbit = _class_system(interior, weight, beta, h, parity, swap)
         b = np.column_stack([given[k, l] for given, _ in pairs])
         if cg:
-            w = weight[num[n + k, n + l]]
+            w = weight[n + k, n + l]
             x = np.column_stack([_class_cg(A, col, np.sqrt(orbit), w) for col in b.T])
         else:
             x = spla.spsolve(A, b, permc_spec="MMD_AT_PLUS_A").reshape(k.size, -1)
@@ -355,7 +344,7 @@ def _mirror_solve(M, rhs: np.ndarray, interior: np.ndarray, weight: np.ndarray,
     for dest, q in zip(_quadrants(f), _mirror_transform(v)):
         for d, part in zip(dest, q):
             d[...] = part / 4.0
-    return f[interior]
+    return f
 
 
 def assemble_and_solve(spec: GridSpec) -> GridField:
@@ -367,8 +356,11 @@ def assemble_and_solve(spec: GridSpec) -> GridField:
     for data symmetric under x -> -x, y -> -y and x <-> y, or odd in x and
     y and symmetric under x <-> y; one quarter system (about N/4) for data
     odd in one coordinate; four octant and one quarter system for data
-    with no symmetry; none for zero data.  Up to 1e5 unknowns each class
-    is factorized, SuperLU ordering it by minimum degree on A^T + A
+    with no symmetry; none for zero data.  No matrix of the whole
+    interior is built: each class system is written from the stencil of
+    its kept nodes (`_class_system`).  When the whole interior has at most
+    DIRECT_SOLVE_LIMIT (1e5) unknowns every class is factorized, SuperLU
+    ordering it by minimum degree on A^T + A
     (`MMD_AT_PLUS_A`; Liu, ACM TOMS 11, 1985); this agrees with one
     unsplit factorization up to rounding, within 1e-12 * max|f|, and
     symmetric data give an exactly symmetric solution.  Beyond, each class
@@ -377,14 +369,13 @@ def assemble_and_solve(spec: GridSpec) -> GridField:
     ||r|| <= CG_RTOL ||b||, so the whole system meets that bound too.
     Raises SolverError on a degenerate grid or CG stall.
     """
-    axis, tags, bvals, weight, M, rhs = _assemble(spec)
+    axis, tags, bvals, weight, rhs = _assemble(spec)
     interior = tags == INTERIOR
     boundary = tags == BOUNDARY
-    sol = _mirror_solve(M, rhs, interior, weight, cg=M.shape[0] > DIRECT_SOLVE_LIMIT)
-
-    values = np.full(tags.shape, np.nan)
-    values[interior] = sol
+    values = _mirror_solve(rhs, interior, weight, spec.beta, spec.h,
+                           cg=np.count_nonzero(interior) > DIRECT_SOLVE_LIMIT)
     values[boundary] = bvals[boundary]
+    values[tags == EXTERIOR] = np.nan
     return GridField(axis=axis, tags=tags, values=values, h=spec.h,
                      r_max=spec.r_max)
 
@@ -469,10 +460,10 @@ def write_grid_csv(field: GridField, dest: Union[str, TextIO]):
     across runs.  Each axis value and each distinct node value (told apart
     by its bits, so 0.0 and -0.0 stay apart) is formatted once, the values
     in one %-format pass: a solution of symmetric data has about N/8
-    distinct values (N/4 when odd).  The body is one join of the prebuilt
-    pieces (x1, ",x2,tag,", value) picked by index, byte for byte what one
-    format per node gives.  A file named by `dest` is removed again when
-    writing it fails.
+    distinct values (N/4 when odd).  The body is joined from the prebuilt
+    pieces (x1, ",x2,tag,", value) picked by index and written in blocks
+    of CSV_BLOCK_ROWS lattice rows, byte for byte what one format per node
+    gives.  A file named by `dest` is removed again when writing it fails.
     """
     if not isinstance(dest, str):
         _write_grid_rows(field, dest)
@@ -499,14 +490,17 @@ def _write_grid_rows(field: GridField, fh: TextIO):
         coords + [f",{x2},{TAG_NAMES[tag]}," for tag in sorted(TAG_NAMES) for x2 in coords]
         + ["\n"] + ("%.17g\n" * bits.size % tuple(bits.view(float).tolist())).splitlines(True),
         dtype=object)
-    pick = np.empty((n, n, 3), dtype=np.intp)
-    pick[..., 0] = np.arange(n)[:, None]
-    pick[..., 1] = n * (1 + field.tags.astype(np.intp)) + np.arange(n)
     value = np.full(values.size, 4 * n)
     value[known] += 1 + value_at.reshape(-1)
-    pick[..., 2] = value.reshape(n, n)
+    value = value.reshape(n, n)
     fh.write("x1,x2,tag,value\n")
-    fh.write("".join(pieces[pick.reshape(-1)].tolist()))
+    for start in range(0, n, CSV_BLOCK_ROWS):
+        rows = np.arange(start, min(start + CSV_BLOCK_ROWS, n))
+        pick = np.empty((rows.size, n, 3), dtype=np.intp)
+        pick[..., 0] = rows[:, None]
+        pick[..., 1] = n * (1 + field.tags[rows].astype(np.intp)) + np.arange(n)
+        pick[..., 2] = value[rows]
+        fh.write("".join(pieces[pick.reshape(-1)].tolist()))
 
 
 def coshdist_exact(x, y):

@@ -3,6 +3,7 @@ maximum principle, symmetry, CSV output."""
 
 import io
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -363,9 +364,31 @@ class TestSymmetry:
         assert np.nanmax(np.abs(values)) > 0.5
 
 
+def whole_lattice_system(spec):
+    """The interior system M f = rhs over the whole lattice, its unknowns
+    numbered row-major: (conformal weight at the unknowns, M as CSR, rhs).
+    The solver never builds it; the class systems are checked against it."""
+    _, tags, _, weight, rhs = _assemble(spec)
+    interior = tags == INTERIOR
+    scaled = weight[interior] / (spec.h * spec.h)
+    # In the row-major numbering the columns of a row, in increasing order,
+    # are the nodes at flat lattice offsets -(2n+1), -1, 0, 1, 2n+1 from it;
+    # Dirichlet neighbours are left out.
+    near = np.flatnonzero(interior)[:, None] + np.array(
+        [-tags.shape[1], -1, 0, 1, tags.shape[1]])
+    coupled = interior.reshape(-1)[near]
+    vals = np.repeat(-scaled[:, None], 5, axis=1)
+    vals[:, 2] = spec.beta + 4.0 * scaled
+    M = sp.csr_matrix(
+        (vals[coupled], numbering(interior).reshape(-1)[near[coupled]],
+         np.concatenate(([0], np.cumsum(coupled.sum(axis=1))))),
+        shape=(scaled.size, scaled.size))
+    return weight[interior], M, rhs[interior]
+
+
 def reference_solve(spec, **options):
-    """Interior values from one unsplit `spsolve` of the assembled system."""
-    *_, M, rhs = _assemble(spec)
+    """Interior values from one unsplit `spsolve` of the whole-lattice system."""
+    _, M, rhs = whole_lattice_system(spec)
     return spla.spsolve(M, rhs, **options)
 
 
@@ -457,10 +480,11 @@ class TestMirrorSplit:
 
     @pytest.mark.parametrize("name", ["angular", "asymmetric-1"])
     def test_even_odd_matrix_is_the_transposed_odd_even_one(self, name):
-        _, tags, _, _, M, _ = _assemble(SPLIT_SPECS[name])
+        spec = SPLIT_SPECS[name]
+        _, tags, _, weight, _ = _assemble(spec)
         interior = tags == INTERIOR
-        (k, l), even_odd, _ = _class_system(M, numbering(interior), (0, 1))
-        (k_t, l_t), odd_even, _ = _class_system(M, numbering(interior), (1, 0))
+        (k, l), even_odd, _ = _class_system(interior, weight, spec.beta, spec.h, (0, 1))
+        (k_t, l_t), odd_even, _ = _class_system(interior, weight, spec.beta, spec.h, (1, 0))
         # both number their nodes row-major; renumber the (odd, even)
         # unknowns so that its j-th sits at the transpose of the j-th
         # (even, odd) node
@@ -478,12 +502,14 @@ class TestMirrorSplit:
         SPLIT_SPECS["angular"], SPLIT_SPECS["asymmetric-2"], GridSpec(beta=0.3, r_max=0.3, h=0.05),
         GridSpec(beta=1.0, r_max=0.95, h=0.0031)], ids=["angular", "asymmetric-2", "small", "fine"])
     def test_class_matrices_equal_the_folded_whole_rows(self, spec):
-        # folding only the stencil columns of the kept rows gives, entry
-        # for entry, the rows of M folded by the whole-lattice fold map
-        _, tags, _, _, M, _ = _assemble(spec)
+        # writing and folding only the stencils of the kept rows gives,
+        # entry for entry, the rows of the whole-lattice M folded by the
+        # whole-lattice fold map
+        _, tags, _, weight, _ = _assemble(spec)
         interior = tags == INTERIOR
+        _, M, _ = whole_lattice_system(spec)
         for parity, swap in CLASSES:
-            nodes, A, orbit = _class_system(M, numbering(interior), parity, swap)
+            nodes, A, orbit = _class_system(interior, weight, spec.beta, spec.h, parity, swap)
             want_nodes, want, want_orbit = folded_whole_rows(M, interior, parity, swap)
             assert np.array_equal(nodes, want_nodes)
             A.sort_indices()
@@ -578,7 +604,7 @@ class TestClassConjugateGradients:
         # the class iteration is CG on diag(1/w) M restricted to the class,
         # so it stops after as many iterations as CG on the whole lattice
         spec = SPLIT_SPECS[name]
-        *_, weight, M, rhs = _assemble(spec)
+        weight, M, rhs = whole_lattice_system(spec)
         whole = []
         d = 1.0 / weight
         _, info = spla.cg(sp.diags(d) @ M, d * rhs, rtol=screened_pde.CG_RTOL, atol=0.0,
@@ -599,6 +625,56 @@ class TestClassConjugateGradients:
             assemble_and_solve(SPLIT_SPECS["coshdist"])
         assert math.isfinite(info.value.final_residual)
         assert info.value.final_residual > 0.0
+
+
+class TestClassAssembly:
+    @pytest.mark.parametrize("name", ["coshdist", "asymmetric-1"])
+    @pytest.mark.parametrize("limit", [screened_pde.DIRECT_SOLVE_LIMIT, 0], ids=["direct", "cg"])
+    def test_no_matrix_spans_the_whole_interior(self, name, limit, monkeypatch):
+        shapes = []
+        csr_matrix = sp.csr_matrix
+
+        def recorded(*args, **options):
+            matrix = csr_matrix(*args, **options)
+            shapes.append(matrix.shape)
+            return matrix
+
+        monkeypatch.setattr(screened_pde, "DIRECT_SOLVE_LIMIT", limit)
+        monkeypatch.setattr(screened_pde.sp, "csr_matrix", recorded)
+        field = assemble_and_solve(SPLIT_SPECS[name])
+        n_int = np.count_nonzero(field.interior_mask)
+        assert shapes
+        assert all(rows < n_int for rows, _ in shapes)
+
+    def test_traced_peak_of_a_conjugate_gradient_solve(self):
+        # 162,865 unknowns, above the direct-solve limit: the peak stays a
+        # few lattice arrays (11.8x measured; 30x while the whole-lattice
+        # matrix and its N x 5 temporaries were built)
+        spec = manufactured_spec(2.5, 0.8, 0.0035)
+        tracemalloc.start()
+        try:
+            field = assemble_and_solve(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.count_nonzero(field.interior_mask) == 162_865
+        assert peak <= 16 * field.values.nbytes
+
+    @pytest.mark.parametrize("offset, solver", [(0, "spsolve"), (-1, "cg")])
+    def test_solver_switch_compares_the_whole_interior_count(self, offset, solver,
+                                                             monkeypatch):
+        # the one excited class is far smaller than the limit either way
+        spec = SPLIT_SPECS["coshdist"]
+        n_int = np.count_nonzero(_lattice(spec)[1] == INTERIOR)
+        monkeypatch.setattr(screened_pde, "DIRECT_SOLVE_LIMIT", n_int + offset)
+        calls = []
+        for name in ("spsolve", "cg"):
+            def counted(*args, _name=name, _solve=getattr(spla, name), **options):
+                calls.append(_name)
+                return _solve(*args, **options)
+            monkeypatch.setattr(screened_pde.spla, name, counted)
+        assemble_and_solve(spec)
+        assert calls == [solver]
 
 
 def reference_grid_csv(field, fh):
@@ -663,6 +739,16 @@ class TestCsvOutput:
         expected = reference_text(field)
         assert path.read_bytes() == expected.encode("ascii")
         assert written_text(field, "textio", tmp_path) == expected
+
+    @pytest.mark.parametrize("block_rows", [7, screened_pde.CSV_BLOCK_ROWS])
+    def test_matches_reference_across_row_blocks(self, block_rows, monkeypatch):
+        # 191 lattice rows: several blocks, the last one partial
+        monkeypatch.setattr(screened_pde, "CSV_BLOCK_ROWS", block_rows)
+        field = assemble_and_solve(
+            GridSpec(beta=1.3, r_max=0.95, h=0.01, boundary=BOUNDARY_CATALOG["coshdist"]))
+        n = len(field.axis)
+        assert n > 2 * block_rows and n % block_rows != 0
+        assert written_text(field, "textio", None) == reference_text(field)
 
     def test_matches_reference_on_all_distinct_values(self):
         # no symmetry: nothing for the writer to share between nodes
