@@ -4,13 +4,14 @@ Commands
 --------
 relation solve   --m M --beta B [--variant published|rederived]
 relation sweep   --m A..B --beta B1,B2,... [--variant ...] [--format csv|json]
-verify           --m M --beta B [--variant ...] [--tol-* ...]
+verify           --m M --beta B [--variant ...]
 curvature        --model disk|halfplane --at x,y
 pde solve        --beta B --rmax R --h H --bc NAME --out PATH
 pde converge     --beta B --h H1,H2,... [--rmax R]
 
 Exit codes: 0 success/pass, 1 usage or I/O error, 2 no admissible root,
-3 verification fail, 4 solver non-convergence.  A `pde solve` CSV that
+3 verification fail (at the console also a root that fails
+back-substitution), 4 solver non-convergence.  A `pde solve` CSV that
 cannot be written exits 1 with "error: cannot write PATH: REASON" and
 leaves no partial file; standard output closed early (`| head`) ends the
 command with exit 1 and no message.
@@ -35,7 +36,7 @@ import numpy as np
 from . import __version__
 from .einstein import WarpParams, residual_report, vertical_ricci_coeff
 from .errors import (
-    AdmissibilityError, SolverError, ToolkitError, require_finite_positive,
+    AdmissibilityError, BacksubstitutionError, SolverError, ToolkitError,
 )
 from .compatibility import (
     build_metric, integrate_s, pq_from_params, strip_points, strip_samples,
@@ -57,10 +58,9 @@ EXIT_NO_ADMISSIBLE = 2
 EXIT_VERIFY_FAIL = 3
 EXIT_SOLVER = 4
 
-DEFAULT_TOL_RELATION = 1e-10
-DEFAULT_TOL_COMPAT = 1e-8
-DEFAULT_TOL_CURVATURE_FD = 1e-5
-DEFAULT_TOL_EINSTEIN = 1e-6
+# The thresholds of the `verify` verdict, keyed as its report prints them;
+# curvature is the finite-difference certificate's |K + 1|.
+TOLERANCES = {"relation": 1e-10, "compat": 1e-8, "curvature": 1e-5, "einstein": 1e-6}
 
 
 # -- deterministic serialization ------------------------------------------------
@@ -146,7 +146,7 @@ class VerifyReport:
     """Aggregated certificate for one (m, beta) parameter pair.
 
     The verdict gates the relation, compatibility, curvature and Einstein
-    residuals against `tolerances`.  `vertical_ricci_max_error` (max of
+    residuals against `TOLERANCES`.  `vertical_ricci_max_error` (max of
     |vertical Ricci coefficient + lambda|) is informational and not part
     of the verdict.
     """
@@ -163,7 +163,6 @@ class VerifyReport:
     einstein_max_contracted_residual: float
     einstein_max_scalar_residual: float
     vertical_ricci_max_error: float
-    tolerances: dict
     verdict: str
 
     def to_dict(self) -> dict:
@@ -177,20 +176,12 @@ class VerifyReport:
             "einstein_max_contracted_residual": self.einstein_max_contracted_residual,
             "einstein_max_scalar_residual": self.einstein_max_scalar_residual,
             "vertical_ricci_max_error": self.vertical_ricci_max_error,
-            "tolerances": dict(self.tolerances),
+            "tolerances": dict(TOLERANCES),
             "verdict": self.verdict,
         }
 
 
-def run_verification(
-    m: int,
-    beta: float,
-    variant: str = REDERIVED,
-    tol_relation: float = DEFAULT_TOL_RELATION,
-    tol_compat: float = DEFAULT_TOL_COMPAT,
-    tol_curvature: float = DEFAULT_TOL_CURVATURE_FD,
-    tol_einstein: float = DEFAULT_TOL_EINSTEIN,
-) -> VerifyReport:
+def run_verification(m: int, beta: float, variant: str = REDERIVED) -> VerifyReport:
     """Full pipeline for one parameter pair.
 
     Solves the relation, builds the profile pair at the admissible root,
@@ -201,12 +192,8 @@ def run_verification(
     chart coordinate.  Both the curvature certificate and the Einstein
     residuals sample the default strip (`strip_points(strip_samples())`).
 
-    Raises AdmissibilityError when the relation has no admissible root,
-    and ValueError when a tolerance is not finite and positive.
+    Raises AdmissibilityError when the relation has no admissible root.
     """
-    for name, tol in (("relation", tol_relation), ("compat", tol_compat),
-                      ("curvature", tol_curvature), ("einstein", tol_einstein)):
-        require_finite_positive(f"{name} tolerance", tol)
     report = solve_lambda(relation_poly(m, beta, variant))
     admissible = report.admissible_roots
     if not admissible:
@@ -224,8 +211,8 @@ def run_verification(
     pq = pq_from_params(m, lam, beta)
     samples = strip_samples()
 
-    pseudo = verify_pseudospherical(pq, samples, tol=tol_curvature,
-                                    compat_tol=tol_compat)
+    pseudo = verify_pseudospherical(pq, samples, tol=TOLERANCES["curvature"],
+                                    compat_tol=TOLERANCES["compat"])
 
     # Base metric with curvature K: undo the unit-curvature rescaling.
     s = integrate_s(pq, samples[0], samples[-1])
@@ -245,14 +232,8 @@ def run_verification(
             m)
         ricci_err = max(ricci_err, abs(coeff + lam))
 
-    tolerances = {
-        "relation": tol_relation,
-        "compat": tol_compat,
-        "curvature": tol_curvature,
-        "einstein": tol_einstein,
-    }
-    passed = (relation_residual <= tol_relation and pseudo.passed
-              and res.worst() <= tol_einstein)
+    passed = (relation_residual <= TOLERANCES["relation"] and pseudo.passed
+              and res.worst() <= TOLERANCES["einstein"])
     return VerifyReport(
         m=m, beta=beta, variant=variant, lam=lam, K=K,
         relation_residual=relation_residual,
@@ -262,7 +243,6 @@ def run_verification(
         einstein_max_contracted_residual=res.contracted_residual,
         einstein_max_scalar_residual=res.scalar_constraint_residual,
         vertical_ricci_max_error=ricci_err,
-        tolerances=tolerances,
         verdict="pass" if passed else "fail",
     )
 
@@ -373,7 +353,9 @@ def _parse_m_range(text: str) -> tuple[int, int]:
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x != ""]
+    """Comma-separated floats, each entry a number: `1,,2` and `0.1,` are
+    refused.  Commas alone are the empty list, which callers refuse."""
+    return [float(x) for x in text.split(",")] if text.strip(",") else []
 
 
 def _output_path(text: str) -> str:
@@ -439,10 +421,6 @@ def build_parser() -> _Parser:
     vf.add_argument("--m", type=int, required=True)
     vf.add_argument("--beta", type=float, required=True)
     vf.add_argument("--variant", choices=VARIANTS, default=REDERIVED)
-    vf.add_argument("--tol-relation", type=float, default=DEFAULT_TOL_RELATION)
-    vf.add_argument("--tol-compat", type=float, default=DEFAULT_TOL_COMPAT)
-    vf.add_argument("--tol-curvature", type=float, default=DEFAULT_TOL_CURVATURE_FD)
-    vf.add_argument("--tol-einstein", type=float, default=DEFAULT_TOL_EINSTEIN)
 
     cv = sub.add_parser("curvature", parents=[common],
                         help="Gaussian curvature of a model metric")
@@ -503,13 +481,7 @@ def _cmd_relation_sweep(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     try:
-        report = run_verification(
-            args.m, args.beta, args.variant,
-            tol_relation=args.tol_relation,
-            tol_compat=args.tol_compat,
-            tol_curvature=args.tol_curvature,
-            tol_einstein=args.tol_einstein,
-        )
+        report = run_verification(args.m, args.beta, args.variant)
     except AdmissibilityError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_NO_ADMISSIBLE
@@ -602,6 +574,9 @@ def main():
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()
+    except BacksubstitutionError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        code = EXIT_VERIFY_FAIL
     except BrokenPipeError:
         # The reader went away (`| head`).  Point stdout at devnull so the
         # flush at interpreter exit cannot fail a second time.

@@ -41,6 +41,12 @@ class SolverError(ToolkitError):
         self.final_residual = final_residual
 
 
+class BacksubstitutionError(ArithmeticError):
+    """A computed relation root fails its back-substitution check.  Not a
+    ToolkitError: `cli.run` lets it through, and only `cli.main` turns it
+    into an exit code, so other arithmetic faults still show."""
+
+
 def require_finite_positive(name: str, x) -> None:
     """Raise ValueError unless `x` is a finite number > 0 (rejects NaN, inf)."""
     if not (math.isfinite(x) and x > 0):

@@ -31,7 +31,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import require_finite_positive
+from .errors import BacksubstitutionError, require_finite_positive
 
 Number = Union[int, float, Fraction]
 
@@ -181,8 +181,8 @@ def _real_roots(a2, a1, a0, m, beta) -> tuple[np.ndarray, np.ndarray]:
     vanishing a2 gives the linear root, a zero discriminant one double root).
 
     Raises ValueError naming m and beta of the first row whose coefficients,
-    discriminant, roots or residuals are not finite, then ArithmeticError at
-    the first root whose residual exceeds BACKSUB_RTOL * max(1, |a0|).
+    discriminant, roots or residuals are not finite, then BacksubstitutionError
+    at the first root whose residual exceeds BACKSUB_RTOL * max(1, |a0|).
     """
     linear = a2 == 0.0
     constant = linear & (a1 == 0.0)
@@ -213,7 +213,7 @@ def _real_roots(a2, a1, a0, m, beta) -> tuple[np.ndarray, np.ndarray]:
     rejected = residuals > bound[:, None]
     if rejected.any():
         i, j = np.unravel_index(np.argmax(rejected), rejected.shape)
-        raise ArithmeticError(
+        raise BacksubstitutionError(
             f"root {float(roots[i, j])} fails back-substitution: "
             f"|P(root)| = {float(residuals[i, j])} > {float(bound[i])}")
     return roots, residuals
@@ -227,7 +227,7 @@ def solve_lambda(poly: RelationPoly) -> RootReport:
     classified admissible iff lam + beta < 0, lam + m beta/2 < 0 and
     m >= 2.  Non-integer m is accepted but flagged as formal extrapolation.
     Coefficients, roots or residuals that leave the double range raise
-    ValueError, a root failing back-substitution ArithmeticError.
+    ValueError, a root failing back-substitution BacksubstitutionError.
     """
     a2, a1, a0 = poly.coeffs_float()
     m, beta = float(poly.m), float(poly.beta)

@@ -18,8 +18,9 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from warpverify.cli import (
     EXIT_NO_ADMISSIBLE, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, EXIT_VERIFY_FAIL,
-    SWEEP_CSV_HEADER, run, to_json,
+    SWEEP_CSV_HEADER, TOLERANCES, main, run, to_json,
 )
+from warpverify.errors import BacksubstitutionError, ToolkitError
 
 
 def invoke(*argv):
@@ -103,10 +104,14 @@ class TestVerify:
         assert code == EXIT_NO_ADMISSIBLE
 
     def test_unattainable_tolerance_fails(self):
-        code, out = invoke("verify", "--m", "3", "--beta", "1", "--quiet",
-                           "--tol-curvature", "1e-30")
+        # the published pair fails the compatibility oracle, so its
+        # residuals exceed the pinned tolerances
+        code, out = invoke("verify", "--m", "5", "--beta", "0.6",
+                           "--variant", "published", "--quiet")
         assert code == EXIT_VERIFY_FAIL
-        assert json.loads(out)["verdict"] == "fail"
+        payload = json.loads(out)
+        assert payload["verdict"] == "fail"
+        assert payload["tolerances"] == TOLERANCES
 
 
 class TestCurvature:
@@ -205,17 +210,31 @@ class TestUsageErrors:
         assert "Traceback" not in err
 
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("flag", ["--tol-relation", "--tol-compat",
                                       "--tol-curvature", "--tol-einstein"])
-    def test_nonfinite_tolerance_is_usage_error(self, flag, value, capsys):
-        code, out = invoke("verify", "--m", "3", "--beta", "1", flag, value,
+    def test_tolerance_option_is_refused(self, flag, capsys):
+        # the verdict's tolerances are pinned in TOLERANCES
+        code, out = invoke("verify", "--m", "3", "--beta", "1", flag, "1",
                            "--quiet")
         assert code == EXIT_USAGE
         assert out == ""
         err = capsys.readouterr().err
-        assert "tolerance must be finite and positive" in err
-        assert "Traceback" not in err
+        assert err == f"usage error: unrecognized arguments: {flag} 1\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("relation", "sweep", "--m", "2..3", "--beta", "1,,2"),
+        ("relation", "sweep", "--m", "2..3", "--beta", "1,"),
+        ("pde", "converge", "--beta", "2", "--h", "0.1,,0.05"),
+        ("pde", "converge", "--beta", "2", "--h", "0.1,0.05,"),
+    ])
+    def test_empty_list_entry_is_usage_error(self, argv, capsys):
+        # empty entries used to be dropped, so these ran as if well-formed
+        code, out = invoke(*argv, "--quiet")
+        assert code == EXIT_USAGE
+        assert out == ""
+        flag, value = argv[-2:]
+        assert capsys.readouterr().err == (
+            f"usage error: argument {flag}: invalid _parse_floats value: {value!r}\n")
 
     def test_oversized_pde_grid_is_usage_error(self, tmp_path, capsys):
         out_path = tmp_path / "grid.csv"
@@ -589,13 +608,7 @@ def assert_exit_code_and_streams(argv, code, out, err, wrote):
 class TestPdeArgvProperty:
     """Fuzzes `pde solve` and `pde converge` argv, breaking up to two
     options at a time, and breaks each option alone with each of its bad
-    values.
-
-    The relation commands are left out: near beta = sqrt(2) the published
-    relation at large m raises an ArithmeticError that the CLI does not
-    catch yet, and that defect is pinned by the strict xfail in
-    perfbench/test_perfbench.py.
-    """
+    values.  `TestRelationArgv` breaks the relation and verify options."""
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(data=st.data())
@@ -619,3 +632,90 @@ class TestPdeArgvProperty:
         arg = {**ONE_GOOD, name: value}
         choice = "angular" if command == "solve" else "json"
         assert_exit_code_and_streams(*run_pde_argv(command, arg, choice))
+
+
+def run_main(monkeypatch, capsys, argv):
+    """Run the console entry point on `argv`; returns (exit code, stdout,
+    stderr)."""
+    monkeypatch.setattr(sys, "argv", ["warpverify", *argv, "--quiet"])
+    with pytest.raises(SystemExit) as stop:
+        main()
+    out, err = capsys.readouterr()
+    return stop.value.code, out, err
+
+
+# Roots that solve_lambda rejects on back-substitution: m near 10**12, and
+# the published relation near beta = sqrt(2) at large m.
+BACKSUB_REFUSED = [
+    ("relation", "solve", "--m", "1000000000000", "--beta", "1"),
+    ("verify", "--m", "1000000000000", "--beta", "1"),
+    ("relation", "sweep", "--m", "999999999990..1000000000000", "--beta", "1"),
+    ("relation", "solve", "--m", "145", "--beta", "1.4292354702724506",
+     "--variant", "published"),
+    ("verify", "--m", "145", "--beta", "1.4292354702724506", "--variant", "published"),
+    ("relation", "sweep", "--variant", "published", "--m", "2..1000", "--beta", "1.42"),
+    ("relation", "sweep", "--variant", "published", "--m", "2..1000",
+     "--beta", "1.40,1.42,1.44,1.46"),
+]
+
+
+class TestBacksubstitutionRefusal:
+    @pytest.mark.parametrize("argv", BACKSUB_REFUSED)
+    def test_console_exits_three_without_a_traceback(self, argv, monkeypatch, capsys):
+        code, out, err = run_main(monkeypatch, capsys, argv)
+        assert code == EXIT_VERIFY_FAIL
+        assert out == ""
+        assert err.startswith("error: root ") and "fails back-substitution" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", BACKSUB_REFUSED)
+    def test_run_raises_it(self, argv):
+        # only the console maps it to an exit code
+        with pytest.raises(BacksubstitutionError):
+            invoke(*argv, "--quiet")
+
+    def test_other_arithmetic_faults_keep_their_traceback(self, monkeypatch, capsys):
+        from warpverify import cli
+
+        assert not issubclass(BacksubstitutionError, ToolkitError)
+
+        def fault(poly):
+            raise ZeroDivisionError("a defect")
+
+        monkeypatch.setattr(cli, "solve_lambda", fault)
+        with pytest.raises(ZeroDivisionError):
+            run_main(monkeypatch, capsys, ["relation", "solve", "--m", "3", "--beta", "1"])
+
+
+# Bad values for the relation and verify options: numbers, m ranges and
+# beta lists, each tried on every option.
+RELATION_BAD_VALUES = [
+    "nan", "inf", "0", "-1", "1e300", "1e-160", str(2 ** 63), str(10 ** 400),
+    "5..3", "2..", "..3", "a..b", "2..4..6",
+    "1,,2", ",",
+]
+RELATION_OPTIONS = {
+    ("relation", "solve"): {"--m": "3", "--beta": "1", "--variant": "published"},
+    ("relation", "sweep"): {"--m": "2..4", "--beta": "0.5,1", "--variant": "published",
+                            "--format": "json"},
+    ("verify",): {"--m": "3", "--beta": "1", "--variant": "rederived"},
+}
+
+
+class TestRelationArgv:
+    """Breaks each option of `relation solve`, `relation sweep` and
+    `verify` alone, through the console entry point;
+    `TestBacksubstitutionRefusal` runs the back-substitution cases."""
+
+    @pytest.mark.parametrize("command, name, value", [
+        (command, name, value)
+        for command, options in RELATION_OPTIONS.items()
+        for name in options for value in RELATION_BAD_VALUES])
+    def test_each_bad_value_alone(self, command, name, value, monkeypatch, capsys):
+        options = {**RELATION_OPTIONS[command], name: value}
+        argv = [*command, *(x for item in options.items() for x in item)]
+        code, out, err = run_main(monkeypatch, capsys, argv)
+        assert code in range(5), argv
+        assert "Traceback" not in err, argv
+        if code == EXIT_OK:
+            assert "nan" not in out.lower(), argv

@@ -10,7 +10,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from warpverify.cli import DEFAULT_TOL_CURVATURE_FD
+from warpverify.cli import TOLERANCES
 from warpverify.errors import DomainError, PositivityError
 from warpverify.geometry2d import (
     CentralDifferences, Metric2D, Point2, ScalarField2D, SymMat2,
@@ -247,7 +247,7 @@ class TestRescale:
         assert isinstance(g.E, CentralDifferences) and g.E.step == 1e-4
         for p in (Point2(0.1, 0.0), Point2(0.3, -0.4), Point2(-0.5, 0.2)):
             assert gauss_curvature(g, p) == pytest.approx(
-                -1.0 / c, abs=DEFAULT_TOL_CURVATURE_FD)
+                -1.0 / c, abs=TOLERANCES["curvature"])
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from warpverify.compatibility import (
     PQPair, integrate_s, max_compat_residual_for_params, pq_from_params,
     strip_samples,
 )
+from warpverify.errors import BacksubstitutionError
 from warpverify.profiles import const_profile, linear_profile
 from warpverify.relation import (
     MAX_SWEEP_ROWS, PUBLISHED, REDERIVED, existence_sweep, poly_published,
@@ -418,9 +419,9 @@ class TestExistenceSweep:
 
     def test_published_root_rejection_near_sqrt2_still_raises(self):
         # the known back-substitution defect: |P(root)| = 3.16e-10 > 1.45e-10
-        with pytest.raises(ArithmeticError, match="fails back-substitution"):
+        with pytest.raises(BacksubstitutionError, match="fails back-substitution"):
             existence_sweep((145, 145), [1.4292354702724506], PUBLISHED)
-        with pytest.raises(ArithmeticError, match="fails back-substitution"):
+        with pytest.raises(BacksubstitutionError, match="fails back-substitution"):
             solve_lambda(poly_published(145, 1.4292354702724506))
 
     def test_rows_outside_the_double_range_are_value_errors(self):
