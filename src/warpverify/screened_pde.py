@@ -101,22 +101,20 @@ class GridField:
     def interior_mask(self) -> np.ndarray:
         return self.tags == INTERIOR
 
-    def meshes(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.meshgrid(self.axis, self.axis, indexing="ij")
-
     def max_error_against(self, exact: XYCallable) -> float:
         """Max |f - exact| over non-exterior nodes."""
-        X, Y = self.meshes()
         mask = self.tags != EXTERIOR
-        ref = _sample(exact, X[mask], Y[mask], "exact solution")
+        ref = _sample(exact, *_nodes(self.axis, mask), "exact solution")
         return float(np.max(np.abs(self.values[mask] - ref)))
 
 
 def _sample(fn: XYCallable, X: np.ndarray, Y: np.ndarray, datum: str) -> np.ndarray:
     """The datum fn at the nodes (X[k], Y[k]): one call fn(X, Y), broadcast to
     X's shape.  ValueError names the datum if the result is not real, does
-    not broadcast or is not finite (array arithmetic makes x/0 a silent inf)."""
-    vals, out = fn(X, Y), np.empty(X.shape)
+    not broadcast or is not finite; array arithmetic makes x/0 a silent inf,
+    so the call runs with numpy's floating-point warnings off."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        vals, out = fn(X, Y), np.empty(X.shape)
     try:
         np.copyto(out, vals, casting="same_kind")
     except (TypeError, ValueError):
@@ -127,14 +125,21 @@ def _sample(fn: XYCallable, X: np.ndarray, Y: np.ndarray, datum: str) -> np.ndar
     return out
 
 
-def _classify(X: np.ndarray, Y: np.ndarray, r_max: float) -> np.ndarray:
-    """Tag every lattice node interior/boundary/exterior.
+def _nodes(axis: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major coordinates (x, y) of the lattice nodes in mask."""
+    return (np.broadcast_to(axis[:, None], mask.shape)[mask],
+            np.broadcast_to(axis, mask.shape)[mask])
+
+
+def _classify(axis: np.ndarray, r_max: float) -> np.ndarray:
+    """Tag every node of the lattice over axis interior/boundary/exterior.
 
     Interior nodes have themselves and all four neighbors inside
     r <= r_max; inside nodes with an exterior (or off-lattice) neighbor
     are boundary nodes.
     """
-    inside = X * X + Y * Y <= r_max * r_max + 1e-12
+    sq = axis * axis
+    inside = sq[:, None] + sq[None, :] <= r_max * r_max + 1e-12
     interior = np.zeros_like(inside)
     interior[1:-1, 1:-1] = (
         inside[1:-1, 1:-1]
@@ -152,12 +157,11 @@ def _half_width(r_max: float, h: float) -> int:
     return int(math.floor(r_max / h + 1e-12))
 
 
-def _lattice(spec: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The spec's 1D axis, node tags and the two coordinate meshes."""
+def _lattice(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The spec's 1D axis and node tags."""
     n = _half_width(spec.r_max, spec.h)
     axis = np.arange(-n, n + 1, dtype=float) * spec.h
-    X, Y = np.meshgrid(axis, axis, indexing="ij")
-    return axis, _classify(X, Y, spec.r_max), X, Y
+    return axis, _classify(axis, spec.r_max)
 
 
 def _conformal_weight(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -167,31 +171,40 @@ def _conformal_weight(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _assemble(spec: GridSpec):
     """The spec's lattice and the data of its interior system: (axis, tags,
-    boundary values, conformal weight, right-hand side), all on the
-    lattice; the right-hand side is 0 off the interior.  The matrix itself
-    is never built: `_class_system` writes the stencil of each kept row."""
-    axis, tags, X, Y = _lattice(spec)
+    boundary values at the boundary nodes in row-major order, right-hand
+    side split into its four parity classes by `_mirror_transform`), or
+    ValueError if a class overflows.  No lattice-sized weight, boundary or
+    right-hand-side array outlives the call and no matrix is built:
+    `_class_system` writes the stencil of each kept row."""
+    axis, tags = _lattice(spec)
     interior = tags == INTERIOR
     boundary = tags == BOUNDARY
     if not interior.any():
         raise SolverError("degenerate grid: no interior nodes")
 
-    weight = _conformal_weight(X, Y)
-    scaled = weight[interior] / (spec.h * spec.h)
-
-    bvals = np.zeros(tags.shape)
-    bvals[boundary] = _sample(spec.boundary_fn(), X[boundary], Y[boundary], "boundary")
-    src = _sample(spec.source_fn(), X[interior], Y[interior], "source")
+    bvals = _sample(spec.boundary_fn(), *_nodes(axis, boundary), "boundary")
+    src = _sample(spec.source_fn(), *_nodes(axis, interior), "source")
     # A Dirichlet neighbour adds w/h^2 times its value to the right-hand
-    # side (bvals is 0 at the interior ones).  Summed as (E + W) + (N + S),
-    # the total is the same float under x -> -x, y -> -y and x <-> y, so
-    # data with one of these symmetries give a right-hand side with it.
-    inner = interior[1:-1, 1:-1]
-    east, west, north, south = (scaled * b[inner] for b in (
-        bvals[2:, 1:-1], bvals[:-2, 1:-1], bvals[1:-1, 2:], bvals[1:-1, :-2]))
+    # side of the ring of interior nodes next to the boundary.  Summed as
+    # (E + W) + (N + S), the total is the same float under x -> -x, y -> -y
+    # and x <-> y, so data with one of these symmetries give a rhs with it.
+    ring = interior.copy()
+    ring[1:-1, 1:-1] &= (boundary[2:, 1:-1] | boundary[:-2, 1:-1]
+                         | boundary[1:-1, 2:] | boundary[1:-1, :-2])
+    i, j = np.nonzero(ring)
+    scaled = _conformal_weight(axis[i], axis[j]) / (spec.h * spec.h)
     rhs = np.zeros(tags.shape)
-    rhs[interior] = src + ((east + west) + (north + south))
-    return axis, tags, bvals, weight, rhs
+    rhs[boundary] = bvals
+    with np.errstate(over="ignore", invalid="ignore"):
+        east, west, north, south = (scaled * rhs[i + di, j + dj]
+                                    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)))
+        rhs[boundary] = 0.0
+        rhs[ring] = (east + west) + (north + south)
+        rhs[interior] += src
+        classes = _mirror_transform(_quadrants(rhs))
+    if not all(np.isfinite(c).all() for half in classes for c in half):
+        raise ValueError("right-hand side overflows: source or boundary data too large")
+    return axis, tags, bvals, classes
 
 
 def _quadrants(a: np.ndarray) -> list:
@@ -214,7 +227,7 @@ def _mirror_transform(q: list) -> list:
     return [[diagonal + cross, main + side], [main - side, diagonal - cross]]
 
 
-def _class_system(interior: np.ndarray, weight: np.ndarray, beta: float, h: float,
+def _class_system(interior: np.ndarray, axis: np.ndarray, beta: float, h: float,
                   parity: tuple[int, int], swap: Optional[int] = None):
     """Unknowns and matrix of one mirror-symmetry class of the interior
     system M f = rhs, M = beta I - w/h^2 times the five-point Laplacian.
@@ -252,7 +265,7 @@ def _class_system(interior: np.ndarray, weight: np.ndarray, beta: float, h: floa
     if swap is not None:
         i, j = np.maximum(i, j), np.minimum(i, j)
     coupled = interior[n + i, n + j]
-    scaled = weight[n + k, n + l] / (h * h)
+    scaled = _conformal_weight(axis[n + k], axis[n + l]) / (h * h)
     values = np.repeat(-scaled[:, None], 5, axis=1)
     values[:, 2] = beta + 4.0 * scaled
     folded = column[i, j]
@@ -276,7 +289,9 @@ def _class_cg(A, b: np.ndarray, root: np.ndarray, w: np.ndarray) -> np.ndarray:
     on the whole lattice would (Hestenes & Stiefel, J. Res. NBS 49, 1952).
     Raises SolverError with the class's relative residual on a stall.
     """
-    B = sp.diags(root / w) @ A @ sp.diags(1.0 / root)
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    B = sp.csr_matrix(((root / w)[rows] * A.data * (1.0 / root)[A.indices], A.indices, A.indptr),
+                      shape=A.shape)
     y, info = spla.cg(B, root / w * b, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAX_ITER)
     x = y / root
     if info != 0:
@@ -286,12 +301,12 @@ def _class_cg(A, b: np.ndarray, root: np.ndarray, w: np.ndarray) -> np.ndarray:
     return x
 
 
-def _mirror_solve(rhs: np.ndarray, interior: np.ndarray, weight: np.ndarray, beta: float,
-                  h: float, cg: bool) -> np.ndarray:
+def _mirror_solve(r: list, interior: np.ndarray, axis: np.ndarray, beta: float, h: float,
+                  cg: bool) -> np.ndarray:
     """Solve M f = rhs by its symmetry under the dihedral group of the square.
 
-    rhs and the weight are lattice arrays, rhs 0 off the interior; the
-    returned lattice array holds f at the interior nodes (0 elsewhere).
+    r holds the four parity classes of rhs from `_assemble`, emptied before
+    the returned lattice array of f (0 off the interior) is assembled.
 
     The lattice, its interior and the conformal weight are exactly
     invariant under x -> -x, y -> -y and x <-> y, so M commutes with
@@ -308,38 +323,44 @@ def _mirror_solve(rhs: np.ndarray, interior: np.ndarray, weight: np.ndarray, bet
     manufactured problem) or odd in x and y and symmetric under x <-> y
     (`angular`) need one octant solve, data odd in one coordinate one
     quarter solve (two right-hand sides), and data with no symmetry four
-    octant solves and one quarter solve.  Each class is solved directly,
-    SuperLU ordering it by minimum degree on A^T + A (`MMD_AT_PLUS_A`), or
-    with `cg` by conjugate gradients (`_class_cg`), once per right-hand
-    side.
+    octant solves and one quarter solve; an octant right-hand side is
+    built just before its solve, a solution quarter only for a solved
+    class, and a skipped one enters the sums as the scalar 0.0.  Each
+    class is solved directly, SuperLU ordering it by minimum degree on
+    A^T + A (`MMD_AT_PLUS_A`), or with `cg` by conjugate gradients
+    (`_class_cg`), once per right-hand side.
     """
     n = interior.shape[0] // 2
-    r = _mirror_transform(_quadrants(rhs))
-    v = [[np.zeros((n + 1, n + 1)) for _ in (0, 1)] for _ in (0, 1)]
-    halves = [[np.zeros((n + 1, n + 1)) for _ in (0, 1)] for _ in (0, 1)]
-    # (parity, swap, [(right-hand side, solution)]): the octant classes
-    # first, then the (even, odd) quarter class with the (odd, even) one on
-    # transposed quarters.
-    systems = [((a, a), c, [(r[a][a] + (1 - 2 * c) * r[a][a].T, halves[a][c])])
-               for a in (0, 1) for c in (0, 1)]
-    systems.append(((0, 1), None, [(r[0][1], v[0][1]), (r[1][0].T, v[1][0].T)]))
-    for parity, swap, pairs in systems:
-        pairs = [(given, out) for given, out in pairs if given.any()]
-        if not pairs:
-            continue
-        (k, l), A, orbit = _class_system(interior, weight, beta, h, parity, swap)
-        b = np.column_stack([given[k, l] for given, _ in pairs])
+
+    def solve(parity, swap, *given):
+        """The quarter of each class solution, 0.0 where given is zero."""
+        quarters = [0.0] * len(given)
+        excited = [i for i, g in enumerate(given) if g.any()]
+        if not excited:
+            return quarters
+        (k, l), A, orbit = _class_system(interior, axis, beta, h, parity, swap)
+        b = np.column_stack([given[i][k, l] for i in excited])
         if cg:
-            w = weight[n + k, n + l]
+            w = _conformal_weight(axis[n + k], axis[n + l])
             x = np.column_stack([_class_cg(A, col, np.sqrt(orbit), w) for col in b.T])
         else:
             x = spla.spsolve(A, b, permc_spec="MMD_AT_PLUS_A").reshape(k.size, -1)
-        for (_, out), col in zip(pairs, x.T):
+        for i, col in zip(excited, x.T):
+            quarters[i] = out = np.zeros((n + 1, n + 1))
             if swap is not None:
                 out[l, k] = (1 - 2 * swap) * col    # the mirror image across the diagonal
             out[k, l] = col
+        return quarters
+
+    # The octant classes first, then the (even, odd) quarter class with the
+    # (odd, even) one on transposed quarters.
+    v = [[0.0, 0.0], [0.0, 0.0]]
     for a in (0, 1):
-        v[a][a] = (halves[a][0] + halves[a][1]) / 2.0
+        halves = [solve((a, a), c, r[a][a] + (1 - 2 * c) * r[a][a].T)[0] for c in (0, 1)]
+        v[a][a] = (halves[0] + halves[1]) / 2.0
+    v[0][1], odd_even = solve((0, 1), None, r[0][1], r[1][0].T)
+    v[1][0] = np.transpose(odd_even)
+    r.clear()
     f = np.empty(interior.shape)
     for dest, q in zip(_quadrants(f), _mirror_transform(v)):
         for d, part in zip(dest, q):
@@ -358,9 +379,10 @@ def assemble_and_solve(spec: GridSpec) -> GridField:
     odd in one coordinate; four octant and one quarter system for data
     with no symmetry; none for zero data.  No matrix of the whole
     interior is built: each class system is written from the stencil of
-    its kept nodes (`_class_system`).  When the whole interior has at most
-    DIRECT_SOLVE_LIMIT (1e5) unknowns every class is factorized, SuperLU
-    ordering it by minimum degree on A^T + A
+    its kept nodes (`_class_system`), and no lattice-sized array but the
+    tags and the solution outlives assembly and the class solves.  When
+    the whole interior has at most DIRECT_SOLVE_LIMIT (1e5) unknowns every
+    class is factorized, SuperLU ordering it by minimum degree on A^T + A
     (`MMD_AT_PLUS_A`; Liu, ACM TOMS 11, 1985); this agrees with one
     unsplit factorization up to rounding, within 1e-12 * max|f|, and
     symmetric data give an exactly symmetric solution.  Beyond, each class
@@ -369,12 +391,11 @@ def assemble_and_solve(spec: GridSpec) -> GridField:
     ||r|| <= CG_RTOL ||b||, so the whole system meets that bound too.
     Raises SolverError on a degenerate grid or CG stall.
     """
-    axis, tags, bvals, weight, rhs = _assemble(spec)
+    axis, tags, bvals, rhs = _assemble(spec)
     interior = tags == INTERIOR
-    boundary = tags == BOUNDARY
-    values = _mirror_solve(rhs, interior, weight, spec.beta, spec.h,
+    values = _mirror_solve(rhs, interior, axis, spec.beta, spec.h,
                            cg=np.count_nonzero(interior) > DIRECT_SOLVE_LIMIT)
-    values[boundary] = bvals[boundary]
+    values[tags == BOUNDARY] = bvals
     values[tags == EXTERIOR] = np.nan
     return GridField(axis=axis, tags=tags, values=values, h=spec.h,
                      r_max=spec.r_max)
@@ -388,28 +409,27 @@ def residual_field(field: GridField, spec: GridSpec) -> float:
     truncation error of the five-point stencil.  It is absolute, so it has
     a rounding floor near eps * w * max|f| / h^2, w = (1 - r^2)^2/4.
     """
-    axis, tags, X, Y = _lattice(spec)
+    axis, tags = _lattice(spec)
     if not (np.array_equal(axis, field.axis) and np.array_equal(tags, field.tags)):
         raise ValueError("lattice mismatch between field and spec")
 
-    f = field.values
     interior = tags == INTERIOR
-    h2 = spec.h * spec.h
-    lap5 = np.zeros_like(f)
-    lap5[1:-1, 1:-1] = (f[:-2, 1:-1] + f[2:, 1:-1] + f[1:-1, :-2] + f[1:-1, 2:]
-                        - 4.0 * f[1:-1, 1:-1]) / h2
-    w = _conformal_weight(X[interior], Y[interior])
-    psi = _sample(spec.source_fn(), X[interior], Y[interior], "source")
-    res = w * lap5[interior] - spec.beta * f[interior] + psi
+    psi = _sample(spec.source_fn(), *_nodes(axis, interior), "source")
+    w = _conformal_weight(*_nodes(axis, interior))
+    # The five-point Laplacian at the interior nodes, from shifted views.
+    f, inner = field.values, interior[1:-1, 1:-1]
+    lap5 = (f[:-2, 1:-1][inner] + f[2:, 1:-1][inner] + f[1:-1, :-2][inner]
+            + f[1:-1, 2:][inner] - 4.0 * f[1:-1, 1:-1][inner]) / (spec.h * spec.h)
+    res = w * lap5 - spec.beta * f[interior] + psi
     return float(np.max(np.abs(res)))
 
 
 def sample_exact(spec: GridSpec, exact: XYCallable) -> GridField:
     """Exact solution sampled on the spec's lattice (NaN at exterior)."""
-    axis, tags, X, Y = _lattice(spec)
+    axis, tags = _lattice(spec)
     values = np.full(tags.shape, np.nan)
     mask = tags != EXTERIOR
-    values[mask] = _sample(exact, X[mask], Y[mask], "exact solution")
+    values[mask] = _sample(exact, *_nodes(axis, mask), "exact solution")
     return GridField(axis=axis, tags=tags, values=values, h=spec.h,
                      r_max=spec.r_max)
 

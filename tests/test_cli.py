@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -291,6 +292,23 @@ class TestUsageErrors:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert sorted(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("rmax, message", [
+        ("0.8", "source is not finite at every node"),
+        ("0.6", "right-hand side overflows: source or boundary data too large"),
+    ])
+    def test_overflowing_data_is_a_usage_error_without_a_warning(self, rmax, message, capsys):
+        # at beta = 1e308 the manufactured source (beta - 2) f overflows to
+        # inf where f > 1.8 (r > 0.53); inside, it stays finite but the
+        # sums that split it by symmetry overflow.  Both are refused by
+        # name and no numpy warning escapes.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = invoke("pde", "converge", "--beta", "1e308", "--h", "0.1,0.05",
+                               "--rmax", rmax, "--quiet")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
     @pytest.mark.parametrize("widths", ["", ",", "0.04"])
     def test_fewer_than_two_mesh_widths_is_usage_error(self, widths, capsys):
         code, out = invoke("pde", "converge", "--beta", "2", "--h", widths,
@@ -535,7 +553,7 @@ class TestJsonEmitter:
 # milliseconds; the bad ones are nan, inf, 0, negative, out-of-range,
 # over-the-lattice-cap and malformed values, bad paths and bad ladders.
 GOOD = {
-    "beta": st.sampled_from(["1", "2.5", "0.05", "1e-300", "1e300"]),
+    "beta": st.sampled_from(["1", "2.5", "0.05", "1e-300", "1e300", "1e308"]),
     "rmax": st.sampled_from([None, "0.6", "0.999"]),
     "h": st.sampled_from(["0.1", "0.05", "0.04"]),
     "ladder": st.sampled_from(["0.1,0.05", "0.08,0.04,0.02", "0.125,0.0625"]),

@@ -16,9 +16,10 @@ from warpverify.cli import BOUNDARY_CATALOG, run
 from warpverify.errors import SolverError
 from warpverify.screened_pde import (
     BOUNDARY, EXTERIOR, INTERIOR, TAG_NAMES, ConvergenceRow, GridField,
-    GridSpec, _assemble, _class_system, _conformal_weight, _lattice,
-    assemble_and_solve, convergence_study, coshdist_exact, manufactured_spec,
-    residual_field, sample_exact, write_grid_csv,
+    GridSpec, _assemble, _class_cg, _class_system, _conformal_weight, _lattice,
+    _mirror_transform, _nodes, _quadrants, _sample, assemble_and_solve,
+    convergence_study, coshdist_exact, manufactured_spec, residual_field,
+    sample_exact, write_grid_csv,
 )
 
 
@@ -114,7 +115,7 @@ class TestDataCallbacks:
         spec = GridSpec(beta=1.3, r_max=0.3, h=0.05, source=source,
                         boundary=coshdist_exact)
         field = assemble_and_solve(spec)
-        X, Y = field.meshes()
+        X, Y = np.meshgrid(field.axis, field.axis, indexing="ij")
         nodes = {"boundary": field.tags == BOUNDARY, "source": field.interior_mask,
                  "exact": field.tags != EXTERIOR}
 
@@ -140,8 +141,10 @@ class TestDataCallbacks:
         lambda x, y: np.where(x > 0.1, np.nan, 1.0),            # NaN at some nodes
     ], ids=["inf", "nan"])
     def test_non_finite_data_is_a_value_error(self, datum, value):
+        # the datum runs with numpy's floating-point warnings off, so the
+        # ValueError that names it is all that escapes
         spec = GridSpec(beta=1.0, r_max=0.3, h=0.05, **{datum: value})
-        with np.errstate(divide="ignore"), pytest.raises(ValueError, match=datum):
+        with pytest.raises(ValueError, match=datum):
             assemble_and_solve(spec)
 
     @pytest.mark.parametrize("value", [
@@ -215,7 +218,7 @@ def truncation_oracle(spec):
     """Independent truncation bound: evaluate w * (lap5 - lap) f* directly
     against the analytic Laplacian 2 f* ((1-r^2)^2/4) lap_euc = lap_g."""
     field = sample_exact(spec, coshdist_exact)
-    X, Y = field.meshes()
+    X, Y = np.meshgrid(field.axis, field.axis, indexing="ij")
     interior = field.tags == INTERIOR
     h2 = spec.h ** 2
     f = field.values
@@ -364,11 +367,72 @@ class TestSymmetry:
         assert np.nanmax(np.abs(values)) > 0.5
 
 
+def reference_lattice(spec):
+    """The lattice from its two coordinate meshes: (axis, tags, X, Y).  The
+    solver reads coordinates off the axis; it must give these bits."""
+    n = screened_pde._half_width(spec.r_max, spec.h)
+    axis = np.arange(-n, n + 1, dtype=float) * spec.h
+    X, Y = np.meshgrid(axis, axis, indexing="ij")
+    inside = X * X + Y * Y <= spec.r_max * spec.r_max + 1e-12
+    interior = np.zeros_like(inside)
+    interior[1:-1, 1:-1] = (inside[1:-1, 1:-1] & inside[:-2, 1:-1] & inside[2:, 1:-1]
+                            & inside[1:-1, :-2] & inside[1:-1, 2:])
+    tags = np.full(inside.shape, EXTERIOR, dtype=np.int8)
+    tags[inside] = BOUNDARY
+    tags[interior] = INTERIOR
+    return axis, tags, X, Y
+
+
+def reference_assemble(spec):
+    """The interior system's data as lattice arrays from the meshes: (tags,
+    boundary values, conformal weight, right-hand side), the last 0 off
+    the interior and the Dirichlet terms summed as (E + W) + (N + S)."""
+    _, tags, X, Y = reference_lattice(spec)
+    interior, boundary = tags == INTERIOR, tags == BOUNDARY
+    weight = _conformal_weight(X, Y)
+    scaled = weight[interior] / (spec.h * spec.h)
+    bvals = np.zeros(tags.shape)
+    bvals[boundary] = _sample(spec.boundary_fn(), X[boundary], Y[boundary], "boundary")
+    src = _sample(spec.source_fn(), X[interior], Y[interior], "source")
+    inner = interior[1:-1, 1:-1]
+    east, west, north, south = (scaled * b[inner] for b in (
+        bvals[2:, 1:-1], bvals[:-2, 1:-1], bvals[1:-1, 2:], bvals[1:-1, :-2]))
+    rhs = np.zeros(tags.shape)
+    rhs[interior] = src + ((east + west) + (north + south))
+    return tags, bvals, weight, rhs
+
+
+def reference_residual(field, spec):
+    """`residual_field` on the meshes, its Laplacian over the lattice."""
+    _, tags, X, Y = reference_lattice(spec)
+    f = field.values
+    interior = tags == INTERIOR
+    lap5 = np.zeros_like(f)
+    lap5[1:-1, 1:-1] = (f[:-2, 1:-1] + f[2:, 1:-1] + f[1:-1, :-2] + f[1:-1, 2:]
+                        - 4.0 * f[1:-1, 1:-1]) / (spec.h * spec.h)
+    w = _conformal_weight(X[interior], Y[interior])
+    psi = _sample(spec.source_fn(), X[interior], Y[interior], "source")
+    return float(np.max(np.abs(w * lap5[interior] - spec.beta * f[interior] + psi)))
+
+
+def reference_samples(field, exact):
+    """exact at the non-exterior nodes of field, read off the meshes."""
+    X, Y = np.meshgrid(field.axis, field.axis, indexing="ij")
+    mask = field.tags != EXTERIOR
+    return _sample(exact, X[mask], Y[mask], "exact solution")
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def whole_lattice_system(spec):
     """The interior system M f = rhs over the whole lattice, its unknowns
     numbered row-major: (conformal weight at the unknowns, M as CSR, rhs).
     The solver never builds it; the class systems are checked against it."""
-    _, tags, _, weight, rhs = _assemble(spec)
+    tags, _, weight, rhs = reference_assemble(spec)
     interior = tags == INTERIOR
     scaled = weight[interior] / (spec.h * spec.h)
     # In the row-major numbering the columns of a row, in increasing order,
@@ -470,9 +534,9 @@ class TestMirrorSplit:
     @pytest.mark.parametrize("r_max, h", [(0.3, 0.05), (0.9, 0.03), (0.8, 0.0123),
                                           (0.95, 0.0031)])
     def test_lattice_and_weight_are_exactly_mirror_invariant(self, r_max, h):
-        axis, tags, X, Y = _lattice(GridSpec(beta=1.0, r_max=r_max, h=h))
+        axis, tags = _lattice(GridSpec(beta=1.0, r_max=r_max, h=h))
         assert np.array_equal(axis[::-1], -axis)
-        w = _conformal_weight(X, Y)
+        w = _conformal_weight(*np.meshgrid(axis, axis, indexing="ij"))
         for image in mirrored(tags):
             assert np.array_equal(image, tags)
         for image in mirrored(w):
@@ -481,10 +545,10 @@ class TestMirrorSplit:
     @pytest.mark.parametrize("name", ["angular", "asymmetric-1"])
     def test_even_odd_matrix_is_the_transposed_odd_even_one(self, name):
         spec = SPLIT_SPECS[name]
-        _, tags, _, weight, _ = _assemble(spec)
+        axis, tags = _lattice(spec)
         interior = tags == INTERIOR
-        (k, l), even_odd, _ = _class_system(interior, weight, spec.beta, spec.h, (0, 1))
-        (k_t, l_t), odd_even, _ = _class_system(interior, weight, spec.beta, spec.h, (1, 0))
+        (k, l), even_odd, _ = _class_system(interior, axis, spec.beta, spec.h, (0, 1))
+        (k_t, l_t), odd_even, _ = _class_system(interior, axis, spec.beta, spec.h, (1, 0))
         # both number their nodes row-major; renumber the (odd, even)
         # unknowns so that its j-th sits at the transpose of the j-th
         # (even, odd) node
@@ -505,11 +569,11 @@ class TestMirrorSplit:
         # writing and folding only the stencils of the kept rows gives,
         # entry for entry, the rows of the whole-lattice M folded by the
         # whole-lattice fold map
-        _, tags, _, weight, _ = _assemble(spec)
+        axis, tags = _lattice(spec)
         interior = tags == INTERIOR
         _, M, _ = whole_lattice_system(spec)
         for parity, swap in CLASSES:
-            nodes, A, orbit = _class_system(interior, weight, spec.beta, spec.h, parity, swap)
+            nodes, A, orbit = _class_system(interior, axis, spec.beta, spec.h, parity, swap)
             want_nodes, want, want_orbit = folded_whole_rows(M, interior, parity, swap)
             assert np.array_equal(nodes, want_nodes)
             A.sort_indices()
@@ -568,6 +632,67 @@ class TestMirrorSplit:
             assert n_int / part - edge < unknowns < n_int / part + edge
 
 
+def nonsymmetric_exact(x, y):
+    return np.cos(x - 2.0 * y) + x * y * y
+
+
+class TestAxisDataFlow:
+    """The solver reads node coordinates off the 1D axis and keeps no
+    lattice-sized weight, boundary or right-hand-side array; every float
+    must equal, bit for bit, the one the coordinate meshes give."""
+
+    @pytest.mark.parametrize("r_max, h", [(0.3, 0.05), (0.9, 0.03), (0.8, 0.0123),
+                                          (0.95, 0.0031), (0.999, 0.002004)])
+    def test_lattice_tags_match_the_mesh_classification(self, r_max, h):
+        spec = GridSpec(beta=1.0, r_max=r_max, h=h)
+        axis, tags = _lattice(spec)
+        want_axis, want_tags, _, _ = reference_lattice(spec)
+        assert_same_bits(axis, want_axis)
+        assert_same_bits(tags, want_tags)
+
+    @pytest.mark.parametrize("r_max, h", [(0.3, 0.05), (0.8, 0.0123)])
+    def test_node_coordinates_match_the_meshes(self, r_max, h):
+        axis, tags, X, Y = reference_lattice(GridSpec(beta=1.0, r_max=r_max, h=h))
+        scattered = np.random.default_rng(7).random(tags.shape) < 0.3
+        for mask in (tags == INTERIOR, tags == BOUNDARY, tags != EXTERIOR, scattered):
+            x, y = _nodes(axis, mask)
+            assert_same_bits(x, X[mask])
+            assert_same_bits(y, Y[mask])
+
+    @pytest.mark.parametrize("name", sorted(SPLIT_SPECS))
+    def test_assembled_classes_match_the_mesh_assembly(self, name):
+        # the boundary values in row-major order, and the class right-hand
+        # sides as the mirror transform of the lattice right-hand side
+        spec = SPLIT_SPECS[name]
+        _, tags, bvals, classes = _assemble(spec)
+        want_tags, want_bvals, _, rhs = reference_assemble(spec)
+        assert_same_bits(tags, want_tags)
+        assert_same_bits(bvals, want_bvals[tags == BOUNDARY])
+        for got, want in zip(classes, _mirror_transform(_quadrants(rhs))):
+            for got_class, want_class in zip(got, want):
+                assert_same_bits(got_class, want_class)
+
+    @pytest.mark.parametrize("name", [*sorted(BOUNDARY_CATALOG), "manufactured", "asymmetric-1"])
+    def test_residual_and_exact_samples_match_the_meshes(self, name):
+        spec = SPLIT_SPECS[name]
+        field = assemble_and_solve(spec)
+        assert_same_bits(residual_field(field, spec), reference_residual(field, spec))
+        mask = field.tags != EXTERIOR
+        ref = reference_samples(field, nonsymmetric_exact)
+        assert_same_bits(field.max_error_against(nonsymmetric_exact),
+                         np.max(np.abs(field.values[mask] - ref)))
+        sampled = sample_exact(spec, nonsymmetric_exact)
+        assert_same_bits(sampled.values[mask], ref)
+        assert np.isnan(sampled.values[~mask]).all()
+
+    def test_overflowing_right_hand_side_is_a_value_error(self):
+        # each source value is finite, but the sums that split it into
+        # symmetry classes are not
+        spec = GridSpec(beta=1.0, r_max=0.6, h=0.1, source=lambda x, y: 1e308)
+        with pytest.raises(ValueError, match="right-hand side overflows"):
+            assemble_and_solve(spec)
+
+
 def counted_cg(monkeypatch):
     """Replace `spla.cg` inside the solver by one that records the size of
     each system and the iterations it runs."""
@@ -618,6 +743,32 @@ class TestClassConjugateGradients:
         assert unknowns < M.shape[0] / 3
         assert iterations == len(whole)
 
+    @pytest.mark.parametrize("spec", [SPLIT_SPECS["asymmetric-2"],
+                                      manufactured_spec(2.5, 0.8, 0.0035)],
+                             ids=["asymmetric-2", "calibration-finest"])
+    def test_symmetrized_matrix_is_the_diagonal_product(self, spec, monkeypatch):
+        # B is written entry by entry as (root/w)[row] * a * (1/root)[col]:
+        # the bits, the column order and so the CG iterates of
+        # diag(root/w) @ A @ diag(1/root)
+        class Captured(Exception):
+            pass
+
+        def capture(B, b, **options):
+            raise Captured(B)
+
+        monkeypatch.setattr(screened_pde.spla, "cg", capture)
+        axis, tags = _lattice(spec)
+        interior, n = tags == INTERIOR, len(axis) // 2
+        for parity, swap in CLASSES:
+            (k, l), A, orbit = _class_system(interior, axis, spec.beta, spec.h, parity, swap)
+            root, w = np.sqrt(orbit), _conformal_weight(axis[n + k], axis[n + l])
+            with pytest.raises(Captured) as info:
+                _class_cg(A, np.ones(k.size), root, w)
+            got = info.value.args[0]
+            want = (sp.diags(root / w) @ A @ sp.diags(1.0 / root)).tocsr()
+            for part in ("indptr", "indices", "data"):
+                assert_same_bits(getattr(got, part), getattr(want, part))
+
     def test_stall_is_a_solver_error_with_the_class_residual(self, monkeypatch):
         monkeypatch.setattr(screened_pde, "DIRECT_SOLVE_LIMIT", 0)
         monkeypatch.setattr(screened_pde, "CG_MAX_ITER", 1)
@@ -646,19 +797,26 @@ class TestClassAssembly:
         assert shapes
         assert all(rows < n_int for rows, _ in shapes)
 
-    def test_traced_peak_of_a_conjugate_gradient_solve(self):
-        # 162,865 unknowns, above the direct-solve limit: the peak stays a
-        # few lattice arrays (11.8x measured; 30x while the whole-lattice
-        # matrix and its N x 5 temporaries were built)
-        spec = manufactured_spec(2.5, 0.8, 0.0035)
+    @pytest.mark.parametrize("h, unknowns", [(0.0035, 162_865), (0.005, 79_477)],
+                             ids=["cg", "direct"])
+    def test_traced_peak_of_a_solve_and_its_checks(self, h, unknowns):
+        # the solve, its error against the exact solution and its residual
+        # stay within 9 lattice-sized float arrays (5.6 measured; 11.7-11.8
+        # while coordinate meshes, the lattice weight, boundary values and
+        # right-hand side and every class's quarters were held at once, 30
+        # with the whole-lattice matrix and its N x 5 temporaries)
+        spec = manufactured_spec(2.5, 0.8, h)
         tracemalloc.start()
         try:
             field = assemble_and_solve(spec)
+            field.max_error_against(coshdist_exact)
+            residual_field(field, spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert np.count_nonzero(field.interior_mask) == 162_865
-        assert peak <= 16 * field.values.nbytes
+        assert np.count_nonzero(field.interior_mask) == unknowns
+        assert (unknowns > screened_pde.DIRECT_SOLVE_LIMIT) == (h == 0.0035)
+        assert peak <= 9 * field.values.nbytes
 
     @pytest.mark.parametrize("offset, solver", [(0, "spsolve"), (-1, "cg")])
     def test_solver_switch_compares_the_whole_interior_count(self, offset, solver,
