@@ -11,7 +11,8 @@ einstein      : residuals of the Einstein system for a Ricci-flat fiber
                 over a surface, and the vertical Ricci coefficient.
 compatibility : profile-pair reduction, the closed-form conformal profile
                 of the (linear p, constant q) pair, constructed chart
-                metric, pseudospherical certification.
+                metric, the two pseudospherical certificates as max-abs
+                values.
 relation      : the lambda-m-beta quadratic relation (published and
                 rederived variants), root solving, existence sweeps.
 screened_pde  : finite-difference Dirichlet solver for [lap - beta] f = -psi

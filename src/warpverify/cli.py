@@ -181,6 +181,15 @@ class VerifyReport:
         }
 
 
+def _no_admissible_root(m: int, beta: float, variant: str) -> AdmissibilityError:
+    """The refusal of an (m, beta) whose relation has no admissible root."""
+    why = " (fiber dimension m < 2: the profile normalization divides by m - 1)"
+    return AdmissibilityError(
+        f"no admissible root for m = {m}, beta = {beta}, variant = {variant}"
+        + (why if m < 2 else ""),
+        reason="fiber_dimension" if m < 2 else "no_admissible_root")
+
+
 def run_verification(m: int, beta: float, variant: str = REDERIVED) -> VerifyReport:
     """Full pipeline for one parameter pair.
 
@@ -192,36 +201,29 @@ def run_verification(m: int, beta: float, variant: str = REDERIVED) -> VerifyRep
     chart coordinate.  Both the curvature certificate and the Einstein
     residuals sample the default strip (`strip_points(strip_samples())`).
 
+    The verdict compares each measurement with its `TOLERANCES` entry.
     Raises AdmissibilityError when the relation has no admissible root.
     """
     report = solve_lambda(relation_poly(m, beta, variant))
     admissible = report.admissible_roots
     if not admissible:
-        extra = ""
-        if m < 2:
-            extra = " (fiber dimension m < 2: the profile normalization divides by m - 1)"
-        raise AdmissibilityError(
-            f"no admissible root for m = {m}, beta = {beta}, variant = {variant}{extra}",
-            reason="fiber_dimension" if m < 2 else "no_admissible_root")
+        raise _no_admissible_root(m, beta, variant)
     lam = admissible[0]
     idx = report.roots.index(lam)
     relation_residual = report.backsub_residuals[idx]
-    K = lam + m * beta / 2.0
+    K = report.admissibility[idx].K
 
     pq = pq_from_params(m, lam, beta)
     samples = strip_samples()
-
-    pseudo = verify_pseudospherical(pq, samples, tol=TOLERANCES["curvature"],
-                                    compat_tol=TOLERANCES["compat"])
+    pseudo = verify_pseudospherical(pq, samples)
 
     # Base metric with curvature K: undo the unit-curvature rescaling.
     s = integrate_s(pq, samples[0], samples[-1])
     g_unit = build_metric(pq, s)
     g_base = rescale(g_unit, 1.0 / (-K))
     f = coordinate_u()
-    wp = WarpParams.ricci_flat_fiber(m=m, lam=lam, beta=beta)
     points = strip_points(samples)
-    res = residual_report(g_base, f, wp, points)
+    res = residual_report(g_base, f, WarpParams(m=m, lam=lam, beta=beta), points)
 
     ricci_err = 0.0
     for p in points:
@@ -232,8 +234,9 @@ def run_verification(m: int, beta: float, variant: str = REDERIVED) -> VerifyRep
             m)
         ricci_err = max(ricci_err, abs(coeff + lam))
 
-    passed = (relation_residual <= TOLERANCES["relation"] and pseudo.passed
-              and res.worst() <= TOLERANCES["einstein"])
+    measured = {"relation": relation_residual, "compat": pseudo.max_abs_compat_residual,
+                "curvature": pseudo.max_abs_curvature_plus_one, "einstein": res.worst()}
+    passed = all(measured[key] <= tol for key, tol in TOLERANCES.items())
     return VerifyReport(
         m=m, beta=beta, variant=variant, lam=lam, K=K,
         relation_residual=relation_residual,
@@ -462,13 +465,7 @@ def _cmd_relation_solve(args, out) -> int:
     report = solve_lambda(relation_poly(args.m, args.beta, args.variant))
     out.write(to_json(root_report_dict(report)) + "\n")
     if not report.admissible_roots:
-        if args.m < 2:
-            sys.stderr.write(
-                f"no admissible root: fiber dimension m = {args.m} < 2 "
-                "(the profile normalization divides by m - 1)\n")
-        else:
-            sys.stderr.write(
-                f"no admissible root for m = {args.m}, beta = {args.beta}\n")
+        sys.stderr.write(f"{_no_admissible_root(args.m, args.beta, args.variant)}\n")
         return EXIT_NO_ADMISSIBLE
     return EXIT_OK
 

@@ -12,7 +12,7 @@ conformal profile s in closed form, assembles the chart metric
 
     g = (df / p(f))^2 + (s(f) dh)^2
 
-and certifies that its Gaussian curvature is -1.
+and measures how far its Gaussian curvature is from -1.
 """
 
 from __future__ import annotations
@@ -37,12 +37,10 @@ DEFAULT_STRIP_SHAPE = (32, 8)
 
 @dataclass(frozen=True)
 class PQPair:
-    """Profile pair (p, q); `rescaled` marks pairs living on the unit-
-    curvature rescaling of the base metric."""
+    """Profile pair (p, q)."""
 
     p: ProfileFn
     q: ProfileFn
-    rescaled: bool = False
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -105,7 +103,6 @@ def pq_from_params(m: int, lam: float, beta: float) -> PQPair:
     return PQPair(
         p=linear_profile(slope, 0.0, domain=POSITIVE_AXIS),
         q=const_profile(q_val, domain=POSITIVE_AXIS),
-        rescaled=True,
     )
 
 
@@ -177,45 +174,26 @@ def build_metric(pq: PQPair, s: ProfileFn) -> Metric2D:
 
 @dataclass(frozen=True)
 class PseudosphericalReport:
-    """Outcome of the two-sided certification of a profile pair."""
+    """Max-abs compatibility residual and |K + 1| of a profile pair."""
 
     max_abs_compat_residual: float
     max_abs_curvature_plus_one: float
-    compat_ok: bool
-    curvature_ok: bool
-    curvature_tol: float
-    compat_tol: float
     sample_count: int
 
-    @property
-    def certificates_agree(self) -> bool:
-        return self.compat_ok == self.curvature_ok
 
-    @property
-    def passed(self) -> bool:
-        return self.compat_ok and self.curvature_ok
-
-
-def verify_pseudospherical(
-    pq: PQPair,
-    samples: Sequence[float],
-    tol: float,
-    compat_tol: float = 1e-8,
-) -> PseudosphericalReport:
-    """Certify a profile pair both ways: ODE residual and curvature.
+def verify_pseudospherical(pq: PQPair, samples: Sequence[float]) -> PseudosphericalReport:
+    """Measure a profile pair both ways: ODE residual and curvature.
 
     Integrates s, builds the chart metric and reports the max of
     |K + 1| over `strip_points(samples)` next to the max compatibility
     residual over the f samples.  The equivalence of the construction
-    says both checks must agree on success/failure.
+    says both vanish together.
 
     The curvature is evaluated from central finite differences of the
     metric component values (`Metric2D.with_fd_derivatives`), so it does
     not share the profiles' closed-form derivatives with the ODE residual:
     the two certificates stay independent.
     """
-    require_finite_positive("curvature tolerance", tol)
-    require_finite_positive("compat tolerance", compat_tol)
     samples = sorted(float(t) for t in samples)
     if len(samples) < 2:
         raise ValueError("need at least two profile samples")
@@ -234,10 +212,6 @@ def verify_pseudospherical(
     return PseudosphericalReport(
         max_abs_compat_residual=max_resid,
         max_abs_curvature_plus_one=max_kp1,
-        compat_ok=max_resid <= compat_tol,
-        curvature_ok=max_kp1 <= tol,
-        curvature_tol=tol,
-        compat_tol=compat_tol,
         sample_count=len(points),
     )
 

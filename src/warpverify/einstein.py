@@ -43,20 +43,6 @@ class WarpParams:
             raise ValueError(f"fiber dimension m must be >= 1, got {self.m}")
         require_finite_positive("screening parameter beta", self.beta)
 
-    @classmethod
-    def ricci_flat_fiber(cls, m: int, lam: float, beta: float = 1.0) -> "WarpParams":
-        """Parameters of a solution: the contracted equation fixes the base
-        curvature K = lam + m*beta/2.  Requires m >= 2, lam < 0 and K < 0."""
-        wp = cls(m=m, lam=lam, beta=beta)
-        if m < 2:
-            raise ValueError("ricci-flat fiber setup needs fiber dimension m >= 2")
-        if lam >= 0.0:
-            raise ValueError(f"ricci-flat fiber setup needs lambda < 0, got {lam}")
-        K = lam + m * beta / 2.0
-        if K >= 0.0:
-            raise ValueError(f"ricci-flat fiber setup needs negative base curvature, got K = {K}")
-        return wp
-
 
 @dataclass(frozen=True)
 class ResidualReport:

@@ -24,7 +24,8 @@ class AdmissibilityError(ToolkitError):
     to build real, positive profile functions.
 
     `reason` is one of: "fiber_dimension", "lambda_plus_beta", "degenerate",
-    "base_curvature".
+    "base_curvature", or "no_admissible_root" when the relation at m >= 2
+    has no root that satisfies them (raised by `cli.run_verification`).
     """
 
     def __init__(self, message, reason):

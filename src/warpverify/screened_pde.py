@@ -172,10 +172,11 @@ def _conformal_weight(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _assemble(spec: GridSpec):
     """The spec's lattice and the data of its interior system: (axis, tags,
     boundary values at the boundary nodes in row-major order, right-hand
-    side split into its four parity classes by `_mirror_transform`), or
-    ValueError if a class overflows.  No lattice-sized weight, boundary or
-    right-hand-side array outlives the call and no matrix is built:
-    `_class_system` writes the stencil of each kept row."""
+    side split into its four parity classes by `_mirror_transform`, an
+    all-zero class as the scalar 0.0), or ValueError if a class overflows.
+    No lattice-sized weight, boundary or right-hand-side array outlives
+    the call and no matrix is built: `_class_system` writes the stencil of
+    each kept row."""
     axis, tags = _lattice(spec)
     interior = tags == INTERIOR
     boundary = tags == BOUNDARY
@@ -204,7 +205,7 @@ def _assemble(spec: GridSpec):
         classes = _mirror_transform(_quadrants(rhs))
     if not all(np.isfinite(c).all() for half in classes for c in half):
         raise ValueError("right-hand side overflows: source or boundary data too large")
-    return axis, tags, bvals, classes
+    return axis, tags, bvals, [[c if c.any() else 0.0 for c in half] for half in classes]
 
 
 def _quadrants(a: np.ndarray) -> list:
@@ -305,8 +306,9 @@ def _mirror_solve(r: list, interior: np.ndarray, axis: np.ndarray, beta: float, 
                   cg: bool) -> np.ndarray:
     """Solve M f = rhs by its symmetry under the dihedral group of the square.
 
-    r holds the four parity classes of rhs from `_assemble`, emptied before
-    the returned lattice array of f (0 off the interior) is assembled.
+    r holds the four parity classes of rhs from `_assemble`, an all-zero
+    one as the scalar 0.0, emptied before the returned lattice array of f
+    (0 off the interior) is assembled.
 
     The lattice, its interior and the conformal weight are exactly
     invariant under x -> -x, y -> -y and x <-> y, so M commutes with
@@ -323,19 +325,19 @@ def _mirror_solve(r: list, interior: np.ndarray, axis: np.ndarray, beta: float, 
     manufactured problem) or odd in x and y and symmetric under x <-> y
     (`angular`) need one octant solve, data odd in one coordinate one
     quarter solve (two right-hand sides), and data with no symmetry four
-    octant solves and one quarter solve; an octant right-hand side is
-    built just before its solve, a solution quarter only for a solved
-    class, and a skipped one enters the sums as the scalar 0.0.  Each
-    class is solved directly, SuperLU ordering it by minimum degree on
-    A^T + A (`MMD_AT_PLUS_A`), or with `cg` by conjugate gradients
-    (`_class_cg`), once per right-hand side.
+    octant solves and one quarter solve.  A zero class is never
+    materialized, it stays the scalar 0.0 through every sum; an octant
+    right-hand side is built just before its solve, a solution quarter
+    only for a solved class.  Each class is solved directly, SuperLU
+    ordering it by minimum degree on A^T + A (`MMD_AT_PLUS_A`), or with
+    `cg` by conjugate gradients (`_class_cg`), once per right-hand side.
     """
     n = interior.shape[0] // 2
 
     def solve(parity, swap, *given):
         """The quarter of each class solution, 0.0 where given is zero."""
         quarters = [0.0] * len(given)
-        excited = [i for i, g in enumerate(given) if g.any()]
+        excited = [i for i, g in enumerate(given) if np.any(g)]
         if not excited:
             return quarters
         (k, l), A, orbit = _class_system(interior, axis, beta, h, parity, swap)
@@ -356,9 +358,10 @@ def _mirror_solve(r: list, interior: np.ndarray, axis: np.ndarray, beta: float, 
     # (odd, even) one on transposed quarters.
     v = [[0.0, 0.0], [0.0, 0.0]]
     for a in (0, 1):
-        halves = [solve((a, a), c, r[a][a] + (1 - 2 * c) * r[a][a].T)[0] for c in (0, 1)]
+        halves = [solve((a, a), c, r[a][a] + (1 - 2 * c) * np.transpose(r[a][a]))[0]
+                  for c in (0, 1)]
         v[a][a] = (halves[0] + halves[1]) / 2.0
-    v[0][1], odd_even = solve((0, 1), None, r[0][1], r[1][0].T)
+    v[0][1], odd_even = solve((0, 1), None, r[0][1], np.transpose(r[1][0]))
     v[1][0] = np.transpose(odd_even)
     r.clear()
     f = np.empty(interior.shape)

@@ -4,6 +4,7 @@ import contextlib
 import errno
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from warpverify import cli
 from warpverify.cli import (
     EXIT_NO_ADMISSIBLE, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, EXIT_VERIFY_FAIL,
     SWEEP_CSV_HEADER, TOLERANCES, main, run, to_json,
@@ -103,6 +105,44 @@ class TestVerify:
     def test_no_admissible_root(self):
         code, _ = invoke("verify", "--m", "1", "--beta", "1", "--quiet")
         assert code == EXIT_NO_ADMISSIBLE
+
+    @pytest.mark.parametrize("m, beta, variant, why", [
+        ("1", "1", "rederived", " (fiber dimension m < 2: the profile normalization divides by m - 1)"),
+        ("3", "2", "published", ""),
+    ])
+    def test_relation_solve_and_verify_share_one_refusal(self, m, beta, variant, why, capsys):
+        argv = ("--m", m, "--beta", beta, "--variant", variant, "--quiet")
+        code, _ = invoke("relation", "solve", *argv)
+        assert code == EXIT_NO_ADMISSIBLE
+        solve_err = capsys.readouterr().err
+        code, out = invoke("verify", *argv)
+        assert code == EXIT_NO_ADMISSIBLE and out == ""
+        want = f"no admissible root for m = {m}, beta = {float(beta)}, variant = {variant}{why}\n"
+        assert solve_err == capsys.readouterr().err == want
+
+    @pytest.mark.parametrize("key", sorted(TOLERANCES))
+    def test_each_gate_reads_its_tolerance(self, key, monkeypatch):
+        # every measurement passes at (3, 1); a threshold just below its
+        # reported value alone must turn the verdict to fail
+        code, out = invoke("verify", "--m", "3", "--beta", "1", "--quiet")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["verdict"] == "pass"
+        reported = {
+            "relation": payload["relation_residual"],
+            "compat": payload["compat_max_residual"],
+            "curvature": payload["curvature_max_abs_k_plus_1"],
+            "einstein": max(payload[f"einstein_max_{part}_residual"]
+                            for part in ("tensor", "contracted", "scalar")),
+        }[key]
+        below = math.nextafter(reported, -math.inf)
+        patched = {**TOLERANCES, key: below}
+        monkeypatch.setitem(cli.TOLERANCES, key, below)
+        code, out = invoke("verify", "--m", "3", "--beta", "1", "--quiet")
+        assert code == EXIT_VERIFY_FAIL
+        payload = json.loads(out)
+        assert payload["verdict"] == "fail"
+        assert payload["tolerances"] == patched
 
     def test_unattainable_tolerance_fails(self):
         # the published pair fails the compatibility oracle, so its

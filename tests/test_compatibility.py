@@ -97,7 +97,7 @@ class TestPqFromParams:
     @pytest.mark.parametrize("m,lam", [(3, -2.0), (2, -1.5), (4, -2.5)])
     def test_unit_beta_gives_identity_slope_and_q_two(self, m, lam):
         pq = pq_from_params(m, lam, 1.0)
-        assert pq.rescaled
+        assert pq.p.structure[0] == "linear" and pq.q.structure[0] == "const"
         assert pq.p.d1(1.0) == pytest.approx(1.0, rel=1e-14)
         assert pq.p(1.7) == pytest.approx(1.7, rel=1e-14)
         assert pq.q(0.4) == pytest.approx(2.0, rel=1e-14)
@@ -247,23 +247,30 @@ class TestBuildMetric:
             build_metric(pq, const_profile(-1.0))
 
 
+def certificates_agree(rep, tol):
+    """The compatibility residual within 1e-8 exactly when |K + 1| is
+    within tol: both certificates judge the pair alike."""
+    return (rep.max_abs_compat_residual <= 1e-8) == (rep.max_abs_curvature_plus_one <= tol)
+
+
 class TestVerifyPseudospherical:
     def test_admissible_root_pipeline(self):
         pq = pq_from_params(3, -2.0, 1.0)
-        rep = verify_pseudospherical(pq, strip_samples(), tol=1e-6)
+        rep = verify_pseudospherical(pq, strip_samples())
         assert rep.max_abs_curvature_plus_one < 1e-6
         assert rep.max_abs_compat_residual < 1e-10
-        assert rep.passed and rep.certificates_agree
+        assert rep.max_abs_compat_residual <= 1e-8 and rep.max_abs_curvature_plus_one <= 1e-6
+        assert certificates_agree(rep, 1e-6)
         assert rep.sample_count == 256
 
     def test_flat_pair_fails_both_ways(self):
         # s = 1 and E = 1/t^2: the chart metric (dt/t)^2 + dh^2 is flat
         pq = PQPair(linear_profile(1.0, 0.0, domain=POS), const_profile(1.0))
-        rep = verify_pseudospherical(pq, strip_samples(), tol=1e-5)
+        rep = verify_pseudospherical(pq, strip_samples())
         assert rep.max_abs_compat_residual == pytest.approx(1.0)
         assert rep.max_abs_curvature_plus_one == pytest.approx(1.0, abs=1e-7)
-        assert not rep.compat_ok and not rep.curvature_ok
-        assert rep.certificates_agree
+        assert rep.max_abs_compat_residual > 1e-8 and rep.max_abs_curvature_plus_one > 1e-5
+        assert certificates_agree(rep, 1e-5)
 
     def test_inadmissible_params_raise_before_verification(self):
         with pytest.raises(AdmissibilityError):
@@ -284,18 +291,18 @@ class TestVerifyPseudospherical:
         from warpverify.relation import poly_rederived, solve_lambda
         lam = solve_lambda(poly_rederived(m, beta)).admissible_roots[0]
         pq = pq_from_params(m, lam, beta)
-        rep = verify_pseudospherical(pq, strip_samples(), tol=1e-5)
+        rep = verify_pseudospherical(pq, strip_samples())
         assert rep.max_abs_compat_residual <= 1e-8
         assert rep.max_abs_curvature_plus_one <= 1e-5
-        assert rep.certificates_agree
+        assert certificates_agree(rep, 1e-5)
 
     def test_equivalence_fails_together_for_near_miss(self):
         # small perturbation of an admissible pair breaks both certificates
         pos = (0.0, math.inf)
         pq = PQPair(linear_profile(1.0, 0.0, domain=pos), const_profile(2.2))
-        rep = verify_pseudospherical(pq, strip_samples(), tol=1e-5)
-        assert not rep.compat_ok and not rep.curvature_ok
-        assert rep.certificates_agree
+        rep = verify_pseudospherical(pq, strip_samples())
+        assert rep.max_abs_compat_residual > 1e-8 and rep.max_abs_curvature_plus_one > 1e-5
+        assert certificates_agree(rep, 1e-5)
 
 
 def test_curvature_certificate_error_model():
@@ -316,7 +323,7 @@ def test_curvature_certificate_error_model():
     default = error(g.with_fd_derivatives())
     assert default == err[DEFAULT_FD_STEP]
     assert default < err[1e-3] and default < err[1e-5]
-    assert default == verify_pseudospherical(pq, samples, tol=1e-5).max_abs_curvature_plus_one
+    assert default == verify_pseudospherical(pq, samples).max_abs_curvature_plus_one
 
 
 class TestAdmissibleRootNormalForm:

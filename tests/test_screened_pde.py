@@ -670,7 +670,24 @@ class TestAxisDataFlow:
         assert_same_bits(bvals, want_bvals[tags == BOUNDARY])
         for got, want in zip(classes, _mirror_transform(_quadrants(rhs))):
             for got_class, want_class in zip(got, want):
-                assert_same_bits(got_class, want_class)
+                if isinstance(got_class, float):
+                    assert got_class == 0.0 and not want_class.any()
+                else:
+                    assert_same_bits(got_class, want_class)
+
+    @pytest.mark.parametrize("name, arrays", [
+        ("coshdist", {(0, 0)}), ("one", {(0, 0)}), ("manufactured", {(0, 0)}),
+        ("angular", {(1, 1)}), ("odd-in-x", {(1, 0)}), ("odd-in-y", {(0, 1)}),
+        ("asymmetric-1", {(0, 0), (0, 1), (1, 0), (1, 1)}), ("zero", set()),
+    ])
+    def test_only_the_excited_classes_are_arrays(self, name, arrays):
+        # a class the data leave zero is the scalar 0.0, never a quarter array
+        classes = _assemble(SPLIT_SPECS[name])[3]
+        got = {(a, b) for a in (0, 1) for b in (0, 1)
+               if isinstance(classes[a][b], np.ndarray)}
+        assert got == arrays
+        assert all(classes[a][b] == 0.0 for a in (0, 1) for b in (0, 1)
+                   if (a, b) not in arrays)
 
     @pytest.mark.parametrize("name", [*sorted(BOUNDARY_CATALOG), "manufactured", "asymmetric-1"])
     def test_residual_and_exact_samples_match_the_meshes(self, name):
