@@ -1,6 +1,7 @@
 """Verification toolkit for Einstein warped products over pseudospherical
 bases whose warping function satisfies the homogeneous screened Poisson
-equation.
+equation.  Import from the submodules; the package exports only
+`__version__`.
 
 Submodules
 ----------
@@ -21,30 +22,3 @@ cli           : command-line front end with CSV/JSON emission.
 """
 
 __version__ = "0.1.0"
-
-from .errors import (  # noqa: F401
-    AdmissibilityError, DomainError, PositivityError, SolverError, ToolkitError,
-)
-from .geometry2d import (  # noqa: F401
-    Metric2D, Point2, ScalarField2D, SymMat2,
-    gauss_curvature, grad_norm_sq, hessian, laplace_beltrami, rescale,
-    poincare_disk, poincare_half_plane, flat_metric,
-)
-from .einstein import (  # noqa: F401
-    ResidualReport, WarpParams,
-    contracted_residual, residual_report, scalar_constraint_residual,
-    tensor_residual, vertical_ricci_coeff,
-)
-from .compatibility import (  # noqa: F401
-    PQPair, PseudosphericalReport,
-    build_metric, compat_residual, integrate_s, pq_from_params,
-    verify_pseudospherical,
-)
-from .relation import (  # noqa: F401
-    RelationPoly, RootReport,
-    existence_sweep, poly_published, poly_rederived, solve_lambda,
-)
-from .screened_pde import (  # noqa: F401
-    GridField, GridSpec,
-    assemble_and_solve, convergence_study, residual_field, write_grid_csv,
-)

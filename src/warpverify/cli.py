@@ -28,7 +28,6 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -141,46 +140,6 @@ def root_report_dict(report: RootReport) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    """Aggregated certificate for one (m, beta) parameter pair.
-
-    The verdict gates the relation, compatibility, curvature and Einstein
-    residuals against `TOLERANCES`.  `vertical_ricci_max_error` (max of
-    |vertical Ricci coefficient + lambda|) is informational and not part
-    of the verdict.
-    """
-
-    m: int
-    beta: float
-    variant: str
-    lam: float
-    K: float
-    relation_residual: float
-    compat_max_residual: float
-    curvature_max_abs_k_plus_1: float
-    einstein_max_tensor_residual: float
-    einstein_max_contracted_residual: float
-    einstein_max_scalar_residual: float
-    vertical_ricci_max_error: float
-    verdict: str
-
-    def to_dict(self) -> dict:
-        return {
-            "params": {"m": self.m, "beta": self.beta, "variant": self.variant,
-                       "lambda": self.lam, "K": self.K},
-            "relation_residual": self.relation_residual,
-            "compat_max_residual": self.compat_max_residual,
-            "curvature_max_abs_k_plus_1": self.curvature_max_abs_k_plus_1,
-            "einstein_max_tensor_residual": self.einstein_max_tensor_residual,
-            "einstein_max_contracted_residual": self.einstein_max_contracted_residual,
-            "einstein_max_scalar_residual": self.einstein_max_scalar_residual,
-            "vertical_ricci_max_error": self.vertical_ricci_max_error,
-            "tolerances": dict(TOLERANCES),
-            "verdict": self.verdict,
-        }
-
-
 def _no_admissible_root(m: int, beta: float, variant: str) -> AdmissibilityError:
     """The refusal of an (m, beta) whose relation has no admissible root."""
     why = " (fiber dimension m < 2: the profile normalization divides by m - 1)"
@@ -190,8 +149,8 @@ def _no_admissible_root(m: int, beta: float, variant: str) -> AdmissibilityError
         reason="fiber_dimension" if m < 2 else "no_admissible_root")
 
 
-def run_verification(m: int, beta: float, variant: str = REDERIVED) -> VerifyReport:
-    """Full pipeline for one parameter pair.
+def run_verification(m: int, beta: float, variant: str = REDERIVED) -> dict:
+    """Full pipeline for one parameter pair, as the report `verify` prints.
 
     Solves the relation, builds the profile pair at the admissible root,
     integrates s, constructs the chart metric, certifies curvature -1
@@ -201,7 +160,10 @@ def run_verification(m: int, beta: float, variant: str = REDERIVED) -> VerifyRep
     chart coordinate.  Both the curvature certificate and the Einstein
     residuals sample the default strip (`strip_points(strip_samples())`).
 
-    The verdict compares each measurement with its `TOLERANCES` entry.
+    The verdict compares the relation, compatibility, curvature and
+    Einstein residuals with their `TOLERANCES` entries.
+    `vertical_ricci_max_error` (max of |vertical Ricci coefficient +
+    lambda|) is informational and not part of the verdict.
     Raises AdmissibilityError when the relation has no admissible root.
     """
     report = solve_lambda(relation_poly(m, beta, variant))
@@ -223,7 +185,7 @@ def run_verification(m: int, beta: float, variant: str = REDERIVED) -> VerifyRep
     g_base = rescale(g_unit, 1.0 / (-K))
     f = coordinate_u()
     points = strip_points(samples)
-    res = residual_report(g_base, f, WarpParams(m=m, lam=lam, beta=beta), points)
+    res = residual_report(g_base, f, WarpParams(m=m, lam=lam), points)
 
     ricci_err = 0.0
     for p in points:
@@ -237,17 +199,18 @@ def run_verification(m: int, beta: float, variant: str = REDERIVED) -> VerifyRep
     measured = {"relation": relation_residual, "compat": pseudo.max_abs_compat_residual,
                 "curvature": pseudo.max_abs_curvature_plus_one, "einstein": res.worst()}
     passed = all(measured[key] <= tol for key, tol in TOLERANCES.items())
-    return VerifyReport(
-        m=m, beta=beta, variant=variant, lam=lam, K=K,
-        relation_residual=relation_residual,
-        compat_max_residual=pseudo.max_abs_compat_residual,
-        curvature_max_abs_k_plus_1=pseudo.max_abs_curvature_plus_one,
-        einstein_max_tensor_residual=res.tensor_residual.max_abs(),
-        einstein_max_contracted_residual=res.contracted_residual,
-        einstein_max_scalar_residual=res.scalar_constraint_residual,
-        vertical_ricci_max_error=ricci_err,
-        verdict="pass" if passed else "fail",
-    )
+    return {
+        "params": {"m": m, "beta": beta, "variant": variant, "lambda": lam, "K": K},
+        "relation_residual": relation_residual,
+        "compat_max_residual": pseudo.max_abs_compat_residual,
+        "curvature_max_abs_k_plus_1": pseudo.max_abs_curvature_plus_one,
+        "einstein_max_tensor_residual": res.tensor_residual.max_abs(),
+        "einstein_max_contracted_residual": res.contracted_residual,
+        "einstein_max_scalar_residual": res.scalar_constraint_residual,
+        "vertical_ricci_max_error": ricci_err,
+        "tolerances": dict(TOLERANCES),
+        "verdict": "pass" if passed else "fail",
+    }
 
 
 # -- sweep emitters ----------------------------------------------------------------
@@ -482,8 +445,8 @@ def _cmd_verify(args, out) -> int:
     except AdmissibilityError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_NO_ADMISSIBLE
-    out.write(to_json(report.to_dict()) + "\n")
-    return EXIT_OK if report.verdict == "pass" else EXIT_VERIFY_FAIL
+    out.write(to_json(report) + "\n")
+    return EXIT_OK if report["verdict"] == "pass" else EXIT_VERIFY_FAIL
 
 
 def _cmd_curvature(args, out) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import PositivityError, require_finite_positive
+from .errors import PositivityError
 from .geometry2d import (
     Metric2D, Point2, ScalarField2D, SymMat2,
     gauss_curvature, grad_norm_sq, hessian, laplace_beltrami,
@@ -29,19 +29,16 @@ from .geometry2d import (
 class WarpParams:
     """Constant block of the warped-product system over a surface.
 
-    m is the fiber dimension, lam the Einstein constant and beta the
-    screening parameter of the warping equation lap(f) = beta f.  The
-    fiber is Ricci-flat.
+    m is the fiber dimension and lam the Einstein constant.  The fiber is
+    Ricci-flat.
     """
 
     m: int
     lam: float
-    beta: float = 1.0
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"fiber dimension m must be >= 1, got {self.m}")
-        require_finite_positive("screening parameter beta", self.beta)
 
 
 @dataclass(frozen=True)

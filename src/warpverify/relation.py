@@ -65,10 +65,6 @@ class RelationPoly:
     def coeffs_float(self) -> tuple[float, float, float]:
         return float(self.a2), float(self.a1), float(self.a0)
 
-    def eval_at(self, lam: float) -> float:
-        a2, a1, a0 = self.coeffs_float()
-        return (a2 * lam + a1) * lam + a0
-
     @property
     def is_exact(self) -> bool:
         return all(isinstance(c, Fraction) for c in (self.a2, self.a1, self.a0))
@@ -107,31 +103,8 @@ def _coefficients(mv, bv, half, variant: str):
     return a2, a1, a0
 
 
-def poly_published(m: Number, beta: Number) -> RelationPoly:
-    """The published coefficient set, reproduced verbatim:
-
-    a2 = 2 - m
-    a1 = beta (1 + 3m/2 - m^2/2)
-    a0 = m^2 (1 - beta^2/2) + m (5 beta^2/2 - 2)
-    """
-    return relation_poly(m, beta, PUBLISHED)
-
-
-def poly_rederived(m: Number, beta: Number) -> RelationPoly:
-    """Independently rederived coefficients:
-
-    a2 = 2 - m
-    a1 = beta (1 + 3m/2 - m^2/2)
-    a0 = beta^2 (m^2 + m)/2
-
-    Obtained by eliminating the profile pair from the compatibility ODE:
-    the relation is equivalent to (lam + m beta)^2 =
-    (m - 1)(lam + beta)(lam + m beta / 2).  Roots scale linearly in beta.
-    """
-    return relation_poly(m, beta, REDERIVED)
-
-
 def relation_poly(m: Number, beta: Number, variant: str = REDERIVED) -> RelationPoly:
+    """The quadratic of `variant` (see the module docstring) at (m, beta)."""
     a2, a1, a0 = _coefficients(*_validated(m, beta), variant)
     return RelationPoly(a2, a1, a0, variant, m, beta)
 

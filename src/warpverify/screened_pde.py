@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, TextIO, Union
 
@@ -75,6 +76,10 @@ class GridSpec:
                 f"mesh spacing h = {self.h} gives a lattice of {2 * np.floor(width) + 1:.6g}^2 "
                 f"nodes, above the {2 * MAX_HALF_WIDTH + 1}^2 cap; the smallest "
                 f"usable h at r_max = {self.r_max} is {self.r_max / MAX_HALF_WIDTH:.6g}")
+        # the stencil divides by h**2, which must not underflow
+        if self.h * self.h < sys.float_info.min:
+            raise ValueError(f"mesh spacing h must have h**2 >= {sys.float_info.min!r} "
+                             f"(the smallest normal double), got {self.h}")
 
     def source_fn(self) -> XYCallable:
         return self.source or (lambda x, y: 0.0)
@@ -288,13 +293,19 @@ def _class_cg(A, b: np.ndarray, root: np.ndarray, w: np.ndarray) -> np.ndarray:
     is the symmetric positive definite diag(1/w) M restricted to them and
     CG on B y = (root / w) b, x = y / root, runs the same iteration as CG
     on the whole lattice would (Hestenes & Stiefel, J. Res. NBS 49, 1952).
+    The right-hand side is scaled by the power of two 2^-e that puts its
+    max-abs in [1/2, 1), so the dot products cannot overflow, and y by 2^e
+    back: exact short of subnormals, so the iterates and their count are
+    those of the unscaled system.
     Raises SolverError with the class's relative residual on a stall.
     """
     rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
     B = sp.csr_matrix(((root / w)[rows] * A.data * (1.0 / root)[A.indices], A.indices, A.indptr),
                       shape=A.shape)
-    y, info = spla.cg(B, root / w * b, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAX_ITER)
-    x = y / root
+    rhs = root / w * b
+    _, e = np.frexp(np.max(np.abs(rhs)))
+    y, info = spla.cg(B, np.ldexp(rhs, -e), rtol=CG_RTOL, atol=0.0, maxiter=CG_MAX_ITER)
+    x = np.ldexp(y, e) / root
     if info != 0:
         res = float(np.linalg.norm(A @ x - b) / np.linalg.norm(b))
         raise SolverError(f"conjugate-gradient solve did not converge (info={info})",
@@ -326,11 +337,13 @@ def _mirror_solve(r: list, interior: np.ndarray, axis: np.ndarray, beta: float, 
     (`angular`) need one octant solve, data odd in one coordinate one
     quarter solve (two right-hand sides), and data with no symmetry four
     octant solves and one quarter solve.  A zero class is never
-    materialized, it stays the scalar 0.0 through every sum; an octant
-    right-hand side is built just before its solve, a solution quarter
-    only for a solved class.  Each class is solved directly, SuperLU
-    ordering it by minimum degree on A^T + A (`MMD_AT_PLUS_A`), or with
-    `cg` by conjugate gradients (`_class_cg`), once per right-hand side.
+    materialized, it stays the scalar 0.0 through every sum, and a
+    diagonal class equal to its transpose leaves its x <-> y odd octant
+    class at 0.0 unbuilt; an octant right-hand side is built just before
+    its solve, a solution quarter only for a solved class.  Each class is
+    solved directly, SuperLU ordering it by minimum degree on A^T + A
+    (`MMD_AT_PLUS_A`), or with `cg` by conjugate gradients (`_class_cg`),
+    once per right-hand side.
     """
     n = interior.shape[0] // 2
 
@@ -358,12 +371,15 @@ def _mirror_solve(r: list, interior: np.ndarray, axis: np.ndarray, beta: float, 
     # (odd, even) one on transposed quarters.
     v = [[0.0, 0.0], [0.0, 0.0]]
     for a in (0, 1):
-        halves = [solve((a, a), c, r[a][a] + (1 - 2 * c) * np.transpose(r[a][a]))[0]
-                  for c in (0, 1)]
-        v[a][a] = (halves[0] + halves[1]) / 2.0
+        q = r[a][a]
+        symmetric = np.array_equal(q, np.transpose(q))
+        even = solve((a, a), 0, q + np.transpose(q))[0]
+        odd = solve((a, a), 1, 0.0 if symmetric else q - np.transpose(q))[0]
+        v[a][a] = (even + odd) / 2.0
     v[0][1], odd_even = solve((0, 1), None, r[0][1], np.transpose(r[1][0]))
     v[1][0] = np.transpose(odd_even)
     r.clear()
+    del q, even, odd
     f = np.empty(interior.shape)
     for dest, q in zip(_quadrants(f), _mirror_transform(v)):
         for d, part in zip(dest, q):

@@ -20,9 +20,7 @@ from warpverify.geometry2d import (
     Point2, coordinate_u, gauss_curvature, grad_norm_sq, laplace_beltrami,
     poincare_disk, poincare_half_plane, rescale,
 )
-from warpverify.relation import (
-    poly_published, poly_rederived, solve_lambda,
-)
+from warpverify.relation import PUBLISHED, relation_poly, solve_lambda
 from warpverify.screened_pde import (
     BOUNDARY, EXTERIOR, GridSpec, assemble_and_solve, convergence_study,
     coshdist_exact,
@@ -38,7 +36,7 @@ def test_criterion_01_relation_roots():
     expected = {2: -1.5, 3: -2.0, 4: -2.5}
     worst_gap, worst_res = 0.0, 0.0
     for m, lam in expected.items():
-        rep = solve_lambda(poly_rederived(m, 1))
+        rep = solve_lambda(relation_poly(m, 1))
         roots = rep.admissible_roots
         assert len(roots) == 1
         worst_gap = max(worst_gap, abs(roots[0] - lam))
@@ -52,7 +50,7 @@ def test_criterion_01_relation_roots():
 def test_criterion_02_published_rederived_equality_at_unit_beta():
     mismatches = []
     for m in range(1, 51):
-        pub, red = poly_published(m, 1), poly_rederived(m, 1)
+        pub, red = relation_poly(m, 1, PUBLISHED), relation_poly(m, 1)
         if not (pub.is_exact and red.is_exact):
             mismatches.append((m, "inexact arithmetic"))
         elif (pub.a2, pub.a1, pub.a0) != (red.a2, red.a1, red.a0):
@@ -66,7 +64,7 @@ def test_criterion_03_compatibility_oracle():
     worst_res, worst_norm = 0.0, 0.0
     for m in range(3, 13):
         for beta in (0.5, 1.0, 2.0):
-            roots = solve_lambda(poly_rederived(m, beta)).admissible_roots
+            roots = solve_lambda(relation_poly(m, beta)).admissible_roots
             assert len(roots) == 1
             pq = pq_from_params(m, roots[0], beta)
             worst_res = max(worst_res,
@@ -79,10 +77,10 @@ def test_criterion_03_compatibility_oracle():
 
 def test_criterion_04_discrepancy_certificate():
     m, beta = 3, 2.0
-    red_roots = solve_lambda(poly_rederived(m, beta)).admissible_roots
+    red_roots = solve_lambda(relation_poly(m, beta)).admissible_roots
     assert len(red_roots) == 1
     red_res, red_reason = max_compat_residual_for_params(m, beta, red_roots[0])
-    pub_report = solve_lambda(poly_published(m, beta))
+    pub_report = solve_lambda(relation_poly(m, beta, PUBLISHED))
     pub_results = [max_compat_residual_for_params(m, beta, r)
                    for r in pub_report.roots]
 
@@ -144,7 +142,7 @@ def test_criterion_07_einstein_system_closure():
     f = coordinate_u()
     points = [Point2(t, h) for t in samples
               for h in (-1.0, -0.5, 0.0, 0.5, 1.0)]
-    wp = WarpParams(m=m, lam=lam, beta=beta)
+    wp = WarpParams(m=m, lam=lam)
     rep = residual_report(g_base, f, wp, points)
 
     ricci_err = max(
@@ -212,6 +210,6 @@ def test_criterion_10_cli_determinism():
 def test_verify_pipeline_end_to_end():
     """The CLI-level aggregation passes at default tolerances."""
     rep = run_verification(3, 1.0)
-    assert rep.verdict == "pass"
+    assert rep["verdict"] == "pass"
     rep = run_verification(5, 0.5)
-    assert rep.verdict == "pass"
+    assert rep["verdict"] == "pass"

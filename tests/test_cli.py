@@ -490,9 +490,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class TestGoldenOutput:
-    """Exact stdout and exit code of fixed command lines, recorded from
-    the release before the profile, field and compatibility kernels were
-    cut to the (linear p, constant q) pair."""
+    """Exact stdout and exit code of fixed command lines.  The verify and
+    curvature outputs were recorded from the release before the profile,
+    field and compatibility kernels were cut to the (linear p, constant q)
+    pair, the relation outputs before the per-variant relation
+    constructors and the package re-exports were deleted."""
 
     @pytest.mark.parametrize("name, argv, exit_code", [
         ("verify_m3_beta1", ("verify", "--m", "3", "--beta", "1"), EXIT_OK),
@@ -502,11 +504,23 @@ class TestGoldenOutput:
                             "--format", "json"), EXIT_OK),
         ("curvature_halfplane", ("curvature", "--model", "halfplane", "--at", "1.5,0.25",
                                  "--format", "json"), EXIT_OK),
+        ("relation_solve_m3_beta1", ("relation", "solve", "--m", "3", "--beta", "1"), EXIT_OK),
+        ("relation_solve_m5_beta0.6_published", ("relation", "solve", "--m", "5", "--beta", "0.6",
+                                                 "--variant", "published"), EXIT_OK),
+        ("relation_sweep_m2-6_csv", ("relation", "sweep", "--m", "2..6", "--beta", "0.5,1,2",
+                                     "--format", "csv"), EXIT_OK),
+        ("relation_sweep_m2-6_json", ("relation", "sweep", "--m", "2..6", "--beta", "0.5,1,2",
+                                      "--format", "json"), EXIT_OK),
     ])
     def test_stdout_matches_the_golden_bytes(self, name, argv, exit_code):
         code, out = invoke(*argv, "--quiet")
         assert code == exit_code
         assert out.encode() == (GOLDEN / f"{name}.txt").read_bytes()
+
+    def test_run_verification_returns_the_printed_report(self):
+        report = cli.run_verification(3, 1.0)
+        validate(report, "verify_report.schema.json")
+        assert (to_json(report) + "\n").encode() == (GOLDEN / "verify_m3_beta1.txt").read_bytes()
 
 
 class TestParserReuse:

@@ -47,7 +47,7 @@ class TestTensorResidual:
 
     def test_solution_pipeline_vanishes(self):
         g, K = solution_base_metric()
-        wp = WarpParams(m=3, lam=-2.0, beta=1.0)
+        wp = WarpParams(m=3, lam=-2.0)
         f = coordinate_u()
         for p in (Point2(0.7, 0.0), Point2(1.5, -0.8), Point2(3.5, 0.9)):
             assert tensor_residual(g, f, wp, p).max_abs() < 1e-6
@@ -71,7 +71,7 @@ class TestContractedResidual:
 
     def test_ricci_flat_fiber_closure(self):
         g, _ = solution_base_metric()
-        wp = WarpParams(m=3, lam=-2.0, beta=1.0)
+        wp = WarpParams(m=3, lam=-2.0)
         for p in (Point2(0.6, 0.2), Point2(2.0, -0.5)):
             assert abs(contracted_residual(g, coordinate_u(), wp, p)) < 1e-8
 
@@ -90,7 +90,7 @@ class TestScalarConstraintResidual:
 
     def test_ricci_flat_fiber_closure(self):
         g, _ = solution_base_metric()
-        wp = WarpParams(m=3, lam=-2.0, beta=1.0)
+        wp = WarpParams(m=3, lam=-2.0)
         for p in (Point2(0.6, 0.2), Point2(2.7, 0.4)):
             assert abs(scalar_constraint_residual(g, coordinate_u(), wp, p)) < 1e-8
 
@@ -199,6 +199,3 @@ class TestWarpParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             WarpParams(m=0, lam=0.0)
-        for beta in (0.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                WarpParams(m=2, lam=0.0, beta=beta)

@@ -24,8 +24,8 @@ from warpverify.compatibility import (
 from warpverify.errors import BacksubstitutionError
 from warpverify.profiles import const_profile, linear_profile
 from warpverify.relation import (
-    MAX_SWEEP_ROWS, PUBLISHED, REDERIVED, existence_sweep, poly_published,
-    poly_rederived, relation_poly, solve_lambda,
+    MAX_SWEEP_ROWS, PUBLISHED, REDERIVED, existence_sweep, relation_poly,
+    solve_lambda,
 )
 
 
@@ -56,46 +56,46 @@ def rederived_oracle(m, b):
 
 class TestPolyPublished:
     def test_m2_beta1(self):
-        p = poly_published(2, 1)
+        p = relation_poly(2, 1, PUBLISHED)
         assert p.coeffs_float() == (0.0, 2.0, 3.0)
 
     def test_m3_beta1(self):
-        assert poly_published(3, 1).coeffs_float() == (-1.0, 1.0, 6.0)
+        assert relation_poly(3, 1, PUBLISHED).coeffs_float() == (-1.0, 1.0, 6.0)
 
     def test_m3_beta2_as_printed(self):
         # 9 (1 - 2) + 3 (10 - 2) = 15
-        assert poly_published(3, 2).coeffs_float() == (-1.0, 2.0, 15.0)
+        assert relation_poly(3, 2, PUBLISHED).coeffs_float() == (-1.0, 2.0, 15.0)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            poly_published(0, 1)
+            relation_poly(0, 1, PUBLISHED)
         for beta in (0, math.nan, math.inf):
             with pytest.raises(ValueError):
-                poly_published(3, beta)
+                relation_poly(3, beta, PUBLISHED)
             with pytest.raises(ValueError):
-                poly_rederived(3, beta)
+                relation_poly(3, beta)
 
 
 class TestPolyRederived:
     def test_m3_beta1_matches_unit_screening(self):
-        assert poly_rederived(3, 1).coeffs_float() == (-1.0, 1.0, 6.0)
+        assert relation_poly(3, 1).coeffs_float() == (-1.0, 1.0, 6.0)
 
     def test_m3_beta2(self):
         # beta^2 (m^2 + m)/2 = 4 * 6 = 24; differs from published (15)
-        assert poly_rederived(3, 2).coeffs_float() == (-1.0, 2.0, 24.0)
+        assert relation_poly(3, 2).coeffs_float() == (-1.0, 2.0, 24.0)
 
     def test_m2_beta3_linear(self):
-        p = poly_rederived(2, 3)
+        p = relation_poly(2, 3)
         assert p.coeffs_float() == (0.0, 6.0, 27.0)
         roots = solve_lambda(p).roots
         assert roots == [pytest.approx(-4.5)]
 
     def test_m3_beta2_root_passes_ode_oracle_published_fails(self):
-        lam = solve_lambda(poly_rederived(3, 2)).admissible_roots[0]
+        lam = solve_lambda(relation_poly(3, 2)).admissible_roots[0]
         assert lam == pytest.approx(-4.0)
         res, reason = max_compat_residual_for_params(3, 2.0, lam)
         assert res < 1e-9 and reason is None
-        for root in solve_lambda(poly_published(3, 2)).roots:
+        for root in solve_lambda(relation_poly(3, 2, PUBLISHED)).roots:
             res, reason = max_compat_residual_for_params(3, 2.0, root)
             assert res > 1e-2 and reason is not None
 
@@ -104,7 +104,7 @@ class TestPolyRederived:
     @settings(max_examples=60, deadline=None)
     def test_exact_rederivation_identity(self, m, b):
         oracle = rederived_oracle(m, b)
-        p = poly_rederived(m, b)
+        p = relation_poly(m, b)
         assert (oracle[2], oracle[1], oracle[0]) == (p.a2, p.a1, p.a0)
 
     @given(m=st.integers(2, 30), b=st.fractions(min_value=Fraction(1, 10),
@@ -113,7 +113,7 @@ class TestPolyRederived:
     def test_published_discrepancy_is_documented_formula(self, m, b):
         # published - rederived constant term = m (m - 2)(1 - beta^2);
         # the other coefficients agree identically
-        pub, red = poly_published(m, b), poly_rederived(m, b)
+        pub, red = relation_poly(m, b, PUBLISHED), relation_poly(m, b)
         assert pub.a2 == red.a2 and pub.a1 == red.a1
         assert pub.a0 - red.a0 == Fraction(m) * (m - 2) * (1 - Fraction(b) ** 2)
 
@@ -149,8 +149,8 @@ class TestSymbolicRelation:
         return [sp.expand(-poly.coeff_monomial(lam ** k)) for k in (2, 1, 0)]
 
     @staticmethod
-    def code_coefficients(sp, poly_fn, m, beta):
-        """poly_fn's (a2, a1, a0) as polynomials in m and beta: Lagrange
+    def code_coefficients(sp, variant, m, beta):
+        """`variant`'s (a2, a1, a0) as polynomials in m and beta: Lagrange
         interpolation of its exact Fraction values on a 3 x 3 grid, which
         determines a polynomial of degree <= 2 in each variable, confirmed
         exactly on a 5 x 5 grid so a higher degree cannot pass."""
@@ -165,11 +165,11 @@ class TestSymbolicRelation:
                    for bj, lb in zip(betas, basis(betas, beta))]
         coeffs = []
         for name in ("a2", "a1", "a0"):
-            expr = sp.expand(sum(sp.Rational(getattr(poly_fn(mi, bj), name)) * w
+            expr = sp.expand(sum(sp.Rational(getattr(relation_poly(mi, bj, variant), name)) * w
                                  for mi, bj, w in weights))
             for mi in range(2, 7):
                 for bj in (Fraction(k, 3) for k in range(1, 6)):
-                    value = getattr(poly_fn(mi, bj), name)
+                    value = getattr(relation_poly(mi, bj, variant), name)
                     assert expr.subs({m: mi, beta: sp.Rational(bj)}) == sp.Rational(value)
             coeffs.append(expr)
         return coeffs
@@ -186,7 +186,7 @@ class TestSymbolicRelation:
         slope = sp.sqrt(A) / sp.sqrt(m1 * N)
         q_val = beta * sp.sqrt(m1) / (sp.sqrt(A) * sp.sqrt(N))
         for mv, bv in ((3, 1.0), (7, 0.8), (40, 2.5)):
-            lv = solve_lambda(poly_rederived(mv, bv)).admissible_roots[0]
+            lv = solve_lambda(relation_poly(mv, bv)).admissible_roots[0]
             pq = pq_from_params(mv, lv, bv)
             at = {m: mv, beta: bv, lam: lv}
             assert pq.p.d1(1.0) == pytest.approx(float(slope.subs(at)), rel=1e-14)
@@ -195,21 +195,21 @@ class TestSymbolicRelation:
     def test_compatibility_ode_gives_the_rederived_coefficients(self, sym):
         sp, m, beta, lam = sym
         ode = self.ode_relation(sp, m, beta, lam)
-        code = self.code_coefficients(sp, poly_rederived, m, beta)
+        code = self.code_coefficients(sp, REDERIVED, m, beta)
         assert [sp.expand(a - b) for a, b in zip(ode, code)] == [0, 0, 0]
         assert ode[2] == sp.expand(beta ** 2 * (m ** 2 + m) / 2)
 
     def test_published_constant_term_is_off_by_the_stated_amount(self, sym):
         sp, m, beta, lam = sym
         ode = self.ode_relation(sp, m, beta, lam)
-        published = self.code_coefficients(sp, poly_published, m, beta)
+        published = self.code_coefficients(sp, PUBLISHED, m, beta)
         assert [sp.expand(a - b) for a, b in zip(published, ode)] == [
             0, 0, sp.expand(m * (m - 2) * (1 - beta ** 2))]
 
 
     def test_rederived_relation_factors(self, sym):
         sp, m, beta, lam = sym
-        a2, a1, a0 = self.code_coefficients(sp, poly_rederived, m, beta)
+        a2, a1, a0 = self.code_coefficients(sp, REDERIVED, m, beta)
         factored = (2 * lam + beta * (m + 1)) * ((2 - m) * lam + beta * m) / 2
         assert sp.expand(a2 * lam ** 2 + a1 * lam + a0 - factored) == 0
 
@@ -218,13 +218,13 @@ class TestSymbolicRelation:
         # rederived discriminant is a square and its roots are
         sp, m, beta, _ = sym
 
-        def odd_factors(poly_fn):
-            a2, a1, a0 = self.code_coefficients(sp, poly_fn, m, beta)
+        def odd_factors(variant):
+            a2, a1, a0 = self.code_coefficients(sp, variant, m, beta)
             _, factors = sp.factor_list(sp.expand(a1 ** 2 - 4 * a2 * a0))
             return [f for f, k in factors if k % 2 and f.free_symbols]
 
-        assert odd_factors(poly_published)
-        assert not odd_factors(poly_rederived)
+        assert odd_factors(PUBLISHED)
+        assert not odd_factors(REDERIVED)
 
     def test_admissible_root_gives_the_pair_f_2(self, sym):
         sp, _, beta, _ = sym
@@ -257,32 +257,32 @@ class TestSymbolicRelation:
 class TestUnitScreeningEquality:
     def test_exact_for_m_up_to_50(self):
         for m in range(1, 51):
-            pub, red = poly_published(m, 1), poly_rederived(m, 1)
+            pub, red = relation_poly(m, 1, PUBLISHED), relation_poly(m, 1)
             assert pub.is_exact and red.is_exact
             assert (pub.a2, pub.a1, pub.a0) == (red.a2, red.a1, red.a0)
 
 
 class TestSolveLambda:
     def test_m2_linear(self):
-        rep = solve_lambda(poly_rederived(2, 1))
+        rep = solve_lambda(relation_poly(2, 1))
         assert rep.degenerate_linear
         assert rep.roots == [pytest.approx(-1.5)]
         assert rep.admissible_roots == [pytest.approx(-1.5)]
         assert rep.admissibility[0].K == pytest.approx(-0.5)
 
     def test_m3_factors(self):
-        rep = solve_lambda(poly_rederived(3, 1))
+        rep = solve_lambda(relation_poly(3, 1))
         assert rep.roots == [pytest.approx(-2.0), pytest.approx(3.0)]
         assert rep.admissible_roots == [pytest.approx(-2.0)]
 
     def test_m4(self):
-        rep = solve_lambda(poly_rederived(4, 1))
+        rep = solve_lambda(relation_poly(4, 1))
         assert rep.roots == [pytest.approx(-2.5), pytest.approx(2.0)]
         assert rep.admissible_roots == [pytest.approx(-2.5)]
 
     def test_backsub_residuals_small(self):
         for m in range(2, 20):
-            rep = solve_lambda(poly_rederived(m, 1))
+            rep = solve_lambda(relation_poly(m, 1))
             a0 = abs(float(rep.poly.a0))
             for res in rep.backsub_residuals:
                 assert res <= 1e-10 * max(1.0, a0)
@@ -304,15 +304,15 @@ class TestSolveLambda:
             solve_lambda(RelationPoly(0.0, 0.0, 1.0, REDERIVED, 3, 1.0))
 
     def test_formal_extrapolation_flag(self):
-        rep = solve_lambda(poly_rederived(2.5, 1.0))
+        rep = solve_lambda(relation_poly(2.5, 1.0))
         assert rep.formal_extrapolation
-        assert not solve_lambda(poly_rederived(3, 1)).formal_extrapolation
+        assert not solve_lambda(relation_poly(3, 1)).formal_extrapolation
 
     @given(m=st.integers(2, 12), beta=st.floats(0.01, 10.0))
     @settings(max_examples=100, deadline=None)
     def test_scaling_covariance(self, m, beta):
-        unit = solve_lambda(poly_rederived(m, 1)).roots
-        scaled = solve_lambda(poly_rederived(m, beta)).roots
+        unit = solve_lambda(relation_poly(m, 1)).roots
+        scaled = solve_lambda(relation_poly(m, beta)).roots
         assert len(unit) == len(scaled)
         for u, s in zip(sorted(unit, key=abs), sorted(scaled, key=abs)):
             assert s == pytest.approx(beta * u, rel=1e-9)
@@ -320,7 +320,7 @@ class TestSolveLambda:
     @given(m=st.integers(3, 12), beta=st.sampled_from([0.5, 1.0, 2.0]))
     @settings(max_examples=40, deadline=None)
     def test_ground_truth_linkage(self, m, beta):
-        rep = solve_lambda(poly_rederived(m, beta))
+        rep = solve_lambda(relation_poly(m, beta))
         assert len(rep.admissible_roots) == 1
         pq = pq_from_params(m, rep.admissible_roots[0], beta)
         from warpverify.compatibility import compat_residual
@@ -346,7 +346,7 @@ class TestSmallestBeta:
     def test_beta_above_the_floor_keeps_the_closed_form_root(self, m):
         beta = 2e-154
         exact = -beta * (m + 1) / 2
-        lam = solve_lambda(poly_rederived(m, beta)).admissible_roots
+        lam = solve_lambda(relation_poly(m, beta)).admissible_roots
         row = existence_sweep((m, m), [beta]).admissible_root
         assert len(lam) == 1 and row.shape == (1,)
         for value in (lam[0], row[0]):
@@ -422,7 +422,7 @@ class TestExistenceSweep:
         with pytest.raises(BacksubstitutionError, match="fails back-substitution"):
             existence_sweep((145, 145), [1.4292354702724506], PUBLISHED)
         with pytest.raises(BacksubstitutionError, match="fails back-substitution"):
-            solve_lambda(poly_published(145, 1.4292354702724506))
+            solve_lambda(relation_poly(145, 1.4292354702724506, PUBLISHED))
 
     def test_rows_outside_the_double_range_are_value_errors(self):
         with pytest.raises(ValueError, match=r"m = 2, beta = 1e\+200"):
@@ -546,7 +546,7 @@ def reference_solve_lambda(poly):
             roots = sorted((r1, r2))
             mults = [1, 1]
 
-    residuals = [abs(poly.eval_at(r)) for r in roots]
+    residuals = [abs((a2 * r + a1) * r + a0) for r in roots]
     bound = BACKSUB_RTOL * max(1.0, abs(a0))
     for r, res in zip(roots, residuals):
         if res > bound:
@@ -691,6 +691,6 @@ def test_relation_poly_dispatch():
 
 
 def test_float_beta_falls_back_to_float_arithmetic():
-    p = poly_rederived(3, 0.5)
+    p = relation_poly(3, 0.5)
     assert not p.is_exact
     assert p.coeffs_float()[2] == pytest.approx(1.5)

@@ -4,6 +4,7 @@ maximum principle, symmetry, CSV output."""
 import io
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -36,6 +37,14 @@ class TestGridSpec:
                 GridSpec(beta=bad)
             with pytest.raises(ValueError):
                 GridSpec(beta=1.0, h=bad)
+
+    def test_a_mesh_width_whose_square_underflows_is_refused(self):
+        # the stencil's 1/h**2 would be inf, and the solve used to blame
+        # the data; h**2 = 2**-1022 is the smallest normal square
+        with pytest.raises(ValueError, match=r"mesh spacing h must have h\*\*2 >= "
+                                             r"2.2250738585072014e-308 .*, got 1e-302"):
+            GridSpec(beta=1.0, r_max=1e-300, h=1e-302)
+        GridSpec(beta=1.0, r_max=2.0 ** -507, h=2.0 ** -511)
 
     def test_lattice_size_cap(self):
         # 160001^2 nodes would take ~200 GB per array; the spec is refused
@@ -785,6 +794,21 @@ class TestClassConjugateGradients:
             want = (sp.diags(root / w) @ A @ sp.diags(1.0 / root)).tocsr()
             for part in ("indptr", "indices", "data"):
                 assert_same_bits(getattr(got, part), getattr(want, part))
+
+    def test_scaling_the_right_hand_side_by_a_power_of_two_is_exact(self):
+        # b = 2**600 once squared in a dot product overflows; the scaled
+        # iteration runs without a warning and returns exactly 2**600 x
+        spec = SPLIT_SPECS["coshdist"]
+        axis, tags = _lattice(spec)
+        interior, n = tags == INTERIOR, len(axis) // 2
+        (k, l), A, orbit = _class_system(interior, axis, spec.beta, spec.h, (0, 0), 0)
+        root, w = np.sqrt(orbit), _conformal_weight(axis[n + k], axis[n + l])
+        b = 1.0 + np.cos(k) * np.sin(l)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = _class_cg(A, b, root, w)
+            big = _class_cg(A, 2.0 ** 600 * b, root, w)
+        assert_same_bits(big, 2.0 ** 600 * x)
 
     def test_stall_is_a_solver_error_with_the_class_residual(self, monkeypatch):
         monkeypatch.setattr(screened_pde, "DIRECT_SOLVE_LIMIT", 0)
