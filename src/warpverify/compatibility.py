@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import (
     AdmissibilityError, DomainError, PositivityError, require_finite_positive,
@@ -230,22 +230,3 @@ def strip_points(samples: Sequence[float]) -> list[Point2]:
     nh = DEFAULT_STRIP_SHAPE[1]
     h_coords = [-1.0 + 2.0 * j / (nh - 1) for j in range(nh)]
     return [Point2(t, hc) for t in samples for hc in h_coords]
-
-
-def max_compat_residual_for_params(
-    m: int, beta: float, lam: float,
-    samples: Optional[Sequence[float]] = None,
-) -> tuple[float, Optional[str]]:
-    """Max |compatibility residual| for the pair generated by (m, lam, beta).
-
-    Returns (residual, failure_reason).  When no real positive pair exists
-    the residual is +inf and the reason names the violated constraint;
-    this is the honest failure certificate for roots of a wrong relation.
-    """
-    if samples is None:
-        samples = strip_samples()
-    try:
-        pq = pq_from_params(m, lam, beta)
-    except AdmissibilityError as exc:
-        return math.inf, exc.reason
-    return max(abs(compat_residual(pq, t)) for t in samples), None

@@ -70,9 +70,13 @@ class ScalarField2D:
         derivatives are symmetric by construction.
     """
 
+    # Read by `_require_stencil`: exact partials need no stencil.
+    step = 0.0
+
     def __init__(self, value: Callable[[float, float], float], du, dv, duu, duv, dvv):
         self._value = value
-        self._partials = (du, dv, duu, duv, dvv)
+        self._du, self._dv = du, dv
+        self._duu, self._duv, self._dvv = duu, duv, dvv
 
     def val(self, p: Point2) -> float:
         return self._value(p.u, p.v)
@@ -82,12 +86,10 @@ class ScalarField2D:
     # -- derivative access ----------------------------------------------------
 
     def grad(self, p: Point2) -> tuple[float, float]:
-        du, dv = self._partials[:2]
-        return du(p.u, p.v), dv(p.u, p.v)
+        return self._du(p.u, p.v), self._dv(p.u, p.v)
 
     def second(self, p: Point2) -> tuple[float, float, float]:
-        duu, duv, dvv = self._partials[2:]
-        return duu(p.u, p.v), duv(p.u, p.v), dvv(p.u, p.v)
+        return self._duu(p.u, p.v), self._duv(p.u, p.v), self._dvv(p.u, p.v)
 
     # -- transforms ------------------------------------------------------------
 
@@ -99,7 +101,8 @@ class ScalarField2D:
         """c * f for a constant c, with every partial scaled by c."""
         c = float(c)
         return ScalarField2D(lambda u, v: c * self._value(u, v),
-                             *(_scaled(c, cb) for cb in self._partials))
+                             *(_scaled(c, cb) for cb in (self._du, self._dv, self._duu,
+                                                         self._duv, self._dvv)))
 
 
 class CentralDifferences:
@@ -147,34 +150,11 @@ def constant_field(c: float) -> ScalarField2D:
     return ScalarField2D(lambda u, v: c, du=z, dv=z, duu=z, duv=z, dvv=z)
 
 
-def poly_field(coeffs: dict[tuple[int, int], float]) -> ScalarField2D:
-    """Bivariate polynomial sum_{(i,j)} c[i,j] u^i v^j with exact partials."""
-    terms = {k: float(c) for k, c in coeffs.items() if c != 0.0}
-
-    def diff(ts, axis):
-        out = {}
-        for (i, j), c in ts.items():
-            k = (i, j)[axis]
-            if k > 0:
-                key = (i - 1, j) if axis == 0 else (i, j - 1)
-                out[key] = out.get(key, 0.0) + k * c
-        return out
-
-    def evaluator(ts):
-        items = sorted(ts.items())
-        return lambda u, v: sum(c * u ** i * v ** j for (i, j), c in items)
-
-    du_t, dv_t = diff(terms, 0), diff(terms, 1)
-    return ScalarField2D(
-        evaluator(terms),
-        du=evaluator(du_t), dv=evaluator(dv_t),
-        duu=evaluator(diff(du_t, 0)), duv=evaluator(diff(du_t, 1)),
-        dvv=evaluator(diff(dv_t, 1)),
-    )
-
-
 def coordinate_u() -> ScalarField2D:
-    return poly_field({(1, 0): 1.0})
+    """The chart coordinate u.  `u + 0.0` is a float for an int u and
+    +0.0 at u = -0.0."""
+    one, z = (lambda u, v: 1.0), (lambda u, v: 0.0)
+    return ScalarField2D(lambda u, v: u + 0.0, du=one, dv=z, duu=z, duv=z, dvv=z)
 
 
 def profile_field(profile: ProfileFn, axis: str = "u") -> ScalarField2D:
@@ -184,12 +164,12 @@ def profile_field(profile: ProfileFn, axis: str = "u") -> ScalarField2D:
     z = lambda u, v: 0.0
     if axis == "u":
         return ScalarField2D(
-            lambda u, v: profile(u),
+            lambda u, v: profile.__call__(u),
             du=lambda u, v: profile.d1(u), dv=z,
             duu=lambda u, v: profile.d2(u), duv=z, dvv=z,
         )
     return ScalarField2D(
-        lambda u, v: profile(v),
+        lambda u, v: profile.__call__(v),
         du=z, dv=lambda u, v: profile.d1(v),
         duu=z, duv=z, dvv=lambda u, v: profile.d2(v),
     )
@@ -201,25 +181,13 @@ def radial_field(profile: ProfileFn) -> ScalarField2D:
         return u * u + v * v
 
     return ScalarField2D(
-        lambda u, v: profile(w(u, v)),
+        lambda u, v: profile.__call__(w(u, v)),
         du=lambda u, v: 2.0 * u * profile.d1(w(u, v)),
         dv=lambda u, v: 2.0 * v * profile.d1(w(u, v)),
         duu=lambda u, v: 4.0 * u * u * profile.d2(w(u, v)) + 2.0 * profile.d1(w(u, v)),
         duv=lambda u, v: 4.0 * u * v * profile.d2(w(u, v)),
         dvv=lambda u, v: 4.0 * v * v * profile.d2(w(u, v)) + 2.0 * profile.d1(w(u, v)),
     )
-
-
-def cosh_distance_field() -> ScalarField2D:
-    """(1 + r^2)/(1 - r^2) on the unit disk.
-
-    On the curvature -1 disk model this is cosh of the hyperbolic distance
-    from the origin, hence satisfies Hess(f) = f g, has Laplacian 2 f and
-    |grad f|^2 = f^2 - 1.
-    """
-    ratio = poly_profile([1.0, 1.0], domain=(-math.inf, 1.0)) / \
-        poly_profile([1.0, -1.0], domain=(-math.inf, 1.0))
-    return radial_field(ratio)
 
 
 # -- metrics -------------------------------------------------------------------
@@ -302,9 +270,11 @@ def _require_stencil(g: Metric2D, p: Point2, *fields: Field):
     Checking the four corner points suffices for the convex chart domains
     in the catalog.
     """
-    h = max((f.step for f in fields if isinstance(f, CentralDifferences)),
-            default=None)
-    if h is None:
+    h = 0.0
+    for f in fields:
+        if f.step > h:
+            h = f.step
+    if h == 0.0:
         return
     for su in (-1.0, 1.0):
         for sv in (-1.0, 1.0):

@@ -80,6 +80,12 @@ class ProfileFn:
             f"profile argument {t!r} outside domain ({self._lo}, {self._hi})")
 
     # -- algebra ------------------------------------------------------------
+    # Inside the closure trees below and the field lifts of geometry2d an
+    # evaluation is written as a method call, `p.__call__(t)`, not `p(t)`:
+    # calling an instance goes through the type's call slot, which costs
+    # about twice as much per evaluation.  The method is still looked up on
+    # the class at each call, so wrappers installed on the class see every
+    # evaluation.  One-off probes and user code keep p(t).
 
     def _merged_domain(self, other: "ProfileFn") -> tuple[float, float]:
         return (max(self.domain[0], other.domain[0]),
@@ -87,22 +93,23 @@ class ProfileFn:
 
     def __mul__(self, other: "ProfileFn") -> "ProfileFn":
         return ProfileFn(
-            lambda t: self(t) * other(t),
-            lambda t: self.d1(t) * other(t) + self(t) * other.d1(t),
-            lambda t: (self.d2(t) * other(t) + 2.0 * self.d1(t) * other.d1(t)
-                       + self(t) * other.d2(t)),
+            lambda t: self.__call__(t) * other.__call__(t),
+            lambda t: self.d1(t) * other.__call__(t) + self.__call__(t) * other.d1(t),
+            lambda t: (self.d2(t) * other.__call__(t) + 2.0 * self.d1(t) * other.d1(t)
+                       + self.__call__(t) * other.d2(t)),
             domain=self._merged_domain(other),
         )
 
     def __truediv__(self, other: "ProfileFn") -> "ProfileFn":
         def w(t):
-            return self(t) / other(t)
+            return self.__call__(t) / other.__call__(t)
 
         def w1(t):
-            return (self.d1(t) - w(t) * other.d1(t)) / other(t)
+            return (self.d1(t) - w(t) * other.d1(t)) / other.__call__(t)
 
         def w2(t):
-            return (self.d2(t) - 2.0 * w1(t) * other.d1(t) - w(t) * other.d2(t)) / other(t)
+            return ((self.d2(t) - 2.0 * w1(t) * other.d1(t) - w(t) * other.d2(t))
+                    / other.__call__(t))
 
         return ProfileFn(w, w1, w2, domain=self._merged_domain(other))
 

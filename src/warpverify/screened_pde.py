@@ -443,16 +443,6 @@ def residual_field(field: GridField, spec: GridSpec) -> float:
     return float(np.max(np.abs(res)))
 
 
-def sample_exact(spec: GridSpec, exact: XYCallable) -> GridField:
-    """Exact solution sampled on the spec's lattice (NaN at exterior)."""
-    axis, tags = _lattice(spec)
-    values = np.full(tags.shape, np.nan)
-    mask = tags != EXTERIOR
-    values[mask] = _sample(exact, *_nodes(axis, mask), "exact solution")
-    return GridField(axis=axis, tags=tags, values=values, h=spec.h,
-                     r_max=spec.r_max)
-
-
 @dataclass(frozen=True)
 class ConvergenceRow:
     h: float

@@ -1,0 +1,85 @@
+"""Helpers that only the tests use: a general polynomial field, the
+cosh-distance field of the disk, the compatibility residual of a
+parameter triple and an exact solution sampled on a lattice."""
+
+from __future__ import annotations
+
+import math
+from typing import Optional, Sequence
+
+import numpy as np
+
+from warpverify.compatibility import compat_residual, pq_from_params, strip_samples
+from warpverify.errors import AdmissibilityError
+from warpverify.geometry2d import ScalarField2D, radial_field
+from warpverify.profiles import poly_profile
+from warpverify.screened_pde import (
+    EXTERIOR, GridField, GridSpec, XYCallable, _lattice, _nodes, _sample,
+)
+
+
+def poly_field(coeffs: dict[tuple[int, int], float]) -> ScalarField2D:
+    """Bivariate polynomial sum_{(i,j)} c[i,j] u^i v^j with exact partials."""
+    terms = {k: float(c) for k, c in coeffs.items() if c != 0.0}
+
+    def diff(ts, axis):
+        out = {}
+        for (i, j), c in ts.items():
+            k = (i, j)[axis]
+            if k > 0:
+                key = (i - 1, j) if axis == 0 else (i, j - 1)
+                out[key] = out.get(key, 0.0) + k * c
+        return out
+
+    def evaluator(ts):
+        items = sorted(ts.items())
+        return lambda u, v: sum(c * u ** i * v ** j for (i, j), c in items)
+
+    du_t, dv_t = diff(terms, 0), diff(terms, 1)
+    return ScalarField2D(
+        evaluator(terms),
+        du=evaluator(du_t), dv=evaluator(dv_t),
+        duu=evaluator(diff(du_t, 0)), duv=evaluator(diff(du_t, 1)),
+        dvv=evaluator(diff(dv_t, 1)),
+    )
+
+
+def cosh_distance_field() -> ScalarField2D:
+    """(1 + r^2)/(1 - r^2) on the unit disk.
+
+    On the curvature -1 disk model this is cosh of the hyperbolic distance
+    from the origin, hence satisfies Hess(f) = f g, has Laplacian 2 f and
+    |grad f|^2 = f^2 - 1.
+    """
+    ratio = poly_profile([1.0, 1.0], domain=(-math.inf, 1.0)) / \
+        poly_profile([1.0, -1.0], domain=(-math.inf, 1.0))
+    return radial_field(ratio)
+
+
+def max_compat_residual_for_params(
+    m: int, beta: float, lam: float,
+    samples: Optional[Sequence[float]] = None,
+) -> tuple[float, Optional[str]]:
+    """Max |compatibility residual| for the pair generated by (m, lam, beta).
+
+    Returns (residual, failure_reason).  When no real positive pair exists
+    the residual is +inf and the reason names the violated constraint;
+    this is the honest failure certificate for roots of a wrong relation.
+    """
+    if samples is None:
+        samples = strip_samples()
+    try:
+        pq = pq_from_params(m, lam, beta)
+    except AdmissibilityError as exc:
+        return math.inf, exc.reason
+    return max(abs(compat_residual(pq, t)) for t in samples), None
+
+
+def sample_exact(spec: GridSpec, exact: XYCallable) -> GridField:
+    """Exact solution sampled on the spec's lattice (NaN at exterior)."""
+    axis, tags = _lattice(spec)
+    values = np.full(tags.shape, np.nan)
+    mask = tags != EXTERIOR
+    values[mask] = _sample(exact, *_nodes(axis, mask), "exact solution")
+    return GridField(axis=axis, tags=tags, values=values, h=spec.h,
+                     r_max=spec.r_max)

@@ -11,8 +11,7 @@ import sys
 import numpy as np
 
 from warpverify.compatibility import (
-    compat_residual, max_compat_residual_for_params, pq_from_params,
-    strip_samples, verify_pseudospherical,
+    compat_residual, pq_from_params, strip_samples, verify_pseudospherical,
 )
 from warpverify.cli import run_verification
 from warpverify.einstein import WarpParams, residual_report, vertical_ricci_coeff
@@ -25,6 +24,7 @@ from warpverify.screened_pde import (
     BOUNDARY, EXTERIOR, GridSpec, assemble_and_solve, convergence_study,
     coshdist_exact,
 )
+from support import max_compat_residual_for_params
 
 
 def report(num, name, ok, detail):

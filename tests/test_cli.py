@@ -494,7 +494,9 @@ class TestGoldenOutput:
     curvature outputs were recorded from the release before the profile,
     field and compatibility kernels were cut to the (linear p, constant q)
     pair, the relation outputs before the per-variant relation
-    constructors and the package re-exports were deleted."""
+    constructors and the package re-exports were deleted, and the m = 40
+    and m = 2 verify outputs before profile evaluations inside closure
+    trees became method calls."""
 
     @pytest.mark.parametrize("name, argv, exit_code", [
         ("verify_m3_beta1", ("verify", "--m", "3", "--beta", "1"), EXIT_OK),
@@ -511,6 +513,9 @@ class TestGoldenOutput:
                                      "--format", "csv"), EXIT_OK),
         ("relation_sweep_m2-6_json", ("relation", "sweep", "--m", "2..6", "--beta", "0.5,1,2",
                                       "--format", "json"), EXIT_OK),
+        ("verify_m40_beta2.5", ("verify", "--m", "40", "--beta", "2.5"), EXIT_OK),
+        # at m = 2 the relation is degenerate-linear
+        ("verify_m2_beta0.25", ("verify", "--m", "2", "--beta", "0.25"), EXIT_OK),
     ])
     def test_stdout_matches_the_golden_bytes(self, name, argv, exit_code):
         code, out = invoke(*argv, "--quiet")

@@ -8,15 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from warpverify.compatibility import (
-    PQPair, build_metric, compat_residual, integrate_s,
-    max_compat_residual_for_params, pq_from_params, strip_points,
-    strip_samples, verify_pseudospherical,
+    PQPair, build_metric, compat_residual, integrate_s, pq_from_params,
+    strip_points, strip_samples, verify_pseudospherical,
 )
 from warpverify.errors import AdmissibilityError, DomainError, PositivityError
 from warpverify.geometry2d import DEFAULT_FD_STEP, Metric2D, Point2, gauss_curvature
 from warpverify.profiles import (
     ProfileFn, const_profile, linear_profile, poly_profile,
 )
+from support import max_compat_residual_for_params
 
 POS = (0.0, math.inf)
 

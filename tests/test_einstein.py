@@ -13,8 +13,9 @@ from warpverify.einstein import (
 from warpverify.errors import PositivityError
 from warpverify.geometry2d import (
     Point2, constant_field, coordinate_u, flat_metric, gauss_curvature,
-    grad_norm_sq, laplace_beltrami, poincare_disk, poly_field, rescale,
+    grad_norm_sq, laplace_beltrami, poincare_disk, rescale,
 )
+from support import poly_field
 
 DISK = poincare_disk()
 FLAT = flat_metric()

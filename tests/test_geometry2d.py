@@ -14,12 +14,12 @@ from warpverify.cli import TOLERANCES
 from warpverify.errors import DomainError, PositivityError
 from warpverify.geometry2d import (
     CentralDifferences, Metric2D, Point2, ScalarField2D, SymMat2,
-    _christoffel, constant_field, coordinate_u,
-    cosh_distance_field, flat_metric, gauss_curvature,
+    _christoffel, constant_field, coordinate_u, flat_metric, gauss_curvature,
     grad_norm_sq, hessian, laplace_beltrami, poincare_disk,
-    poincare_half_plane, poly_field, profile_field, radial_field, rescale,
+    poincare_half_plane, profile_field, radial_field, rescale,
 )
 from warpverify.profiles import poly_profile
+from support import cosh_distance_field, poly_field
 
 DISK = poincare_disk()
 HALF_PLANE = poincare_half_plane()
@@ -373,3 +373,15 @@ def test_fd_field_on_scalarfield_mode():
     eu, ev = FSTAR.grad(p)
     assert fu == pytest.approx(eu, rel=1e-6)
     assert fv == pytest.approx(ev, rel=1e-6)
+
+
+def test_coordinate_u_matches_the_polynomial_field_bit_for_bit():
+    # the closed-form coordinate field gives the values of the general
+    # polynomial evaluator on the verify strip, every one of them a float
+    from warpverify.compatibility import strip_points, strip_samples
+
+    closed, poly = coordinate_u(), poly_field({(1, 0): 1.0})
+    for p in strip_points(strip_samples()):
+        got, want = jet(closed, p.u, p.v), jet(poly, p.u, p.v)
+        assert all(type(x) is float for x in got)
+        assert [x.hex() for x in got] == [float(x).hex() for x in want]

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from warpverify.errors import DomainError
 from warpverify.profiles import (
-    ProfileFn, const_profile, linear_profile, poly_profile, power_profile,
+    POSITIVE_AXIS, ProfileFn, const_profile, linear_profile, poly_profile,
+    power_profile,
 )
 
 
@@ -75,3 +76,72 @@ def test_exactness_flag():
         ProfileFn(lambda t: t, deriv=lambda t: 1.0)
     p = ProfileFn(lambda t: t, lambda t: 1.0, lambda t: 0.0)
     assert (p(2.0), p.d1(2.0), p.d2(2.0)) == (2.0, 1.0, 0.0)
+
+
+class TestEvaluationDispatch:
+    """Every evaluation inside a closure tree or a field lift resolves
+    `__call__`, `d1` and `d2` on the class when it runs, so counting
+    wrappers installed on the class after the tree is built see each one
+    (the benchmark's layer tracer counts evaluations this way).  Binding
+    the methods at construction, or calling `_value` and friends directly,
+    hides evaluations from such wrappers and fails these counts."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        from collections import Counter
+
+        seen = Counter()
+
+        def counting(name, method):
+            def wrapper(self, t):
+                seen[name] += 1
+                return method(self, t)
+            return wrapper
+
+        def install():
+            for name in ("__call__", "d1", "d2"):
+                monkeypatch.setattr(ProfileFn, name,
+                                    counting(name, getattr(ProfileFn, name)))
+            return seen
+        return install
+
+    @staticmethod
+    def ratio():
+        p = linear_profile(0.7, domain=POSITIVE_AXIS)
+        c = const_profile(1.0, domain=POSITIVE_AXIS)
+        return c / (p * p)
+
+    @staticmethod
+    def tally(seen, evaluate):
+        seen.clear()
+        evaluate()
+        return dict(seen)
+
+    def test_quotient_of_product(self, counts):
+        q = self.ratio()
+        seen = counts()
+        assert self.tally(seen, lambda: q(1.5)) == {"__call__": 5}
+        assert self.tally(seen, lambda: q.d1(1.5)) == {"d1": 5, "__call__": 9}
+        assert self.tally(seen, lambda: q.d2(1.5)) == {"d2": 5, "d1": 9, "__call__": 20}
+
+    def test_profile_field(self, counts):
+        from warpverify.geometry2d import Point2, profile_field
+
+        fu, fv = profile_field(self.ratio()), profile_field(self.ratio(), axis="v")
+        seen = counts()
+        for f, p in ((fu, Point2(1.5, 0.0)), (fv, Point2(0.0, 1.5))):
+            assert self.tally(seen, lambda: f.val(p)) == {"__call__": 5}
+            assert self.tally(seen, lambda: f.grad(p)) == {"d1": 5, "__call__": 9}
+            assert self.tally(seen, lambda: f.second(p)) == {
+                "d2": 5, "d1": 9, "__call__": 20}
+
+    def test_radial_field(self, counts):
+        from warpverify.geometry2d import Point2, radial_field
+
+        f = radial_field(self.ratio())
+        p = Point2(0.6, 0.8)
+        seen = counts()
+        assert self.tally(seen, lambda: f.val(p)) == {"__call__": 5}
+        assert self.tally(seen, lambda: f.grad(p)) == {"d1": 10, "__call__": 18}
+        assert self.tally(seen, lambda: f.second(p)) == {
+            "d2": 15, "d1": 37, "__call__": 78}

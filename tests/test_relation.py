@@ -18,8 +18,7 @@ from hypothesis import given, settings, strategies as st
 from warpverify import relation
 from warpverify.cli import SWEEP_BLOCK_ROWS, SWEEP_CSV_HEADER, run, to_json
 from warpverify.compatibility import (
-    PQPair, integrate_s, max_compat_residual_for_params, pq_from_params,
-    strip_samples,
+    PQPair, integrate_s, pq_from_params, strip_samples,
 )
 from warpverify.errors import BacksubstitutionError
 from warpverify.profiles import const_profile, linear_profile
@@ -27,6 +26,7 @@ from warpverify.relation import (
     MAX_SWEEP_ROWS, PUBLISHED, REDERIVED, existence_sweep, relation_poly,
     solve_lambda,
 )
+from support import max_compat_residual_for_params
 
 
 def poly_mul(a, b):

@@ -20,8 +20,9 @@ from warpverify.screened_pde import (
     GridSpec, _assemble, _class_cg, _class_system, _conformal_weight, _lattice,
     _mirror_transform, _nodes, _quadrants, _sample, assemble_and_solve,
     convergence_study, coshdist_exact, manufactured_spec, residual_field,
-    sample_exact, write_grid_csv,
+    write_grid_csv,
 )
+from support import poly_field, sample_exact
 
 
 class TestGridSpec:
@@ -291,9 +292,7 @@ class TestOperatorConsistency:
     def test_discrete_matches_continuous_residual_at_second_order(self):
         # the nodal stencil residual of a smooth non-solution field must
         # approach the continuous [lap_g - beta] f value at O(h^2)
-        from warpverify.geometry2d import (
-            Point2, laplace_beltrami, poincare_disk, poly_field,
-        )
+        from warpverify.geometry2d import Point2, laplace_beltrami, poincare_disk
         disk = poincare_disk()
         # quartic terms keep the stencil's 4th-derivative truncation nonzero
         f_field = poly_field({(0, 0): 1.0, (4, 0): 0.5, (0, 4): -0.3, (2, 1): 0.7})
