@@ -49,7 +49,6 @@ from .relation import (
     REDERIVED, VARIANTS, RootReport, existence_sweep, relation_poly,
     solve_lambda,
 )
-from . import screened_pde as pde
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -342,10 +341,16 @@ def _parse_point(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
+def _coshdist(x, y):
+    # imported on use: screened_pde loads scipy, which only `pde` needs
+    from .screened_pde import coshdist_exact
+    return coshdist_exact(x, y)
+
+
 BOUNDARY_CATALOG = {
     "zero": lambda x, y: 0.0,
     "one": lambda x, y: 1.0,
-    "coshdist": pde.coshdist_exact,
+    "coshdist": _coshdist,
     # sin(2 theta), written so that it is exactly odd in x and in y and
     # symmetric under x <-> y; boundary nodes never sit at the origin
     "angular": lambda x, y: 2.0 * x * y / (x * x + y * y),
@@ -462,6 +467,7 @@ def _cmd_curvature(args, out) -> int:
 
 
 def _cmd_pde_solve(args, out) -> int:
+    from . import screened_pde as pde
     spec = pde.GridSpec(beta=args.beta, r_max=args.rmax, h=args.h,
                         boundary=BOUNDARY_CATALOG[args.bc])
     field = pde.assemble_and_solve(spec)
@@ -478,6 +484,7 @@ def _cmd_pde_solve(args, out) -> int:
 
 
 def _cmd_pde_converge(args, out) -> int:
+    from . import screened_pde as pde
     hs = pde.mesh_widths(args.h)
     base = pde.manufactured_spec(args.beta, r_max=args.rmax, h=hs[0])
     rows = pde.convergence_study(base, hs, pde.coshdist_exact)

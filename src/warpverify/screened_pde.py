@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 import os
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, TextIO, Union
 
@@ -52,6 +54,8 @@ class GridSpec:
     r <= r_max < 1 with spacing h.  `source` is psi (None: homogeneous) and
     `boundary` the Dirichlet data, array callables that `_sample` calls once
     per node set with its row-major coordinates: `np.sin`, not `math.sin`.
+    `convergence_study` solves its levels on two threads, so both may be
+    called from two threads at once.
     """
 
     beta: float
@@ -450,22 +454,76 @@ class ConvergenceRow:
     observed_rate: Optional[float]
 
 
+# An error at most this times max|f| of its level's solved field is rounding,
+# not discretization, and gives no observed rate: levels solved down to the
+# rounding floor, directly or by CG to its CG_RTOL stop, showed up to 5.2e-12
+# of max|f|, and the levels of benchmark ladders 1e-5 and more.
+RATE_ERROR_FLOOR = 1e-8
+
+
+def _measure_level(spec: GridSpec, exact: XYCallable) -> tuple[float, float]:
+    """One ladder level: (max error against exact, max|f| of the solve)."""
+    field = assemble_and_solve(spec)
+    err = field.max_error_against(exact)
+    return err, float(np.nanmax(np.abs(field.values)))
+
+
+def _yield_to_caller():
+    """Run the current thread, the helper of `convergence_study`, at the
+    lowest priority.  Unless BLAS is pinned to one thread, the CG of the
+    finest level keeps every core busy through BLAS threads, and a helper
+    competing with them slowed the lattice-cap ladder by 23-27 % (0-8 % at
+    nice 19, where it takes idle cores only).  Linux keeps a nice value per
+    thread; elsewhere, or where it may not be changed, the priority stays."""
+    if sys.platform.startswith("linux"):
+        try:
+            os.setpriority(os.PRIO_PROCESS, threading.get_native_id(), 19)
+        except OSError:
+            pass
+
+
 def convergence_study(spec: GridSpec, h_list: Sequence[float],
                       exact: XYCallable) -> list[ConvergenceRow]:
     """Solve at each mesh width, compare against the exact solution.
 
     Rates are log(err_i-1 / err_i) / log(h_i-1 / h_i) between consecutive
     rows; for halvings this is the usual log2 ratio, expected near 2 for
-    the five-point stencil.
+    the five-point stencil.  A rate is None when either error is at most
+    RATE_ERROR_FLOOR times max|f| of its level's solved field: there the
+    error is rounding, not discretization.
+
+    Every level is built before any solve, so an invalid width fails
+    first.  The calling thread then solves the finest level while one
+    helper thread, at the lowest priority (`_yield_to_caller`), solves the
+    coarser ones, coarsest first; the levels share nothing but the spec's
+    data, so `source`, `boundary` and `exact` may be called from both
+    threads at once.  The rows are those of solving the levels one by one,
+    and so is the failure: the coarsest failing level's exception is
+    raised, also when the finest fails too (the coarser levels then run to
+    the end to find it).  A coarser level's failure or an interrupt on the
+    calling thread cancels the levels not yet started, and the helper
+    thread has ended when the call returns or raises.
     """
     hs = mesh_widths(h_list)
-    # Build every level first, so an invalid width fails before any solve.
     runs = [replace(spec, h=h) for h in hs]
+    helper = ThreadPoolExecutor(max_workers=1, initializer=_yield_to_caller)
+    try:
+        coarse = [helper.submit(_measure_level, run, exact) for run in runs[:-1]]
+        try:
+            finest = _measure_level(runs[-1], exact)
+        except Exception:
+            for level in coarse:    # a coarser level's failure is raised instead
+                level.result()
+            raise
+        levels = [level.result() for level in coarse] + [finest]
+    finally:
+        helper.shutdown(cancel_futures=True)
+
     rows: list[ConvergenceRow] = []
-    for h, run in zip(hs, runs):
-        err = assemble_and_solve(run).max_error_against(exact)
+    above = [err > RATE_ERROR_FLOOR * scale for err, scale in levels]
+    for i, (h, (err, _)) in enumerate(zip(hs, levels)):
         rate = None
-        if rows and err > 0.0 and rows[-1].max_error > 0.0:
+        if i and above[i - 1] and above[i]:
             rate = math.log(rows[-1].max_error / err) / math.log(rows[-1].h / h)
         rows.append(ConvergenceRow(h=h, max_error=err, observed_rate=rate))
     return rows
@@ -536,8 +594,12 @@ def coshdist_exact(x, y):
     """(1 + r^2)/(1 - r^2), on floats or arrays: satisfies lap_g f = 2 f on
     the disk chart, so it solves the homogeneous problem at beta = 2 and,
     with the manufactured source (beta - 2) f, the problem at any beta."""
-    r2 = x * x + y * y
-    return (1.0 + r2) / (1.0 - r2)
+    # In place on arrays: two node-sized temporaries instead of three.
+    f = x * x + y * y
+    den = 1.0 - f
+    f += 1.0
+    f /= den
+    return f
 
 
 def manufactured_spec(beta: float, r_max: float = 0.8, h: float = 0.02) -> GridSpec:

@@ -315,12 +315,12 @@ class TestUsageErrors:
     @pytest.mark.parametrize("case", ["missing_directory", "directory"])
     def test_unwritable_out_path_is_refused_before_the_solve(
             self, case, tmp_path, monkeypatch, capsys):
-        from warpverify import cli
+        from warpverify import screened_pde
 
         def solve(spec):
             raise AssertionError("the solve ran")
 
-        monkeypatch.setattr(cli.pde, "assemble_and_solve", solve)
+        monkeypatch.setattr(screened_pde, "assemble_and_solve", solve)
         dest = {"missing_directory": tmp_path / "no" / "such" / "g.csv",
                 "directory": tmp_path}[case]
         code, out = invoke("pde", "solve", "--beta", "1", "--out", str(dest),
@@ -424,14 +424,14 @@ class TestNonFiniteRelation:
 class TestOutputFailures:
     def test_failed_csv_write_is_reported_and_leaves_no_file(
             self, tmp_path, monkeypatch, capsys):
-        from warpverify import cli
+        from warpverify import screened_pde
 
         def write_then_fail(field, fh):
             fh.write("x1,x2,tag,value\n")
             fh.flush()
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-        monkeypatch.setattr(cli.pde, "_write_grid_rows", write_then_fail)
+        monkeypatch.setattr(screened_pde, "_write_grid_rows", write_then_fail)
         dest = tmp_path / "g.csv"
         code, out = invoke("pde", "solve", "--beta", "1", "--rmax", "0.5",
                            "--h", "0.05", "--out", str(dest), "--quiet")
@@ -484,6 +484,29 @@ class TestDeterminismAndBanner:
         runs = [subprocess.run(cmd, capture_output=True, check=True).stdout
                 for _ in range(2)]
         assert runs[0] == runs[1]
+
+
+class TestScipyOnlyForPde:
+    """Only the `pde` handlers import `screened_pde`, and with it scipy."""
+
+    def test_a_fresh_interpreter_runs_the_other_commands_without_scipy(self):
+        script = "\n".join([
+            "import io, sys",
+            "from warpverify import cli",
+            "def scipy_loaded():",
+            "    return sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')",
+            "for argv in (['verify', '--m', '3', '--beta', '1'],",
+            "             ['relation', 'solve', '--m', '3', '--beta', '1'],",
+            "             ['curvature', '--model', 'disk', '--at', '0.3,-0.4']):",
+            "    assert cli.run([*argv, '--quiet'], out=io.StringIO()) == 0, argv",
+            "print(scipy_loaded())",
+            "argv = ['pde', 'converge', '--beta', '2', '--h', '0.1,0.05', '--rmax', '0.6', '--quiet']",
+            "assert cli.run(argv, out=io.StringIO()) == 0",
+            "print('scipy.sparse.linalg' in scipy_loaded())",
+        ])
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "[]\nTrue\n"
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -567,13 +590,13 @@ class TestParserReuse:
 
 class TestSolverFailureExit:
     def test_exit_code_four_and_no_file(self, monkeypatch, tmp_path):
-        from warpverify import cli
+        from warpverify import screened_pde
         from warpverify.errors import SolverError
 
         def boom(spec):
             raise SolverError("stalled", final_residual=1e-3)
 
-        monkeypatch.setattr(cli.pde, "assemble_and_solve", boom)
+        monkeypatch.setattr(screened_pde, "assemble_and_solve", boom)
         dest = tmp_path / "g.csv"
         code, _ = invoke("pde", "solve", "--beta", "1", "--rmax", "0.5",
                          "--h", "0.05", "--bc", "zero", "--out", str(dest),

@@ -2,7 +2,12 @@
 maximum principle, symmetry, CSV output."""
 
 import io
+import json
 import math
+import os
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -16,7 +21,7 @@ from warpverify import screened_pde
 from warpverify.cli import BOUNDARY_CATALOG, run
 from warpverify.errors import SolverError
 from warpverify.screened_pde import (
-    BOUNDARY, EXTERIOR, INTERIOR, TAG_NAMES, ConvergenceRow, GridField,
+    BOUNDARY, EXTERIOR, INTERIOR, RATE_ERROR_FLOOR, TAG_NAMES, ConvergenceRow, GridField,
     GridSpec, _assemble, _class_cg, _class_system, _conformal_weight, _lattice,
     _mirror_transform, _nodes, _quadrants, _sample, assemble_and_solve,
     convergence_study, coshdist_exact, manufactured_spec, residual_field,
@@ -286,6 +291,153 @@ class TestConvergence:
             convergence_study(spec, [0.02], coshdist_exact)
         with pytest.raises(ValueError):
             convergence_study(spec, [0.02, 0.04], coshdist_exact)
+
+
+def sequential_rows(spec, hs, exact):
+    """The rows of `convergence_study` from its levels solved one by one on
+    the calling thread."""
+    levels = []
+    for h in hs:
+        field = assemble_and_solve(replace(spec, h=h))
+        solved = field.values[field.tags != EXTERIOR]
+        levels.append((field.max_error_against(exact), float(np.max(np.abs(solved)))))
+    rows = []
+    for i, (h, (err, scale)) in enumerate(zip(hs, levels)):
+        rate = None
+        if i and err > RATE_ERROR_FLOOR * scale \
+                and levels[i - 1][0] > RATE_ERROR_FLOOR * levels[i - 1][1]:
+            rate = math.log(levels[i - 1][0] / err) / math.log(hs[i - 1] / h)
+        rows.append(ConvergenceRow(h=h, max_error=err, observed_rate=rate))
+    return rows
+
+
+class LevelFailure(Exception):
+    pass
+
+
+def level_source(spec, hs, react):
+    """A source that calls react(level) and is 0 otherwise; the level is
+    told by the number of interior nodes it is sampled on."""
+    sizes = [int(np.count_nonzero(_lattice(replace(spec, h=h))[1] == INTERIOR)) for h in hs]
+    assert len(set(sizes)) == len(hs)
+
+    def source(x, y):
+        react(sizes.index(x.size))
+        return 0.0
+    return source
+
+
+class TestLadderThreads:
+    """`convergence_study` solves the finest level on the calling thread
+    and the coarser ones on one helper thread."""
+
+    @pytest.mark.parametrize("limit, hs, finest_cg", [
+        (screened_pde.DIRECT_SOLVE_LIMIT, [0.04, 0.02, 0.01, 0.005], 0),
+        (2_000, [0.08, 0.04, 0.02], 1),     # the finest level alone runs CG
+    ])
+    def test_rows_match_solving_the_levels_one_by_one(self, limit, hs, finest_cg,
+                                                      monkeypatch):
+        monkeypatch.setattr(screened_pde, "DIRECT_SOLVE_LIMIT", limit)
+        threads = {"cg": [], "spsolve": []}
+        for name, seen in threads.items():
+            def record(*args, _solve=getattr(spla, name), _seen=seen, **options):
+                _seen.append(threading.current_thread())
+                return _solve(*args, **options)
+            monkeypatch.setattr(screened_pde.spla, name, record)
+        spec = manufactured_spec(beta=2.5, r_max=0.8, h=hs[0])
+        before = threading.active_count()
+        rows = convergence_study(spec, hs, coshdist_exact)
+        assert threading.active_count() == before
+        # one class solve per level, the finest one on the calling thread
+        main = threading.main_thread()
+        assert len(threads["cg"]) + len(threads["spsolve"]) == len(hs)
+        assert [t is main for t in threads["cg"]] == [True] * finest_cg
+        assert sum(t is main for t in threads["spsolve"]) == 1 - finest_cg
+        assert rows == sequential_rows(spec, hs, coshdist_exact)
+        assert all(1.5 <= row.observed_rate <= 2.5 for row in rows[1:])
+
+    def test_rows_hold_under_frequent_thread_switches(self):
+        # both threads factorize at once; the rows stay bit for bit
+        hs = [0.04, 0.02, 0.01]
+        spec = manufactured_spec(beta=1.3, r_max=0.9, h=hs[0])
+        reference = sequential_rows(spec, hs, coshdist_exact)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert convergence_study(spec, hs, coshdist_exact) == reference
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("failing", [{0, 3}, {1, 3}, {2, 3}, {0, 2}, {1}, {3}])
+    def test_the_coarsest_failing_level_is_raised(self, failing):
+        hs = [0.16, 0.08, 0.04, 0.02]
+        spec = GridSpec(beta=2.0, r_max=0.8, h=hs[0], boundary=coshdist_exact)
+
+        def react(level):
+            if level in failing:
+                raise LevelFailure(level)
+        spec = replace(spec, source=level_source(spec, hs, react))
+        before = threading.active_count()
+        with pytest.raises(LevelFailure) as info:
+            convergence_study(spec, hs, coshdist_exact)
+        assert info.value.args == (min(failing),)
+        assert threading.active_count() == before
+
+    def test_an_interrupt_on_the_calling_thread_cancels_the_queued_levels(self):
+        hs = [0.16, 0.08, 0.04, 0.02]
+        spec = GridSpec(beta=2.0, r_max=0.8, h=hs[0], boundary=coshdist_exact)
+        started = []
+
+        def react(level):
+            started.append(level)
+            if level == 0:
+                time.sleep(0.3)     # the helper is busy when the interrupt comes
+            if level == len(hs) - 1:
+                raise KeyboardInterrupt
+        spec = replace(spec, source=level_source(spec, hs, react))
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            convergence_study(spec, hs, coshdist_exact)
+        assert threading.active_count() == before
+        assert set(started) <= {0, 3} and 3 in started
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="nice values are per thread on Linux only")
+    def test_the_helper_runs_at_the_lowest_priority(self):
+        hs = [0.16, 0.08, 0.04]
+        spec = GridSpec(beta=2.0, r_max=0.8, h=hs[0], boundary=coshdist_exact)
+        nice = {}
+
+        def react(level):
+            nice[level] = os.getpriority(os.PRIO_PROCESS, threading.get_native_id())
+        spec = replace(spec, source=level_source(spec, hs, react))
+        caller = os.getpriority(os.PRIO_PROCESS, threading.get_native_id())
+        convergence_study(spec, hs, coshdist_exact)
+        assert nice == {0: 19, 1: 19, 2: caller}
+        assert os.getpriority(os.PRIO_PROCESS, threading.get_native_id()) == caller
+
+
+class TestRateFloor:
+    @pytest.mark.parametrize("argv", [
+        ("--beta", "2", "--rmax", "1e-60", "--h", "1e-62,5e-63"),
+        ("--beta", "1e150", "--h", "0.01,0.005,0.0035"),     # direct levels and one CG
+    ])
+    def test_rates_from_errors_at_the_rounding_floor_are_null(self, argv):
+        buf = io.StringIO()
+        assert run(["pde", "converge", *argv, "--format", "json", "--quiet"], out=buf) == 0
+        rows = json.loads(buf.getvalue())["rows"]
+        assert [row["observed_rate"] for row in rows] == [None] * len(rows)
+
+    def test_an_error_at_the_floor_gives_no_rate(self, monkeypatch):
+        # (max error, max|f|) per level; the floor itself counts as rounding
+        levels = {0.16: (1e-3, 1.0), 0.08: (2.5e-4, 1.0), 0.04: (1e-8, 1.0),
+                  0.02: (4e-6, 100.0), 0.01: (1e-6, 99.0), 0.005: (2.5e-7, 25.0)}
+        monkeypatch.setattr(screened_pde, "_measure_level",
+                            lambda spec, exact: levels[spec.h])
+        spec = GridSpec(beta=1.0, r_max=0.8, h=0.16)
+        rows = convergence_study(spec, list(levels), coshdist_exact)
+        assert [row.observed_rate for row in rows] == [None, 2.0, None, None, 2.0, None]
 
 
 class TestOperatorConsistency:
