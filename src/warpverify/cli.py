@@ -45,10 +45,7 @@ from .geometry2d import (
     Point2, coordinate_u, gauss_curvature, grad_norm_sq, laplace_beltrami,
     poincare_disk, poincare_half_plane, rescale,
 )
-from .relation import (
-    REDERIVED, VARIANTS, RootReport, existence_sweep, relation_poly,
-    solve_lambda,
-)
+from .relation import REDERIVED, VARIANTS, existence_sweep, relation_poly, solve_lambda
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -108,35 +105,7 @@ def fmt_text(x: float) -> str:
     return format(x, ".12g")
 
 
-# -- report structures -----------------------------------------------------------
-
-
-def root_report_dict(report: RootReport) -> dict:
-    poly = report.poly
-    return {
-        "m": int(poly.m) if float(poly.m).is_integer() else float(poly.m),
-        "beta": float(poly.beta),
-        "variant": poly.provenance,
-        "coefficients": {"a2": float(poly.a2), "a1": float(poly.a1),
-                         "a0": float(poly.a0)},
-        "degenerate_linear": report.degenerate_linear,
-        "formal_extrapolation": report.formal_extrapolation,
-        "roots": [
-            {
-                "value": adm.root,
-                "multiplicity": mult,
-                "backsub_residual": res,
-                "lambda_plus_beta_negative": adm.lambda_plus_beta_negative,
-                "K_negative": adm.K_negative,
-                "admissible": adm.overall,
-                "K": adm.K,
-            }
-            for adm, mult, res in zip(report.admissibility,
-                                      report.multiplicities,
-                                      report.backsub_residuals)
-        ],
-        "admissible_roots": report.admissible_roots,
-    }
+# -- verification ----------------------------------------------------------------
 
 
 def _no_admissible_root(m: int, beta: float, variant: str) -> AdmissibilityError:
@@ -165,14 +134,11 @@ def run_verification(m: int, beta: float, variant: str = REDERIVED) -> dict:
     lambda|) is informational and not part of the verdict.
     Raises AdmissibilityError when the relation has no admissible root.
     """
-    report = solve_lambda(relation_poly(m, beta, variant))
-    admissible = report.admissible_roots
-    if not admissible:
+    roots = solve_lambda(relation_poly(m, beta, variant))["roots"]
+    root = next((r for r in roots if r["admissible"]), None)
+    if root is None:
         raise _no_admissible_root(m, beta, variant)
-    lam = admissible[0]
-    idx = report.roots.index(lam)
-    relation_residual = report.backsub_residuals[idx]
-    K = report.admissibility[idx].K
+    lam, relation_residual, K = root["value"], root["backsub_residual"], root["K"]
 
     pq = pq_from_params(m, lam, beta)
     samples = strip_samples()
@@ -431,8 +397,8 @@ def _banner(args, out):
 
 def _cmd_relation_solve(args, out) -> int:
     report = solve_lambda(relation_poly(args.m, args.beta, args.variant))
-    out.write(to_json(root_report_dict(report)) + "\n")
-    if not report.admissible_roots:
+    out.write(to_json(report) + "\n")
+    if not report["admissible_roots"]:
         sys.stderr.write(f"{_no_admissible_root(args.m, args.beta, args.variant)}\n")
         return EXIT_NO_ADMISSIBLE
     return EXIT_OK

@@ -2,8 +2,8 @@
 
 Everything here works on metrics of the form g = E du^2 + G dv^2 with
 E, G > 0 (no off-diagonal term).  The catalog covers the Poincare disk,
-the Poincare half-plane, the flat plane, constant rescalings, and metrics
-assembled from 1D profiles (used by the warped-product construction).
+the Poincare half-plane, constant rescalings, and metrics assembled from
+1D profiles (used by the warped-product construction).
 
 Scalar fields carry exact partial derivatives; the only field algebra is
 scaling by a constant, which `rescale` uses.  `CentralDifferences`
@@ -81,8 +81,6 @@ class ScalarField2D:
     def val(self, p: Point2) -> float:
         return self._value(p.u, p.v)
 
-    __call__ = val
-
     # -- derivative access ----------------------------------------------------
 
     def grad(self, p: Point2) -> tuple[float, float]:
@@ -144,12 +142,6 @@ def _scaled(c, cb):
 # -- field catalog ------------------------------------------------------------
 
 
-def constant_field(c: float) -> ScalarField2D:
-    c = float(c)
-    z = lambda u, v: 0.0
-    return ScalarField2D(lambda u, v: c, du=z, dv=z, duu=z, duv=z, dvv=z)
-
-
 def coordinate_u() -> ScalarField2D:
     """The chart coordinate u.  `u + 0.0` is a float for an int u and
     +0.0 at u = -0.0."""
@@ -201,7 +193,7 @@ class Metric2D:
     """
 
     KINDS = ("poincare_disk", "poincare_half_plane", "constructed",
-             "custom", "rescaled", "flat")
+             "custom", "rescaled")
 
     def __init__(self, E: Field, G: Field,
                  domain: Callable[[float, float], bool], kind: str = "custom"):
@@ -249,11 +241,6 @@ def poincare_half_plane() -> Metric2D:
         axis="v")
     domain = lambda u, v: EPS_DOMAIN <= v <= 1.0 / EPS_DOMAIN
     return Metric2D(factor, factor, domain, kind="poincare_half_plane")
-
-
-def flat_metric() -> Metric2D:
-    one = constant_field(1.0)
-    return Metric2D(one, one, lambda u, v: True, kind="flat")
 
 
 # -- operator helpers ----------------------------------------------------------

@@ -109,34 +109,6 @@ def relation_poly(m: Number, beta: Number, variant: str = REDERIVED) -> Relation
     return RelationPoly(a2, a1, a0, variant, m, beta)
 
 
-@dataclass(frozen=True)
-class RootAdmissibility:
-    """Admissibility record for a single root."""
-
-    root: float
-    lambda_plus_beta_negative: bool
-    K_negative: bool
-    overall: bool
-    K: float
-
-
-@dataclass(frozen=True)
-class RootReport:
-    """Real roots of a relation polynomial with admissibility flags."""
-
-    poly: RelationPoly
-    roots: list[float]
-    multiplicities: list[int]
-    degenerate_linear: bool
-    admissibility: list[RootAdmissibility]
-    backsub_residuals: list[float]
-    formal_extrapolation: bool = False
-
-    @property
-    def admissible_roots(self) -> list[float]:
-        return [a.root for a in self.admissibility if a.overall]
-
-
 def _admissibility(root, m, beta):
     """(K, lam + beta < 0, K < 0, admissible) for roots `root`; admissible
     iff lam + beta < 0, K = lam + m beta/2 < 0 and m >= 2.  NaN roots are
@@ -192,8 +164,9 @@ def _real_roots(a2, a1, a0, m, beta) -> tuple[np.ndarray, np.ndarray]:
     return roots, residuals
 
 
-def solve_lambda(poly: RelationPoly) -> RootReport:
-    """Real roots via the cancellation-safe quadratic formula.
+def solve_lambda(poly: RelationPoly) -> dict:
+    """Real roots via the cancellation-safe quadratic formula, as the
+    report `relation solve` prints.
 
     A vanishing leading coefficient degrades to the linear case; a zero
     discriminant reports one root with multiplicity 2.  Every root is
@@ -208,17 +181,25 @@ def solve_lambda(poly: RelationPoly) -> RootReport:
     present = ~np.isnan(roots[0])
     roots, residuals = roots[0, present], residuals[0, present]
     degenerate = a2 == 0.0
-    K, lpb, kn, overall = (x.tolist() for x in _admissibility(roots, m, beta))
-    roots = roots.tolist()
-    return RootReport(
-        poly=poly,
-        roots=roots,
-        multiplicities=[2] if len(roots) == 1 and not degenerate else [1] * len(roots),
-        degenerate_linear=degenerate,
-        admissibility=[RootAdmissibility(*adm) for adm in zip(roots, lpb, kn, overall, K)],
-        backsub_residuals=residuals.tolist(),
-        formal_extrapolation=not m.is_integer(),
-    )
+    multiplicity = 2 if len(roots) == 1 and not degenerate else 1
+    K, lpb, kn, admissible = _admissibility(roots, m, beta)
+    rows = zip(roots.tolist(), residuals.tolist(), lpb.tolist(), kn.tolist(),
+               admissible.tolist(), K.tolist())
+    return {
+        "m": int(poly.m) if m.is_integer() else m,
+        "beta": beta,
+        "variant": poly.provenance,
+        "coefficients": {"a2": a2, "a1": a1, "a0": a0},
+        "degenerate_linear": degenerate,
+        "formal_extrapolation": not m.is_integer(),
+        "roots": [
+            {"value": root, "multiplicity": multiplicity, "backsub_residual": res,
+             "lambda_plus_beta_negative": neg, "K_negative": k_neg,
+             "admissible": ok, "K": k}
+            for root, res, neg, k_neg, ok, k in rows
+        ],
+        "admissible_roots": roots[admissible].tolist(),
+    }
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,7 @@
-"""Helpers that only the tests use: a general polynomial field, the
-cosh-distance field of the disk, the compatibility residual of a
-parameter triple and an exact solution sampled on a lattice."""
+"""Helpers that only the tests use: constant and general polynomial
+fields, the flat metric, the cosh-distance field of the disk, the
+compatibility residual of a parameter triple and an exact solution
+sampled on a lattice."""
 
 from __future__ import annotations
 
@@ -11,11 +12,23 @@ import numpy as np
 
 from warpverify.compatibility import compat_residual, pq_from_params, strip_samples
 from warpverify.errors import AdmissibilityError
-from warpverify.geometry2d import ScalarField2D, radial_field
+from warpverify.geometry2d import Metric2D, ScalarField2D, radial_field
 from warpverify.profiles import poly_profile
 from warpverify.screened_pde import (
     EXTERIOR, GridField, GridSpec, XYCallable, _lattice, _nodes, _sample,
 )
+
+
+def constant_field(c: float) -> ScalarField2D:
+    c = float(c)
+    z = lambda u, v: 0.0
+    return ScalarField2D(lambda u, v: c, du=z, dv=z, duu=z, duv=z, dvv=z)
+
+
+def flat_metric() -> Metric2D:
+    """The Euclidean plane, E = G = 1."""
+    one = constant_field(1.0)
+    return Metric2D(one, one, lambda u, v: True, kind="custom")
 
 
 def poly_field(coeffs: dict[tuple[int, int], float]) -> ScalarField2D:

@@ -37,11 +37,10 @@ def test_criterion_01_relation_roots():
     worst_gap, worst_res = 0.0, 0.0
     for m, lam in expected.items():
         rep = solve_lambda(relation_poly(m, 1))
-        roots = rep.admissible_roots
+        roots = [r for r in rep["roots"] if r["admissible"]]
         assert len(roots) == 1
-        worst_gap = max(worst_gap, abs(roots[0] - lam))
-        idx = rep.roots.index(roots[0])
-        worst_res = max(worst_res, rep.backsub_residuals[idx])
+        worst_gap = max(worst_gap, abs(roots[0]["value"] - lam))
+        worst_res = max(worst_res, roots[0]["backsub_residual"])
     ok = worst_gap == 0.0 and worst_res < 1e-12
     report(1, "relation roots", ok,
            f"max root gap {worst_gap:.3g}, max back-substitution {worst_res:.3g}")
@@ -64,7 +63,7 @@ def test_criterion_03_compatibility_oracle():
     worst_res, worst_norm = 0.0, 0.0
     for m in range(3, 13):
         for beta in (0.5, 1.0, 2.0):
-            roots = solve_lambda(relation_poly(m, beta)).admissible_roots
+            roots = solve_lambda(relation_poly(m, beta))["admissible_roots"]
             assert len(roots) == 1
             pq = pq_from_params(m, roots[0], beta)
             worst_res = max(worst_res,
@@ -77,21 +76,20 @@ def test_criterion_03_compatibility_oracle():
 
 def test_criterion_04_discrepancy_certificate():
     m, beta = 3, 2.0
-    red_roots = solve_lambda(relation_poly(m, beta)).admissible_roots
+    red_roots = solve_lambda(relation_poly(m, beta))["admissible_roots"]
     assert len(red_roots) == 1
     red_res, red_reason = max_compat_residual_for_params(m, beta, red_roots[0])
-    pub_report = solve_lambda(relation_poly(m, beta, PUBLISHED))
-    pub_results = [max_compat_residual_for_params(m, beta, r)
-                   for r in pub_report.roots]
+    pub_roots = [r["value"] for r in solve_lambda(relation_poly(m, beta, PUBLISHED))["roots"]]
+    pub_results = [max_compat_residual_for_params(m, beta, r) for r in pub_roots]
 
     lines = [f"rederived root {red_roots[0]}: residual {red_res:.3g}"]
-    for root, (res, reason) in zip(pub_report.roots, pub_results):
+    for root, (res, reason) in zip(pub_roots, pub_results):
         why = f" [{reason}]" if reason else ""
         lines.append(f"published root {root}: residual {res:.3g}{why}")
     detail = "; ".join(lines) + "; intent not adjudicated"
 
     ok = (red_res < 1e-9 and red_reason is None
-          and len(pub_report.roots) >= 1
+          and len(pub_roots) >= 1
           and all(res > 1e-2 for res, _ in pub_results))
     report(4, "discrepancy certificate (m=3, beta=2)", ok, detail)
 

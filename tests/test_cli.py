@@ -24,6 +24,7 @@ from warpverify.cli import (
     SWEEP_CSV_HEADER, TOLERANCES, main, run, to_json,
 )
 from warpverify.errors import BacksubstitutionError, ToolkitError
+from warpverify.relation import relation_poly, solve_lambda
 
 
 def invoke(*argv):
@@ -517,9 +518,10 @@ class TestGoldenOutput:
     curvature outputs were recorded from the release before the profile,
     field and compatibility kernels were cut to the (linear p, constant q)
     pair, the relation outputs before the per-variant relation
-    constructors and the package re-exports were deleted, and the m = 40
+    constructors and the package re-exports were deleted, the m = 40
     and m = 2 verify outputs before profile evaluations inside closure
-    trees became method calls."""
+    trees became method calls, and the m = 2 and m = 1 relation outputs
+    before `solve_lambda` began returning the printed report."""
 
     @pytest.mark.parametrize("name, argv, exit_code", [
         ("verify_m3_beta1", ("verify", "--m", "3", "--beta", "1"), EXIT_OK),
@@ -539,6 +541,10 @@ class TestGoldenOutput:
         ("verify_m40_beta2.5", ("verify", "--m", "40", "--beta", "2.5"), EXIT_OK),
         # at m = 2 the relation is degenerate-linear
         ("verify_m2_beta0.25", ("verify", "--m", "2", "--beta", "0.25"), EXIT_OK),
+        ("relation_solve_m2_beta3", ("relation", "solve", "--m", "2", "--beta", "3"), EXIT_OK),
+        # a double root, inadmissible at m = 1: the report is still printed
+        ("relation_solve_m1_beta1", ("relation", "solve", "--m", "1", "--beta", "1"),
+         EXIT_NO_ADMISSIBLE),
     ])
     def test_stdout_matches_the_golden_bytes(self, name, argv, exit_code):
         code, out = invoke(*argv, "--quiet")
@@ -549,6 +555,12 @@ class TestGoldenOutput:
         report = cli.run_verification(3, 1.0)
         validate(report, "verify_report.schema.json")
         assert (to_json(report) + "\n").encode() == (GOLDEN / "verify_m3_beta1.txt").read_bytes()
+
+    def test_solve_lambda_returns_the_printed_report(self):
+        report = solve_lambda(relation_poly(3, 1))
+        validate(report, "root_report.schema.json")
+        assert ((to_json(report) + "\n").encode()
+                == (GOLDEN / "relation_solve_m3_beta1.txt").read_bytes())
 
 
 class TestParserReuse:

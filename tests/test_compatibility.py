@@ -289,7 +289,7 @@ class TestVerifyPseudospherical:
     @pytest.mark.parametrize("m,beta", [(3, 0.5), (5, 1.0), (9, 2.0)])
     def test_equivalence_over_admissible_family(self, m, beta):
         from warpverify.relation import relation_poly, solve_lambda
-        lam = solve_lambda(relation_poly(m, beta)).admissible_roots[0]
+        lam = solve_lambda(relation_poly(m, beta))["admissible_roots"][0]
         pq = pq_from_params(m, lam, beta)
         rep = verify_pseudospherical(pq, strip_samples())
         assert rep.max_abs_compat_residual <= 1e-8
@@ -331,7 +331,7 @@ class TestAdmissibleRootNormalForm:
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
     def test_q_minus_slope_is_one(self, m, beta):
         from warpverify.relation import relation_poly, solve_lambda
-        roots = solve_lambda(relation_poly(m, beta)).admissible_roots
+        roots = solve_lambda(relation_poly(m, beta))["admissible_roots"]
         assert len(roots) == 1
         pq = pq_from_params(m, roots[0], beta)
         assert abs(pq.q(1.0) - pq.p.d1(1.0) - 1.0) < 1e-10

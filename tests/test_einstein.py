@@ -12,10 +12,10 @@ from warpverify.einstein import (
 )
 from warpverify.errors import PositivityError
 from warpverify.geometry2d import (
-    Point2, constant_field, coordinate_u, flat_metric, gauss_curvature,
-    grad_norm_sq, laplace_beltrami, poincare_disk, rescale,
+    Point2, coordinate_u, gauss_curvature, grad_norm_sq, laplace_beltrami,
+    poincare_disk, rescale,
 )
-from support import poly_field
+from support import constant_field, flat_metric, poly_field
 
 DISK = poincare_disk()
 FLAT = flat_metric()

@@ -11,15 +11,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from warpverify.cli import TOLERANCES
+from warpverify.einstein import WarpParams, tensor_residual
 from warpverify.errors import DomainError, PositivityError
 from warpverify.geometry2d import (
     CentralDifferences, Metric2D, Point2, ScalarField2D, SymMat2,
-    _christoffel, constant_field, coordinate_u, flat_metric, gauss_curvature,
-    grad_norm_sq, hessian, laplace_beltrami, poincare_disk,
-    poincare_half_plane, profile_field, radial_field, rescale,
+    _christoffel, coordinate_u, gauss_curvature, grad_norm_sq, hessian,
+    laplace_beltrami, poincare_disk, poincare_half_plane, profile_field,
+    radial_field, rescale,
 )
 from warpverify.profiles import poly_profile
-from support import cosh_distance_field, poly_field
+from support import constant_field, cosh_distance_field, flat_metric, poly_field
 
 DISK = poincare_disk()
 HALF_PLANE = poincare_half_plane()
@@ -310,6 +311,81 @@ class TestInvariants:
             errs.append(abs(laplace_beltrami(DISK, fd, p) - exact))
         ratio = errs[0] / errs[1]
         assert 3.5 <= ratio <= 4.5
+
+
+class TestGenericMetricOracle:
+    """Sympy oracle on an orthogonal metric with E != G, both depending on u
+    and v, and a field with f_v != 0 and f_uv != 0.  The model metrics are
+    conformal and their fields depend on one coordinate or have no mixed
+    Hessian, which leaves the f_v / G term, the signs of the mixed
+    Christoffel terms and the tensor residual's a12 unchecked.  The closed
+    forms come from the general coordinate formulas (Levi-Civita symbols of
+    the metric matrix, the divergence-form Laplacian and K = R_1212 / det g),
+    not from the orthogonal-coordinate shortcuts of the kernel."""
+
+    E = {(0, 0): 2.0, (1, 0): 0.5, (1, 1): 0.375, (0, 2): 0.25}
+    G = {(0, 0): 1.0, (0, 1): 0.5, (2, 0): 0.75, (1, 1): -0.25}
+    F = {(0, 0): 1.5, (1, 0): 0.25, (0, 1): 0.75, (1, 1): 0.5, (0, 2): -0.125}
+    POINTS = [(0.25, 0.5), (0.5, 0.125), (0.625, 0.375)]
+    WP = WarpParams(m=3, lam=-2.0)
+
+    @pytest.fixture(scope="class")
+    def closed_forms(self):
+        sp = pytest.importorskip("sympy")
+        u, v = x = sp.symbols("u v")
+
+        def poly(coeffs):
+            return sum(sp.Rational(c) * u ** i * v ** j for (i, j), c in coeffs.items())
+
+        g, f = sp.diag(poly(self.E), poly(self.G)), poly(self.F)
+        ginv, det = g.inv(), g.det()
+        pairs = [(i, j) for i in range(2) for j in range(2)]
+        gamma = [[[sum(ginv[k, l] * (sp.diff(g[l, i], x[j]) + sp.diff(g[l, j], x[i])
+                                     - sp.diff(g[i, j], x[l])) for l in range(2)) / 2
+                   for j in range(2)] for i in range(2)] for k in range(2)]
+
+        def riemann(a, b, c, d):  # R^a_bcd
+            return (sp.diff(gamma[a][d][b], x[c]) - sp.diff(gamma[a][c][b], x[d])
+                    + sum(gamma[a][c][e] * gamma[e][d][b] - gamma[a][d][e] * gamma[e][c][b]
+                          for e in range(2)))
+
+        K = sum(g[0, a] * riemann(a, 1, 0, 1) for a in range(2)) / det
+        hess = [[sp.diff(f, x[i], x[j]) - sum(gamma[k][i][j] * sp.diff(f, x[k]) for k in range(2))
+                 for j in range(2)] for i in range(2)]
+        m, lam = self.WP.m, sp.Rational(self.WP.lam)
+        residual = [[K * g[i, j] - m / f * hess[i][j] - lam * g[i, j] for j in range(2)]
+                    for i in range(2)]
+        forms = {
+            "grad_norm_sq": sum(ginv[i, j] * sp.diff(f, x[i]) * sp.diff(f, x[j])
+                                for i, j in pairs),
+            "laplace_beltrami": sum(sp.diff(sp.sqrt(det) * ginv[i, j] * sp.diff(f, x[j]), x[i])
+                                    for i, j in pairs) / sp.sqrt(det),
+            "gauss_curvature": K,
+            "hessian": (hess[0][0], hess[0][1], hess[1][1]),
+            "tensor_residual": (residual[0][0], residual[0][1], residual[1][1]),
+        }
+
+        def at(expr, pu, pv):
+            return float(expr.subs({u: sp.Rational(pu), v: sp.Rational(pv)}).evalf(30))
+
+        return forms, at
+
+    @pytest.mark.parametrize("point", POINTS)
+    def test_operators_match_the_closed_forms(self, closed_forms, point):
+        forms, at = closed_forms
+        g = Metric2D(poly_field(self.E), poly_field(self.G), lambda u, v: True)
+        f, p = poly_field(self.F), Point2(*point)
+        H, T = hessian(g, f, p), tensor_residual(g, f, self.WP, p)
+        got = {
+            "grad_norm_sq": grad_norm_sq(g, f, p),
+            "laplace_beltrami": laplace_beltrami(g, f, p),
+            "gauss_curvature": gauss_curvature(g, p),
+            "hessian": (H.a11, H.a12, H.a22),
+            "tensor_residual": (T.a11, T.a12, T.a22),
+        }
+        for name, want in forms.items():
+            want = [at(w, *point) for w in want] if isinstance(want, tuple) else at(want, *point)
+            assert got[name] == pytest.approx(want, rel=1e-12), name
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,11 @@ from warpverify.relation import (
 from support import max_compat_residual_for_params
 
 
+def root_values(report):
+    """The root values of a `solve_lambda` report, ascending."""
+    return [r["value"] for r in report["roots"]]
+
+
 def poly_mul(a, b):
     """Multiply coefficient lists (low order first) of Fractions."""
     out = [Fraction(0)] * (len(a) + len(b) - 1)
@@ -87,15 +92,15 @@ class TestPolyRederived:
     def test_m2_beta3_linear(self):
         p = relation_poly(2, 3)
         assert p.coeffs_float() == (0.0, 6.0, 27.0)
-        roots = solve_lambda(p).roots
+        roots = root_values(solve_lambda(p))
         assert roots == [pytest.approx(-4.5)]
 
     def test_m3_beta2_root_passes_ode_oracle_published_fails(self):
-        lam = solve_lambda(relation_poly(3, 2)).admissible_roots[0]
+        lam = solve_lambda(relation_poly(3, 2))["admissible_roots"][0]
         assert lam == pytest.approx(-4.0)
         res, reason = max_compat_residual_for_params(3, 2.0, lam)
         assert res < 1e-9 and reason is None
-        for root in solve_lambda(relation_poly(3, 2, PUBLISHED)).roots:
+        for root in root_values(solve_lambda(relation_poly(3, 2, PUBLISHED))):
             res, reason = max_compat_residual_for_params(3, 2.0, root)
             assert res > 1e-2 and reason is not None
 
@@ -186,7 +191,7 @@ class TestSymbolicRelation:
         slope = sp.sqrt(A) / sp.sqrt(m1 * N)
         q_val = beta * sp.sqrt(m1) / (sp.sqrt(A) * sp.sqrt(N))
         for mv, bv in ((3, 1.0), (7, 0.8), (40, 2.5)):
-            lv = solve_lambda(relation_poly(mv, bv)).admissible_roots[0]
+            lv = solve_lambda(relation_poly(mv, bv))["admissible_roots"][0]
             pq = pq_from_params(mv, lv, bv)
             at = {m: mv, beta: bv, lam: lv}
             assert pq.p.d1(1.0) == pytest.approx(float(slope.subs(at)), rel=1e-14)
@@ -265,38 +270,38 @@ class TestUnitScreeningEquality:
 class TestSolveLambda:
     def test_m2_linear(self):
         rep = solve_lambda(relation_poly(2, 1))
-        assert rep.degenerate_linear
-        assert rep.roots == [pytest.approx(-1.5)]
-        assert rep.admissible_roots == [pytest.approx(-1.5)]
-        assert rep.admissibility[0].K == pytest.approx(-0.5)
+        assert rep["degenerate_linear"]
+        assert root_values(rep) == [pytest.approx(-1.5)]
+        assert rep["admissible_roots"] == [pytest.approx(-1.5)]
+        assert rep["roots"][0]["K"] == pytest.approx(-0.5)
 
     def test_m3_factors(self):
         rep = solve_lambda(relation_poly(3, 1))
-        assert rep.roots == [pytest.approx(-2.0), pytest.approx(3.0)]
-        assert rep.admissible_roots == [pytest.approx(-2.0)]
+        assert root_values(rep) == [pytest.approx(-2.0), pytest.approx(3.0)]
+        assert rep["admissible_roots"] == [pytest.approx(-2.0)]
 
     def test_m4(self):
         rep = solve_lambda(relation_poly(4, 1))
-        assert rep.roots == [pytest.approx(-2.5), pytest.approx(2.0)]
-        assert rep.admissible_roots == [pytest.approx(-2.5)]
+        assert root_values(rep) == [pytest.approx(-2.5), pytest.approx(2.0)]
+        assert rep["admissible_roots"] == [pytest.approx(-2.5)]
 
     def test_backsub_residuals_small(self):
         for m in range(2, 20):
             rep = solve_lambda(relation_poly(m, 1))
-            a0 = abs(float(rep.poly.a0))
-            for res in rep.backsub_residuals:
-                assert res <= 1e-10 * max(1.0, a0)
+            a0 = abs(rep["coefficients"]["a0"])
+            for root in rep["roots"]:
+                assert root["backsub_residual"] <= 1e-10 * max(1.0, a0)
 
     def test_double_root_multiplicity(self):
         from warpverify.relation import RelationPoly
         rep = solve_lambda(RelationPoly(1.0, -2.0, 1.0, REDERIVED, 3, 1.0))
-        assert rep.roots == [pytest.approx(1.0)]
-        assert rep.multiplicities == [2]
+        assert root_values(rep) == [pytest.approx(1.0)]
+        assert [r["multiplicity"] for r in rep["roots"]] == [2]
 
     def test_no_real_roots(self):
         from warpverify.relation import RelationPoly
         rep = solve_lambda(RelationPoly(1.0, 0.0, 1.0, REDERIVED, 3, 1.0))
-        assert rep.roots == []
+        assert rep["roots"] == []
 
     def test_identically_zero_rejected(self):
         from warpverify.relation import RelationPoly
@@ -305,14 +310,14 @@ class TestSolveLambda:
 
     def test_formal_extrapolation_flag(self):
         rep = solve_lambda(relation_poly(2.5, 1.0))
-        assert rep.formal_extrapolation
-        assert not solve_lambda(relation_poly(3, 1)).formal_extrapolation
+        assert rep["formal_extrapolation"]
+        assert not solve_lambda(relation_poly(3, 1))["formal_extrapolation"]
 
     @given(m=st.integers(2, 12), beta=st.floats(0.01, 10.0))
     @settings(max_examples=100, deadline=None)
     def test_scaling_covariance(self, m, beta):
-        unit = solve_lambda(relation_poly(m, 1)).roots
-        scaled = solve_lambda(relation_poly(m, beta)).roots
+        unit = root_values(solve_lambda(relation_poly(m, 1)))
+        scaled = root_values(solve_lambda(relation_poly(m, beta)))
         assert len(unit) == len(scaled)
         for u, s in zip(sorted(unit, key=abs), sorted(scaled, key=abs)):
             assert s == pytest.approx(beta * u, rel=1e-9)
@@ -321,8 +326,8 @@ class TestSolveLambda:
     @settings(max_examples=40, deadline=None)
     def test_ground_truth_linkage(self, m, beta):
         rep = solve_lambda(relation_poly(m, beta))
-        assert len(rep.admissible_roots) == 1
-        pq = pq_from_params(m, rep.admissible_roots[0], beta)
+        assert len(rep["admissible_roots"]) == 1
+        pq = pq_from_params(m, rep["admissible_roots"][0], beta)
         from warpverify.compatibility import compat_residual
         worst = max(abs(compat_residual(pq, t)) for t in strip_samples())
         assert worst < 1e-9
@@ -346,7 +351,7 @@ class TestSmallestBeta:
     def test_beta_above_the_floor_keeps_the_closed_form_root(self, m):
         beta = 2e-154
         exact = -beta * (m + 1) / 2
-        lam = solve_lambda(relation_poly(m, beta)).admissible_roots
+        lam = solve_lambda(relation_poly(m, beta))["admissible_roots"]
         row = existence_sweep((m, m), [beta]).admissible_root
         assert len(lam) == 1 and row.shape == (1,)
         for value in (lam[0], row[0]):
@@ -398,10 +403,11 @@ class TestExistenceSweep:
             table = existence_sweep((1, 12), betas, variant)
             for i, (m, beta) in enumerate(zip(table.m.tolist(), table.beta.tolist())):
                 report = solve_lambda(relation_poly(m, beta, variant))
-                assert (table.a2[i], table.a1[i], table.a0[i]) == report.poly.coeffs_float()
+                assert ((table.a2[i], table.a1[i], table.a0[i])
+                        == tuple(report["coefficients"].values()))
                 roots = [r for r in (table.root1[i], table.root2[i]) if not np.isnan(r)]
-                assert roots == report.roots
-                admissible = report.admissible_roots
+                assert roots == root_values(report)
+                admissible = report["admissible_roots"]
                 assert (table.admissible_root[i] == admissible[0] if admissible
                         else np.isnan(table.admissible_root[i]))
 
@@ -462,7 +468,7 @@ class TestRootKernel:
         assert residuals[0, 0] == 0.0
         from warpverify.relation import RelationPoly
         rep = solve_lambda(RelationPoly(1.0, 2.0, 1.0, REDERIVED, 3, 1.0))
-        assert rep.roots == [-1.0] and rep.multiplicities == [2]
+        assert root_values(rep) == [-1.0] and rep["roots"][0]["multiplicity"] == 2
 
     def test_linear_and_missing_roots(self):
         roots, _ = self.roots(0, 2, 3)
@@ -504,39 +510,26 @@ def reference_relation_poly(m, beta, variant):
     return RelationPoly(a2, a1, a0, variant, m, beta)
 
 
-def reference_classify(root, m, beta):
-    from warpverify.relation import RootAdmissibility
-    K = root + m * beta / 2.0
-    lpb = root + beta < 0.0
-    kn = K < 0.0
-    return RootAdmissibility(
-        root=root,
-        lambda_plus_beta_negative=lpb,
-        K_negative=kn,
-        overall=lpb and kn and m >= 2,
-        K=K,
-    )
+def reference_admissible(root, m, beta):
+    return root + beta < 0.0 and root + m * beta / 2.0 < 0.0 and m >= 2
 
 
-def reference_solve_lambda(poly):
-    from warpverify.relation import BACKSUB_RTOL, RootReport
+def reference_roots(poly):
+    """The real roots of `poly`, ascending, each checked by back-substitution."""
+    from warpverify.relation import BACKSUB_RTOL
     a2, a1, a0 = poly.coeffs_float()
-    m, beta = float(poly.m), float(poly.beta)
     if a2 == 0.0 and a1 == 0.0:
         raise ValueError("relation polynomial is identically "
                          + ("zero" if a0 == 0.0 else "constant; no roots to solve"))
 
     if a2 == 0.0:
         roots = [-a0 / a1]
-        mults = [1]
-        degenerate = True
     else:
-        degenerate = False
         disc = a1 * a1 - 4.0 * a2 * a0
         if disc < 0.0:
-            roots, mults = [], []
+            roots = []
         elif disc == 0.0:
-            roots, mults = [-a1 / (2.0 * a2)], [2]
+            roots = [-a1 / (2.0 * a2)]
         else:
             # q = -(a1 + sign(a1) sqrt(disc))/2 avoids subtractive cancellation
             sq = math.sqrt(disc)
@@ -544,7 +537,6 @@ def reference_solve_lambda(poly):
             qq = -0.5 * (a1 + sign * sq)
             r1, r2 = qq / a2, a0 / qq
             roots = sorted((r1, r2))
-            mults = [1, 1]
 
     residuals = [abs((a2 * r + a1) * r + a0) for r in roots]
     bound = BACKSUB_RTOL * max(1.0, abs(a0))
@@ -552,16 +544,7 @@ def reference_solve_lambda(poly):
         if res > bound:
             raise ArithmeticError(
                 f"root {r} fails back-substitution: |P(root)| = {res} > {bound}")
-
-    return RootReport(
-        poly=poly,
-        roots=roots,
-        multiplicities=mults,
-        degenerate_linear=degenerate,
-        admissibility=[reference_classify(r, m, beta) for r in roots],
-        backsub_residuals=residuals,
-        formal_extrapolation=not float(m).is_integer(),
-    )
+    return roots
 
 
 @dataclass(frozen=True)
@@ -588,9 +571,9 @@ def reference_existence_sweep(m_range, betas, variant=REDERIVED):
     for m in range(m_lo, m_hi + 1):
         for beta in sorted(betas, key=float):
             poly = reference_relation_poly(m, beta, variant)
-            report = reference_solve_lambda(poly)
+            roots = reference_roots(poly)
             a2, a1, a0 = poly.coeffs_float()
-            admissible = report.admissible_roots
+            admissible = [r for r in roots if reference_admissible(r, m, float(beta))]
             root = admissible[0] if admissible else None
             if m < 2:
                 verdict = "out_of_domain"
@@ -599,7 +582,7 @@ def reference_existence_sweep(m_range, betas, variant=REDERIVED):
             records.append(SweepRecord(
                 m=m, beta=float(beta), variant=variant,
                 a2=a2, a1=a1, a0=a0,
-                roots=report.roots,
+                roots=roots,
                 admissible_root=root,
                 K=None if root is None else root + m * float(beta) / 2.0,
                 exists=verdict,
