@@ -250,17 +250,6 @@ def sweep_json(table, out) -> None:
     _write_sweep(table, out, template, '{\n  "rows": [\n', ",\n", "\n  ]\n}\n")
 
 
-def convergence_json(beta, r_max, rows) -> dict:
-    return {
-        "beta": beta,
-        "r_max": r_max,
-        "rows": [
-            {"h": r.h, "max_error": r.max_error, "observed_rate": r.observed_rate}
-            for r in rows
-        ],
-    }
-
-
 # -- argument parsing -------------------------------------------------------------
 
 
@@ -453,19 +442,20 @@ def _cmd_pde_converge(args, out) -> int:
     from . import screened_pde as pde
     hs = pde.mesh_widths(args.h)
     base = pde.manufactured_spec(args.beta, r_max=args.rmax, h=hs[0])
-    rows = pde.convergence_study(base, hs, pde.coshdist_exact)
+    report = pde.convergence_study(base, hs, pde.coshdist_exact)
+    rows = report["rows"]
     if args.format == "json":
-        out.write(to_json(convergence_json(args.beta, args.rmax, rows)) + "\n")
+        out.write(to_json(report) + "\n")
     elif args.format == "csv":
-        out.write("h,max_error,observed_rate\n")
+        out.write(",".join(rows[0]) + "\n")
         for r in rows:
-            rate = format(r.observed_rate, ".17g") if r.observed_rate is not None else ""
-            out.write(f"{format(r.h, '.17g')},{format(r.max_error, '.17g')},{rate}\n")
+            cells = ("" if v is None else format(v, ".17g") for v in r.values())
+            out.write(",".join(cells) + "\n")
     else:
         out.write("h            max_error       observed_rate\n")
         for r in rows:
-            rate = fmt_text(r.observed_rate) if r.observed_rate is not None else "-"
-            out.write(f"{fmt_text(r.h):<12} {fmt_text(r.max_error):<15} {rate}\n")
+            rate = fmt_text(r["observed_rate"]) if r["observed_rate"] is not None else "-"
+            out.write(f"{fmt_text(r['h']):<12} {fmt_text(r['max_error']):<15} {rate}\n")
     return EXIT_OK
 
 

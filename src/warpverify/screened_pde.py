@@ -103,8 +103,6 @@ class GridField:
     axis: np.ndarray
     tags: np.ndarray
     values: np.ndarray
-    h: float
-    r_max: float
 
     @property
     def interior_mask(self) -> np.ndarray:
@@ -420,8 +418,7 @@ def assemble_and_solve(spec: GridSpec) -> GridField:
                            cg=np.count_nonzero(interior) > DIRECT_SOLVE_LIMIT)
     values[tags == BOUNDARY] = bvals
     values[tags == EXTERIOR] = np.nan
-    return GridField(axis=axis, tags=tags, values=values, h=spec.h,
-                     r_max=spec.r_max)
+    return GridField(axis=axis, tags=tags, values=values)
 
 
 def residual_field(field: GridField, spec: GridSpec) -> float:
@@ -445,13 +442,6 @@ def residual_field(field: GridField, spec: GridSpec) -> float:
             + f[1:-1, 2:][inner] - 4.0 * f[1:-1, 1:-1][inner]) / (spec.h * spec.h)
     res = w * lap5 - spec.beta * f[interior] + psi
     return float(np.max(np.abs(res)))
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    h: float
-    max_error: float
-    observed_rate: Optional[float]
 
 
 # An error at most this times max|f| of its level's solved field is rounding,
@@ -483,8 +473,10 @@ def _yield_to_caller():
 
 
 def convergence_study(spec: GridSpec, h_list: Sequence[float],
-                      exact: XYCallable) -> list[ConvergenceRow]:
-    """Solve at each mesh width, compare against the exact solution.
+                      exact: XYCallable) -> dict:
+    """Solve at each mesh width, compare against the exact solution, and
+    return the report `pde converge` prints: `beta`, `r_max` and one row of
+    `h`, `max_error` and `observed_rate` per width.
 
     Rates are log(err_i-1 / err_i) / log(h_i-1 / h_i) between consecutive
     rows; for halvings this is the usual log2 ratio, expected near 2 for
@@ -519,14 +511,14 @@ def convergence_study(spec: GridSpec, h_list: Sequence[float],
     finally:
         helper.shutdown(cancel_futures=True)
 
-    rows: list[ConvergenceRow] = []
+    rows = []
     above = [err > RATE_ERROR_FLOOR * scale for err, scale in levels]
     for i, (h, (err, _)) in enumerate(zip(hs, levels)):
         rate = None
         if i and above[i - 1] and above[i]:
-            rate = math.log(rows[-1].max_error / err) / math.log(rows[-1].h / h)
-        rows.append(ConvergenceRow(h=h, max_error=err, observed_rate=rate))
-    return rows
+            rate = math.log(rows[-1]["max_error"] / err) / math.log(rows[-1]["h"] / h)
+        rows.append({"h": h, "max_error": err, "observed_rate": rate})
+    return {"beta": spec.beta, "r_max": spec.r_max, "rows": rows}
 
 
 def mesh_widths(h_list: Sequence[float]) -> list[float]:

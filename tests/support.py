@@ -94,5 +94,4 @@ def sample_exact(spec: GridSpec, exact: XYCallable) -> GridField:
     values = np.full(tags.shape, np.nan)
     mask = tags != EXTERIOR
     values[mask] = _sample(exact, *_nodes(axis, mask), "exact solution")
-    return GridField(axis=axis, tags=tags, values=values, h=spec.h,
-                     r_max=spec.r_max)
+    return GridField(axis=axis, tags=tags, values=values)

@@ -158,8 +158,8 @@ def test_criterion_08_pde_exactness_and_rates():
     field = assemble_and_solve(spec)
     err = field.max_error_against(coshdist_exact)
 
-    rows = convergence_study(spec, [0.04, 0.02, 0.01], coshdist_exact)
-    rates = [r.observed_rate for r in rows[1:]]
+    rows = convergence_study(spec, [0.04, 0.02, 0.01], coshdist_exact)["rows"]
+    rates = [r["observed_rate"] for r in rows[1:]]
     ok = err < 5e-3 and all(1.7 <= rate <= 2.3 for rate in rates)
     report(8, "pde exactness", ok,
            f"max error {err:.3g} at h=0.02, rates {[round(r, 3) for r in rates]}")

@@ -25,6 +25,7 @@ from warpverify.cli import (
 )
 from warpverify.errors import BacksubstitutionError, ToolkitError
 from warpverify.relation import relation_poly, solve_lambda
+from warpverify.screened_pde import convergence_study, coshdist_exact, manufactured_spec
 
 
 def invoke(*argv):
@@ -520,8 +521,12 @@ class TestGoldenOutput:
     pair, the relation outputs before the per-variant relation
     constructors and the package re-exports were deleted, the m = 40
     and m = 2 verify outputs before profile evaluations inside closure
-    trees became method calls, and the m = 2 and m = 1 relation outputs
-    before `solve_lambda` began returning the printed report."""
+    trees became method calls, the m = 2 and m = 1 relation outputs
+    before `solve_lambda` began returning the printed report, and the
+    `pde converge` ladder before `convergence_study` did.  The ladder is
+    golden in the text format only: its 12 significant digits leave room
+    for last-bit differences that a BLAS kernel or an older scipy may
+    make in the 17-digit JSON and CSV."""
 
     @pytest.mark.parametrize("name, argv, exit_code", [
         ("verify_m3_beta1", ("verify", "--m", "3", "--beta", "1"), EXIT_OK),
@@ -545,6 +550,8 @@ class TestGoldenOutput:
         # a double root, inadmissible at m = 1: the report is still printed
         ("relation_solve_m1_beta1", ("relation", "solve", "--m", "1", "--beta", "1"),
          EXIT_NO_ADMISSIBLE),
+        ("pde_converge_beta2.5", ("pde", "converge", "--beta", "2.5", "--h", "0.04,0.02,0.01",
+                                  "--rmax", "0.8"), EXIT_OK),
     ])
     def test_stdout_matches_the_golden_bytes(self, name, argv, exit_code):
         code, out = invoke(*argv, "--quiet")
@@ -561,6 +568,20 @@ class TestGoldenOutput:
         validate(report, "root_report.schema.json")
         assert ((to_json(report) + "\n").encode()
                 == (GOLDEN / "relation_solve_m3_beta1.txt").read_bytes())
+
+    def test_convergence_study_returns_the_printed_report(self):
+        hs = [0.04, 0.02, 0.01]
+        report = convergence_study(manufactured_spec(2.5, 0.8, 0.04), hs, coshdist_exact)
+        validate(report, "convergence.schema.json")
+        argv = ("pde", "converge", "--beta", "2.5", "--h", "0.04,0.02,0.01", "--rmax", "0.8")
+        assert invoke(*argv, "--format", "json", "--quiet") == (EXIT_OK, to_json(report) + "\n")
+        code, out = invoke(*argv, "--format", "csv", "--quiet")
+        assert code == EXIT_OK
+        header, *lines = out.splitlines()
+        assert header == ",".join(report["rows"][0])
+        # the 17-digit cells read back as the report's doubles
+        assert ([[float(c) if c else None for c in line.split(",")] for line in lines]
+                == [list(r.values()) for r in report["rows"]])
 
 
 class TestParserReuse:

@@ -21,7 +21,7 @@ from warpverify import screened_pde
 from warpverify.cli import BOUNDARY_CATALOG, run
 from warpverify.errors import SolverError
 from warpverify.screened_pde import (
-    BOUNDARY, EXTERIOR, INTERIOR, RATE_ERROR_FLOOR, TAG_NAMES, ConvergenceRow, GridField,
+    BOUNDARY, EXTERIOR, INTERIOR, RATE_ERROR_FLOOR, TAG_NAMES, GridField,
     GridSpec, _assemble, _class_cg, _class_system, _conformal_weight, _lattice,
     _mirror_transform, _nodes, _quadrants, _sample, assemble_and_solve,
     convergence_study, coshdist_exact, manufactured_spec, residual_field,
@@ -256,29 +256,29 @@ def stencil_residual_at(spec, x, y):
 class TestConvergence:
     def test_rates_near_two(self):
         spec = manufactured_spec(beta=2.0, r_max=0.8, h=0.04)
-        rows = convergence_study(spec, [0.04, 0.02, 0.01], coshdist_exact)
-        assert rows[0].observed_rate is None
+        rows = convergence_study(spec, [0.04, 0.02, 0.01], coshdist_exact)["rows"]
+        assert rows[0]["observed_rate"] is None
         for row in rows[1:]:
-            assert 1.7 <= row.observed_rate <= 2.3
+            assert 1.7 <= row["observed_rate"] <= 2.3
 
     def test_two_width_halving(self):
         spec = manufactured_spec(beta=2.0, r_max=0.6, h=0.1)
-        rows = convergence_study(spec, [0.1, 0.05], coshdist_exact)
-        assert rows[1].max_error < rows[0].max_error
-        assert rows[1].observed_rate == pytest.approx(2.0, abs=0.5)
+        rows = convergence_study(spec, [0.1, 0.05], coshdist_exact)["rows"]
+        assert rows[1]["max_error"] < rows[0]["max_error"]
+        assert rows[1]["observed_rate"] == pytest.approx(2.0, abs=0.5)
 
     def test_affine_exact_for_all_h(self):
         spec = GridSpec(beta=1.0, r_max=0.6, h=0.1,
                         source=lambda x, y: x, boundary=lambda x, y: x)
-        rows = convergence_study(spec, [0.1, 0.05, 0.025], lambda x, y: x)
+        rows = convergence_study(spec, [0.1, 0.05, 0.025], lambda x, y: x)["rows"]
         for row in rows:
-            assert row.max_error < 1e-11
+            assert row["max_error"] < 1e-11
 
     def test_monotone_refinement(self):
         spec = manufactured_spec(beta=2.0, r_max=0.8, h=0.08)
-        rows = convergence_study(spec, [0.08, 0.04, 0.02], coshdist_exact)
+        rows = convergence_study(spec, [0.08, 0.04, 0.02], coshdist_exact)["rows"]
         for a, b in zip(rows, rows[1:]):
-            assert b.max_error <= a.max_error * 1.05
+            assert b["max_error"] <= a["max_error"] * 1.05
 
     def test_manufactured_source_other_beta(self):
         spec = manufactured_spec(beta=5.0, r_max=0.7, h=0.04)
@@ -293,9 +293,9 @@ class TestConvergence:
             convergence_study(spec, [0.02, 0.04], coshdist_exact)
 
 
-def sequential_rows(spec, hs, exact):
-    """The rows of `convergence_study` from its levels solved one by one on
-    the calling thread."""
+def sequential_report(spec, hs, exact):
+    """The report of `convergence_study` from its levels solved one by one
+    on the calling thread."""
     levels = []
     for h in hs:
         field = assemble_and_solve(replace(spec, h=h))
@@ -307,8 +307,8 @@ def sequential_rows(spec, hs, exact):
         if i and err > RATE_ERROR_FLOOR * scale \
                 and levels[i - 1][0] > RATE_ERROR_FLOOR * levels[i - 1][1]:
             rate = math.log(levels[i - 1][0] / err) / math.log(hs[i - 1] / h)
-        rows.append(ConvergenceRow(h=h, max_error=err, observed_rate=rate))
-    return rows
+        rows.append({"h": h, "max_error": err, "observed_rate": rate})
+    return {"beta": spec.beta, "r_max": spec.r_max, "rows": rows}
 
 
 class LevelFailure(Exception):
@@ -346,21 +346,21 @@ class TestLadderThreads:
             monkeypatch.setattr(screened_pde.spla, name, record)
         spec = manufactured_spec(beta=2.5, r_max=0.8, h=hs[0])
         before = threading.active_count()
-        rows = convergence_study(spec, hs, coshdist_exact)
+        report = convergence_study(spec, hs, coshdist_exact)
         assert threading.active_count() == before
         # one class solve per level, the finest one on the calling thread
         main = threading.main_thread()
         assert len(threads["cg"]) + len(threads["spsolve"]) == len(hs)
         assert [t is main for t in threads["cg"]] == [True] * finest_cg
         assert sum(t is main for t in threads["spsolve"]) == 1 - finest_cg
-        assert rows == sequential_rows(spec, hs, coshdist_exact)
-        assert all(1.5 <= row.observed_rate <= 2.5 for row in rows[1:])
+        assert report == sequential_report(spec, hs, coshdist_exact)
+        assert all(1.5 <= row["observed_rate"] <= 2.5 for row in report["rows"][1:])
 
     def test_rows_hold_under_frequent_thread_switches(self):
         # both threads factorize at once; the rows stay bit for bit
         hs = [0.04, 0.02, 0.01]
         spec = manufactured_spec(beta=1.3, r_max=0.9, h=hs[0])
-        reference = sequential_rows(spec, hs, coshdist_exact)
+        reference = sequential_report(spec, hs, coshdist_exact)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -436,8 +436,8 @@ class TestRateFloor:
         monkeypatch.setattr(screened_pde, "_measure_level",
                             lambda spec, exact: levels[spec.h])
         spec = GridSpec(beta=1.0, r_max=0.8, h=0.16)
-        rows = convergence_study(spec, list(levels), coshdist_exact)
-        assert [row.observed_rate for row in rows] == [None, 2.0, None, None, 2.0, None]
+        rows = convergence_study(spec, list(levels), coshdist_exact)["rows"]
+        assert [row["observed_rate"] for row in rows] == [None, 2.0, None, None, 2.0, None]
 
 
 class TestOperatorConsistency:
@@ -1071,7 +1071,7 @@ class TestCsvOutput:
                            [1e300, -1e300, math.nan, -5e-324],
                            [math.nan, 2.5e-310, 0.0, 1.0 / 3.0],
                            [math.nan, math.nan, math.nan, math.nan]])
-        field = GridField(axis=axis, tags=tags, values=values, h=0.1, r_max=0.3)
+        field = GridField(axis=axis, tags=tags, values=values)
         text = written_text(field, dest_kind, tmp_path)
         assert text == reference_text(field)
         assert "\n-0,-0,interior,-1.0000000000000001e+300\n" in text
@@ -1159,8 +1159,3 @@ def test_degenerate_grid():
         object.__setattr__(spec, k, v)
     with pytest.raises(SolverError):
         assemble_and_solve(spec)
-
-
-def test_convergence_row_shape():
-    row = ConvergenceRow(h=0.1, max_error=1.0, observed_rate=None)
-    assert row.h == 0.1
