@@ -172,21 +172,13 @@ def build_metric(pq: PQPair, s: ProfileFn) -> Metric2D:
     return Metric2D(E, G, lambda u, v: lo < u < hi, kind="constructed")
 
 
-@dataclass(frozen=True)
-class PseudosphericalReport:
-    """Max-abs compatibility residual and |K + 1| of a profile pair."""
-
-    max_abs_compat_residual: float
-    max_abs_curvature_plus_one: float
-    sample_count: int
-
-
-def verify_pseudospherical(pq: PQPair, samples: Sequence[float]) -> PseudosphericalReport:
+def verify_pseudospherical(pq: PQPair, samples: Sequence[float]) -> dict:
     """Measure a profile pair both ways: ODE residual and curvature.
 
-    Integrates s, builds the chart metric and reports the max of
-    |K + 1| over `strip_points(samples)` next to the max compatibility
-    residual over the f samples.  The equivalence of the construction
+    Integrates s, builds the chart metric and returns the entries `verify`
+    prints: `compat_max_residual`, the max compatibility residual over
+    the f samples, and `curvature_max_abs_k_plus_1`, the max of |K + 1|
+    over `strip_points(samples)`.  The equivalence of the construction
     says both vanish together.
 
     The curvature is evaluated from central finite differences of the
@@ -204,16 +196,11 @@ def verify_pseudospherical(pq: PQPair, samples: Sequence[float]) -> Pseudospheri
     s = integrate_s(pq, f0, f1)
     g = build_metric(pq, s).with_fd_derivatives()
 
-    points = strip_points(samples)
     max_kp1 = 0.0
-    for p in points:
+    for p in strip_points(samples):
         max_kp1 = max(max_kp1, abs(gauss_curvature(g, p) + 1.0))
 
-    return PseudosphericalReport(
-        max_abs_compat_residual=max_resid,
-        max_abs_curvature_plus_one=max_kp1,
-        sample_count=len(points),
-    )
+    return {"compat_max_residual": max_resid, "curvature_max_abs_k_plus_1": max_kp1}
 
 
 def strip_samples(f0: float = DEFAULT_STRIP[0], f1: float = DEFAULT_STRIP[1],

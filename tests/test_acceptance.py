@@ -11,7 +11,8 @@ import sys
 import numpy as np
 
 from warpverify.compatibility import (
-    compat_residual, pq_from_params, strip_samples, verify_pseudospherical,
+    compat_residual, pq_from_params, strip_points, strip_samples,
+    verify_pseudospherical,
 )
 from warpverify.cli import run_verification
 from warpverify.einstein import WarpParams, residual_report, vertical_ricci_coeff
@@ -96,11 +97,12 @@ def test_criterion_04_discrepancy_certificate():
 
 def test_criterion_05_constructed_metric_curvature():
     pq = pq_from_params(3, -2.0, 1.0)
-    rep = verify_pseudospherical(pq, strip_samples(0.5, 4.0, 32))
-    ok = (rep.max_abs_curvature_plus_one < 1e-5 and rep.max_abs_compat_residual <= 1e-8
-          and rep.sample_count == 256)
+    samples = strip_samples(0.5, 4.0, 32)
+    rep = verify_pseudospherical(pq, samples)
+    ok = (rep["curvature_max_abs_k_plus_1"] < 1e-5 and rep["compat_max_residual"] <= 1e-8
+          and len(strip_points(samples)) == 256)
     report(5, "constructed-metric curvature", ok,
-           f"max |K + 1| = {rep.max_abs_curvature_plus_one:.3g} over 32x8 FD strip")
+           f"max |K + 1| = {rep['curvature_max_abs_k_plus_1']:.3g} over 32x8 FD strip")
 
 
 def test_criterion_06_model_curvature_oracles():
@@ -147,9 +149,9 @@ def test_criterion_07_einstein_system_closure():
         abs(vertical_ricci_coeff(f.val(p), laplace_beltrami(g_base, f, p),
                                  grad_norm_sq(g_base, f, p), m) - 2.0)
         for p in points)
-    ok = rep.worst() < 1e-6 and ricci_err < 1e-8
+    ok = max(rep.values()) < 1e-6 and ricci_err < 1e-8
     report(7, "einstein system closure", ok,
-           f"max residual {rep.worst():.3g} over {rep.sample_count} points, "
+           f"max residual {max(rep.values()):.3g} over {len(points)} points, "
            f"vertical Ricci error {ricci_err:.3g}")
 
 

@@ -250,26 +250,26 @@ class TestBuildMetric:
 def certificates_agree(rep, tol):
     """The compatibility residual within 1e-8 exactly when |K + 1| is
     within tol: both certificates judge the pair alike."""
-    return (rep.max_abs_compat_residual <= 1e-8) == (rep.max_abs_curvature_plus_one <= tol)
+    return (rep["compat_max_residual"] <= 1e-8) == (rep["curvature_max_abs_k_plus_1"] <= tol)
 
 
 class TestVerifyPseudospherical:
     def test_admissible_root_pipeline(self):
         pq = pq_from_params(3, -2.0, 1.0)
         rep = verify_pseudospherical(pq, strip_samples())
-        assert rep.max_abs_curvature_plus_one < 1e-6
-        assert rep.max_abs_compat_residual < 1e-10
-        assert rep.max_abs_compat_residual <= 1e-8 and rep.max_abs_curvature_plus_one <= 1e-6
+        assert rep["curvature_max_abs_k_plus_1"] < 1e-6
+        assert rep["compat_max_residual"] < 1e-10
+        assert rep["compat_max_residual"] <= 1e-8 and rep["curvature_max_abs_k_plus_1"] <= 1e-6
         assert certificates_agree(rep, 1e-6)
-        assert rep.sample_count == 256
+        assert len(strip_points(strip_samples())) == 256
 
     def test_flat_pair_fails_both_ways(self):
         # s = 1 and E = 1/t^2: the chart metric (dt/t)^2 + dh^2 is flat
         pq = PQPair(linear_profile(1.0, 0.0, domain=POS), const_profile(1.0))
         rep = verify_pseudospherical(pq, strip_samples())
-        assert rep.max_abs_compat_residual == pytest.approx(1.0)
-        assert rep.max_abs_curvature_plus_one == pytest.approx(1.0, abs=1e-7)
-        assert rep.max_abs_compat_residual > 1e-8 and rep.max_abs_curvature_plus_one > 1e-5
+        assert rep["compat_max_residual"] == pytest.approx(1.0)
+        assert rep["curvature_max_abs_k_plus_1"] == pytest.approx(1.0, abs=1e-7)
+        assert rep["compat_max_residual"] > 1e-8 and rep["curvature_max_abs_k_plus_1"] > 1e-5
         assert certificates_agree(rep, 1e-5)
 
     def test_inadmissible_params_raise_before_verification(self):
@@ -292,8 +292,8 @@ class TestVerifyPseudospherical:
         lam = solve_lambda(relation_poly(m, beta))["admissible_roots"][0]
         pq = pq_from_params(m, lam, beta)
         rep = verify_pseudospherical(pq, strip_samples())
-        assert rep.max_abs_compat_residual <= 1e-8
-        assert rep.max_abs_curvature_plus_one <= 1e-5
+        assert rep["compat_max_residual"] <= 1e-8
+        assert rep["curvature_max_abs_k_plus_1"] <= 1e-5
         assert certificates_agree(rep, 1e-5)
 
     def test_equivalence_fails_together_for_near_miss(self):
@@ -301,7 +301,7 @@ class TestVerifyPseudospherical:
         pos = (0.0, math.inf)
         pq = PQPair(linear_profile(1.0, 0.0, domain=pos), const_profile(2.2))
         rep = verify_pseudospherical(pq, strip_samples())
-        assert rep.max_abs_compat_residual > 1e-8 and rep.max_abs_curvature_plus_one > 1e-5
+        assert rep["compat_max_residual"] > 1e-8 and rep["curvature_max_abs_k_plus_1"] > 1e-5
         assert certificates_agree(rep, 1e-5)
 
 
@@ -323,7 +323,7 @@ def test_curvature_certificate_error_model():
     default = error(g.with_fd_derivatives())
     assert default == err[DEFAULT_FD_STEP]
     assert default < err[1e-3] and default < err[1e-5]
-    assert default == verify_pseudospherical(pq, samples).max_abs_curvature_plus_one
+    assert default == verify_pseudospherical(pq, samples)["curvature_max_abs_k_plus_1"]
 
 
 class TestAdmissibleRootNormalForm:

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from warpverify.compatibility import build_metric, integrate_s, pq_from_params
 from warpverify.einstein import (
-    ResidualReport, WarpParams, contracted_residual, residual_report,
-    scalar_constraint_residual, tensor_residual, vertical_ricci_coeff,
+    WarpParams, contracted_residual, residual_report, scalar_constraint_residual,
+    tensor_residual, vertical_ricci_coeff,
 )
 from warpverify.errors import PositivityError
 from warpverify.geometry2d import (
@@ -178,17 +178,23 @@ class TestSignAtMinimum:
 
 
 class TestResidualReport:
-    def test_aggregates_max_and_argmax(self):
+    def test_returns_the_printed_entries(self):
         wp = WarpParams(m=3, lam=-2.0)
         points = [Point2(0.0, 0.0), Point2(0.5, 0.0), Point2(0.0, 0.6)]
         rep = residual_report(DISK, constant_field(1.0), wp, points)
-        assert isinstance(rep, ResidualReport)
-        assert rep.sample_count == 3
+        assert list(rep) == ["einstein_max_tensor_residual",
+                             "einstein_max_contracted_residual",
+                             "einstein_max_scalar_residual"]
         # residual = (K - lam) g grows with the conformal factor
-        assert rep.max_point == Point2(0.0, 0.6)
         E06, _ = DISK.components(Point2(0.0, 0.6))
-        assert rep.tensor_residual.a11 == pytest.approx(E06, rel=1e-12)
-        assert rep.worst() >= rep.tensor_residual.max_abs()
+        assert rep["einstein_max_tensor_residual"] == pytest.approx(E06, rel=1e-12)
+
+    def test_mixed_hessian_enters_the_tensor_entry(self):
+        # at the disk's origin Hess f is the plain second derivative, so
+        # a11 = a22 = (K - lam) E = 4 and a12 = -(m/f) f_uv = -9
+        f = poly_field({(0, 0): 1.0, (1, 1): 3.0})
+        rep = residual_report(DISK, f, WarpParams(m=3, lam=-2.0), [Point2(0.0, 0.0)])
+        assert rep["einstein_max_tensor_residual"] == 9.0
 
     def test_needs_points(self):
         wp = WarpParams(m=3, lam=-2.0)
