@@ -55,9 +55,6 @@ class SymMat2:
     a12: float
     a22: float
 
-    def max_abs(self) -> float:
-        return max(abs(self.a11), abs(self.a12), abs(self.a22))
-
 
 class ScalarField2D:
     """Scalar function on a 2D chart with exact first/second derivatives.

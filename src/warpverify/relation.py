@@ -65,10 +65,6 @@ class RelationPoly:
     def coeffs_float(self) -> tuple[float, float, float]:
         return float(self.a2), float(self.a1), float(self.a0)
 
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(c, Fraction) for c in (self.a2, self.a1, self.a0))
-
 
 def _validated(m: Number, beta: Number) -> tuple[Number, Number, Number]:
     """Validated (m, beta, 1/2): Fractions when m and beta are both

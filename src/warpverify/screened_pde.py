@@ -22,6 +22,7 @@ from typing import Callable, Optional, Sequence, TextIO, Union
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import _sparsetools
 
 from .errors import SolverError, require_finite_positive
 
@@ -285,6 +286,27 @@ def _class_system(interior: np.ndarray, axis: np.ndarray, beta: float, h: float,
     return (k, l), A, orbit
 
 
+class _ClassOperator(spla.LinearOperator):
+    """The CSR matrix (indptr, indices, data) as the operator `spla.cg`
+    multiplies by, with the matrix's `nnz`.  A product runs scipy's CSR
+    kernel, the one `B @ p` runs, so its bits are those of the matrix
+    product; it skips the sparse-matrix dispatch and writes into one
+    reused class vector, valid until the next product."""
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray):
+        n = indptr.size - 1
+        super().__init__(data.dtype, (n, n))
+        self.indptr, self.indices, self.data = indptr, indices, data
+        self.nnz = data.size
+        self._product = np.empty(n, dtype=data.dtype)
+
+    def _matvec(self, x):
+        self._product.fill(0.0)
+        _sparsetools.csr_matvec(*self.shape, self.indptr, self.indices, self.data, x,
+                                self._product)
+        return self._product
+
+
 def _class_cg(A, b: np.ndarray, root: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Conjugate gradients on one class system A x = b.
 
@@ -295,6 +317,8 @@ def _class_cg(A, b: np.ndarray, root: np.ndarray, w: np.ndarray) -> np.ndarray:
     is the symmetric positive definite diag(1/w) M restricted to them and
     CG on B y = (root / w) b, x = y / root, runs the same iteration as CG
     on the whole lattice would (Hestenes & Stiefel, J. Res. NBS 49, 1952).
+    B has A's sparsity pattern; CG multiplies by it through a
+    `_ClassOperator` of its own, so concurrent calls share nothing.
     The right-hand side is scaled by the power of two 2^-e that puts its
     max-abs in [1/2, 1), so the dot products cannot overflow, and y by 2^e
     back: exact short of subnormals, so the iterates and their count are
@@ -302,8 +326,8 @@ def _class_cg(A, b: np.ndarray, root: np.ndarray, w: np.ndarray) -> np.ndarray:
     Raises SolverError with the class's relative residual on a stall.
     """
     rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    B = sp.csr_matrix(((root / w)[rows] * A.data * (1.0 / root)[A.indices], A.indices, A.indptr),
-                      shape=A.shape)
+    B = _ClassOperator(A.indptr, A.indices,
+                       (root / w)[rows] * A.data * (1.0 / root)[A.indices])
     rhs = root / w * b
     _, e = np.frexp(np.max(np.abs(rhs)))
     y, info = spla.cg(B, np.ldexp(rhs, -e), rtol=CG_RTOL, atol=0.0, maxiter=CG_MAX_ITER)

@@ -1,19 +1,22 @@
 """Helpers that only the tests use: constant and general polynomial
 fields, the flat metric, the cosh-distance field of the disk, the
+max-abs entry of a tensor, the exactness of a relation polynomial, the
 compatibility residual of a parameter triple and an exact solution
 sampled on a lattice."""
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from warpverify.compatibility import compat_residual, pq_from_params, strip_samples
 from warpverify.errors import AdmissibilityError
-from warpverify.geometry2d import Metric2D, ScalarField2D, radial_field
+from warpverify.geometry2d import Metric2D, ScalarField2D, SymMat2, radial_field
 from warpverify.profiles import poly_profile
+from warpverify.relation import RelationPoly
 from warpverify.screened_pde import (
     EXTERIOR, GridField, GridSpec, XYCallable, _lattice, _nodes, _sample,
 )
@@ -67,6 +70,16 @@ def cosh_distance_field() -> ScalarField2D:
     ratio = poly_profile([1.0, 1.0], domain=(-math.inf, 1.0)) / \
         poly_profile([1.0, -1.0], domain=(-math.inf, 1.0))
     return radial_field(ratio)
+
+
+def symmat_max_abs(T: SymMat2) -> float:
+    """Largest |entry| of a symmetric 2x2 tensor."""
+    return max(abs(T.a11), abs(T.a12), abs(T.a22))
+
+
+def is_exact(poly: RelationPoly) -> bool:
+    """Whether every coefficient of the relation is a Fraction."""
+    return all(isinstance(c, Fraction) for c in (poly.a2, poly.a1, poly.a0))
 
 
 def max_compat_residual_for_params(

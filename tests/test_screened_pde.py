@@ -885,6 +885,36 @@ def counted_cg(monkeypatch):
     return calls
 
 
+# The benchmark's calibration ladder's finest level is the second.
+OPERATOR_SPECS = [SPLIT_SPECS["asymmetric-2"], manufactured_spec(2.5, 0.8, 0.0035)]
+OPERATOR_IDS = ["asymmetric-2", "calibration-finest"]
+
+
+def class_systems(spec):
+    """(A, root, w) of every symmetry class of the spec's lattice, the
+    arguments `_class_cg` takes besides the right-hand side."""
+    axis, tags = _lattice(spec)
+    interior, n = tags == INTERIOR, len(axis) // 2
+    for parity, swap in CLASSES:
+        (k, l), A, orbit = _class_system(interior, axis, spec.beta, spec.h, parity, swap)
+        yield A, np.sqrt(orbit), _conformal_weight(axis[n + k], axis[n + l])
+
+
+def captured_operator(monkeypatch, A, root, w):
+    """The operator `_class_cg` hands to `spla.cg` for the class system A."""
+    class Captured(Exception):
+        pass
+
+    def capture(B, b, **options):
+        raise Captured(B)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(screened_pde.spla, "cg", capture)
+        with pytest.raises(Captured) as info:
+            _class_cg(A, np.ones(A.shape[0]), root, w)
+    return info.value.args[0]
+
+
 class TestClassConjugateGradients:
     @pytest.mark.parametrize("name, classes", [
         ("coshdist", 1), ("one", 1), ("manufactured", 1), ("angular", 1), ("odd-in-x", 1),
@@ -920,31 +950,53 @@ class TestClassConjugateGradients:
         assert unknowns < M.shape[0] / 3
         assert iterations == len(whole)
 
-    @pytest.mark.parametrize("spec", [SPLIT_SPECS["asymmetric-2"],
-                                      manufactured_spec(2.5, 0.8, 0.0035)],
-                             ids=["asymmetric-2", "calibration-finest"])
+    @pytest.mark.parametrize("spec", OPERATOR_SPECS, ids=OPERATOR_IDS)
     def test_symmetrized_matrix_is_the_diagonal_product(self, spec, monkeypatch):
         # B is written entry by entry as (root/w)[row] * a * (1/root)[col]:
         # the bits, the column order and so the CG iterates of
-        # diag(root/w) @ A @ diag(1/root)
-        class Captured(Exception):
-            pass
-
-        def capture(B, b, **options):
-            raise Captured(B)
-
-        monkeypatch.setattr(screened_pde.spla, "cg", capture)
-        axis, tags = _lattice(spec)
-        interior, n = tags == INTERIOR, len(axis) // 2
-        for parity, swap in CLASSES:
-            (k, l), A, orbit = _class_system(interior, axis, spec.beta, spec.h, parity, swap)
-            root, w = np.sqrt(orbit), _conformal_weight(axis[n + k], axis[n + l])
-            with pytest.raises(Captured) as info:
-                _class_cg(A, np.ones(k.size), root, w)
-            got = info.value.args[0]
+        # diag(root/w) @ A @ diag(1/root); its CSR parts are read through
+        # the operator CG multiplies by
+        for A, root, w in class_systems(spec):
+            got = captured_operator(monkeypatch, A, root, w)
             want = (sp.diags(root / w) @ A @ sp.diags(1.0 / root)).tocsr()
             for part in ("indptr", "indices", "data"):
                 assert_same_bits(getattr(got, part), getattr(want, part))
+
+    @pytest.mark.parametrize("spec", OPERATOR_SPECS, ids=OPERATOR_IDS)
+    def test_operator_has_the_matrix_shape_and_nnz(self, spec, monkeypatch):
+        # the benchmark's layer tracer reads both off what `spla.cg` gets
+        for A, root, w in class_systems(spec):
+            got = captured_operator(monkeypatch, A, root, w)
+            assert got.shape == A.shape and got.nnz == A.nnz
+
+    @pytest.mark.parametrize("spec", OPERATOR_SPECS, ids=OPERATOR_IDS)
+    def test_operator_product_is_the_matrix_product(self, spec, monkeypatch):
+        # scipy's CSR kernel with the row sums of B @ x; products in a row
+        # catch an output vector that is reused without being cleared
+        rng = np.random.default_rng(7)
+        for A, root, w in class_systems(spec):
+            op = captured_operator(monkeypatch, A, root, w)
+            B = (sp.diags(root / w) @ A @ sp.diags(1.0 / root)).tocsr()
+            for _ in range(3):
+                x = rng.standard_normal(A.shape[0])
+                assert_same_bits(op.matvec(x), B @ x)
+
+    def test_solution_and_iterations_are_those_of_cg_on_the_matrix(self, monkeypatch):
+        # the calibration ladder's finest level: one octant class of 20,553
+        # unknowns whose CG takes the benchmark's pinned 778 iterations,
+        # solved through the operator and through the CSR matrix it holds
+        spec, cg = OPERATOR_SPECS[1], spla.cg
+        calls = counted_cg(monkeypatch)
+        through_operator = assemble_and_solve(spec).values
+
+        def on_the_matrix(A, b, **options):
+            return cg(sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape), b, **options)
+
+        monkeypatch.setattr(screened_pde.spla, "cg", on_the_matrix)
+        matrix_calls = counted_cg(monkeypatch)
+        through_matrix = assemble_and_solve(spec).values
+        assert calls == matrix_calls == [[20553, 778]]
+        assert_same_bits(through_operator, through_matrix)
 
     def test_scaling_the_right_hand_side_by_a_power_of_two_is_exact(self):
         # b = 2**600 once squared in a dot product overflows; the scaled
