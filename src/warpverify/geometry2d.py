@@ -47,15 +47,6 @@ class Point2:
             raise ValueError(f"chart point must be finite, got ({self.u}, {self.v})")
 
 
-@dataclass(frozen=True)
-class SymMat2:
-    """Symmetric 2x2 tensor; a21 is implicitly a12."""
-
-    a11: float
-    a12: float
-    a22: float
-
-
 class ScalarField2D:
     """Scalar function on a 2D chart with exact first/second derivatives.
 
@@ -329,18 +320,17 @@ def _christoffel(g: Metric2D, p: Point2) -> dict[str, float]:
     }
 
 
-def hessian(g: Metric2D, f: Field, p: Point2) -> SymMat2:
-    """Covariant Hessian Hess(f)_ij = d_i d_j f - Gamma^k_ij d_k f at p."""
+def hessian(g: Metric2D, f: Field, p: Point2) -> tuple[float, float, float]:
+    """Covariant Hessian Hess(f)_ij = d_i d_j f - Gamma^k_ij d_k f at p, as
+    its components (a11, a12, a22); a21 is a12."""
     _require_in_domain(g, p)
     _require_stencil(g, p, g.E, g.G, f)
     gam = _christoffel(g, p)
     fu, fv = f.grad(p)
     fuu, fuv, fvv = f.second(p)
-    return SymMat2(
-        a11=fuu - gam["uuu"] * fu - gam["vuu"] * fv,
-        a12=fuv - gam["uuv"] * fu - gam["vuv"] * fv,
-        a22=fvv - gam["uvv"] * fu - gam["vvv"] * fv,
-    )
+    return (fuu - gam["uuu"] * fu - gam["vuu"] * fv,
+            fuv - gam["uuv"] * fu - gam["vuv"] * fv,
+            fvv - gam["uvv"] * fu - gam["vvv"] * fv)
 
 
 def gauss_curvature(g: Metric2D, p: Point2) -> float:

@@ -1,8 +1,7 @@
 """Helpers that only the tests use: constant and general polynomial
 fields, the flat metric, the cosh-distance field of the disk, the
-max-abs entry of a tensor, the exactness of a relation polynomial, the
-compatibility residual of a parameter triple and an exact solution
-sampled on a lattice."""
+exactness of a relation polynomial, the compatibility residual of a
+parameter triple and an exact solution sampled on a lattice."""
 
 from __future__ import annotations
 
@@ -14,7 +13,7 @@ import numpy as np
 
 from warpverify.compatibility import compat_residual, pq_from_params, strip_samples
 from warpverify.errors import AdmissibilityError
-from warpverify.geometry2d import Metric2D, ScalarField2D, SymMat2, radial_field
+from warpverify.geometry2d import Metric2D, ScalarField2D, radial_field
 from warpverify.profiles import poly_profile
 from warpverify.relation import RelationPoly
 from warpverify.screened_pde import (
@@ -70,11 +69,6 @@ def cosh_distance_field() -> ScalarField2D:
     ratio = poly_profile([1.0, 1.0], domain=(-math.inf, 1.0)) / \
         poly_profile([1.0, -1.0], domain=(-math.inf, 1.0))
     return radial_field(ratio)
-
-
-def symmat_max_abs(T: SymMat2) -> float:
-    """Largest |entry| of a symmetric 2x2 tensor."""
-    return max(abs(T.a11), abs(T.a12), abs(T.a22))
 
 
 def is_exact(poly: RelationPoly) -> bool:

@@ -27,7 +27,7 @@ from warpverify.compatibility import (
     build_metric, integrate_s, pq_from_params, strip_points, strip_samples,
     verify_pseudospherical,
 )
-from warpverify.einstein import WarpParams, residual_report
+from warpverify.einstein import residual_report
 from warpverify.errors import BacksubstitutionError, ToolkitError
 from warpverify.geometry2d import coordinate_u, rescale
 from warpverify.relation import PUBLISHED, REDERIVED, relation_poly, solve_lambda
@@ -151,6 +151,23 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["verdict"] == "fail"
         assert payload["tolerances"] == patched
+
+    def test_vertical_ricci_entry_is_informational(self, monkeypatch):
+        # the einstein gate reads the three einstein_* entries only: a
+        # vertical error far beyond every tolerance leaves the verdict at
+        # pass, a scalar residual above 1e-6 turns it to fail
+        def patched(**entries):
+            def report(*args):
+                return {**residual_report(*args), **entries}
+            return report
+
+        monkeypatch.setattr(cli, "residual_report", patched(vertical_ricci_max_error=1.0))
+        report = cli.run_verification(3, 1.0)
+        assert report["vertical_ricci_max_error"] == 1.0
+        assert report["verdict"] == "pass"
+        monkeypatch.setattr(cli, "residual_report", patched(
+            vertical_ricci_max_error=1.0, einstein_max_scalar_residual=2e-6))
+        assert cli.run_verification(3, 1.0)["verdict"] == "fail"
 
     @pytest.mark.xfail(strict=True, reason=(
         "verify gates relation_residual at an absolute 1e-10 while solve_lambda "
@@ -512,6 +529,8 @@ class TestScipyOnlyForPde:
             "    return sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')",
             "for argv in (['verify', '--m', '3', '--beta', '1'],",
             "             ['relation', 'solve', '--m', '3', '--beta', '1'],",
+            "             ['relation', 'sweep', '--m', '2..6', '--beta', '0.5,1', '--format', 'csv'],",
+            "             ['relation', 'sweep', '--m', '2..6', '--beta', '0.5,1', '--format', 'json'],",
             "             ['curvature', '--model', 'disk', '--at', '0.3,-0.4']):",
             "    assert cli.run([*argv, '--quiet'], out=io.StringIO()) == 0, argv",
             "print(scipy_loaded())",
@@ -589,11 +608,11 @@ class TestGoldenOutput:
         g_base = rescale(build_metric(pq, integrate_s(pq, samples[0], samples[-1])),
                          1.0 / (-K))
         pseudo = verify_pseudospherical(pq, samples)
-        res = residual_report(g_base, coordinate_u(), WarpParams(m, lam), strip_points(samples))
+        res = residual_report(g_base, coordinate_u(), m, lam, strip_points(samples))
         # the same keys in the same order, and the same doubles
         printed = list(report.items())
         assert list(pseudo.items()) == printed[2:4]
-        assert list(res.items()) == printed[4:7]
+        assert list(res.items()) == printed[4:8]
 
     def test_solve_lambda_returns_the_printed_report(self):
         report = solve_lambda(relation_poly(3, 1))

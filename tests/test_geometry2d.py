@@ -11,18 +11,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from warpverify.cli import TOLERANCES
-from warpverify.einstein import WarpParams, tensor_residual
+from warpverify.einstein import (
+    contracted_residual, scalar_constraint_residual, tensor_residual, vertical_ricci_coeff,
+)
 from warpverify.errors import DomainError, PositivityError
 from warpverify.geometry2d import (
-    CentralDifferences, Metric2D, Point2, ScalarField2D, SymMat2,
+    CentralDifferences, Metric2D, Point2, ScalarField2D,
     _christoffel, coordinate_u, gauss_curvature, grad_norm_sq, hessian,
     laplace_beltrami, poincare_disk, poincare_half_plane, profile_field,
     radial_field, rescale,
 )
 from warpverify.profiles import poly_profile
-from support import (
-    constant_field, cosh_distance_field, flat_metric, poly_field, symmat_max_abs,
-)
+from support import constant_field, cosh_distance_field, flat_metric, poly_field
 
 DISK = poincare_disk()
 HALF_PLANE = poincare_half_plane()
@@ -131,20 +131,20 @@ class TestGradNormSq:
 class TestHessian:
     def test_flat_euclidean(self):
         H = hessian(FLAT, poly_field({(2, 0): 1.0}), Point2(0.4, 1.2))
-        assert (H.a11, H.a12, H.a22) == (2.0, 0.0, 0.0)
+        assert H == (2.0, 0.0, 0.0)
 
     def test_constant_field_zero(self):
         H = hessian(DISK, constant_field(3.0), Point2(0.2, -0.1))
-        assert symmat_max_abs(H) == 0.0
+        assert H == (0.0, 0.0, 0.0)
 
     def test_cosh_distance_is_metric_multiple(self):
         p = Point2(0.5, 0.0)
-        H = hessian(DISK, FSTAR, p)
+        h11, h12, h22 = hessian(DISK, FSTAR, p)
         E, G = DISK.components(p)
         fv = FSTAR.val(p)
-        assert H.a11 == pytest.approx(fv * E, rel=1e-12)
-        assert H.a22 == pytest.approx(fv * G, rel=1e-12)
-        assert H.a12 == pytest.approx(0.0, abs=1e-12)
+        assert h11 == pytest.approx(fv * E, rel=1e-12)
+        assert h22 == pytest.approx(fv * G, rel=1e-12)
+        assert h12 == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +289,9 @@ class TestInvariants:
     @given(p=points, f=smooth_fields)
     @settings(max_examples=60, deadline=None)
     def test_trace_consistency(self, p, f):
-        H = hessian(DISK, f, p)
+        h11, _, h22 = hessian(DISK, f, p)
         E, G = DISK.components(p)
-        trace = H.a11 / E + H.a22 / G
+        trace = h11 / E + h22 / G
         assert trace == pytest.approx(laplace_beltrami(DISK, f, p), rel=1e-9, abs=1e-9)
 
     @given(p=points, c=st.floats(0.05, 20.0))
@@ -323,13 +323,14 @@ class TestGenericMetricOracle:
     Christoffel terms and the tensor residual's a12 unchecked.  The closed
     forms come from the general coordinate formulas (Levi-Civita symbols of
     the metric matrix, the divergence-form Laplacian and K = R_1212 / det g),
-    not from the orthogonal-coordinate shortcuts of the kernel."""
+    not from the orthogonal-coordinate shortcuts of the kernel, and the
+    Einstein residuals from the equations of the `einstein` docstring."""
 
     E = {(0, 0): 2.0, (1, 0): 0.5, (1, 1): 0.375, (0, 2): 0.25}
     G = {(0, 0): 1.0, (0, 1): 0.5, (2, 0): 0.75, (1, 1): -0.25}
     F = {(0, 0): 1.5, (1, 0): 0.25, (0, 1): 0.75, (1, 1): 0.5, (0, 2): -0.125}
     POINTS = [(0.25, 0.5), (0.5, 0.125), (0.625, 0.375)]
-    WP = WarpParams(m=3, lam=-2.0)
+    M, LAM = 3, -2.0
 
     @pytest.fixture(scope="class")
     def closed_forms(self):
@@ -354,17 +355,22 @@ class TestGenericMetricOracle:
         K = sum(g[0, a] * riemann(a, 1, 0, 1) for a in range(2)) / det
         hess = [[sp.diff(f, x[i], x[j]) - sum(gamma[k][i][j] * sp.diff(f, x[k]) for k in range(2))
                  for j in range(2)] for i in range(2)]
-        m, lam = self.WP.m, sp.Rational(self.WP.lam)
+        m, lam = self.M, sp.Rational(self.LAM)
         residual = [[K * g[i, j] - m / f * hess[i][j] - lam * g[i, j] for j in range(2)]
                     for i in range(2)]
+        gradsq = sum(ginv[i, j] * sp.diff(f, x[i]) * sp.diff(f, x[j]) for i, j in pairs)
+        lap = sum(sp.diff(sp.sqrt(det) * ginv[i, j] * sp.diff(f, x[j]), x[i])
+                  for i, j in pairs) / sp.sqrt(det)
         forms = {
-            "grad_norm_sq": sum(ginv[i, j] * sp.diff(f, x[i]) * sp.diff(f, x[j])
-                                for i, j in pairs),
-            "laplace_beltrami": sum(sp.diff(sp.sqrt(det) * ginv[i, j] * sp.diff(f, x[j]), x[i])
-                                    for i, j in pairs) / sp.sqrt(det),
+            "grad_norm_sq": gradsq,
+            "laplace_beltrami": lap,
             "gauss_curvature": K,
             "hessian": (hess[0][0], hess[0][1], hess[1][1]),
             "tensor_residual": (residual[0][0], residual[0][1], residual[1][1]),
+            # R_B = 2K on a surface
+            "contracted_residual": 2 * K * f - m * lap - 2 * f * lam,
+            "scalar_constraint_residual": f * lap + (m - 1) * gradsq + lam * f ** 2,
+            "vertical_ricci_coeff": lap / f + (m - 1) * gradsq / f ** 2,
         }
 
         def at(expr, pu, pv):
@@ -376,17 +382,20 @@ class TestGenericMetricOracle:
     def test_operators_match_the_closed_forms(self, closed_forms, point):
         forms, at = closed_forms
         g = Metric2D(poly_field(self.E), poly_field(self.G), lambda u, v: True)
-        f, p = poly_field(self.F), Point2(*point)
-        H, T = hessian(g, f, p), tensor_residual(g, f, self.WP, p)
+        f, p, m, lam = poly_field(self.F), Point2(*point), self.M, self.LAM
         got = {
             "grad_norm_sq": grad_norm_sq(g, f, p),
             "laplace_beltrami": laplace_beltrami(g, f, p),
             "gauss_curvature": gauss_curvature(g, p),
-            "hessian": (H.a11, H.a12, H.a22),
-            "tensor_residual": (T.a11, T.a12, T.a22),
+            "hessian": hessian(g, f, p),
+            "tensor_residual": tensor_residual(g, f, m, lam, p),
+            "contracted_residual": contracted_residual(g, f, m, lam, p),
+            "scalar_constraint_residual": scalar_constraint_residual(g, f, m, lam, p),
+            "vertical_ricci_coeff": vertical_ricci_coeff(
+                f.val(p), laplace_beltrami(g, f, p), grad_norm_sq(g, f, p), m),
         }
         for name, want in forms.items():
-            want = [at(w, *point) for w in want] if isinstance(want, tuple) else at(want, *point)
+            want = tuple(at(w, *point) for w in want) if isinstance(want, tuple) else at(want, *point)
             assert got[name] == pytest.approx(want, rel=1e-12), name
 
 
@@ -400,10 +409,6 @@ def test_point_rejects_nonfinite():
         Point2(math.nan, 0.0)
     with pytest.raises(ValueError):
         Point2(0.0, math.inf)
-
-
-def test_symmat_max_abs():
-    assert symmat_max_abs(SymMat2(1.0, -3.0, 2.0)) == 3.0
 
 
 def test_christoffel_flat_vanishes():
