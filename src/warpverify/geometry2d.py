@@ -56,6 +56,10 @@ class ScalarField2D:
         (u, v) -> f(u, v) and its five exact partial derivatives.  The
         single `duv` callback represents both mixed partials, so second
         derivatives are symmetric by construction.
+
+    Scaled fields, profile lifts and `coordinate_u` are subclasses that
+    answer `val`, `grad` and `second` through methods instead; each keeps
+    only the value callback `_value`, for `without_exact` and scaling.
     """
 
     # Read by `_require_stencil`: exact partials need no stencil.
@@ -84,11 +88,27 @@ class ScalarField2D:
         return CentralDifferences(self._value, step)
 
     def __mul__(self, c: float) -> "ScalarField2D":
-        """c * f for a constant c, with every partial scaled by c."""
-        c = float(c)
-        return ScalarField2D(lambda u, v: c * self._value(u, v),
-                             *(_scaled(c, cb) for cb in (self._du, self._dv, self._duu,
-                                                         self._duv, self._dvv)))
+        """c * f for a constant c: f's value and partials, each times c."""
+        return _ScaledField(self, float(c))
+
+
+class _ScaledField(ScalarField2D):
+    """c * f, answered by multiplying the results of f's own methods by c."""
+
+    def __init__(self, field: ScalarField2D, c: float):
+        self._field, self._c = field, c
+        self._value = lambda u, v: c * field._value(u, v)
+
+    def val(self, p: Point2) -> float:
+        return self._c * self._field.val(p)
+
+    def grad(self, p: Point2) -> tuple[float, float]:
+        c, (du, dv) = self._c, self._field.grad(p)
+        return c * du, c * dv
+
+    def second(self, p: Point2) -> tuple[float, float, float]:
+        c, (duu, duv, dvv) = self._c, self._field.second(p)
+        return c * duu, c * duv, c * dvv
 
 
 class CentralDifferences:
@@ -123,36 +143,59 @@ class CentralDifferences:
 Field = Union[ScalarField2D, CentralDifferences]
 
 
-def _scaled(c, cb):
-    return lambda u, v: c * cb(u, v)
-
-
 # -- field catalog ------------------------------------------------------------
 
 
-def coordinate_u() -> ScalarField2D:
+class _CoordinateU(ScalarField2D):
     """The chart coordinate u.  `u + 0.0` is a float for an int u and
     +0.0 at u = -0.0."""
-    one, z = (lambda u, v: 1.0), (lambda u, v: 0.0)
-    return ScalarField2D(lambda u, v: u + 0.0, du=one, dv=z, duu=z, duv=z, dvv=z)
+
+    def __init__(self):
+        self._value = lambda u, v: u + 0.0
+
+    def val(self, p: Point2) -> float:
+        return p.u + 0.0
+
+    def grad(self, p: Point2) -> tuple[float, float]:
+        return 1.0, 0.0
+
+    def second(self, p: Point2) -> tuple[float, float, float]:
+        return 0.0, 0.0, 0.0
+
+
+class _ProfileField(ScalarField2D):
+    """profile(u), or profile(v) off the u axis: each nonzero partial is
+    one call of the profile's own method, the others are literal zeros."""
+
+    def __init__(self, profile: ProfileFn, on_u: bool):
+        self._profile, self._on_u = profile, on_u
+        self._value = ((lambda u, v: profile.__call__(u)) if on_u
+                       else (lambda u, v: profile.__call__(v)))
+
+    def val(self, p: Point2) -> float:
+        return self._profile.__call__(p.u if self._on_u else p.v)
+
+    def grad(self, p: Point2) -> tuple[float, float]:
+        if self._on_u:
+            return self._profile.d1(p.u), 0.0
+        return 0.0, self._profile.d1(p.v)
+
+    def second(self, p: Point2) -> tuple[float, float, float]:
+        if self._on_u:
+            return self._profile.d2(p.u), 0.0, 0.0
+        return 0.0, 0.0, self._profile.d2(p.v)
+
+
+def coordinate_u() -> ScalarField2D:
+    """The chart coordinate u."""
+    return _CoordinateU()
 
 
 def profile_field(profile: ProfileFn, axis: str = "u") -> ScalarField2D:
     """Lift a 1D profile to a field depending on a single coordinate."""
     if axis not in ("u", "v"):
         raise ValueError("axis must be 'u' or 'v'")
-    z = lambda u, v: 0.0
-    if axis == "u":
-        return ScalarField2D(
-            lambda u, v: profile.__call__(u),
-            du=lambda u, v: profile.d1(u), dv=z,
-            duu=lambda u, v: profile.d2(u), duv=z, dvv=z,
-        )
-    return ScalarField2D(
-        lambda u, v: profile.__call__(v),
-        du=z, dv=lambda u, v: profile.d1(v),
-        duu=z, duv=z, dvv=lambda u, v: profile.d2(v),
-    )
+    return _ProfileField(profile, axis == "u")
 
 
 def radial_field(profile: ProfileFn) -> ScalarField2D:

@@ -25,6 +25,11 @@ POSITIVE_AXIS = (0.0, math.inf)
 class ProfileFn:
     """Real-valued function of one variable with derivative access.
 
+    `__call__`, `d1` and `d2` take a real number t and pass it on as
+    given, not converted: an int gives the double of float(t) for the
+    builtin profiles.  NaN, infinities and points outside `domain` raise
+    DomainError.
+
     Parameters
     ----------
     value, deriv, deriv2 : callable
@@ -58,19 +63,16 @@ class ProfileFn:
     # NaN fails the chained comparison, so it is rejected too.
 
     def __call__(self, t: float) -> float:
-        t = float(t)
         if not self._lo < t < self._hi:
             raise self._outside(t)
         return self._value(t)
 
     def d1(self, t: float) -> float:
-        t = float(t)
         if not self._lo < t < self._hi:
             raise self._outside(t)
         return self._deriv(t)
 
     def d2(self, t: float) -> float:
-        t = float(t)
         if not self._lo < t < self._hi:
             raise self._outside(t)
         return self._deriv2(t)

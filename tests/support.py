@@ -1,7 +1,8 @@
 """Helpers that only the tests use: constant and general polynomial
-fields, the flat metric, the cosh-distance field of the disk, the
-exactness of a relation polynomial, the compatibility residual of a
-parameter triple and an exact solution sampled on a lattice."""
+fields, a profile lifted through one callback per partial, the flat
+metric, the cosh-distance field of the disk, the exactness of a relation
+polynomial, the compatibility residual of a parameter triple and an exact
+solution sampled on a lattice."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import numpy as np
 from warpverify.compatibility import compat_residual, pq_from_params, strip_samples
 from warpverify.errors import AdmissibilityError
 from warpverify.geometry2d import Metric2D, ScalarField2D, radial_field
-from warpverify.profiles import poly_profile
+from warpverify.profiles import ProfileFn, poly_profile
 from warpverify.relation import RelationPoly
 from warpverify.screened_pde import (
     EXTERIOR, GridField, GridSpec, XYCallable, _lattice, _nodes, _sample,
@@ -25,6 +26,29 @@ def constant_field(c: float) -> ScalarField2D:
     c = float(c)
     z = lambda u, v: 0.0
     return ScalarField2D(lambda u, v: c, du=z, dv=z, duu=z, duv=z, dvv=z)
+
+
+def callback_profile_field(profile: ProfileFn, axis: str = "u",
+                           scale: Optional[float] = None) -> ScalarField2D:
+    """A profile lifted to the u (or v) axis through one lambda per partial,
+    optionally times `scale` by wrapping each of the six callbacks in
+    `scale * cb(u, v)`.  The reference that `profile_field` and scaled
+    fields, which answer through methods, must match bit for bit."""
+    z = lambda u, v: 0.0
+    if axis == "u":
+        cbs = (lambda u, v: profile.__call__(u), lambda u, v: profile.d1(u), z,
+               lambda u, v: profile.d2(u), z, z)
+    else:
+        cbs = (lambda u, v: profile.__call__(v), z, lambda u, v: profile.d1(v),
+               z, z, lambda u, v: profile.d2(v))
+    if scale is None:
+        return ScalarField2D(*cbs)
+    c = float(scale)
+
+    def scaled(cb):
+        return lambda u, v: c * cb(u, v)
+
+    return ScalarField2D(*map(scaled, cbs))
 
 
 def flat_metric() -> Metric2D:

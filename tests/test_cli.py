@@ -555,9 +555,10 @@ class TestGoldenOutput:
     and m = 2 verify outputs before profile evaluations inside closure
     trees became method calls, the m = 2 and m = 1 relation outputs
     before `solve_lambda` began returning the printed report, and the
-    `pde converge` ladder before `convergence_study` did, and the m = 57
+    `pde converge` ladder before `convergence_study` did, the m = 57
     verify output before the verify kernels returned the printed
-    entries.  The ladder is
+    entries, and the beta = 1e-9 and beta = 1e8 verify outputs before
+    profile fields answered through their profile's methods.  The ladder is
     golden in the text format only: its 12 significant digits leave room
     for last-bit differences that a BLAS kernel or an older scipy may
     make in the 17-digit JSON and CSV."""
@@ -588,6 +589,9 @@ class TestGoldenOutput:
                                   "--rmax", "0.8"), EXIT_OK),
         # relation_residual at 98 % of its absolute 1e-10 gate
         ("verify_m57_beta3.81", ("verify", "--m", "57", "--beta", "3.81"), EXIT_OK),
+        # the two ends of beta: profiles evaluated at extreme magnitudes
+        ("verify_m2_beta1e-9", ("verify", "--m", "2", "--beta", "1e-9"), EXIT_OK),
+        ("verify_m3_beta1e8", ("verify", "--m", "3", "--beta", "1e8"), EXIT_OK),
     ])
     def test_stdout_matches_the_golden_bytes(self, name, argv, exit_code):
         code, out = invoke(*argv, "--quiet")

@@ -11,6 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from warpverify.cli import TOLERANCES
+from warpverify.compatibility import (
+    build_metric, integrate_s, pq_from_params, strip_points, strip_samples,
+)
 from warpverify.einstein import (
     contracted_residual, scalar_constraint_residual, tensor_residual, vertical_ricci_coeff,
 )
@@ -21,8 +24,11 @@ from warpverify.geometry2d import (
     laplace_beltrami, poincare_disk, poincare_half_plane, profile_field,
     radial_field, rescale,
 )
-from warpverify.profiles import poly_profile
-from support import constant_field, cosh_distance_field, flat_metric, poly_field
+from warpverify.profiles import const_profile, poly_profile
+from warpverify.relation import PUBLISHED, REDERIVED, relation_poly, solve_lambda
+from support import (
+    callback_profile_field, constant_field, cosh_distance_field, flat_metric, poly_field,
+)
 
 DISK = poincare_disk()
 HALF_PLANE = poincare_half_plane()
@@ -461,10 +467,96 @@ def test_fd_field_on_scalarfield_mode():
 def test_coordinate_u_matches_the_polynomial_field_bit_for_bit():
     # the closed-form coordinate field gives the values of the general
     # polynomial evaluator on the verify strip, every one of them a float
-    from warpverify.compatibility import strip_points, strip_samples
-
     closed, poly = coordinate_u(), poly_field({(1, 0): 1.0})
     for p in strip_points(strip_samples()):
         got, want = jet(closed, p.u, p.v), jet(poly, p.u, p.v)
         assert all(type(x) is float for x in got)
         assert [x.hex() for x in got] == [float(x).hex() for x in want]
+
+
+# ---------------------------------------------------------------------------
+# field kinds against the lambda-per-partial construction
+# ---------------------------------------------------------------------------
+
+
+def bits(values):
+    return [x.hex() for x in values]
+
+
+def swapped(p):
+    return Point2(p.v, p.u)
+
+
+class TestFieldKindsMatchCallbacks:
+    """Profile fields on either axis, the coordinate field and scaled fields
+    answer val/grad/second through methods, with literal zeros and scaling
+    applied to results.  At every verify strip point each returns the
+    doubles of the one-callback-per-partial construction, and its
+    central-difference twin the values of that construction's twin at
+    every stencil point."""
+
+    @pytest.fixture(scope="class", params=[(3, 1.0, REDERIVED), (5, 0.6, PUBLISHED)],
+                    ids=["m3_beta1", "m5_beta0.6_published"])
+    def case(self, request):
+        # the metric profiles E = 1/p^2 and G = s^2, the rescaling to the
+        # base metric and the pair itself, as `verify` builds them
+        m, beta, variant = request.param
+        root = next(r for r in solve_lambda(relation_poly(m, beta, variant))["roots"]
+                    if r["admissible"])
+        pq = pq_from_params(m, root["value"], beta)
+        samples = strip_samples()
+        s = integrate_s(pq, samples[0], samples[-1])
+        profiles = (const_profile(1.0, domain=pq.p.domain) / (pq.p * pq.p), s * s)
+        return profiles, 1.0 / (-root["K"]), (pq, s)
+
+    POINTS = strip_points(strip_samples())
+
+    @staticmethod
+    def assert_same(new, old, points):
+        for p in points:
+            assert bits(jet(new, p.u, p.v)) == bits(jet(old, p.u, p.v))
+        fd_new, fd_old = new.without_exact(), old.without_exact()
+        h = fd_new.step
+        for p in points:
+            for su in (-1.0, 0.0, 1.0):
+                for sv in (-1.0, 0.0, 1.0):
+                    q = Point2(p.u + su * h, p.v + sv * h)
+                    assert fd_new.val(q).hex() == fd_old.val(q).hex()
+
+    @pytest.mark.parametrize("axis", ["u", "v"])
+    def test_profile_field(self, case, axis):
+        profiles, _, _ = case
+        points = self.POINTS if axis == "u" else [swapped(p) for p in self.POINTS]
+        for profile in profiles:
+            self.assert_same(profile_field(profile, axis),
+                             callback_profile_field(profile, axis), points)
+
+    @pytest.mark.parametrize("axis", ["u", "v"])
+    def test_scaled_profile_field(self, case, axis):
+        profiles, c, _ = case
+        points = self.POINTS if axis == "u" else [swapped(p) for p in self.POINTS]
+        for profile in profiles:
+            self.assert_same(profile_field(profile, axis) * c,
+                             callback_profile_field(profile, axis, scale=c), points)
+
+    def test_rescaled_constructed_metric(self, case):
+        (E, G), c, (pq, s) = case
+        g = rescale(build_metric(pq, s), c)
+        self.assert_same(g.E, callback_profile_field(E, scale=c), self.POINTS)
+        self.assert_same(g.G, callback_profile_field(G, scale=c), self.POINTS)
+
+    @pytest.mark.parametrize("c", [2.5, 1.0 / 3.0])
+    def test_scaled_field_multiplies_every_result(self, c):
+        # fields whose six entries are all nonzero off the axes
+        points = [Point2(0.3, -0.4), Point2(-0.5, 0.2), Point2(0.1, 0.6)]
+        for f in (FSTAR, poly_field({(2, 1): 1.5, (1, 3): -0.7, (0, 0): 2.0})):
+            scaled = f * c
+            for p in points:
+                assert bits(jet(scaled, p.u, p.v)) == bits(c * x for x in jet(f, p.u, p.v))
+                assert (scaled.without_exact().val(p).hex()
+                        == (c * f.without_exact().val(p)).hex())
+
+    def test_coordinate_u(self):
+        one, z = (lambda u, v: 1.0), (lambda u, v: 0.0)
+        old = ScalarField2D(lambda u, v: u + 0.0, one, z, z, z, z)
+        self.assert_same(coordinate_u(), old, self.POINTS + [Point2(-0.0, 1.0)])

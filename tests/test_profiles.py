@@ -135,6 +135,26 @@ class TestEvaluationDispatch:
             assert self.tally(seen, lambda: f.second(p)) == {
                 "d2": 5, "d1": 9, "__call__": 20}
 
+    @pytest.mark.parametrize("axis, at", [("u", (1.5, 0.0)), ("v", (0.0, 1.5))])
+    def test_scaled_profile_field(self, counts, axis, at):
+        # scaling multiplies the results of the unscaled field's methods
+        from warpverify.geometry2d import Point2, profile_field
+
+        f, p = profile_field(self.ratio(), axis=axis) * 2.5, Point2(*at)
+        seen = counts()
+        assert self.tally(seen, lambda: f.val(p)) == {"__call__": 5}
+        assert self.tally(seen, lambda: f.grad(p)) == {"d1": 5, "__call__": 9}
+        assert self.tally(seen, lambda: f.second(p)) == {
+            "d2": 5, "d1": 9, "__call__": 20}
+
+    def test_coordinate_u(self, counts):
+        from warpverify.geometry2d import Point2, coordinate_u
+
+        f, p = coordinate_u(), Point2(1.5, 0.0)
+        seen = counts()
+        for evaluate in (f.val, f.grad, f.second, f.without_exact().second):
+            assert self.tally(seen, lambda: evaluate(p)) == {}
+
     def test_radial_field(self, counts):
         from warpverify.geometry2d import Point2, radial_field
 
@@ -145,3 +165,33 @@ class TestEvaluationDispatch:
         assert self.tally(seen, lambda: f.grad(p)) == {"d1": 10, "__call__": 18}
         assert self.tally(seen, lambda: f.second(p)) == {
             "d2": 15, "d1": 37, "__call__": 78}
+
+
+class TestArgumentContract:
+    """`__call__`, `d1` and `d2` take t as given: the domain test alone
+    rejects NaN, infinities and points outside the domain, and an int t
+    gives the double of float(t)."""
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("method", ["__call__", "d1", "d2"])
+    def test_rejects_outside_the_open_domain(self, method, t):
+        for profile in (linear_profile(0.7, domain=POSITIVE_AXIS),
+                        TestEvaluationDispatch.ratio()):
+            with pytest.raises(DomainError):
+                getattr(profile, method)(t)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("method", ["__call__", "d1", "d2"])
+    def test_full_line_rejects_nonfinite(self, method, t):
+        with pytest.raises(DomainError):
+            getattr(linear_profile(0.7, 1.0), method)(t)
+
+    @pytest.mark.parametrize("profile", [
+        linear_profile(0.7, -0.3), const_profile(2.5), poly_profile([1.0, -2.0, 0.5, 3.0]),
+        power_profile(1.5, 2.0), power_profile(-2.0, 0.25)], ids=[
+        "linear", "const", "poly", "power", "inverse-square"])
+    @pytest.mark.parametrize("t", [1, 3, 2 ** 60 + 1])
+    def test_int_argument_gives_the_float_argument_double(self, profile, t):
+        for method in ("__call__", "d1", "d2"):
+            got, want = getattr(profile, method)(t), getattr(profile, method)(float(t))
+            assert got.hex() == want.hex()

@@ -423,6 +423,34 @@ class TestExistenceSweep:
         with pytest.raises(ValueError):
             existence_sweep(m_range, betas)
 
+    @pytest.mark.parametrize("variant", [PUBLISHED, REDERIVED])
+    def test_verdicts_match_the_closed_form_region(self, variant):
+        # published: an admissible root iff m = 2 or (3m - 8) beta^2 <
+        # 4(m - 2), i.e. beta < beta*(m) = 2 sqrt((m - 2)/(3m - 8)) for
+        # m >= 3; rederived: for every m >= 2 and beta > 0.  Decided in
+        # exact arithmetic on the double beta, on betas around beta*(m).
+        def exists(m, beta):
+            b = Fraction(beta)
+            return (variant == REDERIVED or m == 2
+                    or (3 * m - 8) * b * b < 4 * (m - 2))
+
+        rows = falses = 0
+        for m in range(2, 1001):
+            star = 2.0 * math.sqrt((m - 2) / (3 * m - 8))
+            betas = sorted({b for b in (star * (1 - 1e-6), star * (1 + 1e-6),
+                                        star * (1 - 1e-3), star * (1 + 1e-3),
+                                        star / 2, 0.25, 4.0) if b > 0.0})
+            table = existence_sweep((m, m), betas, variant)
+            assert table.beta.tolist() == betas
+            assert table.exists.tolist() == [
+                "true" if exists(m, b) else "false" for b in betas]
+            rows += len(betas)
+            falses += table.exists.tolist().count("false")
+        # beta*(2) = 0 leaves m = 2 two betas; for m >= 3 the grid straddles
+        # beta*(m) with three of its seven betas above it
+        assert rows == 2 + 998 * 7
+        assert falses == (998 * 3 if variant == PUBLISHED else 0)
+
     def test_published_root_rejection_near_sqrt2_still_raises(self):
         # the known back-substitution defect: |P(root)| = 3.16e-10 > 1.45e-10
         with pytest.raises(BacksubstitutionError, match="fails back-substitution"):
