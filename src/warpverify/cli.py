@@ -176,34 +176,47 @@ _G = "%.17g"
 _SKIP = "%.0s"  # consumes an absent (NaN) value and prints nothing
 
 
+def _text(column):
+    """column as an object array of `_G` strings, one per entry."""
+    return np.array([_G % x for x in column.tolist()], dtype=object)
+
+
 def _distinct_text(column):
-    """column as `_G` strings: (the distinct strings, each row's index into
-    them).  Values are told apart by their bits, each formatted once."""
+    """`_text(column)` with each distinct value, told apart by its bits,
+    formatted once."""
     bits, at = np.unique(column.view(np.int64), return_inverse=True)
-    return np.array([_G % x for x in bits.view(float).tolist()], dtype=object), at
+    return _text(bits.view(float))[at]
 
 
 def _write_sweep(table, out, template, head, separator, tail):
-    """Write `head`, the rows joined by `separator`, then `tail`.  Each row
-    is one %-format of (m, beta, a2, a1, a0, root1, root2, admissible_root,
-    K, exists) with `template(roots, admissible)` for its number of roots
-    and whether one is admissible.  beta and a2 arrive as strings: a sweep
-    has few distinct values of each, so they are formatted once."""
+    """Write `head`, the rows joined by `separator`, then `tail`.  A row
+    prints (m, beta, a2, a1, a0, root1, root2, admissible_root, K, exists)
+    through `template(roots, admissible)` for its number of roots and
+    whether one is admissible, with every column but a1 and a0 arriving as
+    strings.  beta is formatted once per distinct value in the sweep, a2
+    and K, which vary with m, once per distinct value in each block: a
+    block has few of each (K is about -beta/2 in rederived rows), and only
+    beta's strings outlive their block.  Where a root is admissible, root1
+    is (the roots ascend and admissibility only bounds a root from above),
+    so the admissible root is printed from root1's text.  The rows of each
+    block of SWEEP_BLOCK_ROWS are one %-format."""
     templates = [template(n, adm) for n in range(3) for adm in (False, True)]
     kinds = (2 * np.isfinite(table.root1) + 2 * np.isfinite(table.root2)
              + np.isfinite(table.admissible_root)).tolist()
-    beta, beta_at = _distinct_text(table.beta)
-    a2, a2_at = _distinct_text(table.a2)
-    numbers = (table.a1, table.a0, table.root1, table.root2,
-               table.admissible_root, table.K, table.exists)
+    beta = _distinct_text(table.beta)
     out.write(head)
     for lo in range(0, len(kinds), SWEEP_BLOCK_ROWS):
         block = slice(lo, lo + SWEEP_BLOCK_ROWS)
-        columns = (table.m[block], beta[beta_at[block]], a2[a2_at[block]],
-                   *(col[block] for col in numbers))
-        rows = zip(kinds[block], zip(*(col.tolist() for col in columns)))
+        root1 = _text(table.root1[block])
+        columns = (table.m[block], beta[block], _distinct_text(table.a2[block]),
+                   table.a1[block], table.a0[block], root1, _text(table.root2[block]),
+                   root1, _distinct_text(table.K[block]), table.exists[block])
+        cells = np.empty((len(root1), len(columns)), dtype=object)
+        for j, col in enumerate(columns):
+            cells[:, j] = col
         out.write((separator if lo else "")
-                  + separator.join([templates[k] % row for k, row in rows]))
+                  + separator.join([templates[k] for k in kinds[block]])
+                  % tuple(cells.ravel().tolist()))
     out.write(tail)
 
 
@@ -212,8 +225,8 @@ def sweep_csv_lines(table, out) -> None:
     with 17-digit floats and empty cells for absent values."""
     def template(roots, admissible):
         return ",".join(["%d", "%s", table.variant, "%s", _G, _G]
-                        + [_G] * roots + [_SKIP] * (2 - roots)
-                        + [_G if admissible else _SKIP] * 2 + ["%s"])
+                        + ["%s"] * roots + [_SKIP] * (2 - roots)
+                        + ["%s" if admissible else _SKIP] * 2 + ["%s"])
 
     _write_sweep(table, out, template, SWEEP_CSV_HEADER + "\n", "\n", "\n")
 
@@ -222,13 +235,13 @@ def sweep_json(table, out) -> None:
     """Write an existence sweep as the `to_json` text of {"rows": [...]},
     one object per row, absent roots left out and absent values null."""
     def template(roots, admissible):
-        listed = ",".join(["\n        " + _G] * roots)
+        listed = ",".join(["\n        %s"] * roots)
         fields = {
             "m": "%d", "beta": "%s", "variant": f'"{table.variant}"',
             "a2": "%s", "a1": _G, "a0": _G,
             "roots": (f"[{listed}\n      ]" if roots else "[]") + _SKIP * (2 - roots),
-            "admissible_root": _G if admissible else "null" + _SKIP,
-            "K": _G if admissible else "null" + _SKIP,
+            "admissible_root": "%s" if admissible else "null" + _SKIP,
+            "K": "%s" if admissible else "null" + _SKIP,
             "exists": '"%s"',
         }
         return "    {\n" + ",\n".join(f'      "{k}": {v}' for k, v in fields.items()) + "\n    }"

@@ -557,8 +557,11 @@ class TestGoldenOutput:
     before `solve_lambda` began returning the printed report, and the
     `pde converge` ladder before `convergence_study` did, the m = 57
     verify output before the verify kernels returned the printed
-    entries, and the beta = 1e-9 and beta = 1e8 verify outputs before
-    profile fields answered through their profile's methods.  The ladder is
+    entries, the beta = 1e-9 and beta = 1e8 verify outputs before
+    profile fields answered through their profile's methods, and the
+    published m = 1..6 sweeps before the sweep emitters formatted K once
+    per distinct value in a block, printed the admissible root from
+    root1's text and each block of rows in one %-format.  The ladder is
     golden in the text format only: its 12 significant digits leave room
     for last-bit differences that a BLAS kernel or an older scipy may
     make in the 17-digit JSON and CSV."""
@@ -592,11 +595,27 @@ class TestGoldenOutput:
         # the two ends of beta: profiles evaluated at extreme magnitudes
         ("verify_m2_beta1e-9", ("verify", "--m", "2", "--beta", "1e-9"), EXIT_OK),
         ("verify_m3_beta1e8", ("verify", "--m", "3", "--beta", "1e8"), EXIT_OK),
+        # out_of_domain rows, rows with 0, 1 and 2 real roots, and 2-root
+        # rows with and without an admissible root
+        ("relation_sweep_m1-6_published_csv", ("relation", "sweep", "--m", "1..6", "--beta",
+                                               "0.5,1.9,3", "--variant", "published",
+                                               "--format", "csv"), EXIT_OK),
+        ("relation_sweep_m1-6_published_json", ("relation", "sweep", "--m", "1..6", "--beta",
+                                                "0.5,1.9,3", "--variant", "published",
+                                                "--format", "json"), EXIT_OK),
     ])
     def test_stdout_matches_the_golden_bytes(self, name, argv, exit_code):
         code, out = invoke(*argv, "--quiet")
         assert code == exit_code
         assert out.encode() == (GOLDEN / f"{name}.txt").read_bytes()
+
+    def test_published_sweep_golden_meets_the_schema(self):
+        payload = json.loads((GOLDEN / "relation_sweep_m1-6_published_json.txt").read_text())
+        validate(payload, "sweep.schema.json")
+        assert {(len(row["roots"]), row["admissible_root"] is None, row["exists"])
+                for row in payload["rows"]} == {
+            (2, True, "out_of_domain"), (0, True, "out_of_domain"), (1, False, "true"),
+            (2, False, "true"), (2, True, "false")}
 
     def test_run_verification_returns_the_printed_report(self):
         report = cli.run_verification(3, 1.0)

@@ -664,6 +664,36 @@ def reference_stdout(m_range, betas, variant, fmt):
     return to_json(reference_sweep_json(records)) + "\n"
 
 
+def cli_stdout(m_range, betas, variant, fmt):
+    """Stdout of `relation sweep` over m_range and betas; the exit code must be 0."""
+    buf = io.StringIO()
+    code = run(["relation", "sweep", "--m", "%d..%d" % m_range,
+                "--beta", ",".join(repr(b) for b in betas),
+                "--variant", variant, "--format", fmt, "--quiet"], out=buf)
+    assert code == 0
+    return buf.getvalue()
+
+
+def beta_star(m):
+    """The published threshold 2 sqrt((m - 2)/(3m - 8)) in beta, for m >= 3."""
+    return 2.0 * math.sqrt((m - 2) / (3 * m - 8))
+
+
+@st.composite
+def sweep_grids(draw):
+    """A small m range starting at 1 to 6, often at m = 1 or 2, and a beta
+    list with repeats, drawn log-uniformly from [1e-3, 50] and from just
+    either side of beta_star(m)."""
+    m_lo = draw(st.integers(1, 2) | st.integers(3, 6))
+    m_hi = draw(st.integers(m_lo, m_lo + 4))
+    near = [beta_star(m) * f for m in range(max(m_lo, 3), m_hi + 1)
+            for f in (1 - 1e-9, 1 - 1e-3, 1 + 1e-3, 1 + 1e-9)]
+    pool = st.floats(-3.0, 1.7).map(lambda e: 10.0 ** e)
+    betas = draw(st.lists(st.sampled_from(near) | pool if near else pool,
+                          min_size=1, max_size=6))
+    return (m_lo, m_hi), betas + draw(st.lists(st.sampled_from(betas), max_size=2))
+
+
 class TestSweepMatchesReference:
     GRIDS = {
         # m = 1 (out_of_domain, the double root at beta = 1 and, published,
@@ -682,12 +712,27 @@ class TestSweepMatchesReference:
         (m_lo, m_hi), betas = self.GRIDS[grid]
         if grid == "blocks":
             assert (m_hi - m_lo + 1) * len(betas) == 2 * SWEEP_BLOCK_ROWS + 1
-        buf = io.StringIO()
-        code = run(["relation", "sweep", "--m", f"{m_lo}..{m_hi}",
-                    "--beta", ",".join(repr(b) for b in betas),
-                    "--variant", variant, "--format", fmt, "--quiet"], out=buf)
-        assert code == 0
-        assert buf.getvalue() == reference_stdout((m_lo, m_hi), betas, variant, fmt)
+        assert (cli_stdout((m_lo, m_hi), betas, variant, fmt)
+                == reference_stdout((m_lo, m_hi), betas, variant, fmt))
+
+    @given(grid=sweep_grids())
+    @settings(max_examples=60, deadline=None)
+    def test_cli_stdout_is_byte_identical_on_drawn_grids(self, grid):
+        m_range, betas = grid
+        for variant in (PUBLISHED, REDERIVED):
+            for fmt in ("csv", "json"):
+                assert (cli_stdout(m_range, betas, variant, fmt)
+                        == reference_stdout(m_range, betas, variant, fmt))
+
+    @pytest.mark.parametrize("variant", [PUBLISHED, REDERIVED])
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_admissible_root_is_root1_bit_for_bit(self, grid, variant):
+        # The emitters print the admissible root from root1's text.
+        table = existence_sweep(*self.GRIDS[grid], variant)
+        admissible = ~np.isnan(table.admissible_root)
+        assert np.array_equal(table.admissible_root.view(np.int64)[admissible],
+                              table.root1.view(np.int64)[admissible])
+        assert np.array_equal(np.isnan(table.K), ~admissible)
 
     def test_reference_raises_where_the_sweep_does(self):
         with pytest.raises(ArithmeticError):
