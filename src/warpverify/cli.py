@@ -172,34 +172,31 @@ SWEEP_CSV_HEADER = "m,beta,variant,a2,a1,a0,root1,root2,admissible_root,K,exists
 # streams while memory stays flat.
 SWEEP_BLOCK_ROWS = 1024
 
-_G = "%.17g"
 _SKIP = "%.0s"  # consumes an absent (NaN) value and prints nothing
 
 
-def _text(column):
-    """column as an object array of `_G` strings, one per entry."""
-    return np.array([_G % x for x in column.tolist()], dtype=object)
-
-
 def _distinct_text(column):
-    """`_text(column)` with each distinct value, told apart by its bits,
-    formatted once."""
+    """The `%.17g` text of each entry of column, as an object array, with
+    each distinct value, told apart by its bits, formatted once."""
+    from .floattext import g17  # loaded on use: only the sweep emitters need it
     bits, at = np.unique(column.view(np.int64), return_inverse=True)
-    return _text(bits.view(float))[at]
+    return np.array(g17(bits.view(float)), dtype=object)[at]
 
 
 def _write_sweep(table, out, template, head, separator, tail):
     """Write `head`, the rows joined by `separator`, then `tail`.  A row
     prints (m, beta, a2, a1, a0, root1, root2, admissible_root, K, exists)
     through `template(roots, admissible)` for its number of roots and
-    whether one is admissible, with every column but a1 and a0 arriving as
+    whether one is admissible, with every column but m arriving as
     strings.  beta is formatted once per distinct value in the sweep, a2
     and K, which vary with m, once per distinct value in each block: a
     block has few of each (K is about -beta/2 in rederived rows), and only
-    beta's strings outlive their block.  Where a root is admissible, root1
-    is (the roots ascend and admissibility only bounds a root from above),
-    so the admissible root is printed from root1's text.  The rows of each
-    block of SWEEP_BLOCK_ROWS are one %-format."""
+    beta's strings outlive their block.  a1, a0, root1 and root2 of a
+    block are formatted in one `g17` call.  Where a root is admissible,
+    root1 is (the roots ascend and admissibility only bounds a root from
+    above), so the admissible root is printed from root1's text.  The rows
+    of each block of SWEEP_BLOCK_ROWS are one %-format."""
+    from .floattext import g17
     templates = [template(n, adm) for n in range(3) for adm in (False, True)]
     kinds = (2 * np.isfinite(table.root1) + 2 * np.isfinite(table.root2)
              + np.isfinite(table.admissible_root)).tolist()
@@ -207,11 +204,14 @@ def _write_sweep(table, out, template, head, separator, tail):
     out.write(head)
     for lo in range(0, len(kinds), SWEEP_BLOCK_ROWS):
         block = slice(lo, lo + SWEEP_BLOCK_ROWS)
-        root1 = _text(table.root1[block])
+        n = len(kinds[block])
+        text = g17(np.concatenate([table.a1[block], table.a0[block],
+                                   table.root1[block], table.root2[block]]))
+        a1, a0, root1, root2 = (text[i * n:(i + 1) * n] for i in range(4))
         columns = (table.m[block], beta[block], _distinct_text(table.a2[block]),
-                   table.a1[block], table.a0[block], root1, _text(table.root2[block]),
-                   root1, _distinct_text(table.K[block]), table.exists[block])
-        cells = np.empty((len(root1), len(columns)), dtype=object)
+                   a1, a0, root1, root2, root1, _distinct_text(table.K[block]),
+                   table.exists[block])
+        cells = np.empty((n, len(columns)), dtype=object)
         for j, col in enumerate(columns):
             cells[:, j] = col
         out.write((separator if lo else "")
@@ -224,7 +224,7 @@ def sweep_csv_lines(table, out) -> None:
     """Write an existence sweep as CSV: the header, then one line per row
     with 17-digit floats and empty cells for absent values."""
     def template(roots, admissible):
-        return ",".join(["%d", "%s", table.variant, "%s", _G, _G]
+        return ",".join(["%d", "%s", table.variant, "%s", "%s", "%s"]
                         + ["%s"] * roots + [_SKIP] * (2 - roots)
                         + ["%s" if admissible else _SKIP] * 2 + ["%s"])
 
@@ -238,7 +238,7 @@ def sweep_json(table, out) -> None:
         listed = ",".join(["\n        %s"] * roots)
         fields = {
             "m": "%d", "beta": "%s", "variant": f'"{table.variant}"',
-            "a2": "%s", "a1": _G, "a0": _G,
+            "a2": "%s", "a1": "%s", "a0": "%s",
             "roots": (f"[{listed}\n      ]" if roots else "[]") + _SKIP * (2 - roots),
             "admissible_root": "%s" if admissible else "null" + _SKIP,
             "K": "%s" if admissible else "null" + _SKIP,

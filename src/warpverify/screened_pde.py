@@ -561,12 +561,12 @@ def write_grid_csv(field: GridField, dest: Union[str, TextIO]):
     Nodes valued NaN (the exterior ones) carry an empty value column.
     Floats are written with 17 significant digits so output is bit-stable
     across runs.  Each axis value and each distinct node value (told apart
-    by its bits, so 0.0 and -0.0 stay apart) is formatted once, the values
-    in one %-format pass: a solution of symmetric data has about N/8
-    distinct values (N/4 when odd).  The body is joined from the prebuilt
-    pieces (x1, ",x2,tag,", value) picked by index and written in blocks
-    of CSV_BLOCK_ROWS lattice rows, byte for byte what one format per node
-    gives.  A file named by `dest` is removed again when writing it fails.
+    by its bits, so 0.0 and -0.0 stay apart) is formatted once, all of
+    them by the vectorized `floattext.g17`: a solution of symmetric data
+    has about N/8 distinct values (N/4 when odd).  The body is joined from
+    the prebuilt pieces (x1, ",x2,tag,", value) picked by index and
+    written in blocks of CSV_BLOCK_ROWS lattice rows, byte for byte what
+    one format per node gives.  A file named by `dest` is removed again when writing it fails.
     """
     if not isinstance(dest, str):
         _write_grid_rows(field, dest)
@@ -582,7 +582,8 @@ def write_grid_csv(field: GridField, dest: Union[str, TextIO]):
 
 
 def _write_grid_rows(field: GridField, fh: TextIO):
-    coords = [format(x, ".17g") for x in field.axis.tolist()]
+    from .floattext import g17  # loaded on use: only this writer needs it
+    coords = g17(field.axis)
     n = len(coords)
     values = field.values.reshape(-1)
     known = ~np.isnan(values)
@@ -591,7 +592,7 @@ def _write_grid_rows(field: GridField, fh: TextIO):
     # the value with its newline ("\n" alone when NaN).
     pieces = np.array(
         coords + [f",{x2},{TAG_NAMES[tag]}," for tag in sorted(TAG_NAMES) for x2 in coords]
-        + ["\n"] + ("%.17g\n" * bits.size % tuple(bits.view(float).tolist())).splitlines(True),
+        + ["\n"] + g17(bits.view(float), newline=True),
         dtype=object)
     value = np.full(values.size, 4 * n)
     value[known] += 1 + value_at.reshape(-1)

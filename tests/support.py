@@ -1,8 +1,8 @@
 """Helpers that only the tests use: constant and general polynomial
 fields, a profile lifted through one callback per partial, the flat
 metric, the cosh-distance field of the disk, the exactness of a relation
-polynomial, the compatibility residual of a parameter triple and an exact
-solution sampled on a lattice."""
+polynomial, the compatibility residual of a parameter triple, an exact
+solution sampled on a lattice and a text comparison that fails fast."""
 
 from __future__ import annotations
 
@@ -126,3 +126,17 @@ def sample_exact(spec: GridSpec, exact: XYCallable) -> GridField:
     mask = tags != EXTERIOR
     values[mask] = _sample(exact, *_nodes(axis, mask), "exact solution")
     return GridField(axis=axis, tags=tags, values=values)
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Assert got == want, naming the first line that differs.  A bare
+    `assert got == want` on outputs of hundreds of kilobytes lets pytest's
+    assertion rewriting diff the two texts, which can run for minutes."""
+    if got == want:
+        return
+    got_lines, want_lines = got.splitlines(True), want.splitlines(True)
+    for number, (g, w) in enumerate(zip(got_lines, want_lines), start=1):
+        if g != w:
+            raise AssertionError(f"line {number} differs: {g!r} != {w!r}")
+    raise AssertionError(f"{len(got_lines)} lines where {len(want_lines)} are expected, "
+                         "the shorter text a prefix of the longer")

@@ -33,6 +33,8 @@ from warpverify.geometry2d import coordinate_u, rescale
 from warpverify.relation import PUBLISHED, REDERIVED, relation_poly, solve_lambda
 from warpverify.screened_pde import convergence_study, coshdist_exact, manufactured_spec
 
+from support import assert_same_text
+
 
 def invoke(*argv):
     buf = io.StringIO()
@@ -543,6 +545,27 @@ class TestScipyOnlyForPde:
         assert run.stdout == "[]\nTrue\n"
 
 
+class TestFloattextOnlyForTheFloatColumns:
+    """Only the sweep emitters and the grid-CSV writer import `floattext`."""
+
+    def test_verify_relation_solve_and_curvature_do_not_load_it(self):
+        script = "\n".join([
+            "import io, sys",
+            "from warpverify import cli",
+            "for argv in (['verify', '--m', '3', '--beta', '1'],",
+            "             ['relation', 'solve', '--m', '3', '--beta', '1'],",
+            "             ['curvature', '--model', 'disk', '--at', '0.3,-0.4']):",
+            "    assert cli.run([*argv, '--quiet'], out=io.StringIO()) == 0, argv",
+            "print('warpverify.floattext' in sys.modules)",
+            "argv = ['relation', 'sweep', '--m', '2..6', '--beta', '0.5,1', '--quiet']",
+            "assert cli.run(argv, out=io.StringIO()) == 0",
+            "print('warpverify.floattext' in sys.modules)",
+        ])
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "False\nTrue\n"
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -561,7 +584,10 @@ class TestGoldenOutput:
     profile fields answered through their profile's methods, and the
     published m = 1..6 sweeps before the sweep emitters formatted K once
     per distinct value in a block, printed the admissible root from
-    root1's text and each block of rows in one %-format.  The ladder is
+    root1's text and each block of rows in one %-format, and the extreme
+    beta sweeps and the direct-size `pde solve` grid CSV before the sweep
+    and grid-CSV emitters formatted their doubles through
+    `floattext.g17`.  The ladder is
     golden in the text format only: its 12 significant digits leave room
     for last-bit differences that a BLAS kernel or an older scipy may
     make in the 17-digit JSON and CSV."""
@@ -603,11 +629,27 @@ class TestGoldenOutput:
         ("relation_sweep_m1-6_published_json", ("relation", "sweep", "--m", "1..6", "--beta",
                                                 "0.5,1.9,3", "--variant", "published",
                                                 "--format", "json"), EXIT_OK),
+        # exponents at both ends (1e-05 rows, 1e+17 beside 30000000000000000),
+        # a2 = 0 and an empty root2
+        ("relation_sweep_m2-4_extremes_csv", ("relation", "sweep", "--m", "2..4", "--beta",
+                                              "1e-5,0.7,1e8", "--format", "csv"), EXIT_OK),
+        ("relation_sweep_m2-4_extremes_json", ("relation", "sweep", "--m", "2..4", "--beta",
+                                               "1e-5,0.7,1e8", "--format", "json"), EXIT_OK),
     ])
     def test_stdout_matches_the_golden_bytes(self, name, argv, exit_code):
         code, out = invoke(*argv, "--quiet")
         assert code == exit_code
         assert out.encode() == (GOLDEN / f"{name}.txt").read_bytes()
+
+    def test_pde_solve_grid_csv_matches_the_golden_bytes(self, tmp_path):
+        # 709 unknowns, a direct solve; the file holds -0, 0 and negative values
+        out = tmp_path / "grid.csv"
+        code, printed = invoke("pde", "solve", "--beta", "1.3", "--rmax", "0.8", "--h", "0.05",
+                               "--bc", "angular", "--out", str(out), "--quiet")
+        assert code == EXIT_OK
+        assert printed.startswith("interior nodes: 709\n")
+        golden = GOLDEN / "pde_solve_beta1.3_angular_grid.csv"
+        assert_same_text(out.read_bytes().decode("ascii"), golden.read_bytes().decode("ascii"))
 
     def test_published_sweep_golden_meets_the_schema(self):
         payload = json.loads((GOLDEN / "relation_sweep_m1-6_published_json.txt").read_text())

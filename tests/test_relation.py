@@ -26,7 +26,7 @@ from warpverify.relation import (
     MAX_SWEEP_ROWS, PUBLISHED, REDERIVED, existence_sweep, relation_poly,
     solve_lambda,
 )
-from support import is_exact, max_compat_residual_for_params
+from support import assert_same_text, is_exact, max_compat_residual_for_params
 
 
 def root_values(report):
@@ -712,8 +712,8 @@ class TestSweepMatchesReference:
         (m_lo, m_hi), betas = self.GRIDS[grid]
         if grid == "blocks":
             assert (m_hi - m_lo + 1) * len(betas) == 2 * SWEEP_BLOCK_ROWS + 1
-        assert (cli_stdout((m_lo, m_hi), betas, variant, fmt)
-                == reference_stdout((m_lo, m_hi), betas, variant, fmt))
+        assert_same_text(cli_stdout((m_lo, m_hi), betas, variant, fmt),
+                         reference_stdout((m_lo, m_hi), betas, variant, fmt))
 
     @given(grid=sweep_grids())
     @settings(max_examples=60, deadline=None)
@@ -721,8 +721,8 @@ class TestSweepMatchesReference:
         m_range, betas = grid
         for variant in (PUBLISHED, REDERIVED):
             for fmt in ("csv", "json"):
-                assert (cli_stdout(m_range, betas, variant, fmt)
-                        == reference_stdout(m_range, betas, variant, fmt))
+                assert_same_text(cli_stdout(m_range, betas, variant, fmt),
+                                 reference_stdout(m_range, betas, variant, fmt))
 
     @pytest.mark.parametrize("variant", [PUBLISHED, REDERIVED])
     @pytest.mark.parametrize("grid", sorted(GRIDS))
@@ -737,6 +737,16 @@ class TestSweepMatchesReference:
     def test_reference_raises_where_the_sweep_does(self):
         with pytest.raises(ArithmeticError):
             reference_existence_sweep((145, 145), [1.4292354702724506], PUBLISHED)
+
+
+def test_assert_same_text_names_the_first_differing_line():
+    assert_same_text("a\nb\n", "a\nb\n")
+    with pytest.raises(AssertionError, match=r"line 2 differs: 'b\\n' != 'c\\n'"):
+        assert_same_text("a\nb\nd\n", "a\nc\nd\n")
+    with pytest.raises(AssertionError, match="2 lines where 3 are expected"):
+        assert_same_text("a\nb\n", "a\nb\nc\n")
+    with pytest.raises(AssertionError, match="line 2 differs"):
+        assert_same_text("a\nb", "a\nb\n")
 
 
 def test_relation_poly_dispatch():

@@ -27,7 +27,7 @@ from warpverify.screened_pde import (
     convergence_study, coshdist_exact, manufactured_spec, residual_field,
     write_grid_csv,
 )
-from support import poly_field, sample_exact
+from support import assert_same_text, poly_field, sample_exact
 
 
 class TestGridSpec:
@@ -1125,7 +1125,7 @@ class TestCsvOutput:
                            [math.nan, math.nan, math.nan, math.nan]])
         field = GridField(axis=axis, tags=tags, values=values)
         text = written_text(field, dest_kind, tmp_path)
-        assert text == reference_text(field)
+        assert_same_text(text, reference_text(field))
         assert "\n-0,-0,interior,-1.0000000000000001e+300\n" in text
         assert text.endswith("0.30000000000000004,0.30000000000000004,exterior,\n")
 
@@ -1139,8 +1139,8 @@ class TestCsvOutput:
         field = assemble_and_solve(
             GridSpec(beta=1.3, r_max=0.9, h=0.03, boundary=BOUNDARY_CATALOG[bc]))
         expected = reference_text(field)
-        assert path.read_bytes() == expected.encode("ascii")
-        assert written_text(field, "textio", tmp_path) == expected
+        assert_same_text(path.read_bytes().decode("ascii"), expected)
+        assert_same_text(written_text(field, "textio", tmp_path), expected)
 
     @pytest.mark.parametrize("block_rows", [7, screened_pde.CSV_BLOCK_ROWS])
     def test_matches_reference_across_row_blocks(self, block_rows, monkeypatch):
@@ -1150,7 +1150,7 @@ class TestCsvOutput:
             GridSpec(beta=1.3, r_max=0.95, h=0.01, boundary=BOUNDARY_CATALOG["coshdist"]))
         n = len(field.axis)
         assert n > 2 * block_rows and n % block_rows != 0
-        assert written_text(field, "textio", None) == reference_text(field)
+        assert_same_text(written_text(field, "textio", None), reference_text(field))
 
     def test_matches_reference_on_all_distinct_values(self):
         # no symmetry: nothing for the writer to share between nodes
@@ -1158,7 +1158,7 @@ class TestCsvOutput:
         known = field.values[~np.isnan(field.values)]
         assert field.values.size > 80_000
         assert np.unique(known).size == known.size
-        assert written_text(field, "textio", None) == reference_text(field)
+        assert_same_text(written_text(field, "textio", None), reference_text(field))
 
     def test_matches_reference_on_an_odd_field(self):
         # exactly odd in x and y: +-v pairs share their digits but not their
@@ -1170,7 +1170,7 @@ class TestCsvOutput:
         zeros = values[values == 0.0]
         assert np.signbit(zeros).any() and not np.signbit(zeros).all()
         text = written_text(field, "textio", None)
-        assert text == reference_text(field)
+        assert_same_text(text, reference_text(field))
         assert ",boundary,-0\n" in text and ",boundary,0\n" in text
 
     def test_format_and_determinism(self):
