@@ -69,11 +69,16 @@ class RelationPoly:
 def _validated(m: Number, beta: Number) -> tuple[Number, Number, Number]:
     """Validated (m, beta, 1/2): Fractions when m and beta are both
     int/Fraction, floats otherwise.  m must lie in [1, 2**63), the range of
-    a sweep's int64 m column, which also keeps float(m) finite.  beta**2
+    a sweep's int64 m column, which also keeps float(m) finite, and be at
+    most 2**53: the roots are solved in doubles, which round larger
+    integers, so m = 2**53 + 1 would get the roots of m = 2**53.  beta**2
     must be a normal double: a0 and the discriminant carry it, and below
     that they lose digits to underflow or flush to 0."""
     if m >= 2 ** 63:
         raise ValueError(f"fiber dimension m must be below 2**63, got {m}")
+    if m > 2 ** 53:
+        raise ValueError(f"fiber dimension m must be at most 2**53 = {2 ** 53} (doubles "
+                         f"do not hold every integer above it), got {m}")
     if float(m) < 1:
         raise ValueError(f"fiber dimension m must be >= 1, got {m}")
     require_finite_positive("screening parameter beta", beta)

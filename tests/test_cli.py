@@ -405,6 +405,26 @@ class TestUsageErrors:
         assert capsys.readouterr().err == (
             f"usage error: fiber dimension m must be below 2**63, got {m}\n")
 
+    @pytest.mark.parametrize("argv, m", [
+        (("relation", "solve"), str(2 ** 53 + 1)),
+        (("verify",), str(2 ** 53 + 1)),
+        (("relation", "sweep"), f"{2 ** 53 - 2}..{2 ** 53 + 1}"),
+    ])
+    def test_m_beyond_2_to_the_53_is_usage_error(self, argv, m, monkeypatch, capsys):
+        # the relation is solved in doubles: m = 2**53 + 1 used to get the
+        # roots of m = 2**53, and a usage message at --beta 1e154 named it
+        code, out, err = run_main(monkeypatch, capsys, [*argv, "--m", m, "--beta", "1"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (f"usage error: fiber dimension m must be at most 2**53 = {2 ** 53} "
+                       f"(doubles do not hold every integer above it), got {2 ** 53 + 1}\n")
+
+    @pytest.mark.parametrize("variant", ["rederived", "published"])
+    @pytest.mark.parametrize("beta", [1, 1.0])
+    def test_m_of_2_to_the_53_passes_the_limit(self, variant, beta):
+        poly = relation_poly(2 ** 53, beta, variant)
+        assert poly.m == 2 ** 53 and float(poly.m) == 2.0 ** 53
+
     @pytest.mark.parametrize("beta", ["1e-160", "1e-162"])
     @pytest.mark.parametrize("argv, betas", [
         (("relation", "solve", "--m", "3"), "{}"),
@@ -587,7 +607,11 @@ class TestGoldenOutput:
     root1's text and each block of rows in one %-format, and the extreme
     beta sweeps and the direct-size `pde solve` grid CSV before the sweep
     and grid-CSV emitters formatted their doubles through
-    `floattext.g17`.  The ladder is
+    `floattext.g17`.  The ladder and the grid CSV were re-recorded when
+    each direct class solve began eliminating its red nodes before the
+    factorization: the grid values moved by at most 6.1e-16 * max|f| and
+    the ladder's max_error by at most 4.9e-15, within the 1e-12 bounds
+    stated for that change.  The ladder is
     golden in the text format only: its 12 significant digits leave room
     for last-bit differences that a BLAS kernel or an older scipy may
     make in the 17-digit JSON and CSV."""

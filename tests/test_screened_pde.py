@@ -23,7 +23,7 @@ from warpverify.errors import SolverError
 from warpverify.screened_pde import (
     BOUNDARY, EXTERIOR, INTERIOR, RATE_ERROR_FLOOR, TAG_NAMES, GridField,
     GridSpec, _assemble, _class_cg, _class_system, _conformal_weight, _lattice,
-    _mirror_transform, _nodes, _quadrants, _sample, assemble_and_solve,
+    _mirror_transform, _nodes, _quadrants, _red_black_solve, _sample, assemble_and_solve,
     convergence_study, coshdist_exact, manufactured_spec, residual_field,
     write_grid_csv,
 )
@@ -646,6 +646,9 @@ SPLIT_SPECS = {
     "odd-in-x": GridSpec(beta=1.0, r_max=0.7, h=0.02, source=lambda x, y: x * np.cos(y),
                          boundary=lambda x, y: x * y * y),
     "odd-in-y": GridSpec(beta=1.0, r_max=0.7, h=0.02, boundary=lambda x, y: y),
+    # the smallest lattice GridSpec takes, r_max/h just above 4: its x <-> y
+    # odd (odd, odd) class is the one node (2, 1)
+    "smallest": seeded_asymmetric_spec(3, beta=0.7, r_max=0.5, h=0.5 / 4.001),
 }
 
 
@@ -783,13 +786,98 @@ class TestMirrorSplit:
         assert len(calls) == solves
         assert sum(columns for _, columns in calls) == classes
         # octant solves (about N/8 unknowns, one right-hand side each) come
-        # first, then the quarter solve (about N/4)
+        # first, then the quarter solve (about N/4); each factorizes the
+        # Schur complement on the black half of its class
         octants = {"odd-in-x": 0, "odd-in-y": 0, "asymmetric-1": 4}.get(name, solves)
         n_int, edge = field.interior_mask.sum(), 2 * len(field.axis)
         for k, (unknowns, columns) in enumerate(calls):
-            part = 8 if k < octants else 4
-            assert columns == 1 or part == 4
+            part = 16 if k < octants else 8
+            assert columns == 1 or part == 8
             assert n_int / part - edge < unknowns < n_int / part + edge
+
+
+COLOUR_SPECS = [SPLIT_SPECS["angular"], SPLIT_SPECS["asymmetric-2"],
+                GridSpec(beta=0.3, r_max=0.3, h=0.05), SPLIT_SPECS["smallest"]]
+COLOUR_IDS = ["angular", "asymmetric-2", "small", "smallest"]
+
+
+def colour_classes(spec):
+    """(A, red) of every symmetry class of the spec's lattice: its matrix
+    and which of its nodes have an even k + l."""
+    axis, tags = _lattice(spec)
+    for parity, swap in CLASSES:
+        (k, l), A, _ = _class_system(tags == INTERIOR, axis, spec.beta, spec.h, parity, swap)
+        yield A, (k + l) % 2 == 0
+
+
+class TestRedBlackReduction:
+    """Each direct class solve eliminates the nodes of even k + l and
+    factorizes the Schur complement on the others."""
+
+    @pytest.mark.parametrize("spec", COLOUR_SPECS, ids=COLOUR_IDS)
+    def test_no_entry_joins_two_nodes_of_one_colour(self, spec):
+        # both parities with swap 0 and 1, and the quarter classes: every
+        # row holds one diagonal entry, and every other entry joins nodes
+        # whose k + l differ in parity, so each colour's block is diagonal
+        for A, red in colour_classes(spec):
+            entries = A.tocoo()
+            off = entries.row != entries.col
+            assert np.array_equal(np.sort(entries.row[~off]), np.arange(red.size))
+            assert np.all(red[entries.row[off]] != red[entries.col[off]])
+
+    @pytest.mark.parametrize("name", sorted(SPLIT_SPECS))
+    def test_reduced_solve_matches_the_unreduced_class_solve(self, name, monkeypatch):
+        columns = []
+        reduced = screened_pde._red_black_solve
+
+        def checked(A, b, red):
+            x = reduced(A, b, red)
+            want = spla.spsolve(A, b, permc_spec="MMD_AT_PLUS_A").reshape(b.shape)
+            for got, expected in zip(x.T, want.T):
+                assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+            columns.append(b.shape[1])
+            return x
+
+        monkeypatch.setattr(screened_pde, "_red_black_solve", checked)
+        assemble_and_solve(SPLIT_SPECS[name])
+        # every excited class, the quarter one with its two right-hand sides
+        unsplit = [1, 1, 1, 1, 2]
+        want = {"zero": [], "asymmetric-1": unsplit, "asymmetric-2": unsplit, "smallest": unsplit}
+        assert columns == want.get(name, [1])
+
+    @pytest.mark.parametrize("spec", COLOUR_SPECS, ids=COLOUR_IDS)
+    def test_schur_complement_is_a_strictly_dominant_m_matrix(self, spec, monkeypatch):
+        factorized = []
+        solve = spla.spsolve
+
+        def captured(S, b, **options):
+            factorized.append(S.tocsr())
+            return solve(S, b, **options)
+
+        monkeypatch.setattr(screened_pde.spla, "spsolve", captured)
+        for A, red in colour_classes(spec):
+            _red_black_solve(A, np.ones((red.size, 1)), red)
+            S = factorized[-1]
+            assert S.shape == (np.count_nonzero(~red),) * 2
+            diagonal = S.diagonal()
+            off = (S - sp.diags(diagonal)).tocsr()
+            assert np.all(diagonal > 0.0)
+            assert np.all(off.data <= 0.0)
+            assert np.all(diagonal > np.abs(off).sum(axis=1).A1)
+            assert np.diff(S.indptr).max() <= 9
+        assert len(factorized) == len(CLASSES)
+
+    def test_a_class_of_one_colour(self, monkeypatch):
+        # the smallest lattice has a class without red nodes; a class
+        # without black ones (never met on a GridSpec lattice) needs no
+        # factorization: x = b / D
+        colours = [(np.count_nonzero(red), np.count_nonzero(~red))
+                   for _, red in colour_classes(SPLIT_SPECS["smallest"])]
+        assert (0, 1) in colours
+        monkeypatch.setattr(screened_pde.spla, "spsolve", None)
+        A = sp.csr_matrix(np.diag([3.0, 7.0]))
+        b = np.array([[1.0, 2.0], [-5.0, 0.5]])
+        assert_same_bits(_red_black_solve(A, b, np.array([True, True])), b / [[3.0], [7.0]])
 
 
 def nonsymmetric_exact(x, y):
