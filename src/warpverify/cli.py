@@ -433,6 +433,7 @@ def _cmd_pde_solve(args, out) -> int:
     n_int = int(field.interior_mask.sum())
     out.write(f"interior nodes: {n_int}\n")
     out.write(f"max residual: {fmt_text(res)}\n")
+    out.write(f"backward error: {fmt_text(pde.backward_error(field, spec, res))}\n")
     out.write(f"grid written to {args.out}\n")
     return EXIT_OK
 

@@ -11,6 +11,7 @@ discrete maximum principle.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import sys
@@ -22,6 +23,7 @@ from typing import Callable, Optional, Sequence, TextIO, Union
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import cython_lapack
 from scipy.sparse import _sparsetools
 
 from .errors import SolverError, require_finite_positive
@@ -339,44 +341,123 @@ def _class_cg(A, b: np.ndarray, root: np.ndarray, w: np.ndarray) -> np.ndarray:
     return x
 
 
-def _red_black_solve(A, b: np.ndarray, red: np.ndarray) -> np.ndarray:
+def _lapack(name: str, arguments: int):
+    """The LAPACK routine `name` of scipy's Cython LAPACK table as a ctypes
+    function of `arguments` pointers.  A ctypes call releases the GIL,
+    which scipy's f2py wrappers (`cholesky_banded`) hold throughout: a
+    factorization on the helper thread of `convergence_study` would stall
+    the CG of the calling thread for its whole length."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * arguments)(
+        pointer(capsule, name_of(capsule)))
+
+
+_DPBTRF, _DPBTRS = _lapack("dpbtrf", 6), _lapack("dpbtrs", 9)
+
+
+def banded_cholesky_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve S y = rhs, one column of the 2-D rhs per right-hand side, for
+    the symmetric positive definite S whose upper band is given in
+    LAPACK's layout: band[u + i - j, j] = S[i, j] for i <= j <= i + u.  A
+    Fortran-ordered float band is overwritten by its Cholesky factor
+    (LAPACK DPBTRF, then DPBTRS; Anderson et al., LAPACK Users' Guide,
+    1999), so the factor takes no memory of its own; any other band is
+    copied first.  Raises SolverError when S is not positive definite."""
+    band = np.require(band, float, ["F", "W"])
+    y = np.array(rhs, dtype=float, order="F")
+    size, info = band.shape[1], ctypes.c_int()
+    n, kd, nrhs, ldab = (ctypes.byref(ctypes.c_int(v))
+                         for v in (size, band.shape[0] - 1, y.shape[1], band.shape[0]))
+    _DPBTRF(b"U", n, kd, band.ctypes.data, ldab, ctypes.byref(info))
+    if info.value:
+        raise SolverError(f"banded Cholesky factorization failed: the leading minor of "
+                          f"order {info.value} is not positive definite")
+    _DPBTRS(b"U", n, kd, nrhs, band.ctypes.data, ldab, y.ctypes.data, n, ctypes.byref(info))
+    return y
+
+
+def _red_black_solve(A, b: np.ndarray, nodes: tuple[np.ndarray, np.ndarray],
+                     root: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Solve the class system A x = b, one column of b per right-hand
     side, by one step of odd-even reduction (Buzbee, Golub & Nielson, SIAM
-    J. Numer. Anal. 7, 1970).
+    J. Numer. Anal. 7, 1970) and a banded Cholesky factorization of what
+    is left.
 
-    red marks the kept nodes whose k + l is even.  The five-point stencil
-    joins each node only to nodes of the other colour, and the folds |k|,
-    |l| and the swap (max, min) keep the parity of k + l, so every
-    off-diagonal entry of A joins a red node to a black one: the red block
-    is the diagonal D = beta + 4 w/h^2, and so is the black one.  The black
-    unknowns solve the Schur complement S x_b = b_b - A_br D^-1 b_r,
-    S = D_b - A_br D^-1 A_rb, an M-matrix of about half the unknowns with
-    at most nine entries a row, which SuperLU factorizes as it would A;
-    then x_r = D^-1 (b_r - A_rb x_b).  Both come from the black rows L of
-    A and the prolongation R, the identity on black nodes and -D^-1 A_rb
-    on red ones, written from A's CSR arrays: S = L R, and with v = D^-1 b
-    on red nodes and 0 on black ones, the right-hand side is b_b - L v and
-    x = v + R x_b.
+    nodes are the class's kept nodes (k, l), root and w as in `_class_cg`.
+    Colour a node red where k + l is even, black where it is odd.  The
+    five-point stencil joins each node only to nodes of the other colour,
+    and the folds |k|, |l| and the swap (max, min) keep the parity of
+    k + l, so every off-diagonal entry of A joins a red node to a black
+    one: the red block is the diagonal D = beta + 4 w/h^2, and so is the
+    black one.  The black unknowns solve the Schur complement
+    S x_b = b_b - A_br D^-1 b_r, S = D_b - A_br D^-1 A_rb, with at most
+    nine entries a row; then x_r = D^-1 (b_r - A_rb x_b).  Both come from
+    the black rows L of A and the prolongation R, the identity on black
+    nodes and -D^-1 A_rb on red ones, written from A's CSR arrays: S = L R,
+    and with v = D^-1 b on red nodes and 0 on black ones, the right-hand
+    side is b_b - L v and x = v + R x_b.
+
+    Scaled as `_class_cg` scales A, L by root/w on the left and R by 1/root
+    on the right, S becomes the Schur complement of the symmetric positive
+    definite diag(root/w) A diag(1/root), itself symmetric positive
+    definite; its upper triangle is factorized by `banded_cholesky_solve`.
+    The black nodes are numbered by anti-diagonal k + l, then by k: S joins
+    a node only to nodes on its own anti-diagonal and the two next to it,
+    and every node on an odd anti-diagonal is black, so S's half-bandwidth
+    is about the longest black anti-diagonal, about half the lattice
+    half-width for an octant class (George & Liu, Computer Solution of
+    Large Sparse Positive Definite Systems, 1981).
     """
+    k, l = nodes
+    red = (k + l) % 2 == 0
     counts = np.diff(A.indptr)
     rows = np.repeat(np.arange(red.size, dtype=A.indices.dtype), counts)
     diagonal = A.indices == rows
-    d = A.data[diagonal]            # every row holds its diagonal entry
+    # A and b scaled by the powers of two that put their max-abs in
+    # [1/2, 1) (A's is its largest diagonal entry), and x scaled back:
+    # exact short of subnormals, and neither the symmetric scaling by
+    # root/w <= 3e6 (root <= sqrt(8), w >= 1e-6) nor the right-hand side
+    # can overflow.
+    _, e = np.frexp(np.max(A.data[diagonal]))
+    _, f = np.frexp(np.max(np.abs(b)))
+    data, b = np.ldexp(A.data, -e), np.ldexp(b, -f)
+    d = data[diagonal]              # every row holds its diagonal entry
     black = ~red
     nb = np.count_nonzero(black)
     v = np.where(red[:, None], b / d[:, None], 0.0)
     if not nb:
-        return v
-    at = np.cumsum(black, dtype=A.indices.dtype) - 1    # a black node's place among them
+        return np.ldexp(v, f - e)
+    order = np.lexsort((k[black], k[black] + l[black]))
+    at = np.empty(red.size, dtype=A.indices.dtype)     # a black node's place in that order
+    at[np.flatnonzero(black)[order]] = np.arange(nb)
+    scale = root / w
     on_black = black[rows]
-    L = sp.csr_matrix((A.data[on_black], A.indices[on_black],
+    L = sp.csr_matrix((scale[rows[on_black]] * data[on_black], A.indices[on_black],
                        np.append(0, np.cumsum(counts[black]))), shape=(nb, red.size))
     pick = diagonal == on_black     # the diagonal of a black row, the rest of a red one
-    R = sp.csr_matrix((np.where(diagonal, 1.0, -A.data / d[rows])[pick], at[A.indices[pick]],
+    rows, cols, data = rows[pick], A.indices[pick], data[pick]
+    R = sp.csr_matrix((np.where(red[rows], -data / d[rows], 1.0) / root[cols], at[cols],
                        np.append(0, np.cumsum(np.where(red, counts - 1, 1)))),
                       shape=(red.size, nb))
-    x_b = spla.spsolve(L @ R, b[black] - L @ v, permc_spec="MMD_AT_PLUS_A")
-    return v + R @ x_b.reshape(nb, -1)
+    rhs = (scale[black, None] * b[black] - L @ v)[order]
+    S = L @ R
+    i, j = np.repeat(at[black], np.diff(S.indptr)), S.indices
+    upper = i <= j
+    i, j, values = i[upper], j[upper], S.data[upper]
+    del rows, cols, data, L, S, upper   # the band is the largest array of the solve
+    u = int(np.max(j - i))
+    band = np.zeros((u + 1) * nb)
+    j *= u                          # S[i, j] sits at u + i - j + (u + 1) j in the
+    j += u                          # Fortran-ordered band
+    j += i
+    band[j] = values
+    del i, j, values
+    y = banded_cholesky_solve(band.reshape((u + 1, nb), order="F"), rhs)
+    return np.ldexp(v + R @ y, f - e)
 
 
 def _mirror_solve(r: list, interior: np.ndarray, axis: np.ndarray, beta: float, h: float,
@@ -411,12 +492,13 @@ def _mirror_solve(r: list, interior: np.ndarray, axis: np.ndarray, beta: float, 
     side.  Otherwise it is solved directly by `_red_black_solve`: the
     stencil joins each node only to nodes whose k + l has the other
     parity, and the folds keep that parity, so the block of the red nodes
-    (k + l even) is diagonal and they are eliminated exactly.  SuperLU
-    factorizes the Schur complement on the black half, ordering it by
-    minimum degree on S^T + S (`MMD_AT_PLUS_A`).  On classes of 6,897,
-    9,400 and 11,892 unknowns its fill is 180k, 261k and 355k entries
-    against 234k, 352k and 465k for the unreduced class, and the solution
-    agrees with the unreduced class solve within 1e-12 * max|x|.
+    (k + l even) is diagonal and they are eliminated exactly.  The Schur
+    complement on the black half, scaled to the symmetric positive
+    definite form CG runs on and numbered by anti-diagonal, has a
+    half-bandwidth of about n/2 on an octant class (n the lattice
+    half-width) and n on a quarter class; `banded_cholesky_solve`
+    factorizes its band in place.  The solution agrees with the unreduced
+    class solve within 1e-12 * max|x|.
     """
     n = interior.shape[0] // 2
 
@@ -428,11 +510,11 @@ def _mirror_solve(r: list, interior: np.ndarray, axis: np.ndarray, beta: float, 
             return quarters
         (k, l), A, orbit = _class_system(interior, axis, beta, h, parity, swap)
         b = np.column_stack([given[i][k, l] for i in excited])
+        root, w = np.sqrt(orbit), _conformal_weight(axis[n + k], axis[n + l])
         if cg:
-            w = _conformal_weight(axis[n + k], axis[n + l])
-            x = np.column_stack([_class_cg(A, col, np.sqrt(orbit), w) for col in b.T])
+            x = np.column_stack([_class_cg(A, col, root, w) for col in b.T])
         else:
-            x = _red_black_solve(A, b, (k + l) % 2 == 0)
+            x = _red_black_solve(A, b, (k, l), root, w)
         for i, col in zip(excited, x.T):
             quarters[i] = out = np.zeros((n + 1, n + 1))
             if swap is not None:
@@ -477,18 +559,18 @@ def assemble_and_solve(spec: GridSpec) -> GridField:
     class is solved directly: the red-black colouring by the parity of
     k + l makes the block of its red nodes diagonal (the five-point
     stencil joins only nodes of opposite colour, and the mirror folds keep
-    the colour), so they are eliminated first and SuperLU factorizes the
-    Schur complement on the black half, about N/16 unknowns an octant,
-    ordering it by minimum degree on S^T + S (`MMD_AT_PLUS_A`; Liu, ACM
-    TOMS 11, 1985).  That cuts the fill of classes of 6,897 to 11,892
-    unknowns by 23-26 % (234k to 180k entries at the smallest).  The
-    result agrees with the unreduced class solve and with one unsplit
+    the colour), so they are eliminated first, and the Schur complement on
+    the black half, about N/16 unknowns an octant, is factorized by banded
+    Cholesky (LAPACK DPBTRF) in anti-diagonal order, which gives it a
+    half-bandwidth of about half the lattice half-width.  The result
+    agrees with the unreduced class solve and with one unsplit
     factorization up to rounding, within 1e-12 * max|f|, and symmetric
     data give an exactly symmetric solution.  Beyond, each class
     runs conjugate gradients on its symmetrized system (`_class_cg`), the
     whole-lattice iteration restricted to the class: each class stops at
     ||r|| <= CG_RTOL ||b||, so the whole system meets that bound too.
-    Raises SolverError on a degenerate grid or CG stall.
+    Raises SolverError on a degenerate grid, a failed factorization or a
+    CG stall.
     """
     axis, tags, bvals, rhs = _assemble(spec)
     interior = tags == INTERIOR
@@ -520,6 +602,27 @@ def residual_field(field: GridField, spec: GridSpec) -> float:
             + f[1:-1, 2:][inner] - 4.0 * f[1:-1, 1:-1][inner]) / (spec.h * spec.h)
     res = w * lap5 - spec.beta * f[interior] + psi
     return float(np.max(np.abs(res)))
+
+
+def backward_error(field: GridField, spec: GridSpec, residual: float) -> float:
+    """The normwise backward error of a solve whose `residual_field` is
+    residual: ||r|| / (||M|| ||f|| + ||psi||) in the max norm (Rigal &
+    Gaches, J. ACM 14, 1967; Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, Thm. 7.1), scale-free where the residual is not.
+    M is the operator of the interior rows acting on the interior and
+    boundary values, so ||f|| is max|f| over both and
+    ||M|| = beta + 8 max(w)/h^2, where w peaks at 1/4 at the origin, an
+    interior node of every lattice (h < r_max/4).  0 when residual is.
+    """
+    if residual == 0.0:
+        return 0.0
+    psi = 0.0
+    if spec.source is not None:
+        psi = float(np.max(np.abs(_sample(spec.source_fn(),
+                                          *_nodes(field.axis, field.interior_mask), "source"))))
+    f_max = float(max(np.nanmax(field.values), -np.nanmin(field.values)))
+    norm = spec.beta + 2.0 / (spec.h * spec.h)
+    return residual / norm / (f_max + psi / norm)     # ||M|| ||f|| may overflow
 
 
 # An error at most this times max|f| of its level's solved field is rounding,

@@ -225,6 +225,19 @@ class TestPde:
         assert lines[0] == "x1,x2,tag,value"
         assert "max residual:" in out
 
+    @pytest.mark.parametrize("bc", ["zero", "one", "coshdist", "angular"])
+    def test_solve_prints_a_backward_error_at_the_rounding_level(self, bc, tmp_path):
+        # direct solves; zero data solve exactly, with residual 0
+        code, out = invoke("pde", "solve", "--beta", "1.3", "--rmax", "0.95", "--h", "0.00546",
+                           "--bc", bc, "--out", str(tmp_path / "grid.csv"), "--quiet")
+        assert code == EXIT_OK
+        lines = dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
+        assert list(lines) == ["interior nodes", "max residual", "backward error"]
+        assert lines["interior nodes"] == "94089"
+        backward = float(lines["backward error"])
+        assert 0.0 <= backward <= 10 * sys.float_info.epsilon
+        assert (backward == 0.0) == (bc == "zero") == (float(lines["max residual"]) == 0.0)
+
     def test_converge_json(self):
         code, out = invoke("pde", "converge", "--beta", "2", "--h", "0.08,0.04",
                            "--rmax", "0.6", "--format", "json", "--quiet")
@@ -611,7 +624,11 @@ class TestGoldenOutput:
     each direct class solve began eliminating its red nodes before the
     factorization: the grid values moved by at most 6.1e-16 * max|f| and
     the ladder's max_error by at most 4.9e-15, within the 1e-12 bounds
-    stated for that change.  The ladder is
+    stated for that change, and again when the black half began to be
+    factorized by banded Cholesky instead of SuperLU: the grid values
+    moved by at most 4.5e-16 * max|f| (564 of 797 values) and the
+    ladder's max_error by at most 2.3e-14, within the same bounds.  The
+    ladder is
     golden in the text format only: its 12 significant digits leave room
     for last-bit differences that a BLAS kernel or an older scipy may
     make in the 17-digit JSON and CSV."""
@@ -790,6 +807,23 @@ class TestSolverFailureExit:
         assert not dest.exists()
         err = capsys.readouterr().err
         assert err.startswith("solver failure: conjugate-gradient") and "Traceback" not in err
+
+    def test_failed_banded_factorization(self, monkeypatch, tmp_path, capsys):
+        # LAPACK refuses the negated band, which is negative definite
+        from warpverify import screened_pde
+
+        solve = screened_pde.banded_cholesky_solve
+        monkeypatch.setattr(screened_pde, "banded_cholesky_solve",
+                            lambda band, rhs: solve(-band, rhs))
+        dest = tmp_path / "g.csv"
+        code, out = invoke("pde", "solve", "--beta", "1", "--rmax", "0.5",
+                           "--h", "0.05", "--bc", "coshdist", "--out", str(dest),
+                           "--quiet")
+        assert code == EXIT_SOLVER
+        assert out == "" and not dest.exists()
+        err = capsys.readouterr().err
+        assert err == ("solver failure: banded Cholesky factorization failed: the leading "
+                       "minor of order 1 is not positive definite\n")
 
 
 class TestJsonEmitter:

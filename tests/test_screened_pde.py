@@ -1,6 +1,7 @@
 """Screened-Poisson Dirichlet solver: exactness, residuals, convergence,
 maximum principle, symmetry, CSV output."""
 
+import ctypes
 import io
 import json
 import math
@@ -14,6 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -24,7 +26,7 @@ from warpverify.screened_pde import (
     BOUNDARY, EXTERIOR, INTERIOR, RATE_ERROR_FLOOR, TAG_NAMES, GridField,
     GridSpec, _assemble, _class_cg, _class_system, _conformal_weight, _lattice,
     _mirror_transform, _nodes, _quadrants, _red_black_solve, _sample, assemble_and_solve,
-    convergence_study, coshdist_exact, manufactured_spec, residual_field,
+    backward_error, convergence_study, coshdist_exact, manufactured_spec, residual_field,
     write_grid_csv,
 )
 from support import assert_same_text, poly_field, sample_exact
@@ -229,6 +231,54 @@ class TestResidualField:
             residual_field(field, spec_b)
 
 
+class TestBackwardError:
+    """`backward_error` divides the residual by ||M|| ||f|| + ||psi|| in
+    the max norm, M the interior rows acting on interior and boundary
+    values."""
+
+    @pytest.mark.parametrize("spec", [
+        manufactured_spec(beta=2.5, r_max=0.8, h=0.02),
+        GridSpec(beta=0.3, r_max=0.95, h=0.01, boundary=BOUNDARY_CATALOG["angular"]),
+        # max|f| on the negative side
+        GridSpec(beta=7.0, r_max=0.5, h=0.03, source=lambda x, y: np.exp(x - 2.0 * y),
+                 boundary=lambda x, y: np.sin(3.0 * x + 1.0) + y - 3.0),
+    ], ids=["manufactured", "angular", "asymmetric"])
+    def test_matches_the_norms_of_the_whole_lattice_rows(self, spec):
+        field = assemble_and_solve(spec)
+        residual = residual_field(field, spec)
+        weight, _, _ = whole_lattice_system(spec)
+        norm = spec.beta + 8.0 * np.max(weight) / (spec.h * spec.h)
+        f = np.max(np.abs(field.values[field.tags != EXTERIOR]))
+        psi = np.max(np.abs(_sample(spec.source_fn(), *_nodes(field.axis, field.interior_mask),
+                                    "source")))
+        got = backward_error(field, spec, residual)
+        assert got == pytest.approx(residual / (norm * f + psi), rel=1e-14, abs=0.0)
+        assert 0.0 < got <= 10 * sys.float_info.epsilon
+
+    def test_zero_residual_gives_zero(self):
+        spec = GridSpec(beta=1.0, r_max=0.6, h=0.05)
+        field = assemble_and_solve(spec)
+        assert residual_field(field, spec) == 0.0
+        assert backward_error(field, spec, 0.0) == 0.0
+
+    def test_an_inexact_field_reads_its_perturbation(self):
+        # an exact solution sampled on the lattice: its residual is the
+        # stencil's truncation, far above rounding
+        spec = manufactured_spec(beta=2.5, r_max=0.8, h=0.02)
+        field = sample_exact(spec, coshdist_exact)
+        assert backward_error(field, spec, residual_field(field, spec)) > 1e-6
+
+    def test_huge_beta_does_not_overflow(self):
+        # ||M|| ||f|| is about 1.7e308 * 9.5; the quotient is taken in an
+        # order that stays finite
+        spec = GridSpec(beta=1.7e308, r_max=0.9, h=0.1, boundary=coshdist_exact)
+        field = assemble_and_solve(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = backward_error(field, spec, residual_field(field, spec))
+        assert 0.0 <= got <= 10 * sys.float_info.epsilon
+
+
 def truncation_oracle(spec):
     """Independent truncation bound: evaluate w * (lap5 - lap) f* directly
     against the analytic Laplacian 2 f* ((1-r^2)^2/4) lap_euc = lap_g."""
@@ -338,21 +388,21 @@ class TestLadderThreads:
     def test_rows_match_solving_the_levels_one_by_one(self, limit, hs, finest_cg,
                                                       monkeypatch):
         monkeypatch.setattr(screened_pde, "DIRECT_SOLVE_LIMIT", limit)
-        threads = {"cg": [], "spsolve": []}
-        for name, seen in threads.items():
-            def record(*args, _solve=getattr(spla, name), _seen=seen, **options):
+        threads = {"cg": [], "banded_cholesky_solve": []}
+        for (name, seen), owner in zip(threads.items(), (screened_pde.spla, screened_pde)):
+            def record(*args, _solve=getattr(owner, name), _seen=seen, **options):
                 _seen.append(threading.current_thread())
                 return _solve(*args, **options)
-            monkeypatch.setattr(screened_pde.spla, name, record)
+            monkeypatch.setattr(owner, name, record)
         spec = manufactured_spec(beta=2.5, r_max=0.8, h=hs[0])
         before = threading.active_count()
         report = convergence_study(spec, hs, coshdist_exact)
         assert threading.active_count() == before
         # one class solve per level, the finest one on the calling thread
         main = threading.main_thread()
-        assert len(threads["cg"]) + len(threads["spsolve"]) == len(hs)
+        assert len(threads["cg"]) + len(threads["banded_cholesky_solve"]) == len(hs)
         assert [t is main for t in threads["cg"]] == [True] * finest_cg
-        assert sum(t is main for t in threads["spsolve"]) == 1 - finest_cg
+        assert sum(t is main for t in threads["banded_cholesky_solve"]) == 1 - finest_cg
         assert report == sequential_report(spec, hs, coshdist_exact)
         assert all(1.5 <= row["observed_rate"] <= 2.5 for row in report["rows"][1:])
 
@@ -775,13 +825,13 @@ class TestMirrorSplit:
         # two right-hand sides; data with no symmetry excite the four
         # octant classes as well, and zero data need no solve at all
         calls = []
-        solve = spla.spsolve
+        solve = screened_pde.banded_cholesky_solve
 
-        def counted(A, b, **options):
-            calls.append((A.shape[0], 1 if b.ndim == 1 else b.shape[1]))
-            return solve(A, b, **options)
+        def counted(band, rhs):
+            calls.append((band.shape[1], rhs.shape[1]))
+            return solve(band, rhs)
 
-        monkeypatch.setattr(screened_pde.spla, "spsolve", counted)
+        monkeypatch.setattr(screened_pde, "banded_cholesky_solve", counted)
         field = assemble_and_solve(SPLIT_SPECS[name])
         assert len(calls) == solves
         assert sum(columns for _, columns in calls) == classes
@@ -802,24 +852,36 @@ COLOUR_IDS = ["angular", "asymmetric-2", "small", "smallest"]
 
 
 def colour_classes(spec):
-    """(A, red) of every symmetry class of the spec's lattice: its matrix
-    and which of its nodes have an even k + l."""
+    """(A, nodes, root, w) of every symmetry class of the spec's lattice:
+    its matrix, kept nodes (k, l), square roots of the orbit sizes and
+    conformal weights, as the direct solve receives them."""
     axis, tags = _lattice(spec)
+    n = len(axis) // 2
     for parity, swap in CLASSES:
-        (k, l), A, _ = _class_system(tags == INTERIOR, axis, spec.beta, spec.h, parity, swap)
-        yield A, (k + l) % 2 == 0
+        (k, l), A, orbit = _class_system(tags == INTERIOR, axis, spec.beta, spec.h, parity, swap)
+        yield A, (k, l), np.sqrt(orbit), _conformal_weight(axis[n + k], axis[n + l])
+
+
+def band_matrix(band):
+    """The symmetric matrix whose upper band `band` holds in LAPACK's
+    layout, band[u + i - j, j] = S[i, j]: scipy's DIA layout with the
+    offsets u, ..., 0, mirrored."""
+    u, size = band.shape[0] - 1, band.shape[1]
+    upper = sp.dia_matrix((band, np.arange(u, -1, -1)), shape=(size, size)).tocsr()
+    return (upper + upper.T - sp.diags(upper.diagonal())).tocsr()
 
 
 class TestRedBlackReduction:
     """Each direct class solve eliminates the nodes of even k + l and
-    factorizes the Schur complement on the others."""
+    factorizes the Schur complement on the others by banded Cholesky."""
 
     @pytest.mark.parametrize("spec", COLOUR_SPECS, ids=COLOUR_IDS)
     def test_no_entry_joins_two_nodes_of_one_colour(self, spec):
         # both parities with swap 0 and 1, and the quarter classes: every
         # row holds one diagonal entry, and every other entry joins nodes
         # whose k + l differ in parity, so each colour's block is diagonal
-        for A, red in colour_classes(spec):
+        for A, (k, l), _, _ in colour_classes(spec):
+            red = (k + l) % 2 == 0
             entries = A.tocoo()
             off = entries.row != entries.col
             assert np.array_equal(np.sort(entries.row[~off]), np.arange(red.size))
@@ -827,11 +889,12 @@ class TestRedBlackReduction:
 
     @pytest.mark.parametrize("name", sorted(SPLIT_SPECS))
     def test_reduced_solve_matches_the_unreduced_class_solve(self, name, monkeypatch):
+        # the unreduced class matrix A itself, factorized by SuperLU
         columns = []
         reduced = screened_pde._red_black_solve
 
-        def checked(A, b, red):
-            x = reduced(A, b, red)
+        def checked(A, b, nodes, root, w):
+            x = reduced(A, b, nodes, root, w)
             want = spla.spsolve(A, b, permc_spec="MMD_AT_PLUS_A").reshape(b.shape)
             for got, expected in zip(x.T, want.T):
                 assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -840,44 +903,169 @@ class TestRedBlackReduction:
 
         monkeypatch.setattr(screened_pde, "_red_black_solve", checked)
         assemble_and_solve(SPLIT_SPECS[name])
-        # every excited class, the quarter one with its two right-hand sides
+        # every excited class: the (even, even) and (odd, odd) octant
+        # classes of both swap parities, then the quarter class with its
+        # two right-hand sides
         unsplit = [1, 1, 1, 1, 2]
         want = {"zero": [], "asymmetric-1": unsplit, "asymmetric-2": unsplit, "smallest": unsplit}
         assert columns == want.get(name, [1])
 
-    @pytest.mark.parametrize("spec", COLOUR_SPECS, ids=COLOUR_IDS)
-    def test_schur_complement_is_a_strictly_dominant_m_matrix(self, spec, monkeypatch):
+    def test_no_direct_solve_calls_superlu(self, monkeypatch):
+        def refused(*args, **options):
+            raise AssertionError("spla.spsolve called")
+
         factorized = []
-        solve = spla.spsolve
+        solve = screened_pde.banded_cholesky_solve
 
-        def captured(S, b, **options):
-            factorized.append(S.tocsr())
-            return solve(S, b, **options)
+        def counted(band, rhs):
+            factorized.append(band.shape[1])
+            return solve(band, rhs)
 
-        monkeypatch.setattr(screened_pde.spla, "spsolve", captured)
-        for A, red in colour_classes(spec):
-            _red_black_solve(A, np.ones((red.size, 1)), red)
-            S = factorized[-1]
-            assert S.shape == (np.count_nonzero(~red),) * 2
+        monkeypatch.setattr(screened_pde.spla, "spsolve", refused)
+        monkeypatch.setattr(screened_pde, "banded_cholesky_solve", counted)
+        for name in sorted(SPLIT_SPECS):
+            assemble_and_solve(SPLIT_SPECS[name])
+        assemble_and_solve(manufactured_spec(2.5, 0.8, 0.005))    # 79,477 unknowns
+        # five classes for each of the three data with no symmetry, one
+        # for each other datum but zero, one for the last solve
+        assert len(factorized) == 3 * 5 + 6 + 1
+
+    @pytest.mark.parametrize("spec", COLOUR_SPECS, ids=COLOUR_IDS)
+    def test_schur_complement_is_symmetric_and_strictly_dominant_once_unscaled(
+            self, spec, monkeypatch):
+        factorized = []
+        solve = screened_pde.banded_cholesky_solve
+
+        def captured(band, rhs):
+            assert band.flags.f_contiguous      # factorized in place
+            factorized.append(band.copy())
+            return solve(band, rhs)
+
+        monkeypatch.setattr(screened_pde, "banded_cholesky_solve", captured)
+        for A, (k, l), root, w in colour_classes(spec):
+            black = (k + l) % 2 == 1
+            _red_black_solve(A, np.ones((k.size, 1)), (k, l), root, w)
+            band = factorized[-1]
+            S = band_matrix(band)
+            assert S.shape == (np.count_nonzero(black),) * 2
+            np.linalg.cholesky(S.toarray())     # positive definite
             diagonal = S.diagonal()
             off = (S - sp.diags(diagonal)).tocsr()
             assert np.all(diagonal > 0.0)
             assert np.all(off.data <= 0.0)
-            assert np.all(diagonal > np.abs(off).sum(axis=1).A1)
             assert np.diff(S.indptr).max() <= 9
+            # numbered by anti-diagonal k + l, then k, S holds the
+            # Schur complement of A scaled by (root/w) on the left and
+            # 1/root on the right (and a power of two): unscaled, its rows
+            # are strictly dominant
+            order = np.lexsort((k[black], k[black] + l[black]))
+            unscaled = sp.diags(1.0 / (root / w)[black][order]) @ S @ sp.diags(root[black][order])
+            dominance = 2.0 * unscaled.diagonal() - np.abs(unscaled).sum(axis=1).A1
+            assert np.all(dominance > 0.0)
+            # the half-bandwidth is at most the two longest black anti-diagonals
+            lengths = np.bincount(k[black] + l[black])
+            assert band.shape[0] - 1 <= 2 * lengths.max()
         assert len(factorized) == len(CLASSES)
+
+    def test_half_bandwidth_of_an_octant_class_is_about_half_the_half_width(self):
+        spec = GridSpec(beta=1.3, r_max=0.95, h=0.00546)   # half-width n = 173
+        bands = []
+        solve = screened_pde.banded_cholesky_solve
+
+        def captured(band, rhs):
+            bands.append(band.shape[0] - 1)
+            return solve(band, rhs)
+
+        axis, tags = _lattice(spec)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(screened_pde, "banded_cholesky_solve", captured)
+            for (parity, swap), (A, nodes, root, w) in zip(CLASSES[:5], colour_classes(spec)):
+                _red_black_solve(A, np.ones((A.shape[0], 1)), nodes, root, w)
+        n = len(axis) // 2
+        octants, quarter = bands[:4], bands[4]
+        assert all(n / 2 - 2 <= u <= n / 2 + 2 for u in octants), (n, bands)
+        assert n - 2 <= quarter <= n + 2, (n, bands)
 
     def test_a_class_of_one_colour(self, monkeypatch):
         # the smallest lattice has a class without red nodes; a class
         # without black ones (never met on a GridSpec lattice) needs no
         # factorization: x = b / D
-        colours = [(np.count_nonzero(red), np.count_nonzero(~red))
-                   for _, red in colour_classes(SPLIT_SPECS["smallest"])]
+        colours = [(np.count_nonzero((k + l) % 2 == 0), np.count_nonzero((k + l) % 2 == 1))
+                   for _, (k, l), _, _ in colour_classes(SPLIT_SPECS["smallest"])]
         assert (0, 1) in colours
-        monkeypatch.setattr(screened_pde.spla, "spsolve", None)
+        monkeypatch.setattr(screened_pde, "banded_cholesky_solve", None)
         A = sp.csr_matrix(np.diag([3.0, 7.0]))
         b = np.array([[1.0, 2.0], [-5.0, 0.5]])
-        assert_same_bits(_red_black_solve(A, b, np.array([True, True])), b / [[3.0], [7.0]])
+        nodes = (np.array([0, 1]), np.array([0, 1]))
+        assert_same_bits(_red_black_solve(A, b, nodes, np.ones(2), np.full(2, 0.25)),
+                         b / [[3.0], [7.0]])
+
+    @pytest.mark.parametrize("beta, h, scale", [(1.7e308, 0.1, 1.0), (1e-300, 0.01, 1e300),
+                                                 (1.3, 0.025, 1e-300), (1e300, 0.025, 1e300)])
+    def test_extreme_data_neither_overflow_nor_lose_digits(self, beta, h, scale):
+        # A and b are scaled by powers of two before the symmetric scaling
+        # by root/w, so the solve matches the unreduced one at any scale
+        spec = GridSpec(beta=beta, r_max=0.9, h=h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for A, nodes, root, w in colour_classes(spec):
+                b = scale * (1.0 + np.cos(nodes[0]) * np.sin(nodes[1]))[:, None]
+                x = _red_black_solve(A, b, nodes, root, w)
+                want = spla.spsolve(A, b[:, 0])
+                assert np.max(np.abs(x[:, 0] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def random_band(rng, size, u):
+    """A random strictly dominant symmetric matrix of half-bandwidth u
+    and its upper band in LAPACK's layout, Fortran-ordered."""
+    dense = np.zeros((size, size))
+    for offset in range(1, u + 1):
+        off = -rng.random(size - offset)
+        dense += np.diag(off, offset) + np.diag(off, -offset)
+    dense += np.diag(np.abs(dense).sum(axis=1) + 1.0)
+    band = np.zeros((u + 1, size), order="F")
+    for offset in range(u + 1):
+        band[u - offset, offset:] = np.diag(dense, offset)
+    return dense, band
+
+
+class TestBandedCholesky:
+    # u = 3 runs LAPACK's unblocked factorization, u = 70 its blocked one
+    @pytest.mark.parametrize("size, u", [(40, 3), (300, 70)])
+    def test_factors_the_band_in_place(self, size, u):
+        rng = np.random.default_rng(5)
+        dense, band = random_band(rng, size, u)
+        assert_same_bits(band_matrix(band).toarray(), dense)
+        want_factor = scipy.linalg.cholesky_banded(band)
+        rhs = rng.random((size, 2))
+        x = screened_pde.banded_cholesky_solve(band, rhs)
+        assert_same_bits(band, want_factor)     # the band now holds the factor
+        assert_same_bits(x, scipy.linalg.cho_solve_banded((want_factor, False), rhs))
+        assert np.max(np.abs(dense @ x - rhs)) <= 1e-13 * np.max(np.abs(x)) * size
+
+    def test_a_band_of_another_layout_is_copied(self):
+        dense, band = random_band(np.random.default_rng(6), 30, 4)
+        rhs = np.ones((30, 1))
+        c_band = np.ascontiguousarray(band)
+        x = screened_pde.banded_cholesky_solve(c_band, rhs)
+        assert_same_bits(c_band, band)
+        assert_same_bits(rhs, np.ones((30, 1)))
+        assert_same_bits(x, screened_pde.banded_cholesky_solve(band, rhs))
+
+    def test_an_indefinite_band_is_a_solver_error(self):
+        band = np.array([[0.0, 2.0], [1.0, 1.0]], order="F")     # [[1, 2], [2, 1]]
+        with pytest.raises(SolverError, match="the leading minor of order 2 is not positive "
+                                              "definite"):
+            screened_pde.banded_cholesky_solve(band, np.ones((2, 1)))
+
+    def test_lapack_runs_without_the_gil(self):
+        # a ctypes function of the C calling convention releases the GIL
+        # for the call (a PYFUNCTYPE one would hold it, as scipy's f2py
+        # wrappers do), so a ladder's helper thread does not stall the CG
+        # of the calling thread while it factorizes
+        for routine in (screened_pde._DPBTRF, screened_pde._DPBTRS):
+            assert isinstance(routine, ctypes._CFuncPtr)
+            assert not routine._flags_ & ctypes._FUNCFLAG_PYTHONAPI
 
 
 def nonsymmetric_exact(x, y):
@@ -1133,7 +1321,9 @@ class TestClassAssembly:
                              ids=["cg", "direct"])
     def test_traced_peak_of_a_solve_and_its_checks(self, h, unknowns):
         # the solve, its error against the exact solution and its residual
-        # stay within 9 lattice-sized float arrays (5.6 measured; 11.7-11.8
+        # stay within 9 lattice-sized float arrays (5.3 measured with CG,
+        # 7.9 with the direct solve, whose Cholesky band of 4.0 arrays
+        # tracemalloc sees where it never saw SuperLU's factor; 11.7-11.8
         # while coordinate meshes, the lattice weight, boundary values and
         # right-hand side and every class's quarters were held at once, 30
         # with the whole-lattice matrix and its N x 5 temporaries)
@@ -1150,7 +1340,7 @@ class TestClassAssembly:
         assert (unknowns > screened_pde.DIRECT_SOLVE_LIMIT) == (h == 0.0035)
         assert peak <= 9 * field.values.nbytes
 
-    @pytest.mark.parametrize("offset, solver", [(0, "spsolve"), (-1, "cg")])
+    @pytest.mark.parametrize("offset, solver", [(0, "banded_cholesky_solve"), (-1, "cg")])
     def test_solver_switch_compares_the_whole_interior_count(self, offset, solver,
                                                              monkeypatch):
         # the one excited class is far smaller than the limit either way
@@ -1158,11 +1348,11 @@ class TestClassAssembly:
         n_int = np.count_nonzero(_lattice(spec)[1] == INTERIOR)
         monkeypatch.setattr(screened_pde, "DIRECT_SOLVE_LIMIT", n_int + offset)
         calls = []
-        for name in ("spsolve", "cg"):
-            def counted(*args, _name=name, _solve=getattr(spla, name), **options):
+        for owner, name in ((screened_pde, "banded_cholesky_solve"), (screened_pde.spla, "cg")):
+            def counted(*args, _name=name, _solve=getattr(owner, name), **options):
                 calls.append(_name)
                 return _solve(*args, **options)
-            monkeypatch.setattr(screened_pde.spla, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         assemble_and_solve(spec)
         assert calls == [solver]
 
