@@ -14,6 +14,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+import stat
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -723,19 +724,37 @@ def write_grid_csv(field: GridField, dest: Union[str, TextIO]):
     has about N/8 distinct values (N/4 when odd).  The body is joined from
     the prebuilt pieces (x1, ",x2,tag,", value) picked by index and
     written in blocks of CSV_BLOCK_ROWS lattice rows, byte for byte what
-    one format per node gives.  A file named by `dest` is removed again when writing it fails.
+    one format per node gives.
+
+    A file named by `dest` is rewritten in place: it is opened without
+    truncation (on ext4 a truncate right after the previous grid was
+    written waits on that grid's write-back), and once every row is
+    written a regular file is cut to the length written, so a longer
+    predecessor leaves no tail.  The inode, the mode and any symlink or
+    hard link stay as a truncating open left them.  When writing fails, a
+    regular file is first cut to length 0 through its descriptor and then
+    `dest` is removed, so no partial rows survive under any name, a
+    symlink's target included; a device such as /dev/full stays.  A run
+    killed mid-write leaves the new rows followed by the old file's tail.
     """
     if not isinstance(dest, str):
         _write_grid_rows(field, dest)
         return
-    fh = open(dest, "w", encoding="ascii", newline="")
+    fd = os.open(dest, os.O_WRONLY | os.O_CREAT, 0o666)
+    regular = False
     try:
-        with fh:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        with open(fd, "w", encoding="ascii", newline="", closefd=False) as fh:
             _write_grid_rows(field, fh)
+        if regular:
+            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
     except BaseException:
-        if os.path.isfile(dest):  # a device such as /dev/full stays
+        if regular:  # fh is closed, so no buffered row lands after the cut
+            os.ftruncate(fd, 0)
             os.remove(dest)
         raise
+    finally:
+        os.close(fd)
 
 
 def _write_grid_rows(field: GridField, fh: TextIO):

@@ -488,25 +488,52 @@ class TestNonFiniteRelation:
         assert "exceeds the cap of MAX_SWEEP_ROWS = 1000000 rows" in capsys.readouterr().err
 
 
+def solve_into_a_full_disk(dest, monkeypatch, capsys):
+    """Run `pde solve --out dest` with a writer that puts out the header and
+    then fails with ENOSPC, and check the reported error."""
+    from warpverify import screened_pde
+
+    def write_then_fail(field, fh):
+        fh.write("x1,x2,tag,value\n")
+        fh.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(screened_pde, "_write_grid_rows", write_then_fail)
+    code, out = invoke("pde", "solve", "--beta", "1", "--rmax", "0.5",
+                       "--h", "0.05", "--out", str(dest), "--quiet")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert capsys.readouterr().err == \
+        f"error: cannot write {dest}: No space left on device\n"
+
+
 class TestOutputFailures:
     def test_failed_csv_write_is_reported_and_leaves_no_file(
             self, tmp_path, monkeypatch, capsys):
-        from warpverify import screened_pde
-
-        def write_then_fail(field, fh):
-            fh.write("x1,x2,tag,value\n")
-            fh.flush()
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-        monkeypatch.setattr(screened_pde, "_write_grid_rows", write_then_fail)
-        dest = tmp_path / "g.csv"
-        code, out = invoke("pde", "solve", "--beta", "1", "--rmax", "0.5",
-                           "--h", "0.05", "--out", str(dest), "--quiet")
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert capsys.readouterr().err == \
-            f"error: cannot write {dest}: No space left on device\n"
+        solve_into_a_full_disk(tmp_path / "g.csv", monkeypatch, capsys)
         assert sorted(tmp_path.iterdir()) == []
+
+    def test_failed_csv_write_removes_a_longer_existing_file(
+            self, tmp_path, monkeypatch, capsys):
+        # the file is rewritten in place, so its old tail must not outlive
+        # the failure either
+        dest = tmp_path / "g.csv"
+        dest.write_bytes(b"0,0,interior,1\n" * 800)
+        solve_into_a_full_disk(dest, monkeypatch, capsys)
+        assert sorted(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("link", ["symlink", "hardlink"])
+    def test_failed_csv_write_through_a_link_leaves_no_rows_under_any_name(
+            self, link, tmp_path, monkeypatch, capsys):
+        target, dest = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"0,0,interior,1\n" * 800)
+        if link == "symlink":
+            dest.symlink_to(target)
+        else:
+            os.link(target, dest)
+        solve_into_a_full_disk(dest, monkeypatch, capsys)
+        assert sorted(tmp_path.iterdir()) == [target]
+        assert target.read_bytes() == b""
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     def test_full_device(self, capsys):
@@ -793,6 +820,23 @@ class TestSolverFailureExit:
                          "--quiet")
         assert code == EXIT_SOLVER
         assert not dest.exists()
+
+    def test_an_existing_file_is_left_as_it_was(self, monkeypatch, tmp_path):
+        from warpverify import screened_pde
+        from warpverify.errors import SolverError
+
+        def boom(spec):
+            raise SolverError("stalled", final_residual=1e-3)
+
+        monkeypatch.setattr(screened_pde, "assemble_and_solve", boom)
+        dest = tmp_path / "g.csv"
+        previous = b"x1,x2,tag,value\n" + b"0,0,interior,1\n" * 800
+        dest.write_bytes(previous)
+        code, _ = invoke("pde", "solve", "--beta", "1", "--rmax", "0.5",
+                         "--h", "0.05", "--bc", "zero", "--out", str(dest),
+                         "--quiet")
+        assert code == EXIT_SOLVER
+        assert dest.read_bytes() == previous
 
     def test_conjugate_gradient_stall(self, monkeypatch, tmp_path, capsys):
         from warpverify import screened_pde

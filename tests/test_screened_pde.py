@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 import threading
 import time
@@ -1478,6 +1479,83 @@ class TestCsvOutput:
         # x1 constant over each block of n rows, x2 cycling
         assert rows[0][0] == rows[n - 1][0]
         assert rows[0][1] != rows[1][1]
+
+
+REWRITE_H = {"small": "0.1", "large": "0.04"}
+
+
+def write_grid(via, size, path):
+    """The angular beta = 1.3 grid of the given size, written to path by
+    `pde solve --out` or by `write_grid_csv`."""
+    if via == "cli":
+        argv = ["pde", "solve", "--beta", "1.3", "--rmax", "0.8", "--h", REWRITE_H[size],
+                "--bc", "angular", "--out", str(path), "--quiet"]
+        assert run(argv, out=io.StringIO()) == 0
+    else:
+        spec = GridSpec(beta=1.3, r_max=0.8, h=float(REWRITE_H[size]),
+                        boundary=BOUNDARY_CATALOG["angular"])
+        write_grid_csv(assemble_and_solve(spec), str(path))
+
+
+class TestInPlaceRewrite:
+    """A named CSV is rewritten in place and cut to the length written: the
+    bytes are a fresh write's, and the inode, the mode and links stay."""
+
+    @pytest.mark.parametrize("via", ["cli", "writer"])
+    @pytest.mark.parametrize("before, after", [("large", "small"), ("small", "large")])
+    def test_over_a_longer_or_shorter_file_equals_a_fresh_write(self, via, before, after,
+                                                                tmp_path):
+        fresh, path = tmp_path / "fresh.csv", tmp_path / "grid.csv"
+        write_grid(via, after, fresh)
+        write_grid(via, before, path)
+        assert (path.stat().st_size > fresh.stat().st_size) == (before == "large")
+        write_grid(via, after, path)
+        assert path.read_bytes() == fresh.read_bytes()
+
+    def test_inode_and_mode_are_kept(self, tmp_path):
+        fresh, path = tmp_path / "fresh.csv", tmp_path / "grid.csv"
+        write_grid("writer", "small", fresh)
+        with open(tmp_path / "truncating.csv", "w"):
+            pass
+        assert os.stat(fresh).st_mode == os.stat(tmp_path / "truncating.csv").st_mode
+        write_grid("writer", "large", path)
+        os.chmod(path, 0o640)
+        inode = path.stat().st_ino
+        write_grid("writer", "small", path)
+        assert path.stat().st_ino == inode
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert path.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("link", ["symlink", "hardlink"])
+    def test_a_linked_file_is_written_through(self, link, tmp_path):
+        fresh, target, dest = tmp_path / "fresh.csv", tmp_path / "target.csv", tmp_path / "link.csv"
+        write_grid("writer", "small", fresh)
+        write_grid("writer", "large", target)
+        if link == "symlink":
+            dest.symlink_to(target)
+        else:
+            os.link(target, dest)
+        write_grid("writer", "small", dest)
+        assert dest.is_symlink() == (link == "symlink")
+        assert target.read_bytes() == dest.read_bytes() == fresh.read_bytes()
+
+    def test_the_file_is_not_truncated_on_open(self, tmp_path, monkeypatch):
+        # the speed of the rewrite rests on this: a truncating open waits
+        # on the write-back of the file it empties
+        path = tmp_path / "grid.csv"
+        path.write_bytes(b"old\n" * 100_000)
+        sizes = []
+        write_rows = screened_pde._write_grid_rows
+
+        def sized(field, fh):
+            sizes.append(path.stat().st_size)
+            write_rows(field, fh)
+
+        monkeypatch.setattr(screened_pde, "_write_grid_rows", sized)
+        write_grid("writer", "small", path)
+        assert sizes == [400_000]
+        assert path.read_bytes().startswith(b"x1,x2,tag,value\n")
+        assert b"old" not in path.read_bytes()
 
 
 def test_degenerate_grid():
