@@ -241,22 +241,31 @@ def _mirror_transform(q: list) -> list:
 
 def _class_system(interior: np.ndarray, axis: np.ndarray, beta: float, h: float,
                   parity: tuple[int, int], swap: Optional[int] = None):
-    """Unknowns and matrix of one mirror-symmetry class of the interior
-    system M f = rhs, M = beta I - w/h^2 times the five-point Laplacian.
+    """One mirror-symmetry class of the interior system M f = rhs,
+    M = beta I - w/h^2 times the five-point Laplacian, in the symmetric
+    form both class solvers run on.
 
     parity (a, b) selects the solutions even (0) or odd (1) under x -> -x
     and under y -> -y.  Such a solution is fixed by its values on the
     quarter (k, l) >= 0 of the lattice, zero on the axis of an odd parity.
     For a = b, swap c additionally selects the solutions even (0) or odd
     (1) under x <-> y, fixed by their values on the octant l <= k of the
-    quarter (l < k when odd: they vanish on the diagonal).  Returns the
-    nodes (k, l) it keeps, row-major, the rows of M at them with each
-    column folded onto its mirror image among them, and the orbit size of
-    each kept node: the number of interior nodes folded onto it.  Only the
-    stencils of the kept rows are written, -w/h^2 off the diagonal and
-    beta + 4 w/h^2 on it with w the weight at the row's node.  They reach
-    an axis or the diagonal on which the class is odd but never cross it,
-    so no fold changes a sign.
+    quarter (l < k when odd: they vanish on the diagonal).  A holds the
+    rows of M at the kept nodes, each column folded onto its mirror image
+    among them; only their stencils are written, -w/h^2 off the diagonal
+    and beta + 4 w/h^2 on it with w the weight at the row's node.  They
+    reach an axis or the diagonal on which the class is odd but never
+    cross it, so no fold changes a sign.  Scaling class vectors by root,
+    the square root of each kept node's orbit size (the interior nodes
+    folded onto it), maps them isometrically onto the lattice vectors of
+    the class, so diag(s) A diag(1/root), s = root/w, is the symmetric
+    positive definite diag(1/w) M restricted to them.
+
+    Returns the kept nodes (k, l), row-major, B = 2^-e diag(s) A
+    diag(1/root), s, root and e: A x = b is B y = 2^-e s b, x = y/root.
+    2^-e puts A's largest diagonal, beta + 4 max(w)/h^2, in [1/2, 1), so
+    B is finite for any beta; an entry of B is 2^-e a, exact short of
+    subnormals, times s[row] (1/root)[col], rounded once.
     """
     n = interior.shape[0] // 2
     a, b = parity
@@ -277,16 +286,23 @@ def _class_system(interior: np.ndarray, axis: np.ndarray, beta: float, h: float,
     if swap is not None:
         i, j = np.maximum(i, j), np.minimum(i, j)
     coupled = interior[n + i, n + j]
-    scaled = _conformal_weight(axis[n + k], axis[n + l]) / (h * h)
-    values = np.repeat(-scaled[:, None], 5, axis=1)
-    values[:, 2] = beta + 4.0 * scaled
+    w = _conformal_weight(axis[n + k], axis[n + l])
+    values = np.repeat(-w[:, None] / (h * h), 5, axis=1)
+    values[:, 2] = beta + 4.0 * (w / (h * h))
+    _, e = np.frexp(np.max(values[:, 2]))
     folded = column[i, j]
     kept = coupled & (folded >= 0)
-    A = sp.csr_matrix((values[kept], folded[kept], np.append(0, np.cumsum(kept.sum(axis=1)))),
+    B = sp.csr_matrix((values[kept], folded[kept], np.append(0, np.cumsum(kept.sum(axis=1)))),
                       shape=(k.size, k.size))
-    A.sum_duplicates()
-    orbit = (1 + (k > 0)) * (1 + (l > 0)) * (1 + (swap is not None) * (k != l))
-    return (k, l), A, orbit
+    del i, j, values, folded, kept, coupled, column     # before the scaling's temporaries
+    B.sum_duplicates()
+    root = np.sqrt((1 + (k > 0)) * (1 + (l > 0)) * (1 + (swap is not None) * (k != l)))
+    s = root / w
+    factor = np.repeat(s, np.diff(B.indptr))
+    factor *= (1.0 / root)[B.indices]
+    np.ldexp(B.data, -e, out=B.data)
+    B.data *= factor
+    return (k, l), B, s, root, e
 
 
 class _ClassOperator(spla.LinearOperator):
@@ -310,36 +326,21 @@ class _ClassOperator(spla.LinearOperator):
         return self._product
 
 
-def _class_cg(A, b: np.ndarray, root: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Conjugate gradients on one class system A x = b.
-
-    root is the square root of the orbit size of each kept node (the
-    number of lattice nodes folded onto it) and w the conformal weight at
-    it.  Scaling class vectors by root maps them isometrically onto the
-    lattice vectors of the class, so B = diag(root / w) A diag(1 / root)
-    is the symmetric positive definite diag(1/w) M restricted to them and
-    CG on B y = (root / w) b, x = y / root, runs the same iteration as CG
-    on the whole lattice would (Hestenes & Stiefel, J. Res. NBS 49, 1952).
-    B has A's sparsity pattern; CG multiplies by it through a
-    `_ClassOperator` of its own, so concurrent calls share nothing.
-    The right-hand side is scaled by the power of two 2^-e that puts its
-    max-abs in [1/2, 1), so the dot products cannot overflow, and y by 2^e
-    back: exact short of subnormals, so the iterates and their count are
-    those of the unscaled system.
-    Raises SolverError with the class's relative residual on a stall.
+def _class_cg(B, c: np.ndarray) -> np.ndarray:
+    """Conjugate gradients on one symmetric class system B y = c of
+    `_class_system`: the iteration CG would run on the whole lattice,
+    restricted to the class (Hestenes & Stiefel, J. Res. NBS 49, 1952).
+    CG multiplies by B through a `_ClassOperator` of its own, so
+    concurrent calls share nothing.  Raises SolverError with the class's
+    relative residual ||B y - c|| / ||c|| on a stall.
     """
-    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    B = _ClassOperator(A.indptr, A.indices,
-                       (root / w)[rows] * A.data * (1.0 / root)[A.indices])
-    rhs = root / w * b
-    _, e = np.frexp(np.max(np.abs(rhs)))
-    y, info = spla.cg(B, np.ldexp(rhs, -e), rtol=CG_RTOL, atol=0.0, maxiter=CG_MAX_ITER)
-    x = np.ldexp(y, e) / root
+    y, info = spla.cg(_ClassOperator(B.indptr, B.indices, B.data), c,
+                      rtol=CG_RTOL, atol=0.0, maxiter=CG_MAX_ITER)
     if info != 0:
-        res = float(np.linalg.norm(A @ x - b) / np.linalg.norm(b))
+        res = float(np.linalg.norm(B @ y - c) / np.linalg.norm(c))
         raise SolverError(f"conjugate-gradient solve did not converge (info={info})",
                           final_residual=res)
-    return x
+    return y
 
 
 def _lapack(name: str, arguments: int):
@@ -381,31 +382,25 @@ def banded_cholesky_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return y
 
 
-def _red_black_solve(A, b: np.ndarray, nodes: tuple[np.ndarray, np.ndarray],
-                     root: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Solve the class system A x = b, one column of b per right-hand
-    side, by one step of odd-even reduction (Buzbee, Golub & Nielson, SIAM
-    J. Numer. Anal. 7, 1970) and a banded Cholesky factorization of what
-    is left.
+def _red_black_solve(B, c: np.ndarray, nodes: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Solve the symmetric class system B y = c of `_class_system`, one
+    column of c per right-hand side, by one step of odd-even reduction
+    (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970) and a banded
+    Cholesky factorization of what is left.
 
-    nodes are the class's kept nodes (k, l), root and w as in `_class_cg`.
-    Colour a node red where k + l is even, black where it is odd.  The
-    five-point stencil joins each node only to nodes of the other colour,
-    and the folds |k|, |l| and the swap (max, min) keep the parity of
-    k + l, so every off-diagonal entry of A joins a red node to a black
-    one: the red block is the diagonal D = beta + 4 w/h^2, and so is the
-    black one.  The black unknowns solve the Schur complement
-    S x_b = b_b - A_br D^-1 b_r, S = D_b - A_br D^-1 A_rb, with at most
-    nine entries a row; then x_r = D^-1 (b_r - A_rb x_b).  Both come from
-    the black rows L of A and the prolongation R, the identity on black
-    nodes and -D^-1 A_rb on red ones, written from A's CSR arrays: S = L R,
-    and with v = D^-1 b on red nodes and 0 on black ones, the right-hand
-    side is b_b - L v and x = v + R x_b.
-
-    Scaled as `_class_cg` scales A, L by root/w on the left and R by 1/root
-    on the right, S becomes the Schur complement of the symmetric positive
-    definite diag(root/w) A diag(1/root), itself symmetric positive
-    definite; its upper triangle is factorized by `banded_cholesky_solve`.
+    nodes are the class's kept nodes (k, l).  Colour a node red where
+    k + l is even, black where it is odd.  The five-point stencil joins
+    each node only to nodes of the other colour, and the folds |k|, |l|
+    and the swap (max, min) keep the parity of k + l, so every
+    off-diagonal entry of B joins a red node to a black one: the red block
+    is a diagonal D, and so is the black one.  The black unknowns solve
+    the Schur complement S y_b = c_b - B_br D^-1 c_r,
+    S = D_b - B_br D^-1 B_rb, symmetric positive definite as B is, with at
+    most nine entries a row; then y_r = D^-1 (c_r - B_rb y_b).  Both come
+    from the black rows L of B and the prolongation R = [I; -D^-1 B_rb],
+    written from B's CSR arrays: S = L R, and with v = D^-1 c on red nodes
+    and 0 on black ones, the right-hand side is c_b - L v and
+    y = v + R y_b.  `banded_cholesky_solve` factorizes S's upper band.
     The black nodes are numbered by anti-diagonal k + l, then by k: S joins
     a node only to nodes on its own anti-diagonal and the two next to it,
     and every node on an odd anti-diagonal is black, so S's half-bandwidth
@@ -415,36 +410,27 @@ def _red_black_solve(A, b: np.ndarray, nodes: tuple[np.ndarray, np.ndarray],
     """
     k, l = nodes
     red = (k + l) % 2 == 0
-    counts = np.diff(A.indptr)
-    rows = np.repeat(np.arange(red.size, dtype=A.indices.dtype), counts)
-    diagonal = A.indices == rows
-    # A and b scaled by the powers of two that put their max-abs in
-    # [1/2, 1) (A's is its largest diagonal entry), and x scaled back:
-    # exact short of subnormals, and neither the symmetric scaling by
-    # root/w <= 3e6 (root <= sqrt(8), w >= 1e-6) nor the right-hand side
-    # can overflow.
-    _, e = np.frexp(np.max(A.data[diagonal]))
-    _, f = np.frexp(np.max(np.abs(b)))
-    data, b = np.ldexp(A.data, -e), np.ldexp(b, -f)
-    d = data[diagonal]              # every row holds its diagonal entry
+    counts = np.diff(B.indptr)
+    rows = np.repeat(np.arange(red.size, dtype=B.indices.dtype), counts)
+    diagonal = B.indices == rows
+    d = B.data[diagonal]            # every row holds its diagonal entry
     black = ~red
     nb = np.count_nonzero(black)
-    v = np.where(red[:, None], b / d[:, None], 0.0)
+    v = np.where(red[:, None], c / d[:, None], 0.0)
     if not nb:
-        return np.ldexp(v, f - e)
+        return v
     order = np.lexsort((k[black], k[black] + l[black]))
-    at = np.empty(red.size, dtype=A.indices.dtype)     # a black node's place in that order
+    at = np.empty(red.size, dtype=B.indices.dtype)     # a black node's place in that order
     at[np.flatnonzero(black)[order]] = np.arange(nb)
-    scale = root / w
     on_black = black[rows]
-    L = sp.csr_matrix((scale[rows[on_black]] * data[on_black], A.indices[on_black],
+    L = sp.csr_matrix((B.data[on_black], B.indices[on_black],
                        np.append(0, np.cumsum(counts[black]))), shape=(nb, red.size))
     pick = diagonal == on_black     # the diagonal of a black row, the rest of a red one
-    rows, cols, data = rows[pick], A.indices[pick], data[pick]
-    R = sp.csr_matrix((np.where(red[rows], -data / d[rows], 1.0) / root[cols], at[cols],
+    rows, cols, data = rows[pick], B.indices[pick], B.data[pick]
+    R = sp.csr_matrix((np.where(red[rows], -data / d[rows], 1.0), at[cols],
                        np.append(0, np.cumsum(np.where(red, counts - 1, 1)))),
                       shape=(red.size, nb))
-    rhs = (scale[black, None] * b[black] - L @ v)[order]
+    rhs = (c[black] - L @ v)[order]
     S = L @ R
     i, j = np.repeat(at[black], np.diff(S.indptr)), S.indices
     upper = i <= j
@@ -458,7 +444,14 @@ def _red_black_solve(A, b: np.ndarray, nodes: tuple[np.ndarray, np.ndarray],
     band[j] = values
     del i, j, values
     y = banded_cholesky_solve(band.reshape((u + 1, nb), order="F"), rhs)
-    return np.ldexp(v + R @ y, f - e)
+    return v + R @ y
+
+
+def _unit_scaled(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """v scaled column by column by the powers of two 2^-e that put the
+    max-abs of each column in [1/2, 1) (exact short of subnormals), and e."""
+    _, e = np.frexp(np.max(np.abs(v), axis=0))
+    return np.ldexp(v, -e), e
 
 
 def _mirror_solve(r: list, interior: np.ndarray, axis: np.ndarray, beta: float, h: float,
@@ -488,18 +481,21 @@ def _mirror_solve(r: list, interior: np.ndarray, axis: np.ndarray, beta: float, 
     materialized, it stays the scalar 0.0 through every sum, and a
     diagonal class equal to its transpose leaves its x <-> y odd octant
     class at 0.0 unbuilt; an octant right-hand side is built just before
-    its solve, a solution quarter only for a solved class.  With `cg`
-    each class runs conjugate gradients (`_class_cg`), once per right-hand
-    side.  Otherwise it is solved directly by `_red_black_solve`: the
-    stencil joins each node only to nodes whose k + l has the other
-    parity, and the folds keep that parity, so the block of the red nodes
-    (k + l even) is diagonal and they are eliminated exactly.  The Schur
-    complement on the black half, scaled to the symmetric positive
-    definite form CG runs on and numbered by anti-diagonal, has a
+    its solve, a solution quarter only for a solved class.
+
+    `_class_system` poses each solved class once, as the symmetric
+    B y = 2^-e s b with x = y/root.  Each right-hand-side column b, and
+    then s b, is scaled by the power of two that puts its max-abs in
+    [1/2, 1), giving c, so neither c nor the dot products of CG overflow
+    or underflow; y is scaled back by both powers and by 2^-e, exactly
+    short of subnormals.
+    With `cg` each class runs conjugate gradients on B y = c
+    (`_class_cg`), once per right-hand side.  Otherwise red-black
+    reduction and a banded Cholesky factorization of the Schur complement
+    on the black half solve it directly (`_red_black_solve`), with a
     half-bandwidth of about n/2 on an octant class (n the lattice
-    half-width) and n on a quarter class; `banded_cholesky_solve`
-    factorizes its band in place.  The solution agrees with the unreduced
-    class solve within 1e-12 * max|x|.
+    half-width) and n on a quarter class.  The solution agrees with the
+    unreduced class solve within 1e-12 * max|x|.
     """
     n = interior.shape[0] // 2
 
@@ -509,13 +505,14 @@ def _mirror_solve(r: list, interior: np.ndarray, axis: np.ndarray, beta: float, 
         excited = [i for i, g in enumerate(given) if np.any(g)]
         if not excited:
             return quarters
-        (k, l), A, orbit = _class_system(interior, axis, beta, h, parity, swap)
-        b = np.column_stack([given[i][k, l] for i in excited])
-        root, w = np.sqrt(orbit), _conformal_weight(axis[n + k], axis[n + l])
+        (k, l), B, s, root, e = _class_system(interior, axis, beta, h, parity, swap)
+        c, f = _unit_scaled(np.column_stack([given[i][k, l] for i in excited]))
+        c, g = _unit_scaled(s[:, None] * c)
         if cg:
-            x = np.column_stack([_class_cg(A, col, root, w) for col in b.T])
+            y = np.column_stack([_class_cg(B, col) for col in c.T])
         else:
-            x = _red_black_solve(A, b, (k, l), root, w)
+            y = _red_black_solve(B, c, (k, l))
+        x = np.ldexp(y, f + g - e) / root[:, None]
         for i, col in zip(excited, x.T):
             quarters[i] = out = np.zeros((n + 1, n + 1))
             if swap is not None:
@@ -555,21 +552,23 @@ def assemble_and_solve(spec: GridSpec) -> GridField:
     with no symmetry; none for zero data.  No matrix of the whole
     interior is built: each class system is written from the stencil of
     its kept nodes (`_class_system`), and no lattice-sized array but the
-    tags and the solution outlives assembly and the class solves.  When
-    the whole interior has at most DIRECT_SOLVE_LIMIT (1e5) unknowns every
-    class is solved directly: the red-black colouring by the parity of
-    k + l makes the block of its red nodes diagonal (the five-point
-    stencil joins only nodes of opposite colour, and the mirror folds keep
-    the colour), so they are eliminated first, and the Schur complement on
-    the black half, about N/16 unknowns an octant, is factorized by banded
-    Cholesky (LAPACK DPBTRF) in anti-diagonal order, which gives it a
-    half-bandwidth of about half the lattice half-width.  The result
-    agrees with the unreduced class solve and with one unsplit
+    tags and the solution outlives assembly and the class solves.  Both
+    solvers run on the one symmetric form of each class system, scaled
+    by a power of two that keeps it finite for any beta up to the largest
+    double.  When the whole interior has at most DIRECT_SOLVE_LIMIT (1e5)
+    unknowns every class is solved directly: the red-black colouring by
+    the parity of k + l makes the block of its red nodes diagonal (the
+    five-point stencil joins only nodes of opposite colour, and the
+    mirror folds keep the colour), so they are eliminated first, and the
+    Schur complement on the black half, about N/16 unknowns an octant, is
+    factorized by banded Cholesky (LAPACK DPBTRF) in anti-diagonal order,
+    which gives it a half-bandwidth of about half the lattice half-width.
+    The result agrees with the unreduced class solve and with one unsplit
     factorization up to rounding, within 1e-12 * max|f|, and symmetric
-    data give an exactly symmetric solution.  Beyond, each class
-    runs conjugate gradients on its symmetrized system (`_class_cg`), the
-    whole-lattice iteration restricted to the class: each class stops at
-    ||r|| <= CG_RTOL ||b||, so the whole system meets that bound too.
+    data give an exactly symmetric solution.  Beyond, each class runs
+    conjugate gradients (`_class_cg`), the whole-lattice iteration
+    restricted to the class: each class stops at ||r|| <= CG_RTOL ||b||,
+    so the whole system meets that bound too.
     Raises SolverError on a degenerate grid, a failed factorization or a
     CG stall.
     """

@@ -761,8 +761,8 @@ class TestMirrorSplit:
         spec = SPLIT_SPECS[name]
         axis, tags = _lattice(spec)
         interior = tags == INTERIOR
-        (k, l), even_odd, _ = _class_system(interior, axis, spec.beta, spec.h, (0, 1))
-        (k_t, l_t), odd_even, _ = _class_system(interior, axis, spec.beta, spec.h, (1, 0))
+        (k, l), even_odd, _, _, _ = _class_system(interior, axis, spec.beta, spec.h, (0, 1))
+        (k_t, l_t), odd_even, _, _, _ = _class_system(interior, axis, spec.beta, spec.h, (1, 0))
         # both number their nodes row-major; renumber the (odd, even)
         # unknowns so that its j-th sits at the transpose of the j-th
         # (even, odd) node
@@ -781,22 +781,32 @@ class TestMirrorSplit:
         GridSpec(beta=1.0, r_max=0.95, h=0.0031)], ids=["angular", "asymmetric-2", "small", "fine"])
     def test_class_matrices_equal_the_folded_whole_rows(self, spec):
         # writing and folding only the stencils of the kept rows gives,
-        # entry for entry, the rows of the whole-lattice M folded by the
-        # whole-lattice fold map
+        # entry for entry, the rows A of the whole-lattice M folded by the
+        # whole-lattice fold map, symmetrized as 2^-e diag(s) A
+        # diag(1/root) with one rounding an entry: 2^-e a times
+        # s[row] (1/root)[col], root the square root of the orbit sizes,
+        # s = root/w with w the weight and 2^-e the power of two that puts
+        # A's largest diagonal entry in [1/2, 1)
         axis, tags = _lattice(spec)
-        interior = tags == INTERIOR
+        interior, n = tags == INTERIOR, len(axis) // 2
         _, M, _ = whole_lattice_system(spec)
         for parity, swap in CLASSES:
-            nodes, A, orbit = _class_system(interior, axis, spec.beta, spec.h, parity, swap)
-            want_nodes, want, want_orbit = folded_whole_rows(M, interior, parity, swap)
-            assert np.array_equal(nodes, want_nodes)
-            A.sort_indices()
-            want = want.tocsr()
+            nodes, B, s, root, e = _class_system(interior, axis, spec.beta, spec.h, parity, swap)
+            (k, l), A, orbit = folded_whole_rows(M, interior, parity, swap)
+            assert np.array_equal(nodes, (k, l))
+            want_root = np.sqrt(orbit)
+            want_s = want_root / _conformal_weight(axis[n + k], axis[n + l])
+            want_e = np.frexp(np.max(A.diagonal()))[1]
+            want = A.tocsr()
             want.sort_indices()
-            for got, expected in zip((A.indptr, A.indices, A.data),
-                                     (want.indptr, want.indices, want.data)):
-                assert np.array_equal(got, expected)
-            assert np.array_equal(orbit, want_orbit)
+            rows = np.repeat(np.arange(k.size), np.diff(want.indptr))
+            want.data = (np.ldexp(want.data, -want_e)
+                         * (want_s[rows] * (1.0 / want_root)[want.indices]))
+            B.sort_indices()
+            assert e == want_e
+            for got, expected in zip((B.indptr, B.indices, B.data, s, root),
+                                     (want.indptr, want.indices, want.data, want_s, want_root)):
+                assert_same_bits(got, expected)
 
     @pytest.mark.parametrize("name", sorted(SPLIT_SPECS))
     def test_split_solve_matches_one_unsplit_spsolve(self, name):
@@ -853,14 +863,14 @@ COLOUR_IDS = ["angular", "asymmetric-2", "small", "smallest"]
 
 
 def colour_classes(spec):
-    """(A, nodes, root, w) of every symmetry class of the spec's lattice:
-    its matrix, kept nodes (k, l), square roots of the orbit sizes and
-    conformal weights, as the direct solve receives them."""
+    """(B, nodes, s, root) of every symmetry class of the spec's lattice:
+    its symmetric matrix, kept nodes (k, l), row scale and square roots of
+    the orbit sizes, from `_class_system`."""
     axis, tags = _lattice(spec)
-    n = len(axis) // 2
     for parity, swap in CLASSES:
-        (k, l), A, orbit = _class_system(tags == INTERIOR, axis, spec.beta, spec.h, parity, swap)
-        yield A, (k, l), np.sqrt(orbit), _conformal_weight(axis[n + k], axis[n + l])
+        nodes, B, s, root, _ = _class_system(tags == INTERIOR, axis, spec.beta, spec.h,
+                                             parity, swap)
+        yield B, nodes, s, root
 
 
 def band_matrix(band):
@@ -890,17 +900,17 @@ class TestRedBlackReduction:
 
     @pytest.mark.parametrize("name", sorted(SPLIT_SPECS))
     def test_reduced_solve_matches_the_unreduced_class_solve(self, name, monkeypatch):
-        # the unreduced class matrix A itself, factorized by SuperLU
+        # the unreduced class matrix B itself, factorized by SuperLU
         columns = []
         reduced = screened_pde._red_black_solve
 
-        def checked(A, b, nodes, root, w):
-            x = reduced(A, b, nodes, root, w)
-            want = spla.spsolve(A, b, permc_spec="MMD_AT_PLUS_A").reshape(b.shape)
-            for got, expected in zip(x.T, want.T):
+        def checked(B, c, nodes):
+            y = reduced(B, c, nodes)
+            want = spla.spsolve(B, c, permc_spec="MMD_AT_PLUS_A").reshape(c.shape)
+            for got, expected in zip(y.T, want.T):
                 assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
-            columns.append(b.shape[1])
-            return x
+            columns.append(c.shape[1])
+            return y
 
         monkeypatch.setattr(screened_pde, "_red_black_solve", checked)
         assemble_and_solve(SPLIT_SPECS[name])
@@ -943,9 +953,9 @@ class TestRedBlackReduction:
             return solve(band, rhs)
 
         monkeypatch.setattr(screened_pde, "banded_cholesky_solve", captured)
-        for A, (k, l), root, w in colour_classes(spec):
+        for B, (k, l), s, root in colour_classes(spec):
             black = (k + l) % 2 == 1
-            _red_black_solve(A, np.ones((k.size, 1)), (k, l), root, w)
+            _red_black_solve(B, np.ones((k.size, 1)), (k, l))
             band = factorized[-1]
             S = band_matrix(band)
             assert S.shape == (np.count_nonzero(black),) * 2
@@ -956,11 +966,11 @@ class TestRedBlackReduction:
             assert np.all(off.data <= 0.0)
             assert np.diff(S.indptr).max() <= 9
             # numbered by anti-diagonal k + l, then k, S holds the
-            # Schur complement of A scaled by (root/w) on the left and
-            # 1/root on the right (and a power of two): unscaled, its rows
-            # are strictly dominant
+            # Schur complement of the class matrix of M's rows scaled by
+            # 2^-e s on the left and 1/root on the right: unscaled but for
+            # the power of two, its rows are strictly dominant
             order = np.lexsort((k[black], k[black] + l[black]))
-            unscaled = sp.diags(1.0 / (root / w)[black][order]) @ S @ sp.diags(root[black][order])
+            unscaled = sp.diags(1.0 / s[black][order]) @ S @ sp.diags(root[black][order])
             dominance = 2.0 * unscaled.diagonal() - np.abs(unscaled).sum(axis=1).A1
             assert np.all(dominance > 0.0)
             # the half-bandwidth is at most the two longest black anti-diagonals
@@ -980,8 +990,8 @@ class TestRedBlackReduction:
         axis, tags = _lattice(spec)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(screened_pde, "banded_cholesky_solve", captured)
-            for (parity, swap), (A, nodes, root, w) in zip(CLASSES[:5], colour_classes(spec)):
-                _red_black_solve(A, np.ones((A.shape[0], 1)), nodes, root, w)
+            for (parity, swap), (B, nodes, _, _) in zip(CLASSES[:5], colour_classes(spec)):
+                _red_black_solve(B, np.ones((B.shape[0], 1)), nodes)
         n = len(axis) // 2
         octants, quarter = bands[:4], bands[4]
         assert all(n / 2 - 2 <= u <= n / 2 + 2 for u in octants), (n, bands)
@@ -990,30 +1000,15 @@ class TestRedBlackReduction:
     def test_a_class_of_one_colour(self, monkeypatch):
         # the smallest lattice has a class without red nodes; a class
         # without black ones (never met on a GridSpec lattice) needs no
-        # factorization: x = b / D
+        # factorization: y = c / D
         colours = [(np.count_nonzero((k + l) % 2 == 0), np.count_nonzero((k + l) % 2 == 1))
                    for _, (k, l), _, _ in colour_classes(SPLIT_SPECS["smallest"])]
         assert (0, 1) in colours
         monkeypatch.setattr(screened_pde, "banded_cholesky_solve", None)
-        A = sp.csr_matrix(np.diag([3.0, 7.0]))
-        b = np.array([[1.0, 2.0], [-5.0, 0.5]])
+        B = sp.csr_matrix(np.diag([3.0, 7.0]))
+        c = np.array([[1.0, 2.0], [-5.0, 0.5]])
         nodes = (np.array([0, 1]), np.array([0, 1]))
-        assert_same_bits(_red_black_solve(A, b, nodes, np.ones(2), np.full(2, 0.25)),
-                         b / [[3.0], [7.0]])
-
-    @pytest.mark.parametrize("beta, h, scale", [(1.7e308, 0.1, 1.0), (1e-300, 0.01, 1e300),
-                                                 (1.3, 0.025, 1e-300), (1e300, 0.025, 1e300)])
-    def test_extreme_data_neither_overflow_nor_lose_digits(self, beta, h, scale):
-        # A and b are scaled by powers of two before the symmetric scaling
-        # by root/w, so the solve matches the unreduced one at any scale
-        spec = GridSpec(beta=beta, r_max=0.9, h=h)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for A, nodes, root, w in colour_classes(spec):
-                b = scale * (1.0 + np.cos(nodes[0]) * np.sin(nodes[1]))[:, None]
-                x = _red_black_solve(A, b, nodes, root, w)
-                want = spla.spsolve(A, b[:, 0])
-                assert np.max(np.abs(x[:, 0] - want)) <= 1e-12 * np.max(np.abs(want))
+        assert_same_bits(_red_black_solve(B, c, nodes), c / [[3.0], [7.0]])
 
 
 def random_band(rng, size, u):
@@ -1167,18 +1162,16 @@ OPERATOR_SPECS = [SPLIT_SPECS["asymmetric-2"], manufactured_spec(2.5, 0.8, 0.003
 OPERATOR_IDS = ["asymmetric-2", "calibration-finest"]
 
 
-def class_systems(spec):
-    """(A, root, w) of every symmetry class of the spec's lattice, the
-    arguments `_class_cg` takes besides the right-hand side."""
+def class_matrices(spec):
+    """The symmetric matrix B of every symmetry class of the spec's
+    lattice, the one both class solvers run on."""
     axis, tags = _lattice(spec)
-    interior, n = tags == INTERIOR, len(axis) // 2
     for parity, swap in CLASSES:
-        (k, l), A, orbit = _class_system(interior, axis, spec.beta, spec.h, parity, swap)
-        yield A, np.sqrt(orbit), _conformal_weight(axis[n + k], axis[n + l])
+        yield _class_system(tags == INTERIOR, axis, spec.beta, spec.h, parity, swap)[1]
 
 
-def captured_operator(monkeypatch, A, root, w):
-    """The operator `_class_cg` hands to `spla.cg` for the class system A."""
+def captured_operator(monkeypatch, B):
+    """The operator `_class_cg` hands to `spla.cg` for the class matrix B."""
     class Captured(Exception):
         pass
 
@@ -1188,7 +1181,7 @@ def captured_operator(monkeypatch, A, root, w):
     with monkeypatch.context() as patch:
         patch.setattr(screened_pde.spla, "cg", capture)
         with pytest.raises(Captured) as info:
-            _class_cg(A, np.ones(A.shape[0]), root, w)
+            _class_cg(B, np.ones(B.shape[0]))
     return info.value.args[0]
 
 
@@ -1228,34 +1221,30 @@ class TestClassConjugateGradients:
         assert iterations == len(whole)
 
     @pytest.mark.parametrize("spec", OPERATOR_SPECS, ids=OPERATOR_IDS)
-    def test_symmetrized_matrix_is_the_diagonal_product(self, spec, monkeypatch):
-        # B is written entry by entry as (root/w)[row] * a * (1/root)[col]:
-        # the bits, the column order and so the CG iterates of
-        # diag(root/w) @ A @ diag(1/root); its CSR parts are read through
-        # the operator CG multiplies by
-        for A, root, w in class_systems(spec):
-            got = captured_operator(monkeypatch, A, root, w)
-            want = (sp.diags(root / w) @ A @ sp.diags(1.0 / root)).tocsr()
+    def test_operator_holds_the_class_matrix_arrays(self, spec, monkeypatch):
+        # CG multiplies by the CSR arrays of the symmetric class matrix as
+        # `_class_system` wrote them, not by a copy or a rescaled matrix
+        for B in class_matrices(spec):
+            got = captured_operator(monkeypatch, B)
             for part in ("indptr", "indices", "data"):
-                assert_same_bits(getattr(got, part), getattr(want, part))
+                assert getattr(got, part) is getattr(B, part)
 
     @pytest.mark.parametrize("spec", OPERATOR_SPECS, ids=OPERATOR_IDS)
     def test_operator_has_the_matrix_shape_and_nnz(self, spec, monkeypatch):
         # the benchmark's layer tracer reads both off what `spla.cg` gets
-        for A, root, w in class_systems(spec):
-            got = captured_operator(monkeypatch, A, root, w)
-            assert got.shape == A.shape and got.nnz == A.nnz
+        for B in class_matrices(spec):
+            got = captured_operator(monkeypatch, B)
+            assert got.shape == B.shape and got.nnz == B.nnz
 
     @pytest.mark.parametrize("spec", OPERATOR_SPECS, ids=OPERATOR_IDS)
     def test_operator_product_is_the_matrix_product(self, spec, monkeypatch):
         # scipy's CSR kernel with the row sums of B @ x; products in a row
         # catch an output vector that is reused without being cleared
         rng = np.random.default_rng(7)
-        for A, root, w in class_systems(spec):
-            op = captured_operator(monkeypatch, A, root, w)
-            B = (sp.diags(root / w) @ A @ sp.diags(1.0 / root)).tocsr()
+        for B in class_matrices(spec):
+            op = captured_operator(monkeypatch, B)
             for _ in range(3):
-                x = rng.standard_normal(A.shape[0])
+                x = rng.standard_normal(B.shape[0])
                 assert_same_bits(op.matvec(x), B @ x)
 
     def test_solution_and_iterations_are_those_of_cg_on_the_matrix(self, monkeypatch):
@@ -1275,20 +1264,28 @@ class TestClassConjugateGradients:
         assert calls == matrix_calls == [[20553, 778]]
         assert_same_bits(through_operator, through_matrix)
 
-    def test_scaling_the_right_hand_side_by_a_power_of_two_is_exact(self):
-        # b = 2**600 once squared in a dot product overflows; the scaled
-        # iteration runs without a warning and returns exactly 2**600 x
+    @pytest.mark.parametrize("matrix_power", [-300, 0, 300])
+    @pytest.mark.parametrize("rhs_power", [-200, 0, 200])
+    def test_scaling_the_right_hand_side_by_a_power_of_two_is_exact(
+            self, matrix_power, rhs_power, monkeypatch):
+        # CG on 2^k B y = 2^j c runs the iteration of B y = c scaled: the
+        # same iteration count and exactly 2^(j - k) y.  So the power of
+        # two `_class_system` scales B by and the ones `_mirror_solve`
+        # scales each right-hand side by leave the iterates and their
+        # count as they were (778 on the calibration ladder's finest level)
         spec = SPLIT_SPECS["coshdist"]
         axis, tags = _lattice(spec)
-        interior, n = tags == INTERIOR, len(axis) // 2
-        (k, l), A, orbit = _class_system(interior, axis, spec.beta, spec.h, (0, 0), 0)
-        root, w = np.sqrt(orbit), _conformal_weight(axis[n + k], axis[n + l])
-        b = 1.0 + np.cos(k) * np.sin(l)
+        (k, l), B, _, _, _ = _class_system(tags == INTERIOR, axis, spec.beta, spec.h, (0, 0), 0)
+        c = 1.0 + np.cos(k) * np.sin(l)
+        calls = counted_cg(monkeypatch)
+        y = _class_cg(B, c)
+        scaled = sp.csr_matrix((np.ldexp(B.data, matrix_power), B.indices, B.indptr),
+                               shape=B.shape)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x = _class_cg(A, b, root, w)
-            big = _class_cg(A, 2.0 ** 600 * b, root, w)
-        assert_same_bits(big, 2.0 ** 600 * x)
+            got = _class_cg(scaled, np.ldexp(c, rhs_power))
+        assert calls[0] == calls[1] and calls[0][1] > 10
+        assert_same_bits(got, np.ldexp(y, rhs_power - matrix_power))
 
     def test_stall_is_a_solver_error_with_the_class_residual(self, monkeypatch):
         monkeypatch.setattr(screened_pde, "DIRECT_SOLVE_LIMIT", 0)
@@ -1340,6 +1337,29 @@ class TestClassAssembly:
         assert np.count_nonzero(field.interior_mask) == unknowns
         assert (unknowns > screened_pde.DIRECT_SOLVE_LIMIT) == (h == 0.0035)
         assert peak <= 9 * field.values.nbytes
+
+    @pytest.mark.parametrize("limit", [screened_pde.DIRECT_SOLVE_LIMIT, 0], ids=["direct", "cg"])
+    @pytest.mark.parametrize("beta, h, scale", [(1.7e308, 0.1, 1.0), (1e-300, 0.01, 1e300),
+                                                 (1.3, 0.025, 1e-300), (1e300, 0.025, 1e300)])
+    def test_extreme_data_neither_overflow_nor_lose_digits(self, beta, h, scale, limit,
+                                                           monkeypatch):
+        # the class system and each right-hand side are scaled by powers of
+        # two, so both class solvers match the unsplit solve at any scale:
+        # the direct one up to rounding, CG up to its stop.  The data excite
+        # every solved class: 1 and x^2 - y^2 the two (even, even) octants,
+        # xy and x^3 y the two (odd, odd) ones, cos(7x) sin(5y), x and y
+        # the quarter class with both right-hand sides
+        spec = GridSpec(beta=beta, r_max=0.9, h=h,
+                        source=lambda x, y: scale * (1.0 + np.cos(7.0 * x) * np.sin(5.0 * y)
+                                                     + x * x - y * y + x * y + x ** 3 * y),
+                        boundary=lambda x, y: scale * (x - 2.0 * y))
+        monkeypatch.setattr(screened_pde, "DIRECT_SOLVE_LIMIT", limit)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field = assemble_and_solve(spec)
+        want = reference_solve(spec)
+        error = np.max(np.abs(field.values[field.interior_mask] - want))
+        assert error <= (1e-12 if limit else 1e-11) * np.max(np.abs(want))
 
     @pytest.mark.parametrize("offset, solver", [(0, "banded_cholesky_solve"), (-1, "cg")])
     def test_solver_switch_compares_the_whole_interior_count(self, offset, solver,
