@@ -182,9 +182,11 @@ def _conformal_weight(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _assemble(spec: GridSpec):
     """The spec's lattice and the data of its interior system: (axis, tags,
-    boundary values at the boundary nodes in row-major order, right-hand
-    side split into its four parity classes by `_mirror_transform`, an
-    all-zero class as the scalar 0.0), or ValueError if a class overflows.
+    boundary values at the boundary nodes in row-major order, 2^-E times
+    the right-hand side split into its four parity classes by
+    `_mirror_transform`, an all-zero class as the scalar 0.0, and E), or
+    ValueError if the right-hand side overflows.  2^-E puts its max-abs in
+    [1/2, 1), so the classes and their octant sums stay below 8.
     No lattice-sized weight, boundary or right-hand-side array outlives
     the call and no matrix is built: `_class_system` writes the stencil of
     each kept row."""
@@ -213,10 +215,11 @@ def _assemble(spec: GridSpec):
         rhs[boundary] = 0.0
         rhs[ring] = (east + west) + (north + south)
         rhs[interior] += src
-        classes = _mirror_transform(_quadrants(rhs))
-    if not all(np.isfinite(c).all() for half in classes for c in half):
+    mantissa, E = np.frexp(max(rhs.max(), -rhs.min()))     # NaN if an inf - inf made one
+    if not np.isfinite(mantissa):
         raise ValueError("right-hand side overflows: source or boundary data too large")
-    return axis, tags, bvals, [[c if c.any() else 0.0 for c in half] for half in classes]
+    classes = _mirror_transform(_quadrants(np.ldexp(rhs, -E, out=rhs)))
+    return axis, tags, bvals, [[c if c.any() else 0.0 for c in half] for half in classes], E
 
 
 def _quadrants(a: np.ndarray) -> list:
@@ -447,20 +450,13 @@ def _red_black_solve(B, c: np.ndarray, nodes: tuple[np.ndarray, np.ndarray]) -> 
     return v + R @ y
 
 
-def _unit_scaled(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """v scaled column by column by the powers of two 2^-e that put the
-    max-abs of each column in [1/2, 1) (exact short of subnormals), and e."""
-    _, e = np.frexp(np.max(np.abs(v), axis=0))
-    return np.ldexp(v, -e), e
-
-
-def _mirror_solve(r: list, interior: np.ndarray, axis: np.ndarray, beta: float, h: float,
-                  cg: bool) -> np.ndarray:
+def _mirror_solve(r: list, E: int, interior: np.ndarray, axis: np.ndarray, beta: float,
+                  h: float, cg: bool) -> np.ndarray:
     """Solve M f = rhs by its symmetry under the dihedral group of the square.
 
-    r holds the four parity classes of rhs from `_assemble`, an all-zero
-    one as the scalar 0.0, emptied before the returned lattice array of f
-    (0 off the interior) is assembled.
+    r holds the four parity classes of 2^-E rhs from `_assemble`, an
+    all-zero one as the scalar 0.0, emptied before the returned lattice
+    array of f (0 off the interior) is assembled.
 
     The lattice, its interior and the conformal weight are exactly
     invariant under x -> -x, y -> -y and x <-> y, so M commutes with
@@ -484,11 +480,12 @@ def _mirror_solve(r: list, interior: np.ndarray, axis: np.ndarray, beta: float, 
     its solve, a solution quarter only for a solved class.
 
     `_class_system` poses each solved class once, as the symmetric
-    B y = 2^-e s b with x = y/root.  Each right-hand-side column b, and
-    then s b, is scaled by the power of two that puts its max-abs in
-    [1/2, 1), giving c, so neither c nor the dot products of CG overflow
-    or underflow; y is scaled back by both powers and by 2^-e, exactly
-    short of subnormals.
+    B y = 2^-e s b with x = y/root.  The octant sums of the classes stay
+    below 8, so no s b overflows; each column of s b is scaled by the
+    power of two 2^-g that puts its max-abs in [1/2, 1), giving c, so
+    neither c nor the dot products of CG overflow or underflow even for a
+    weak class; x = 2^(g + E - e) y/root, exact short of subnormals.
+    ValueError if a class part x, and so f, leaves the double range.
     With `cg` each class runs conjugate gradients on B y = c
     (`_class_cg`), once per right-hand side.  Otherwise red-black
     reduction and a banded Cholesky factorization of the Schur complement
@@ -506,13 +503,15 @@ def _mirror_solve(r: list, interior: np.ndarray, axis: np.ndarray, beta: float, 
         if not excited:
             return quarters
         (k, l), B, s, root, e = _class_system(interior, axis, beta, h, parity, swap)
-        c, f = _unit_scaled(np.column_stack([given[i][k, l] for i in excited]))
-        c, g = _unit_scaled(s[:, None] * c)
+        c = s[:, None] * np.column_stack([given[i][k, l] for i in excited])
+        _, g = np.frexp(np.max(np.abs(c), axis=0))
+        c = np.ldexp(c, -g)
         if cg:
             y = np.column_stack([_class_cg(B, col) for col in c.T])
         else:
             y = _red_black_solve(B, c, (k, l))
-        x = np.ldexp(y, f + g - e) / root[:, None]
+        with np.errstate(over="ignore"):      # the check on f below names it
+            x = np.ldexp(y, g + E - e) / root[:, None]
         for i, col in zip(excited, x.T):
             quarters[i] = out = np.zeros((n + 1, n + 1))
             if swap is not None:
@@ -528,15 +527,19 @@ def _mirror_solve(r: list, interior: np.ndarray, axis: np.ndarray, beta: float, 
         symmetric = np.array_equal(q, np.transpose(q))
         even = solve((a, a), 0, q + np.transpose(q))[0]
         odd = solve((a, a), 1, 0.0 if symmetric else q - np.transpose(q))[0]
-        v[a][a] = (even + odd) / 2.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            v[a][a] = (even + odd) / 2.0
     v[0][1], odd_even = solve((0, 1), None, r[0][1], np.transpose(r[1][0]))
     v[1][0] = np.transpose(odd_even)
     r.clear()
     del q, even, odd
     f = np.empty(interior.shape)
-    for dest, q in zip(_quadrants(f), _mirror_transform(v)):
-        for d, part in zip(dest, q):
-            d[...] = part / 4.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for dest, q in zip(_quadrants(f), _mirror_transform(v)):
+            for d, part in zip(dest, q):
+                d[...] = part / 4.0
+    if not np.isfinite([f.min(), f.max()]).all():
+        raise ValueError("solution overflows: a part of it by symmetry leaves the double range")
     return f
 
 
@@ -553,8 +556,8 @@ def assemble_and_solve(spec: GridSpec) -> GridField:
     interior is built: each class system is written from the stencil of
     its kept nodes (`_class_system`), and no lattice-sized array but the
     tags and the solution outlives assembly and the class solves.  Both
-    solvers run on the one symmetric form of each class system, scaled
-    by a power of two that keeps it finite for any beta up to the largest
+    solvers run on the one symmetric form of each class system; powers of
+    two keep it and the split right-hand side finite up to the largest
     double.  When the whole interior has at most DIRECT_SOLVE_LIMIT (1e5)
     unknowns every class is solved directly: the red-black colouring by
     the parity of k + l makes the block of its red nodes diagonal (the
@@ -570,11 +573,12 @@ def assemble_and_solve(spec: GridSpec) -> GridField:
     restricted to the class: each class stops at ||r|| <= CG_RTOL ||b||,
     so the whole system meets that bound too.
     Raises SolverError on a degenerate grid, a failed factorization or a
-    CG stall.
+    CG stall, and ValueError if the right-hand side or the solution
+    overflows.
     """
-    axis, tags, bvals, rhs = _assemble(spec)
+    axis, tags, bvals, rhs, E = _assemble(spec)
     interior = tags == INTERIOR
-    values = _mirror_solve(rhs, interior, axis, spec.beta, spec.h,
+    values = _mirror_solve(rhs, E, interior, axis, spec.beta, spec.h,
                            cg=np.count_nonzero(interior) > DIRECT_SOLVE_LIMIT)
     values[tags == BOUNDARY] = bvals
     values[tags == EXTERIOR] = np.nan

@@ -253,6 +253,21 @@ class TestPde:
         assert lines[0] == "h,max_error,observed_rate"
         assert len(lines) == 3
 
+    def test_data_near_the_largest_double_converge_to_the_rounding_level(self):
+        # at beta = 1.4e307 the manufactured source is finite everywhere
+        # and the right-hand side too, but the sums that split it by
+        # symmetry would not be: they are formed after it is scaled by the
+        # power of two that puts its max-abs in [1/2, 1); no numpy warning
+        # escapes either
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = invoke("pde", "converge", "--beta", "1.4e307", "--h", "0.1,0.05",
+                               "--rmax", "0.6", "--format", "json", "--quiet")
+        assert code == EXIT_OK
+        errors = [row["max_error"] for row in json.loads(out)["rows"]]
+        assert len(errors) == 2
+        assert all(0.0 <= error <= 1e-12 for error in errors)
+
     def test_calibration_ladder_max_errors(self):
         # the two coarse levels are solved directly, the finest (about
         # 1.6e5 unknowns) by conjugate gradients on one octant
@@ -379,18 +394,22 @@ class TestUsageErrors:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert sorted(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("rmax, message", [
-        ("0.8", "source is not finite at every node"),
-        ("0.6", "right-hand side overflows: source or boundary data too large"),
-    ])
-    def test_overflowing_data_is_a_usage_error_without_a_warning(self, rmax, message, capsys):
+    @pytest.mark.parametrize("beta, rmax, h, message", [
+        ("1e308", "0.8", "0.1,0.05", "source is not finite at every node"),
+        ("1.7e308", "1e-153", "2e-154,1.5e-154",
+         "right-hand side overflows: source or boundary data too large"),
+    ], ids=["source", "right-hand-side"])
+    def test_overflowing_data_is_a_usage_error_without_a_warning(self, beta, rmax, h, message,
+                                                                 capsys):
         # at beta = 1e308 the manufactured source (beta - 2) f overflows to
-        # inf where f > 1.8 (r > 0.53); inside, it stays finite but the
-        # sums that split it by symmetry overflow.  Both are refused by
-        # name and no numpy warning escapes.
+        # inf where f > 1.8 (r > 0.53).  At beta = 1.7e308 on a lattice of
+        # spacing 1e-154 every source value is finite, but the Dirichlet
+        # terms w/h^2 times the boundary values, about 1e307 each, overflow
+        # the right-hand side of the ring next to the boundary.  Both are
+        # refused by name and no numpy warning escapes.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out = invoke("pde", "converge", "--beta", "1e308", "--h", "0.1,0.05",
+            code, out = invoke("pde", "converge", "--beta", beta, "--h", h,
                                "--rmax", rmax, "--quiet")
         assert code == EXIT_USAGE
         assert out == ""

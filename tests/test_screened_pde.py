@@ -1095,12 +1095,15 @@ class TestAxisDataFlow:
     def test_assembled_classes_match_the_mesh_assembly(self, name):
         # the boundary values in row-major order, and the class right-hand
         # sides as the mirror transform of the lattice right-hand side
+        # scaled by the power of two 2^-E that puts its max-abs in [1/2, 1)
         spec = SPLIT_SPECS[name]
-        _, tags, bvals, classes = _assemble(spec)
+        _, tags, bvals, classes, E = _assemble(spec)
         want_tags, want_bvals, _, rhs = reference_assemble(spec)
         assert_same_bits(tags, want_tags)
         assert_same_bits(bvals, want_bvals[tags == BOUNDARY])
-        for got, want in zip(classes, _mirror_transform(_quadrants(rhs))):
+        top = np.max(np.abs(rhs))
+        assert 0.5 <= np.ldexp(top, -E) < 1.0 if top else E == 0
+        for got, want in zip(classes, _mirror_transform(_quadrants(np.ldexp(rhs, -E)))):
             for got_class, want_class in zip(got, want):
                 if isinstance(got_class, float):
                     assert got_class == 0.0 and not want_class.any()
@@ -1114,7 +1117,7 @@ class TestAxisDataFlow:
     ])
     def test_only_the_excited_classes_are_arrays(self, name, arrays):
         # a class the data leave zero is the scalar 0.0, never a quarter array
-        classes = _assemble(SPLIT_SPECS[name])[3]
+        _, _, _, classes, _ = _assemble(SPLIT_SPECS[name])
         got = {(a, b) for a in (0, 1) for b in (0, 1)
                if isinstance(classes[a][b], np.ndarray)}
         assert got == arrays
@@ -1135,11 +1138,70 @@ class TestAxisDataFlow:
         assert np.isnan(sampled.values[~mask]).all()
 
     def test_overflowing_right_hand_side_is_a_value_error(self):
-        # each source value is finite, but the sums that split it into
-        # symmetry classes are not
-        spec = GridSpec(beta=1.0, r_max=0.6, h=0.1, source=lambda x, y: 1e308)
-        with pytest.raises(ValueError, match="right-hand side overflows"):
-            assemble_and_solve(spec)
+        # each boundary value is finite, but w/h^2 (about 14 next to the
+        # boundary) times them is not: the ring of the right-hand side
+        # overflows
+        spec = GridSpec(beta=1.0, r_max=0.6, h=0.1, boundary=lambda x, y: 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="right-hand side overflows"):
+                assemble_and_solve(spec)
+
+
+class TestDataScale:
+    """`_assemble` scales the right-hand side by the one power of two that
+    puts its max-abs in [1/2, 1), so the sums that split it by symmetry
+    stay finite for any finite right-hand side, and the solution is scaled
+    back class by class."""
+
+    def test_data_whose_symmetry_sums_would_overflow_solve(self):
+        # unscaled, the octant sums q + q^T of 3e307 data reach 8 * 3e307
+        fields = [assemble_and_solve(GridSpec(beta=1.0, r_max=0.6, h=0.1,
+                                              source=lambda x, y, c=c: c))
+                  for c in (3e307, 3.0)]
+        got, want = (field.values[field.interior_mask] for field in fields)
+        assert np.isfinite(got).all()
+        assert np.max(np.abs(got - 1e307 * want)) <= 1e-12 * np.max(np.abs(got))
+
+    @pytest.mark.parametrize("limit", [screened_pde.DIRECT_SOLVE_LIMIT, 0], ids=["direct", "cg"])
+    @pytest.mark.parametrize("k", [-1000, 600])
+    def test_scaling_the_data_by_a_power_of_two_scales_the_solution_exactly(
+            self, k, limit, monkeypatch):
+        # 1 and x^2 - y^2 excite the two (even, even) octants, xy and
+        # xy(x^2 - y^2) the two (odd, odd) ones, x and y the quarter class
+        # with both right-hand sides
+        def source(x, y):
+            return 1.0 + x * x - y * y + x * y + x * y * (x * x - y * y) + x
+
+        def boundary(x, y):
+            return x - 2.0 * y + x * y
+
+        built = []
+        class_system = screened_pde._class_system
+
+        def recorded(interior, axis, beta, h, parity, swap=None):
+            built.append((parity, swap))
+            return class_system(interior, axis, beta, h, parity, swap)
+
+        monkeypatch.setattr(screened_pde, "DIRECT_SOLVE_LIMIT", limit)
+        monkeypatch.setattr(screened_pde, "_class_system", recorded)
+        spec = GridSpec(beta=1.3, r_max=0.9, h=0.05, source=source, boundary=boundary)
+        want = assemble_and_solve(spec).values
+        assert sorted(built) == [((0, 0), 0), ((0, 0), 1), ((0, 1), None),
+                                 ((1, 1), 0), ((1, 1), 1)]
+        scale = 2.0 ** k
+        got = assemble_and_solve(replace(spec, source=lambda x, y: scale * source(x, y),
+                                         boundary=lambda x, y: scale * boundary(x, y))).values
+        assert_same_bits(got, np.ldexp(want, k))
+
+    def test_a_solution_beyond_the_double_range_is_a_value_error(self):
+        # at beta = 1e-300 the solution of 1e307 data is about 1e607: it is
+        # refused by name, with no inf returned and no warning from np.ldexp
+        spec = GridSpec(beta=1e-300, r_max=0.99, h=0.02, source=lambda x, y: 1e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="solution overflows"):
+                assemble_and_solve(spec)
 
 
 def counted_cg(monkeypatch):
