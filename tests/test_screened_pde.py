@@ -367,13 +367,15 @@ class LevelFailure(Exception):
 
 
 def level_source(spec, hs, react):
-    """A source that calls react(level) and is 0 otherwise; the level is
-    told by the number of interior nodes it is sampled on."""
-    sizes = [int(np.count_nonzero(_lattice(replace(spec, h=h))[1] == INTERIOR)) for h in hs]
-    assert len(set(sizes)) == len(hs)
+    """A source that calls react(level) and is 0 otherwise.  It is called
+    once per row block, so the level is told by the spacing of the
+    coordinates it is sampled on: the smallest gap between the distinct
+    values, which are lattice coordinates, some of them neighbours."""
+    assert all(h2 < h1 / 1.5 for h1, h2 in zip(hs, hs[1:]))
 
     def source(x, y):
-        react(sizes.index(x.size))
+        spacing = np.min(np.diff(np.unique(np.concatenate([x, y]))))
+        react(int(np.argmin([abs(spacing / h - 1.0) for h in hs])))
         return 0.0
     return source
 
@@ -744,6 +746,43 @@ CLASSES = [((0, 0), 0), ((0, 0), 1), ((1, 1), 0), ((1, 1), 1), ((0, 1), None),
            ((1, 0), None), ((0, 0), None), ((1, 1), None)]
 
 
+def plain_mirror_transform(q):
+    """`_mirror_transform` as its two steps of plain sums, each a new array."""
+    diagonal, cross = q[0][0] + q[1][1], q[0][1] + q[1][0]
+    main, side = q[0][0] - q[1][1], q[1][0] - q[0][1]
+    return [[diagonal + cross, main + side], [main - side, diagonal - cross]]
+
+
+def assert_class_matrices_equal_the_folded_whole_rows(spec):
+    """Writing and folding only the stencils of the kept rows gives, entry
+    for entry, the rows A of the whole-lattice M folded by the
+    whole-lattice fold map, symmetrized as 2^-e diag(s) A diag(1/root)
+    with one rounding an entry: 2^-e a times s[row] (1/root)[col], root
+    the square root of the orbit sizes, s = root/w with w the weight and
+    2^-e the power of two that puts A's largest diagonal entry in
+    [1/2, 1)."""
+    axis, tags = _lattice(spec)
+    interior, n = tags == INTERIOR, len(axis) // 2
+    _, M, _ = whole_lattice_system(spec)
+    for parity, swap in CLASSES:
+        nodes, B, s, root, e = _class_system(interior, axis, spec.beta, spec.h, parity, swap)
+        (k, l), A, orbit = folded_whole_rows(M, interior, parity, swap)
+        assert np.array_equal(nodes, (k, l))
+        want_root = np.sqrt(orbit)
+        want_s = want_root / _conformal_weight(axis[n + k], axis[n + l])
+        want_e = np.frexp(np.max(A.diagonal()))[1]
+        want = A.tocsr()
+        want.sort_indices()
+        rows = np.repeat(np.arange(k.size), np.diff(want.indptr))
+        want.data = (np.ldexp(want.data, -want_e)
+                     * (want_s[rows] * (1.0 / want_root)[want.indices]))
+        B.sort_indices()
+        assert e == want_e
+        for got, expected in zip((B.indptr, B.indices, B.data, s, root),
+                                 (want.indptr, want.indices, want.data, want_s, want_root)):
+            assert_same_bits(got, expected)
+
+
 class TestMirrorSplit:
     @pytest.mark.parametrize("r_max, h", [(0.3, 0.05), (0.9, 0.03), (0.8, 0.0123),
                                           (0.95, 0.0031)])
@@ -755,6 +794,28 @@ class TestMirrorSplit:
             assert np.array_equal(image, tags)
         for image in mirrored(w):
             assert np.array_equal(image, w)
+
+    @pytest.mark.parametrize("zeros", [set(), {(0, 1)}, {(1, 0), (1, 1)}, {(0, 0), (1, 1)},
+                                       {(0, 1), (1, 0), (1, 1)}, {(0, 0), (0, 1), (1, 0), (1, 1)}])
+    def test_mirror_transform_gives_the_plain_sums_bit_for_bit(self, zeros):
+        # quadrants of one lattice array, with signed zeros and exact mirror
+        # images, some of them the scalar 0.0: the outputs reuse the arrays
+        # of the first step, but each is the float the plain sums give, a
+        # scalar where those are, and the lattice is not written
+        lattice = np.random.default_rng(11).choice([-1.5, -0.0, 0.0, 0.25, 2.0], size=(9, 9))
+        lattice[:, :4] = -lattice[:, :4:-1]
+        saved = lattice.copy()
+        quadrants = _quadrants(lattice)
+        for s, t in zeros:
+            quadrants[s][t] = 0.0
+        want = plain_mirror_transform(quadrants)
+        got = _mirror_transform(quadrants)
+        assert quadrants == []
+        for got_half, want_half in zip(got, want):
+            for got_part, want_part in zip(got_half, want_half):
+                assert type(got_part) is type(want_part)
+                assert_same_bits(got_part, want_part)
+        assert_same_bits(lattice, saved)
 
     @pytest.mark.parametrize("name", ["angular", "asymmetric-1"])
     def test_even_odd_matrix_is_the_transposed_odd_even_one(self, name):
@@ -780,33 +841,7 @@ class TestMirrorSplit:
         SPLIT_SPECS["angular"], SPLIT_SPECS["asymmetric-2"], GridSpec(beta=0.3, r_max=0.3, h=0.05),
         GridSpec(beta=1.0, r_max=0.95, h=0.0031)], ids=["angular", "asymmetric-2", "small", "fine"])
     def test_class_matrices_equal_the_folded_whole_rows(self, spec):
-        # writing and folding only the stencils of the kept rows gives,
-        # entry for entry, the rows A of the whole-lattice M folded by the
-        # whole-lattice fold map, symmetrized as 2^-e diag(s) A
-        # diag(1/root) with one rounding an entry: 2^-e a times
-        # s[row] (1/root)[col], root the square root of the orbit sizes,
-        # s = root/w with w the weight and 2^-e the power of two that puts
-        # A's largest diagonal entry in [1/2, 1)
-        axis, tags = _lattice(spec)
-        interior, n = tags == INTERIOR, len(axis) // 2
-        _, M, _ = whole_lattice_system(spec)
-        for parity, swap in CLASSES:
-            nodes, B, s, root, e = _class_system(interior, axis, spec.beta, spec.h, parity, swap)
-            (k, l), A, orbit = folded_whole_rows(M, interior, parity, swap)
-            assert np.array_equal(nodes, (k, l))
-            want_root = np.sqrt(orbit)
-            want_s = want_root / _conformal_weight(axis[n + k], axis[n + l])
-            want_e = np.frexp(np.max(A.diagonal()))[1]
-            want = A.tocsr()
-            want.sort_indices()
-            rows = np.repeat(np.arange(k.size), np.diff(want.indptr))
-            want.data = (np.ldexp(want.data, -want_e)
-                         * (want_s[rows] * (1.0 / want_root)[want.indices]))
-            B.sort_indices()
-            assert e == want_e
-            for got, expected in zip((B.indptr, B.indices, B.data, s, root),
-                                     (want.indptr, want.indices, want.data, want_s, want_root)):
-                assert_same_bits(got, expected)
+        assert_class_matrices_equal_the_folded_whole_rows(spec)
 
     @pytest.mark.parametrize("name", sorted(SPLIT_SPECS))
     def test_split_solve_matches_one_unsplit_spsolve(self, name):
@@ -1068,6 +1103,24 @@ def nonsymmetric_exact(x, y):
     return np.cos(x - 2.0 * y) + x * y * y
 
 
+def assert_assembly_matches_the_meshes(spec):
+    """The boundary values in row-major order, and the class right-hand
+    sides as the mirror transform of the lattice right-hand side scaled
+    by the power of two 2^-E that puts its max-abs in [1/2, 1)."""
+    _, tags, bvals, classes, E = _assemble(spec)
+    want_tags, want_bvals, _, rhs = reference_assemble(spec)
+    assert_same_bits(tags, want_tags)
+    assert_same_bits(bvals, want_bvals[tags == BOUNDARY])
+    top = np.max(np.abs(rhs))
+    assert 0.5 <= np.ldexp(top, -E) < 1.0 if top else E == 0
+    for got, want in zip(classes, plain_mirror_transform(_quadrants(np.ldexp(rhs, -E)))):
+        for got_class, want_class in zip(got, want):
+            if isinstance(got_class, float):
+                assert got_class == 0.0 and not want_class.any()
+            else:
+                assert_same_bits(got_class, want_class)
+
+
 class TestAxisDataFlow:
     """The solver reads node coordinates off the 1D axis and keeps no
     lattice-sized weight, boundary or right-hand-side array; every float
@@ -1093,22 +1146,7 @@ class TestAxisDataFlow:
 
     @pytest.mark.parametrize("name", sorted(SPLIT_SPECS))
     def test_assembled_classes_match_the_mesh_assembly(self, name):
-        # the boundary values in row-major order, and the class right-hand
-        # sides as the mirror transform of the lattice right-hand side
-        # scaled by the power of two 2^-E that puts its max-abs in [1/2, 1)
-        spec = SPLIT_SPECS[name]
-        _, tags, bvals, classes, E = _assemble(spec)
-        want_tags, want_bvals, _, rhs = reference_assemble(spec)
-        assert_same_bits(tags, want_tags)
-        assert_same_bits(bvals, want_bvals[tags == BOUNDARY])
-        top = np.max(np.abs(rhs))
-        assert 0.5 <= np.ldexp(top, -E) < 1.0 if top else E == 0
-        for got, want in zip(classes, _mirror_transform(_quadrants(np.ldexp(rhs, -E)))):
-            for got_class, want_class in zip(got, want):
-                if isinstance(got_class, float):
-                    assert got_class == 0.0 and not want_class.any()
-                else:
-                    assert_same_bits(got_class, want_class)
+        assert_assembly_matches_the_meshes(SPLIT_SPECS[name])
 
     @pytest.mark.parametrize("name, arrays", [
         ("coshdist", {(0, 0)}), ("one", {(0, 0)}), ("manufactured", {(0, 0)}),
@@ -1146,6 +1184,89 @@ class TestAxisDataFlow:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="right-hand side overflows"):
                 assemble_and_solve(spec)
+
+
+BLOCK_SPECS = ["coshdist", "manufactured", "asymmetric-1"]
+
+
+class TestRowBlocks:
+    """Every per-node pass runs a block of BLOCK_ROWS lattice rows at a
+    time; each node's arithmetic is that of the whole-lattice pass, so
+    every output is the same bits at any block height.  The lattices have
+    more rows than BLOCK_ROWS, and not a multiple of it."""
+
+    @pytest.fixture(params=[None, 7, 1], ids=["default", "7-rows", "1-row"])
+    def block_rows(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(screened_pde, "BLOCK_ROWS", request.param)
+        return screened_pde.BLOCK_ROWS
+
+    @pytest.mark.parametrize("size", [1, 31, 32, 33, 64, 999])
+    def test_blocks_cover_the_rows_in_order(self, size, block_rows):
+        blocks = screened_pde._row_blocks(size)
+        assert [i for rows in blocks for i in range(size)[rows]] == list(range(size))
+        assert all(0 < rows.stop - rows.start <= block_rows for rows in blocks)
+
+    @pytest.mark.parametrize("name", BLOCK_SPECS)
+    def test_lattices_have_a_partial_last_block(self, name):
+        rows = len(_lattice(SPLIT_SPECS[name])[0])
+        assert rows > screened_pde.BLOCK_ROWS and rows % screened_pde.BLOCK_ROWS
+
+    @pytest.mark.parametrize("name", BLOCK_SPECS)
+    def test_assembly_matches_the_mesh_assembly(self, name, block_rows):
+        assert_assembly_matches_the_meshes(SPLIT_SPECS[name])
+
+    @pytest.mark.parametrize("name", BLOCK_SPECS)
+    def test_class_matrices_equal_the_folded_whole_rows(self, name, block_rows):
+        assert_class_matrices_equal_the_folded_whole_rows(SPLIT_SPECS[name])
+
+    @pytest.mark.parametrize("name", BLOCK_SPECS)
+    def test_checks_equal_their_whole_array_computation(self, name, block_rows):
+        # on the solve and on the sampled exact solution, whose residual is
+        # the stencil's truncation error
+        spec = SPLIT_SPECS[name]
+        _, tags, X, Y = reference_lattice(spec)
+        mask, interior = tags != EXTERIOR, tags == INTERIOR
+        psi = np.max(np.abs(_sample(spec.source_fn(), X[interior], Y[interior], "source")))
+        norm = spec.beta + 2.0 / (spec.h * spec.h)
+        for field in (assemble_and_solve(spec), sample_exact(spec, nonsymmetric_exact)):
+            residual = residual_field(field, spec)
+            assert_same_bits(residual, reference_residual(field, spec))
+            want = np.max(np.abs(field.values[mask] - reference_samples(field, coshdist_exact)))
+            assert_same_bits(field.max_error_against(coshdist_exact), want)
+            f_max = max(np.nanmax(field.values), -np.nanmin(field.values))
+            want = residual / norm / (f_max + (psi if spec.source else 0.0) / norm)
+            assert backward_error(field, spec, residual) == want
+
+    @pytest.mark.parametrize("name", BLOCK_SPECS)
+    def test_source_and_exact_are_called_once_per_row_block(self, name, block_rows):
+        # in row order, each call with the nodes of at most BLOCK_ROWS
+        # lattice rows: joined, the calls give the coordinates of the node
+        # set, in no more calls than the lattice has row blocks
+        calls = []
+
+        def recorded(fn):
+            def wrapper(x, y):
+                calls.append((x.copy(), y.copy()))
+                return fn(x, y)
+            return wrapper
+
+        field = assemble_and_solve(SPLIT_SPECS[name])
+        axis, tags = field.axis, field.tags
+        spec = replace(SPLIT_SPECS[name], source=recorded(SPLIT_SPECS[name].source_fn()))
+        for mask, run in ((tags == INTERIOR, lambda: _assemble(spec)),
+                          (tags == INTERIOR, lambda: residual_field(field, spec)),
+                          (tags != EXTERIOR, lambda: field.max_error_against(
+                              recorded(coshdist_exact)))):
+            calls.clear()
+            run()
+            assert 1 < len(calls) <= len(screened_pde._row_blocks(len(axis)))
+            for x, _ in calls:
+                rows = np.searchsorted(axis, x)
+                assert np.array_equal(axis[rows], x) and rows[-1] - rows[0] < block_rows
+            want_x, want_y = _nodes(axis, mask)
+            assert_same_bits(np.concatenate([x for x, _ in calls]), want_x)
+            assert_same_bits(np.concatenate([y for _, y in calls]), want_y)
 
 
 class TestDataScale:
@@ -1377,16 +1498,17 @@ class TestClassAssembly:
         assert shapes
         assert all(rows < n_int for rows, _ in shapes)
 
-    @pytest.mark.parametrize("h, unknowns", [(0.0035, 162_865), (0.005, 79_477)],
+    @pytest.mark.parametrize("h, unknowns, arrays", [(0.0035, 162_865, 4), (0.005, 79_477, 9)],
                              ids=["cg", "direct"])
-    def test_traced_peak_of_a_solve_and_its_checks(self, h, unknowns):
+    def test_traced_peak_of_a_solve_and_its_checks(self, h, unknowns, arrays):
         # the solve, its error against the exact solution and its residual
-        # stay within 9 lattice-sized float arrays (5.3 measured with CG,
-        # 7.9 with the direct solve, whose Cholesky band of 4.0 arrays
-        # tracemalloc sees where it never saw SuperLU's factor; 11.7-11.8
-        # while coordinate meshes, the lattice weight, boundary values and
+        # stay within `arrays` lattice-sized float arrays: 2.64 measured
+        # with CG now that every per-node pass runs in row blocks (5.29
+        # with whole-lattice passes), 7.60 with the direct solve, whose
+        # Cholesky band of 4.0 arrays sets its peak; 11.7-11.8 while
+        # coordinate meshes, the lattice weight, boundary values and
         # right-hand side and every class's quarters were held at once, 30
-        # with the whole-lattice matrix and its N x 5 temporaries)
+        # with the whole-lattice matrix and its N x 5 temporaries
         spec = manufactured_spec(2.5, 0.8, h)
         tracemalloc.start()
         try:
@@ -1398,7 +1520,7 @@ class TestClassAssembly:
             tracemalloc.stop()
         assert np.count_nonzero(field.interior_mask) == unknowns
         assert (unknowns > screened_pde.DIRECT_SOLVE_LIMIT) == (h == 0.0035)
-        assert peak <= 9 * field.values.nbytes
+        assert peak <= arrays * field.values.nbytes
 
     @pytest.mark.parametrize("limit", [screened_pde.DIRECT_SOLVE_LIMIT, 0], ids=["direct", "cg"])
     @pytest.mark.parametrize("beta, h, scale", [(1.7e308, 0.1, 1.0), (1e-300, 0.01, 1e300),
