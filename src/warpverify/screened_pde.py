@@ -11,20 +11,17 @@ discrete maximum principle.
 
 from __future__ import annotations
 
-import ctypes
 import math
 import os
 import stat
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, TextIO, Union
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cython_lapack
+from scipy.linalg import lapack
 from scipy.sparse import _sparsetools
 
 from .errors import SolverError, require_finite_positive
@@ -69,8 +66,7 @@ class GridSpec:
     is called once with every boundary node, `source` once per block of at
     most BLOCK_ROWS lattice rows that holds interior nodes
     (`_node_blocks`), so it must be pointwise: its value at a node may not
-    depend on the other nodes of the call.  `convergence_study` solves its levels on two
-    threads, so both may be called from two threads at once.
+    depend on the other nodes of the call.
     """
 
     beta: float
@@ -388,8 +384,9 @@ class _ClassOperator(spla.LinearOperator):
     """The CSR matrix (indptr, indices, data) as the operator `spla.cg`
     multiplies by, with the matrix's `nnz`.  A product runs scipy's CSR
     kernel, the one `B @ p` runs, so its bits are those of the matrix
-    product; it skips the sparse-matrix dispatch and writes into one
-    reused class vector, valid until the next product."""
+    product; it skips the sparse-matrix dispatch and `LinearOperator`'s
+    shape checks, and writes into one reused class vector, valid until
+    the next product."""
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray):
         n = indptr.size - 1
@@ -404,40 +401,37 @@ class _ClassOperator(spla.LinearOperator):
                                 self._product)
         return self._product
 
+    matvec = _matvec
+
+
+class _Identity(spla.LinearOperator):
+    """The identity as the preconditioner `spla.cg` applies each
+    iteration: the operator scipy puts in for none, whose product returns
+    its argument, less the shape checks of `LinearOperator.matvec`."""
+
+    def _matvec(self, x):
+        return x
+
+    matvec = _matvec
+
 
 def _class_cg(B, c: np.ndarray) -> np.ndarray:
     """Conjugate gradients on one symmetric class system B y = c of
     `_class_system`: the iteration CG would run on the whole lattice,
     restricted to the class (Hestenes & Stiefel, J. Res. NBS 49, 1952).
-    CG multiplies by B through a `_ClassOperator` of its own, so
-    concurrent calls share nothing.  Raises SolverError with the class's
-    relative residual ||B y - c|| / ||c|| on a stall.
+    CG multiplies by B through a `_ClassOperator` and preconditions by
+    `_Identity`, so it runs scipy's unpreconditioned iteration bit for
+    bit.  Raises SolverError with the class's relative residual
+    ||B y - c|| / ||c|| on a stall.
     """
-    y, info = spla.cg(_ClassOperator(B.indptr, B.indices, B.data), c,
-                      rtol=CG_RTOL, atol=0.0, maxiter=CG_MAX_ITER)
+    A = _ClassOperator(B.indptr, B.indices, B.data)
+    y, info = spla.cg(A, c, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAX_ITER,
+                      M=_Identity(A.dtype, A.shape))
     if info != 0:
         res = float(np.linalg.norm(B @ y - c) / np.linalg.norm(c))
         raise SolverError(f"conjugate-gradient solve did not converge (info={info})",
                           final_residual=res)
     return y
-
-
-def _lapack(name: str, arguments: int):
-    """The LAPACK routine `name` of scipy's Cython LAPACK table as a ctypes
-    function of `arguments` pointers.  A ctypes call releases the GIL,
-    which scipy's f2py wrappers (`cholesky_banded`) hold throughout: a
-    factorization on the helper thread of `convergence_study` would stall
-    the CG of the calling thread for its whole length."""
-    capsule = cython_lapack.__pyx_capi__[name]
-    name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * arguments)(
-        pointer(capsule, name_of(capsule)))
-
-
-_DPBTRF, _DPBTRS = _lapack("dpbtrf", 6), _lapack("dpbtrs", 9)
 
 
 def banded_cholesky_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -449,15 +443,11 @@ def banded_cholesky_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     1999), so the factor takes no memory of its own; any other band is
     copied first.  Raises SolverError when S is not positive definite."""
     band = np.require(band, float, ["F", "W"])
-    y = np.array(rhs, dtype=float, order="F")
-    size, info = band.shape[1], ctypes.c_int()
-    n, kd, nrhs, ldab = (ctypes.byref(ctypes.c_int(v))
-                         for v in (size, band.shape[0] - 1, y.shape[1], band.shape[0]))
-    _DPBTRF(b"U", n, kd, band.ctypes.data, ldab, ctypes.byref(info))
-    if info.value:
+    _, info = lapack.dpbtrf(band, lower=0, overwrite_ab=1)
+    if info:
         raise SolverError(f"banded Cholesky factorization failed: the leading minor of "
-                          f"order {info.value} is not positive definite")
-    _DPBTRS(b"U", n, kd, nrhs, band.ctypes.data, ldab, y.ctypes.data, n, ctypes.byref(info))
+                          f"order {info} is not positive definite")
+    y, _ = lapack.dpbtrs(band, np.array(rhs, dtype=float, order="F"), lower=0, overwrite_b=1)
     return y
 
 
@@ -727,20 +717,6 @@ def _measure_level(spec: GridSpec, exact: XYCallable) -> tuple[float, float]:
     return err, float(max(np.nanmax(field.values), -np.nanmin(field.values)))
 
 
-def _yield_to_caller():
-    """Run the current thread, the helper of `convergence_study`, at the
-    lowest priority.  Unless BLAS is pinned to one thread, the CG of the
-    finest level keeps every core busy through BLAS threads, and a helper
-    competing with them slowed the lattice-cap ladder by 23-27 % (0-8 % at
-    nice 19, where it takes idle cores only).  Linux keeps a nice value per
-    thread; elsewhere, or where it may not be changed, the priority stays."""
-    if sys.platform.startswith("linux"):
-        try:
-            os.setpriority(os.PRIO_PROCESS, threading.get_native_id(), 19)
-        except OSError:
-            pass
-
-
 def convergence_study(spec: GridSpec, h_list: Sequence[float],
                       exact: XYCallable) -> dict:
     """Solve at each mesh width, compare against the exact solution, and
@@ -754,31 +730,14 @@ def convergence_study(spec: GridSpec, h_list: Sequence[float],
     error is rounding, not discretization.
 
     Every level is built before any solve, so an invalid width fails
-    first.  The calling thread then solves the finest level while one
-    helper thread, at the lowest priority (`_yield_to_caller`), solves the
-    coarser ones, coarsest first; the levels share nothing but the spec's
-    data, so `source`, `boundary` and `exact` may be called from both
-    threads at once.  The rows are those of solving the levels one by one,
-    and so is the failure: the coarsest failing level's exception is
-    raised, also when the finest fails too (the coarser levels then run to
-    the end to find it).  A coarser level's failure or an interrupt on the
-    calling thread cancels the levels not yet started, and the helper
-    thread has ended when the call returns or raises.
+    first.  The levels are then solved one after another on the calling
+    thread, coarsest first (`_measure_level`): a failing level's exception
+    is raised as it comes, so it is the coarsest failing one, and no finer
+    level is started after it.
     """
     hs = mesh_widths(h_list)
     runs = [replace(spec, h=h) for h in hs]
-    helper = ThreadPoolExecutor(max_workers=1, initializer=_yield_to_caller)
-    try:
-        coarse = [helper.submit(_measure_level, run, exact) for run in runs[:-1]]
-        try:
-            finest = _measure_level(runs[-1], exact)
-        except Exception:
-            for level in coarse:    # a coarser level's failure is raised instead
-                level.result()
-            raise
-        levels = [level.result() for level in coarse] + [finest]
-    finally:
-        helper.shutdown(cancel_futures=True)
+    levels = [_measure_level(run, exact) for run in runs]
 
     rows = []
     above = [err > RATE_ERROR_FLOOR * scale for err, scale in levels]

@@ -1,7 +1,6 @@
 """Screened-Poisson Dirichlet solver: exactness, residuals, convergence,
 maximum principle, symmetry, CSV output."""
 
-import ctypes
 import io
 import json
 import math
@@ -9,7 +8,6 @@ import os
 import stat
 import sys
 import threading
-import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -381,8 +379,8 @@ def level_source(spec, hs, react):
 
 
 class TestLadderThreads:
-    """`convergence_study` solves the finest level on the calling thread
-    and the coarser ones on one helper thread."""
+    """`convergence_study` solves its levels one after another on the
+    calling thread, coarsest first, and starts no thread."""
 
     @pytest.mark.parametrize("limit, hs, finest_cg", [
         (screened_pde.DIRECT_SOLVE_LIMIT, [0.04, 0.02, 0.01, 0.005], 0),
@@ -391,43 +389,41 @@ class TestLadderThreads:
     def test_rows_match_solving_the_levels_one_by_one(self, limit, hs, finest_cg,
                                                       monkeypatch):
         monkeypatch.setattr(screened_pde, "DIRECT_SOLVE_LIMIT", limit)
-        threads = {"cg": [], "banded_cholesky_solve": []}
-        for (name, seen), owner in zip(threads.items(), (screened_pde.spla, screened_pde)):
-            def record(*args, _solve=getattr(owner, name), _seen=seen, **options):
-                _seen.append(threading.current_thread())
+        # the thread and the live thread count of every class solve and of
+        # every row block the error of a level is measured on
+        seen = {"cg": [], "banded_cholesky_solve": [], "exact": []}
+        for name, owner in (("cg", screened_pde.spla), ("banded_cholesky_solve", screened_pde)):
+            def record(*args, _solve=getattr(owner, name), _seen=seen[name], **options):
+                _seen.append((threading.current_thread(), threading.active_count()))
                 return _solve(*args, **options)
             monkeypatch.setattr(owner, name, record)
+
+        def exact(x, y):
+            seen["exact"].append((threading.current_thread(), threading.active_count()))
+            return coshdist_exact(x, y)
         spec = manufactured_spec(beta=2.5, r_max=0.8, h=hs[0])
         before = threading.active_count()
-        report = convergence_study(spec, hs, coshdist_exact)
+        report = convergence_study(spec, hs, exact)
         assert threading.active_count() == before
-        # one class solve per level, the finest one on the calling thread
+        # one class solve per level, the finest one by CG when it is above
+        # the limit, and every solve and error block on the calling thread
+        assert len(seen["cg"]) == finest_cg
+        assert len(seen["banded_cholesky_solve"]) == len(hs) - finest_cg
         main = threading.main_thread()
-        assert len(threads["cg"]) + len(threads["banded_cholesky_solve"]) == len(hs)
-        assert [t is main for t in threads["cg"]] == [True] * finest_cg
-        assert sum(t is main for t in threads["banded_cholesky_solve"]) == 1 - finest_cg
+        assert seen["exact"]
+        for calls in seen.values():
+            assert calls == [(main, before)] * len(calls)
         assert report == sequential_report(spec, hs, coshdist_exact)
         assert all(1.5 <= row["observed_rate"] <= 2.5 for row in report["rows"][1:])
-
-    def test_rows_hold_under_frequent_thread_switches(self):
-        # both threads factorize at once; the rows stay bit for bit
-        hs = [0.04, 0.02, 0.01]
-        spec = manufactured_spec(beta=1.3, r_max=0.9, h=hs[0])
-        reference = sequential_report(spec, hs, coshdist_exact)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                assert convergence_study(spec, hs, coshdist_exact) == reference
-        finally:
-            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("failing", [{0, 3}, {1, 3}, {2, 3}, {0, 2}, {1}, {3}])
     def test_the_coarsest_failing_level_is_raised(self, failing):
         hs = [0.16, 0.08, 0.04, 0.02]
         spec = GridSpec(beta=2.0, r_max=0.8, h=hs[0], boundary=coshdist_exact)
+        started = []
 
         def react(level):
+            started.append(level)
             if level in failing:
                 raise LevelFailure(level)
         spec = replace(spec, source=level_source(spec, hs, react))
@@ -435,40 +431,26 @@ class TestLadderThreads:
         with pytest.raises(LevelFailure) as info:
             convergence_study(spec, hs, coshdist_exact)
         assert info.value.args == (min(failing),)
+        # no level finer than the first failing one is started
+        assert sorted(set(started)) == list(range(min(failing) + 1))
         assert threading.active_count() == before
 
-    def test_an_interrupt_on_the_calling_thread_cancels_the_queued_levels(self):
+    @pytest.mark.parametrize("interrupted", [0, 1, 2, 3])
+    def test_an_interrupt_in_a_level_leaves_the_finer_ones_unstarted(self, interrupted):
         hs = [0.16, 0.08, 0.04, 0.02]
         spec = GridSpec(beta=2.0, r_max=0.8, h=hs[0], boundary=coshdist_exact)
         started = []
 
         def react(level):
             started.append(level)
-            if level == 0:
-                time.sleep(0.3)     # the helper is busy when the interrupt comes
-            if level == len(hs) - 1:
+            if level == interrupted:
                 raise KeyboardInterrupt
         spec = replace(spec, source=level_source(spec, hs, react))
         before = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
             convergence_study(spec, hs, coshdist_exact)
         assert threading.active_count() == before
-        assert set(started) <= {0, 3} and 3 in started
-
-    @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                        reason="nice values are per thread on Linux only")
-    def test_the_helper_runs_at_the_lowest_priority(self):
-        hs = [0.16, 0.08, 0.04]
-        spec = GridSpec(beta=2.0, r_max=0.8, h=hs[0], boundary=coshdist_exact)
-        nice = {}
-
-        def react(level):
-            nice[level] = os.getpriority(os.PRIO_PROCESS, threading.get_native_id())
-        spec = replace(spec, source=level_source(spec, hs, react))
-        caller = os.getpriority(os.PRIO_PROCESS, threading.get_native_id())
-        convergence_study(spec, hs, coshdist_exact)
-        assert nice == {0: 19, 1: 19, 2: caller}
-        assert os.getpriority(os.PRIO_PROCESS, threading.get_native_id()) == caller
+        assert sorted(set(started)) == list(range(interrupted + 1))
 
 
 class TestRateFloor:
@@ -1088,15 +1070,6 @@ class TestBandedCholesky:
         with pytest.raises(SolverError, match="the leading minor of order 2 is not positive "
                                               "definite"):
             screened_pde.banded_cholesky_solve(band, np.ones((2, 1)))
-
-    def test_lapack_runs_without_the_gil(self):
-        # a ctypes function of the C calling convention releases the GIL
-        # for the call (a PYFUNCTYPE one would hold it, as scipy's f2py
-        # wrappers do), so a ladder's helper thread does not stall the CG
-        # of the calling thread while it factorizes
-        for routine in (screened_pde._DPBTRF, screened_pde._DPBTRS):
-            assert isinstance(routine, ctypes._CFuncPtr)
-            assert not routine._flags_ & ctypes._FUNCFLAG_PYTHONAPI
 
 
 def nonsymmetric_exact(x, y):
