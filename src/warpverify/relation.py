@@ -68,14 +68,12 @@ class RelationPoly:
 
 def _validated(m: Number, beta: Number) -> tuple[Number, Number, Number]:
     """Validated (m, beta, 1/2): Fractions when m and beta are both
-    int/Fraction, floats otherwise.  m must lie in [1, 2**63), the range of
-    a sweep's int64 m column, which also keeps float(m) finite, and be at
-    most 2**53: the roots are solved in doubles, which round larger
-    integers, so m = 2**53 + 1 would get the roots of m = 2**53.  beta**2
+    int/Fraction, floats otherwise.  m must lie in [1, 2**53]: the roots
+    are solved in doubles, which round larger integers, so m = 2**53 + 1
+    would get the roots of m = 2**53; the bound also keeps float(m)
+    finite and m in a sweep's int64 m column.  beta**2
     must be a normal double: a0 and the discriminant carry it, and below
     that they lose digits to underflow or flush to 0."""
-    if m >= 2 ** 63:
-        raise ValueError(f"fiber dimension m must be below 2**63, got {m}")
     if m > 2 ** 53:
         raise ValueError(f"fiber dimension m must be at most 2**53 = {2 ** 53} (doubles "
                          f"do not hold every integer above it), got {m}")
@@ -233,8 +231,10 @@ def existence_sweep(m_range: tuple[int, int], betas: Sequence[Number],
     Floats only: each row holds the doubles `solve_lambda(relation_poly(m,
     float(beta), variant))` gives, from the same expressions and root
     kernel; exact rational arithmetic stays with those two.  A row's
-    admissible root is its smaller admissible one.  Verdict: "true" when an
-    admissible root exists, "false" otherwise, "out_of_domain" for m = 1
+    admissible root is root1 when root1 is admissible: the roots ascend
+    and admissibility bounds a root from above, so root2 is admissible
+    only when root1 is.  Verdict: "true" when an admissible root exists,
+    "false" otherwise, "out_of_domain" for m = 1
     (the profile normalization needs m >= 2, so the relation has no
     geometric content there even though its coefficients evaluate).  More
     than MAX_SWEEP_ROWS rows are refused before any array is built.
@@ -256,14 +256,11 @@ def existence_sweep(m_range: tuple[int, int], betas: Sequence[Number],
     with np.errstate(all="ignore"):  # rows outside the double range fail below
         a2, a1, a0 = _coefficients(mv, beta, 0.5, variant)
     roots, _ = _real_roots(a2, a1, a0, mv, beta)
-    K, _, _, ok = _admissibility(roots, mv[:, None], beta[:, None])
-
-    def first_admissible(values):
-        return np.where(ok[:, 0], values[:, 0], np.where(ok[:, 1], values[:, 1], np.nan))
-
+    root1 = roots[:, 0]
+    K, _, _, ok = _admissibility(root1, mv, beta)
     return SweepTable(
         variant=variant, m=m, beta=beta, a2=a2, a1=a1, a0=a0,
-        root1=roots[:, 0], root2=roots[:, 1],
-        admissible_root=first_admissible(roots), K=first_admissible(K),
-        exists=_VERDICTS[np.where(m < 2, 2, ok.any(axis=1))],
+        root1=root1, root2=roots[:, 1],
+        admissible_root=np.where(ok, root1, np.nan), K=np.where(ok, K, np.nan),
+        exists=_VERDICTS[np.where(m < 2, 2, ok)],
     )

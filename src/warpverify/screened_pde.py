@@ -16,7 +16,7 @@ import os
 import stat
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, TextIO, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,10 +35,6 @@ TAG_NAMES = {INTERIOR: "interior", BOUNDARY: "boundary", EXTERIOR: "exterior"}
 DIRECT_SOLVE_LIMIT = 100_000
 CG_MAX_ITER = 100_000
 CG_RTOL = 1e-12
-
-# Lattice rows per joined block of the grid CSV: about 3 MB of text on the
-# widest lattice.
-CSV_BLOCK_ROWS = 64
 
 # Rows per block of every per-node pass (`_row_blocks`): at most 256 KB per
 # node-sized float temporary on the widest lattice.  At a benchmark
@@ -421,15 +417,16 @@ def _class_cg(B, c: np.ndarray) -> np.ndarray:
     restricted to the class (Hestenes & Stiefel, J. Res. NBS 49, 1952).
     CG multiplies by B through a `_ClassOperator` and preconditions by
     `_Identity`, so it runs scipy's unpreconditioned iteration bit for
-    bit.  Raises SolverError with the class's relative residual
-    ||B y - c|| / ||c|| on a stall.
+    bit.  On a stall raises SolverError whose message and
+    `final_residual` give the class's relative residual ||B y - c|| / ||c||.
     """
     A = _ClassOperator(B.indptr, B.indices, B.data)
     y, info = spla.cg(A, c, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAX_ITER,
                       M=_Identity(A.dtype, A.shape))
     if info != 0:
         res = float(np.linalg.norm(B @ y - c) / np.linalg.norm(c))
-        raise SolverError(f"conjugate-gradient solve did not converge (info={info})",
+        raise SolverError(f"conjugate-gradient solve did not converge (info={info}): "
+                          f"relative residual {res:.6g}, target {CG_RTOL:g}",
                           final_residual=res)
     return y
 
@@ -466,11 +463,15 @@ def _red_black_solve(B, c: np.ndarray, nodes: tuple[np.ndarray, np.ndarray]) -> 
     the Schur complement S y_b = c_b - B_br D^-1 c_r,
     S = D_b - B_br D^-1 B_rb, symmetric positive definite as B is, with at
     most nine entries a row; then y_r = D^-1 (c_r - B_rb y_b).  Both come
-    from the black rows L of B and the prolongation R = [I; -D^-1 B_rb],
-    written from B's CSR arrays: S = L R, and with v = D^-1 c on red nodes
-    and 0 on black ones, the right-hand side is c_b - L v and
-    y = v + R y_b.  `banded_cholesky_solve` factorizes S's upper band.
-    The black nodes are numbered by anti-diagonal k + l, then by k: S joins
+    from selections of B: its black rows L = B[black], and its black
+    columns B[:, black] with each red row divided by -D and the one entry
+    of each black row, its diagonal, set to 1, which give the
+    prolongation R, -D^-1 B_rb on red rows and I on black ones.  Then
+    S = L R, and with v = D^-1 c on red nodes and 0 on black ones, the
+    right-hand side is c_b - L v and y = v + R y_b.  A selection keeps
+    each row's entries in B's order, so every sum runs in that order.
+    `banded_cholesky_solve` factorizes S's upper band.
+    The black nodes are taken by anti-diagonal k + l, then by k: S joins
     a node only to nodes on its own anti-diagonal and the two next to it,
     and every node on an odd anti-diagonal is black, so S's half-bandwidth
     is about the longest black anti-diagonal, about half the lattice
@@ -479,40 +480,29 @@ def _red_black_solve(B, c: np.ndarray, nodes: tuple[np.ndarray, np.ndarray]) -> 
     """
     k, l = nodes
     red = (k + l) % 2 == 0
-    counts = np.diff(B.indptr)
-    rows = np.repeat(np.arange(red.size, dtype=B.indices.dtype), counts)
-    diagonal = B.indices == rows
-    d = B.data[diagonal]            # every row holds its diagonal entry
-    black = ~red
-    nb = np.count_nonzero(black)
+    d = B.diagonal()                # every row holds its diagonal entry
     v = np.where(red[:, None], c / d[:, None], 0.0)
-    if not nb:
+    black = np.flatnonzero(~red)
+    if not black.size:
         return v
-    order = np.lexsort((k[black], k[black] + l[black]))
-    at = np.empty(red.size, dtype=B.indices.dtype)     # a black node's place in that order
-    at[np.flatnonzero(black)[order]] = np.arange(nb)
-    on_black = black[rows]
-    L = sp.csr_matrix((B.data[on_black], B.indices[on_black],
-                       np.append(0, np.cumsum(counts[black]))), shape=(nb, red.size))
-    pick = diagonal == on_black     # the diagonal of a black row, the rest of a red one
-    rows, cols, data = rows[pick], B.indices[pick], B.data[pick]
-    R = sp.csr_matrix((np.where(red[rows], -data / d[rows], 1.0), at[cols],
-                       np.append(0, np.cumsum(np.where(red, counts - 1, 1)))),
-                      shape=(red.size, nb))
-    rhs = (c[black] - L @ v)[order]
+    black = black[np.lexsort((k[black], k[black] + l[black]))]
+    L, R = B[black], B[:, black]    # a black row of R holds only its diagonal
+    counts = np.diff(R.indptr)
+    R.data = np.where(np.repeat(red, counts), -R.data / np.repeat(d, counts), 1.0)
+    rhs = c[black] - L @ v
     S = L @ R
-    i, j = np.repeat(at[black], np.diff(S.indptr)), S.indices
-    upper = i <= j
-    i, j, values = i[upper], j[upper], S.data[upper]
-    del rows, cols, data, L, S, upper   # the band is the largest array of the solve
+    i = np.repeat(np.arange(black.size, dtype=S.indices.dtype), np.diff(S.indptr))
+    upper = i <= S.indices
+    i, j, values = i[upper], S.indices[upper], S.data[upper]
+    del L, S, upper, counts     # the band is the largest array of the solve
     u = int(np.max(j - i))
-    band = np.zeros((u + 1) * nb)
+    band = np.zeros((u + 1) * black.size)
     j *= u                          # S[i, j] sits at u + i - j + (u + 1) j in the
     j += u                          # Fortran-ordered band
     j += i
     band[j] = values
     del i, j, values
-    y = banded_cholesky_solve(band.reshape((u + 1, nb), order="F"), rhs)
+    y = banded_cholesky_solve(band.reshape((u + 1, black.size), order="F"), rhs)
     return v + R @ y
 
 
@@ -759,8 +749,9 @@ def mesh_widths(h_list: Sequence[float]) -> list[float]:
     return hs
 
 
-def write_grid_csv(field: GridField, dest: Union[str, TextIO]):
-    """Emit the lattice as CSV: header x1,x2,tag,value, row-major order.
+def write_grid_csv(field: GridField, dest: str):
+    """Write the lattice to the file dest as CSV: header x1,x2,tag,value,
+    row-major order.
 
     Nodes valued NaN (the exterior ones) carry an empty value column.
     Floats are written with 17 significant digits so output is bit-stable
@@ -769,29 +760,49 @@ def write_grid_csv(field: GridField, dest: Union[str, TextIO]):
     them by the vectorized `floattext.g17`: a solution of symmetric data
     has about N/8 distinct values (N/4 when odd).  The body is joined from
     the prebuilt pieces (x1, ",x2,tag,", value) picked by index and
-    written in blocks of CSV_BLOCK_ROWS lattice rows, byte for byte what
-    one format per node gives.
+    written a row block at a time (`_row_blocks`), byte for byte what one
+    format per node gives; a block's value indices are the next run of
+    the distinct values' inverse, which lists the known nodes row-major.
 
-    A file named by `dest` is rewritten in place: it is opened without
-    truncation (on ext4 a truncate right after the previous grid was
-    written waits on that grid's write-back), and once every row is
-    written a regular file is cut to the length written, so a longer
-    predecessor leaves no tail.  The inode, the mode and any symlink or
-    hard link stay as a truncating open left them.  When writing fails, a
-    regular file is first cut to length 0 through its descriptor and then
-    `dest` is removed, so no partial rows survive under any name, a
-    symlink's target included; a device such as /dev/full stays.  A run
-    killed mid-write leaves the new rows followed by the old file's tail.
+    The file is rewritten in place: it is opened without truncation (on
+    ext4 a truncate right after the previous grid was written waits on
+    that grid's write-back), and once every row is written a regular file
+    is cut to the length written, so a longer predecessor leaves no tail.
+    The inode, the mode and any symlink or hard link stay as a truncating
+    open left them.  When writing fails, a regular file is first cut to
+    length 0 through its descriptor and then `dest` is removed, so no
+    partial rows survive under any name, a symlink's target included; a
+    device such as /dev/full stays.  A run killed mid-write leaves the new
+    rows followed by the old file's tail.
     """
-    if not isinstance(dest, str):
-        _write_grid_rows(field, dest)
-        return
+    from .floattext import g17  # loaded on use: only this writer needs it
+    coords = g17(field.axis)
+    n = len(coords)
+    known = ~np.isnan(field.values)
+    bits, value_at = np.unique(field.values[known].view(np.int64), return_inverse=True)
+    # The pieces of a line: x1 by row, ",x2,tag," by (tag, column), then
+    # the value with its newline ("\n" alone when NaN).
+    pieces = np.array(
+        coords + [f",{x2},{TAG_NAMES[tag]}," for tag in sorted(TAG_NAMES) for x2 in coords]
+        + ["\n"] + g17(bits.view(float), newline=True),
+        dtype=object)
     fd = os.open(dest, os.O_WRONLY | os.O_CREAT, 0o666)
     regular = False
     try:
         regular = stat.S_ISREG(os.fstat(fd).st_mode)
         with open(fd, "w", encoding="ascii", newline="", closefd=False) as fh:
-            _write_grid_rows(field, fh)
+            fh.write("x1,x2,tag,value\n")
+            start = 0
+            for rows in _row_blocks(n):
+                pick = np.empty((rows.stop - rows.start, n, 3), dtype=np.intp)
+                pick[..., 0] = np.arange(rows.start, rows.stop)[:, None]
+                pick[..., 1] = n * (1 + field.tags[rows].astype(np.intp)) + np.arange(n)
+                pick[..., 2] = 4 * n
+                block = known[rows]
+                stop = start + np.count_nonzero(block)
+                pick[..., 2][block] += 1 + value_at[start:stop]
+                start = stop
+                fh.write("".join(pieces[pick.reshape(-1)].tolist()))
         if regular:
             os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
     except BaseException:
@@ -801,32 +812,6 @@ def write_grid_csv(field: GridField, dest: Union[str, TextIO]):
         raise
     finally:
         os.close(fd)
-
-
-def _write_grid_rows(field: GridField, fh: TextIO):
-    from .floattext import g17  # loaded on use: only this writer needs it
-    coords = g17(field.axis)
-    n = len(coords)
-    values = field.values.reshape(-1)
-    known = ~np.isnan(values)
-    bits, value_at = np.unique(values[known].view(np.int64), return_inverse=True)
-    # The pieces of a line: x1 by row, ",x2,tag," by (tag, column), then
-    # the value with its newline ("\n" alone when NaN).
-    pieces = np.array(
-        coords + [f",{x2},{TAG_NAMES[tag]}," for tag in sorted(TAG_NAMES) for x2 in coords]
-        + ["\n"] + g17(bits.view(float), newline=True),
-        dtype=object)
-    value = np.full(values.size, 4 * n)
-    value[known] += 1 + value_at.reshape(-1)
-    value = value.reshape(n, n)
-    fh.write("x1,x2,tag,value\n")
-    for start in range(0, n, CSV_BLOCK_ROWS):
-        rows = np.arange(start, min(start + CSV_BLOCK_ROWS, n))
-        pick = np.empty((rows.size, n, 3), dtype=np.intp)
-        pick[..., 0] = rows[:, None]
-        pick[..., 1] = n * (1 + field.tags[rows].astype(np.intp)) + np.arange(n)
-        pick[..., 2] = value[rows]
-        fh.write("".join(pieces[pick.reshape(-1)].tolist()))
 
 
 def coshdist_exact(x, y):

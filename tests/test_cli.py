@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -435,7 +436,8 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert out == ""
         assert capsys.readouterr().err == (
-            f"usage error: fiber dimension m must be below 2**63, got {m}\n")
+            f"usage error: fiber dimension m must be at most 2**53 = {2 ** 53} (doubles "
+            f"do not hold every integer above it), got {m}\n")
 
     @pytest.mark.parametrize("argv, m", [
         (("relation", "solve"), str(2 ** 53 + 1)),
@@ -507,17 +509,35 @@ class TestNonFiniteRelation:
         assert "exceeds the cap of MAX_SWEEP_ROWS = 1000000 rows" in capsys.readouterr().err
 
 
+class DiskFullAfterOneWrite:
+    """A text file whose first write reaches the disk and whose later
+    writes fail with ENOSPC."""
+
+    def __init__(self, fh):
+        self.fh, self.written = fh, False
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def write(self, text):
+        if self.written:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.fh.write(text)
+        self.fh.flush()
+        self.written = True
+
+
 def solve_into_a_full_disk(dest, monkeypatch, capsys):
-    """Run `pde solve --out dest` with a writer that puts out the header and
-    then fails with ENOSPC, and check the reported error."""
+    """Run `pde solve --out dest` on a disk that fills up once the CSV
+    header is written, and check the reported error."""
     from warpverify import screened_pde
 
-    def write_then_fail(field, fh):
-        fh.write("x1,x2,tag,value\n")
-        fh.flush()
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-    monkeypatch.setattr(screened_pde, "_write_grid_rows", write_then_fail)
+    monkeypatch.setattr(screened_pde, "open", raising=False,
+                        value=lambda *args, **options: DiskFullAfterOneWrite(
+                            open(*args, **options)))
     code, out = invoke("pde", "solve", "--beta", "1", "--rmax", "0.5",
                        "--h", "0.05", "--out", str(dest), "--quiet")
     assert code == EXIT_USAGE
@@ -874,6 +894,10 @@ class TestSolverFailureExit:
         assert not dest.exists()
         err = capsys.readouterr().err
         assert err.startswith("solver failure: conjugate-gradient") and "Traceback" not in err
+        # how far it got: the class's relative residual after its one iteration
+        match = re.fullmatch(r"solver failure: conjugate-gradient solve did not converge "
+                             r"\(info=1\): relative residual (\S+), target 1e-12\n", err)
+        assert match and 1e-12 < float(match[1]) < 1.0
 
     def test_failed_banded_factorization(self, monkeypatch, tmp_path, capsys):
         # LAPACK refuses the negated band, which is negative definite

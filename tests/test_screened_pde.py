@@ -899,6 +899,45 @@ def band_matrix(band):
     return (upper + upper.T - sp.diags(upper.diagonal())).tocsr()
 
 
+def reference_red_black_solve(B, c, nodes):
+    """Reference for `_red_black_solve`: the same reduction with the black
+    rows L and the prolongation R written by hand from B's CSR arrays, L's
+    rows in the natural order and S = L R renumbered into the anti-diagonal
+    order.  `_red_black_solve` must match it bit for bit."""
+    k, l = nodes
+    red = (k + l) % 2 == 0
+    counts = np.diff(B.indptr)
+    rows = np.repeat(np.arange(red.size, dtype=B.indices.dtype), counts)
+    diagonal = B.indices == rows
+    d = B.data[diagonal]
+    black = ~red
+    nb = np.count_nonzero(black)
+    v = np.where(red[:, None], c / d[:, None], 0.0)
+    if not nb:
+        return v
+    order = np.lexsort((k[black], k[black] + l[black]))
+    at = np.empty(red.size, dtype=B.indices.dtype)     # a black node's place in that order
+    at[np.flatnonzero(black)[order]] = np.arange(nb)
+    on_black = black[rows]
+    L = sp.csr_matrix((B.data[on_black], B.indices[on_black],
+                       np.append(0, np.cumsum(counts[black]))), shape=(nb, red.size))
+    pick = diagonal == on_black     # the diagonal of a black row, the rest of a red one
+    rows, cols, data = rows[pick], B.indices[pick], B.data[pick]
+    R = sp.csr_matrix((np.where(red[rows], -data / d[rows], 1.0), at[cols],
+                       np.append(0, np.cumsum(np.where(red, counts - 1, 1)))),
+                      shape=(red.size, nb))
+    rhs = (c[black] - L @ v)[order]
+    S = L @ R
+    i, j = np.repeat(at[black], np.diff(S.indptr)), S.indices
+    upper = i <= j
+    i, j, values = i[upper], j[upper], S.data[upper]
+    u = int(np.max(j - i))
+    band = np.zeros((u + 1, nb), order="F")
+    band[u + i - j, j] = values
+    y = screened_pde.banded_cholesky_solve(band, rhs)
+    return v + R @ y
+
+
 class TestRedBlackReduction:
     """Each direct class solve eliminates the nodes of even k + l and
     factorizes the Schur complement on the others by banded Cholesky."""
@@ -914,6 +953,19 @@ class TestRedBlackReduction:
             off = entries.row != entries.col
             assert np.array_equal(np.sort(entries.row[~off]), np.arange(red.size))
             assert np.all(red[entries.row[off]] != red[entries.col[off]])
+
+    @pytest.mark.parametrize("columns", [1, 2])
+    @pytest.mark.parametrize("spec", COLOUR_SPECS, ids=COLOUR_IDS)
+    def test_matches_the_hand_built_reduction_bit_for_bit(self, spec, columns):
+        # every class of both swap parities and the quarter classes, the
+        # one-colour classes of the smallest lattice among them: selecting
+        # B's rows and columns keeps each row's entry order, so every sum
+        # runs as in the hand-built L and R
+        rng = np.random.default_rng(38)
+        for B, nodes, _, _ in colour_classes(spec):
+            c = rng.standard_normal((B.shape[0], columns))
+            assert_same_bits(_red_black_solve(B, c, nodes),
+                             reference_red_black_solve(B, c, nodes))
 
     @pytest.mark.parametrize("name", sorted(SPLIT_SPECS))
     def test_reduced_solve_matches_the_unreduced_class_solve(self, name, monkeypatch):
@@ -1026,6 +1078,7 @@ class TestRedBlackReduction:
         c = np.array([[1.0, 2.0], [-5.0, 0.5]])
         nodes = (np.array([0, 1]), np.array([0, 1]))
         assert_same_bits(_red_black_solve(B, c, nodes), c / [[3.0], [7.0]])
+        assert_same_bits(reference_red_black_solve(B, c, nodes), c / [[3.0], [7.0]])
 
 
 def random_band(rng, size, u):
@@ -1555,19 +1608,14 @@ def reference_text(field):
     return buf.getvalue()
 
 
-def written_text(field, dest_kind, tmp_path):
-    if dest_kind == "textio":
-        buf = io.StringIO()
-        write_grid_csv(field, buf)
-        return buf.getvalue()
+def written_text(field, tmp_path):
     path = tmp_path / "grid.csv"
     write_grid_csv(field, str(path))
     return path.read_bytes().decode("ascii")
 
 
 class TestCsvOutput:
-    @pytest.mark.parametrize("dest_kind", ["path", "textio"])
-    def test_matches_reference_on_edge_values(self, dest_kind, tmp_path):
+    def test_matches_reference_on_edge_values(self, tmp_path):
         axis = np.array([-1e300, -0.0, 5e-324, 0.1 + 0.2])
         tags = np.array([[EXTERIOR, BOUNDARY, INTERIOR, EXTERIOR],
                          [BOUNDARY, INTERIOR, INTERIOR, BOUNDARY],
@@ -1580,7 +1628,7 @@ class TestCsvOutput:
                            [math.nan, 2.5e-310, 0.0, 1.0 / 3.0],
                            [math.nan, math.nan, math.nan, math.nan]])
         field = GridField(axis=axis, tags=tags, values=values)
-        text = written_text(field, dest_kind, tmp_path)
+        text = written_text(field, tmp_path)
         assert_same_text(text, reference_text(field))
         assert "\n-0,-0,interior,-1.0000000000000001e+300\n" in text
         assert text.endswith("0.30000000000000004,0.30000000000000004,exterior,\n")
@@ -1594,29 +1642,28 @@ class TestCsvOutput:
         assert code == 0
         field = assemble_and_solve(
             GridSpec(beta=1.3, r_max=0.9, h=0.03, boundary=BOUNDARY_CATALOG[bc]))
-        expected = reference_text(field)
-        assert_same_text(path.read_bytes().decode("ascii"), expected)
-        assert_same_text(written_text(field, "textio", tmp_path), expected)
+        assert_same_text(path.read_bytes().decode("ascii"), reference_text(field))
 
-    @pytest.mark.parametrize("block_rows", [7, screened_pde.CSV_BLOCK_ROWS])
-    def test_matches_reference_across_row_blocks(self, block_rows, monkeypatch):
-        # 191 lattice rows: several blocks, the last one partial
-        monkeypatch.setattr(screened_pde, "CSV_BLOCK_ROWS", block_rows)
+    @pytest.mark.parametrize("block_rows", [7, screened_pde.BLOCK_ROWS])
+    def test_matches_reference_across_row_blocks(self, block_rows, monkeypatch, tmp_path):
+        # 191 lattice rows: several blocks, the last one partial, each
+        # taking the next run of the value indices
         field = assemble_and_solve(
             GridSpec(beta=1.3, r_max=0.95, h=0.01, boundary=BOUNDARY_CATALOG["coshdist"]))
+        monkeypatch.setattr(screened_pde, "BLOCK_ROWS", block_rows)
         n = len(field.axis)
         assert n > 2 * block_rows and n % block_rows != 0
-        assert_same_text(written_text(field, "textio", None), reference_text(field))
+        assert_same_text(written_text(field, tmp_path), reference_text(field))
 
-    def test_matches_reference_on_all_distinct_values(self):
+    def test_matches_reference_on_all_distinct_values(self, tmp_path):
         # no symmetry: nothing for the writer to share between nodes
         field = assemble_and_solve(seeded_asymmetric_spec(3, r_max=0.85, h=0.006))
         known = field.values[~np.isnan(field.values)]
         assert field.values.size > 80_000
         assert np.unique(known).size == known.size
-        assert_same_text(written_text(field, "textio", None), reference_text(field))
+        assert_same_text(written_text(field, tmp_path), reference_text(field))
 
-    def test_matches_reference_on_an_odd_field(self):
+    def test_matches_reference_on_an_odd_field(self, tmp_path):
         # exactly odd in x and y: +-v pairs share their digits but not their
         # bits, and the axes carry both 0.0 and -0.0
         field = assemble_and_solve(
@@ -1625,19 +1672,17 @@ class TestCsvOutput:
         assert np.array_equal(-values[::-1, :], values, equal_nan=True)
         zeros = values[values == 0.0]
         assert np.signbit(zeros).any() and not np.signbit(zeros).all()
-        text = written_text(field, "textio", None)
+        text = written_text(field, tmp_path)
         assert_same_text(text, reference_text(field))
         assert ",boundary,-0\n" in text and ",boundary,0\n" in text
 
-    def test_format_and_determinism(self):
+    def test_format_and_determinism(self, tmp_path):
         spec = GridSpec(beta=1.0, r_max=0.5, h=0.1,
                         boundary=lambda x, y: x + 2 * y)
         field = assemble_and_solve(spec)
-        buf_a, buf_b = io.StringIO(), io.StringIO()
-        write_grid_csv(field, buf_a)
-        write_grid_csv(assemble_and_solve(spec), buf_b)
-        assert buf_a.getvalue() == buf_b.getvalue()
-        lines = buf_a.getvalue().splitlines()
+        text = written_text(field, tmp_path)
+        assert written_text(assemble_and_solve(spec), tmp_path) == text
+        lines = text.splitlines()
         assert lines[0] == "x1,x2,tag,value"
         n = len(field.axis)
         assert len(lines) == 1 + n * n
@@ -1646,12 +1691,10 @@ class TestCsvOutput:
         tags = {row.split(",")[2] for row in lines[1:]}
         assert tags == {"interior", "boundary", "exterior"}
 
-    def test_row_major_order(self):
+    def test_row_major_order(self, tmp_path):
         spec = GridSpec(beta=1.0, r_max=0.5, h=0.1)
         field = assemble_and_solve(spec)
-        buf = io.StringIO()
-        write_grid_csv(field, buf)
-        rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
+        rows = [line.split(",") for line in written_text(field, tmp_path).splitlines()[1:]]
         n = len(field.axis)
         # x1 constant over each block of n rows, x2 cycling
         assert rows[0][0] == rows[n - 1][0]
@@ -1722,13 +1765,12 @@ class TestInPlaceRewrite:
         path = tmp_path / "grid.csv"
         path.write_bytes(b"old\n" * 100_000)
         sizes = []
-        write_rows = screened_pde._write_grid_rows
 
-        def sized(field, fh):
+        def sized(*args, **options):
             sizes.append(path.stat().st_size)
-            write_rows(field, fh)
+            return open(*args, **options)
 
-        monkeypatch.setattr(screened_pde, "_write_grid_rows", sized)
+        monkeypatch.setattr(screened_pde, "open", sized, raising=False)
         write_grid("writer", "small", path)
         assert sizes == [400_000]
         assert path.read_bytes().startswith(b"x1,x2,tag,value\n")
