@@ -101,19 +101,26 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class GridField:
-    """Values on the masked lattice.
+    """Values on the masked lattice of a problem.
 
     `axis` holds the shared 1D lattice coordinates, `tags` the per-node
-    classification, `values` the solution (NaN at exterior nodes).
+    classification, `values` the solution (NaN at exterior nodes) and
+    `spec` the problem it was solved or sampled from.
     """
 
     axis: np.ndarray
     tags: np.ndarray
     values: np.ndarray
+    spec: GridSpec
 
     @property
     def interior_mask(self) -> np.ndarray:
         return self.tags == INTERIOR
+
+    @property
+    def max_abs(self) -> float:
+        """max|f| over the nodes that carry a value (not NaN)."""
+        return float(max(np.nanmax(self.values), -np.nanmin(self.values)))
 
     def max_error_against(self, exact: XYCallable) -> float:
         """Max |f - exact| over non-exterior nodes.  exact is called once
@@ -319,9 +326,10 @@ def _class_system(interior: np.ndarray, axis: np.ndarray, beta: float, h: float,
 
     Returns the kept nodes (k, l), row-major, B = 2^-e diag(s) A
     diag(1/root), s, root and e: A x = b is B y = 2^-e s b, x = y/root.
-    2^-e puts A's largest diagonal, beta + 4 max(w)/h^2, in [1/2, 1), so
-    B is finite for any beta; an entry of B is 2^-e a, exact short of
-    subnormals, times s[row] (1/root)[col], rounded once.
+    2^-e puts A's largest diagonal, beta + 4 max(w)/h^2, in [1/2, 1), and
+    each stencil entry is written already times 2^-e, so B is finite for
+    any beta; an entry of B is 2^-e a, exact short of subnormals, times
+    s[row] (1/root)[col], rounded once.
     """
     n = interior.shape[0] // 2
     a, b = parity
@@ -334,9 +342,10 @@ def _class_system(interior: np.ndarray, axis: np.ndarray, beta: float, h: float,
     column = np.full(keep.shape, -1, dtype=np.int32)
     column[k, l] = np.arange(k.size, dtype=np.int32)
     w = _conformal_weight(axis[n + k], axis[n + l])
-    # A's largest diagonal, beta + 4 w/h^2 at the largest w: rounding is
-    # monotone, so it is the largest of the rounded diagonals
-    _, e = np.frexp(beta + 4.0 * (np.max(w) / (h * h)))
+    # A's largest diagonal, beta + 4 w/h^2 at the largest w, read off its
+    # half, which is finite: rounding is monotone, so it is the largest of
+    # the rounded diagonals
+    e = np.frexp(0.5 * beta + 2.0 * (np.max(w) / (h * h)))[1] + 1
 
     # The rows are written a row block of the quarter at a time: their
     # nodes are the kept ones in those rows, a run of the row-major order.
@@ -355,13 +364,14 @@ def _class_system(interior: np.ndarray, axis: np.ndarray, beta: float, h: float,
         folded = column[i, j]
         kept = interior[n + i, n + j]
         kept &= folded >= 0
-        values = np.repeat(-w[lo:hi, None] / (h * h), 5, axis=1)
-        values[:, 2] = beta + 4.0 * (w[lo:hi] / (h * h))
+        scaled = np.ldexp(w[lo:hi] / (h * h), -e)
+        values = np.repeat(-scaled[:, None], 5, axis=1)
+        values[:, 2] = np.ldexp(beta, -e) + 4.0 * scaled
         np.cumsum(kept.sum(axis=1, dtype=np.int32), out=indptr[lo + 1:hi + 1])
         indptr[lo + 1:hi + 1] += indptr[lo]
         data[indptr[lo]:indptr[hi]] = values[kept]
         indices[indptr[lo]:indptr[hi]] = folded[kept]
-    del i, j, folded, kept, values, column      # before the scaling's temporaries
+    del i, j, folded, kept, scaled, values, column      # before the scaling's temporaries
     B = sp.csr_matrix((data[:indptr[-1]], indices[:indptr[-1]], indptr), shape=(k.size, k.size))
     B.sum_duplicates()
     root = np.sqrt((1 + (k > 0)) * (1 + (l > 0)) * (1 + (swap is not None) * (k != l)))
@@ -371,7 +381,6 @@ def _class_system(interior: np.ndarray, axis: np.ndarray, beta: float, h: float,
         entries = slice(B.indptr[lo], B.indptr[hi])
         factor = np.repeat(s[lo:hi], np.diff(B.indptr[lo:hi + 1]))
         factor *= inverse_root[B.indices[entries]]
-        np.ldexp(B.data[entries], -e, out=B.data[entries])
         B.data[entries] *= factor
     return (k, l), B, s, root, e
 
@@ -642,55 +651,46 @@ def assemble_and_solve(spec: GridSpec) -> GridField:
                            cg=np.count_nonzero(interior) > DIRECT_SOLVE_LIMIT)
     values[tags == BOUNDARY] = bvals
     values[tags == EXTERIOR] = np.nan
-    return GridField(axis=axis, tags=tags, values=values)
+    return GridField(axis=axis, tags=tags, values=values, spec=spec)
 
 
-def residual_field(field: GridField, spec: GridSpec) -> float:
-    """Max over interior nodes of |lap_g f - beta f + psi|.
+def residual_field(field: GridField) -> tuple[float, float]:
+    """(max residual, backward error) of the field in its spec's problem,
+    from one pass over the interior nodes of the field's lattice.
 
-    For a field returned by `assemble_and_solve` this is the linear-solve
-    residual; for an exact solution sampled on the lattice it measures the
-    truncation error of the five-point stencil.  It is absolute, so it has
-    a rounding floor near eps * w * max|f| / h^2, w = (1 - r^2)^2/4.
+    The residual r is lap_g f - beta f + psi: for a field returned by
+    `assemble_and_solve` that of the linear solve, for an exact solution
+    sampled on the lattice the five-point stencil's truncation error.
+    Its max-abs has a rounding floor near eps * w * max|f| / h^2,
+    w = (1 - r^2)^2/4.  The backward error, ||r|| / (||M|| ||f|| + ||psi||)
+    in the max norm (Rigal & Gaches, J. ACM 14, 1967; Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, Thm. 7.1), is scale-free and
+    0 when r is.  M, the interior rows acting on interior and boundary
+    values, has ||M|| = beta + 8 max(w)/h^2 = beta + 2/h^2 (w peaks at 1/4
+    at the origin, interior as h < r_max/4), formed as 2^e m, m in [1, 2),
+    from its finite half; dividing by m and by 2^e gives the quotients by
+    the rounded ||M|| wherever that is finite, short of subnormals.
     """
-    axis, tags = _lattice(spec)
-    if not (np.array_equal(axis, field.axis) and np.array_equal(tags, field.tags)):
-        raise ValueError("lattice mismatch between field and spec")
-
+    spec = field.spec
+    h2 = spec.h * spec.h
     # The five-point Laplacian at the interior nodes, from shifted views of
     # the lattice less its first and last rows and columns, which hold none.
     f, source, maxima = field.values, spec.source_fn(), []
     centre, up, down, left, right = f[1:-1, 1:-1], f[:-2, 1:-1], f[2:, 1:-1], f[1:-1, :-2], f[1:-1, 2:]
-    for rows, inner, x, y in _node_blocks(axis[1:-1], tags[1:-1, 1:-1] == INTERIOR):
+    for rows, inner, x, y in _node_blocks(field.axis[1:-1], field.tags[1:-1, 1:-1] == INTERIOR):
         f_inner = centre[rows][inner]
         lap5 = (up[rows][inner] + down[rows][inner] + left[rows][inner]
-                + right[rows][inner] - 4.0 * f_inner) / (spec.h * spec.h)
+                + right[rows][inner] - 4.0 * f_inner) / h2
         res = _conformal_weight(x, y) * lap5 - spec.beta * f_inner
-        res += _sample(source, x, y, "source")
-        maxima.append(np.max(np.abs(res, out=res)))
-    return float(np.max(maxima))
-
-
-def backward_error(field: GridField, spec: GridSpec, residual: float) -> float:
-    """The normwise backward error of a solve whose `residual_field` is
-    residual: ||r|| / (||M|| ||f|| + ||psi||) in the max norm (Rigal &
-    Gaches, J. ACM 14, 1967; Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, Thm. 7.1), scale-free where the residual is not.
-    M is the operator of the interior rows acting on the interior and
-    boundary values, so ||f|| is max|f| over both and
-    ||M|| = beta + 8 max(w)/h^2, where w peaks at 1/4 at the origin, an
-    interior node of every lattice (h < r_max/4).  0 when residual is.
-    """
+        psi = _sample(source, x, y, "source")
+        res += psi
+        maxima.append((np.max(np.abs(res, out=res)), np.max(np.abs(psi, out=psi))))
+    residual, psi = np.max(maxima, axis=0).tolist()
     if residual == 0.0:
-        return 0.0
-    psi = 0.0
-    if spec.source is not None:
-        source = spec.source_fn()
-        psi = float(np.max([np.max(np.abs(_sample(source, x, y, "source")))
-                            for _, _, x, y in _node_blocks(field.axis, field.interior_mask)]))
-    f_max = float(max(np.nanmax(field.values), -np.nanmin(field.values)))
-    norm = spec.beta + 2.0 / (spec.h * spec.h)
-    return residual / norm / (f_max + psi / norm)     # ||M|| ||f|| may overflow
+        return 0.0, 0.0
+    m, e = math.frexp(0.5 * spec.beta + 1.0 / h2)
+    m *= 2.0
+    return residual, math.ldexp(residual / m, -e) / (field.max_abs + math.ldexp(psi / m, -e))
 
 
 # An error at most this times max|f| of its level's solved field is rounding,
@@ -698,13 +698,6 @@ def backward_error(field: GridField, spec: GridSpec, residual: float) -> float:
 # rounding floor, directly or by CG to its CG_RTOL stop, showed up to 5.2e-12
 # of max|f|, and the levels of benchmark ladders 1e-5 and more.
 RATE_ERROR_FLOOR = 1e-8
-
-
-def _measure_level(spec: GridSpec, exact: XYCallable) -> tuple[float, float]:
-    """One ladder level: (max error against exact, max|f| of the solve)."""
-    field = assemble_and_solve(spec)
-    err = field.max_error_against(exact)
-    return err, float(max(np.nanmax(field.values), -np.nanmin(field.values)))
 
 
 def convergence_study(spec: GridSpec, h_list: Sequence[float],
@@ -721,21 +714,20 @@ def convergence_study(spec: GridSpec, h_list: Sequence[float],
 
     Every level is built before any solve, so an invalid width fails
     first.  The levels are then solved one after another on the calling
-    thread, coarsest first (`_measure_level`): a failing level's exception
-    is raised as it comes, so it is the coarsest failing one, and no finer
-    level is started after it.
+    thread, coarsest first, each field freed before the next solve: a
+    failing level's exception is raised as it comes, so it is the coarsest
+    failing one, and no finer level is started after it.
     """
-    hs = mesh_widths(h_list)
-    runs = [replace(spec, h=h) for h in hs]
-    levels = [_measure_level(run, exact) for run in runs]
-
-    rows = []
-    above = [err > RATE_ERROR_FLOOR * scale for err, scale in levels]
-    for i, (h, (err, _)) in enumerate(zip(hs, levels)):
-        rate = None
-        if i and above[i - 1] and above[i]:
-            rate = math.log(rows[-1]["max_error"] / err) / math.log(rows[-1]["h"] / h)
-        rows.append({"h": h, "max_error": err, "observed_rate": rate})
+    runs = [replace(spec, h=h) for h in mesh_widths(h_list)]
+    rows, above = [], False
+    for run in runs:
+        field = assemble_and_solve(run)
+        err, rate, was_above = field.max_error_against(exact), None, above
+        above = err > RATE_ERROR_FLOOR * field.max_abs
+        del field
+        if was_above and above:
+            rate = math.log(rows[-1]["max_error"] / err) / math.log(rows[-1]["h"] / run.h)
+        rows.append({"h": run.h, "max_error": err, "observed_rate": rate})
     return {"beta": spec.beta, "r_max": spec.r_max, "rows": rows}
 
 

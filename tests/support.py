@@ -125,7 +125,7 @@ def sample_exact(spec: GridSpec, exact: XYCallable) -> GridField:
     values = np.full(tags.shape, np.nan)
     mask = tags != EXTERIOR
     values[mask] = _sample(exact, *_nodes(axis, mask), "exact solution")
-    return GridField(axis=axis, tags=tags, values=values)
+    return GridField(axis=axis, tags=tags, values=values, spec=spec)
 
 
 def assert_same_text(got: str, want: str) -> None:

@@ -239,6 +239,26 @@ class TestPde:
         assert 0.0 <= backward <= 10 * sys.float_info.epsilon
         assert (backward == 0.0) == (bc == "zero") == (float(lines["max residual"]) == 0.0)
 
+    @pytest.mark.parametrize("beta, h, bc", [
+        ("1e308", "1.5e-154", "one"), ("1e308", "1.5e-154", "angular"),
+        ("1.5e308", "2e-154", "coshdist"), ("1.7e308", "2e-154", "one"),
+        ("1.7e308", "2e-154", "angular"), ("1.7e308", "2e-154", "coshdist"),
+    ])
+    def test_solve_near_the_largest_double_reads_a_nonzero_backward_error(self, beta, h, bc,
+                                                                        tmp_path):
+        # beta + 2/h^2 and the class matrix's largest diagonal beta + 4 w/h^2
+        # both overflow: the one is formed from its half and the other
+        # written already scaled by a power of two, so the solve succeeds
+        # and its residual, far from 0, gives a backward error at rounding
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = invoke("pde", "solve", "--beta", beta, "--rmax", "1e-153", "--h", h,
+                               "--bc", bc, "--out", str(tmp_path / "grid.csv"), "--quiet")
+        assert code == EXIT_OK
+        lines = dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
+        assert float(lines["max residual"]) > 0.0
+        assert 0.0 < float(lines["backward error"]) <= 10 * sys.float_info.epsilon
+
     def test_converge_json(self):
         code, out = invoke("pde", "converge", "--beta", "2", "--h", "0.08,0.04",
                            "--rmax", "0.6", "--format", "json", "--quiet")
@@ -254,16 +274,20 @@ class TestPde:
         assert lines[0] == "h,max_error,observed_rate"
         assert len(lines) == 3
 
-    def test_data_near_the_largest_double_converge_to_the_rounding_level(self):
+    @pytest.mark.parametrize("beta, rmax, h", [
+        ("1.4e307", "0.6", "0.1,0.05"), ("1.5e308", "1e-153", "2e-154,1.5e-154")])
+    def test_data_near_the_largest_double_converge_to_the_rounding_level(self, beta, rmax, h):
         # at beta = 1.4e307 the manufactured source is finite everywhere
         # and the right-hand side too, but the sums that split it by
         # symmetry would not be: they are formed after it is scaled by the
-        # power of two that puts its max-abs in [1/2, 1); no numpy warning
-        # escapes either
+        # power of two that puts its max-abs in [1/2, 1).  At beta = 1.5e308
+        # and h = 2e-154 the class matrix's largest diagonal beta + 4 w/h^2
+        # would overflow: each entry is written already scaled by its power
+        # of two.  No numpy warning escapes either
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out = invoke("pde", "converge", "--beta", "1.4e307", "--h", "0.1,0.05",
-                               "--rmax", "0.6", "--format", "json", "--quiet")
+            code, out = invoke("pde", "converge", "--beta", beta, "--h", h,
+                               "--rmax", rmax, "--format", "json", "--quiet")
         assert code == EXIT_OK
         errors = [row["max_error"] for row in json.loads(out)["rows"]]
         assert len(errors) == 2

@@ -25,7 +25,7 @@ from warpverify.screened_pde import (
     BOUNDARY, EXTERIOR, INTERIOR, RATE_ERROR_FLOOR, TAG_NAMES, GridField,
     GridSpec, _assemble, _class_cg, _class_system, _conformal_weight, _lattice,
     _mirror_transform, _nodes, _quadrants, _red_black_solve, _sample, assemble_and_solve,
-    backward_error, convergence_study, coshdist_exact, manufactured_spec, residual_field,
+    convergence_study, coshdist_exact, manufactured_spec, residual_field,
     write_grid_csv,
 )
 from support import assert_same_text, poly_field, sample_exact
@@ -106,7 +106,7 @@ class TestAssembleAndSolve:
     def test_solver_residual_definition(self):
         spec = manufactured_spec(beta=1.5, r_max=0.7, h=0.04)
         field = assemble_and_solve(spec)
-        assert residual_field(field, spec) <= 1e-10
+        assert residual_field(field)[0] <= 1e-10
 
 
 class TestDataCallbacks:
@@ -143,7 +143,7 @@ class TestDataCallbacks:
             calls.clear()
 
         assert_calls("boundary", "source")
-        assert residual_field(field, spec) <= 1e-10
+        assert residual_field(field)[0] <= 1e-10
         assert_calls("source")
         exact = recorded("exact", coshdist_exact)
         field.max_error_against(exact)
@@ -201,7 +201,7 @@ class TestResidualField:
         spec = GridSpec(beta=1.0, r_max=0.6, h=0.05)
         field = sample_exact(spec, lambda x, y: 1.0)
         # lap 1 - 1 = -1 at every interior node
-        assert residual_field(field, spec) == pytest.approx(1.0, abs=1e-12)
+        assert residual_field(field)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_truncation_on_exact_solution(self):
         # frozen from the stencil-truncation oracle
@@ -209,7 +209,7 @@ class TestResidualField:
         # ~6.1e-2 at h = 0.02 on r_max = 0.8, and the rate is O(h^2)
         spec = GridSpec(beta=2.0, r_max=0.8, h=0.02, boundary=coshdist_exact)
         field = sample_exact(spec, coshdist_exact)
-        res = residual_field(field, spec)
+        res = residual_field(field)[0]
         oracle = truncation_oracle(spec)
         assert res == pytest.approx(oracle, rel=0.05)
         assert res < 0.1
@@ -222,18 +222,22 @@ class TestResidualField:
             errs.append(stencil_residual_at(spec, 0.6, 0.0))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
 
-    def test_lattice_mismatch(self):
-        spec_a = GridSpec(beta=1.0, r_max=0.6, h=0.05)
-        spec_b = GridSpec(beta=1.0, r_max=0.6, h=0.04)
-        field = assemble_and_solve(spec_a)
-        with pytest.raises(ValueError):
-            residual_field(field, spec_b)
+    def test_pde_solve_classifies_its_lattice_once(self, monkeypatch, tmp_path):
+        # the residual pass reads the solved field's own lattice
+        calls = []
+        classify = screened_pde._classify
+        monkeypatch.setattr(screened_pde, "_classify",
+                            lambda *args: calls.append(args) or classify(*args))
+        assert run(["pde", "solve", "--beta", "1.3", "--rmax", "0.6", "--h", "0.05",
+                    "--bc", "coshdist", "--out", str(tmp_path / "grid.csv"), "--quiet"],
+                   out=io.StringIO()) == 0
+        assert len(calls) == 1
 
 
 class TestBackwardError:
-    """`backward_error` divides the residual by ||M|| ||f|| + ||psi|| in
-    the max norm, M the interior rows acting on interior and boundary
-    values."""
+    """`residual_field`'s backward error divides the residual by
+    ||M|| ||f|| + ||psi|| in the max norm, M the interior rows acting on
+    interior and boundary values."""
 
     @pytest.mark.parametrize("spec", [
         manufactured_spec(beta=2.5, r_max=0.8, h=0.02),
@@ -244,38 +248,42 @@ class TestBackwardError:
     ], ids=["manufactured", "angular", "asymmetric"])
     def test_matches_the_norms_of_the_whole_lattice_rows(self, spec):
         field = assemble_and_solve(spec)
-        residual = residual_field(field, spec)
+        residual, got = residual_field(field)
         weight, _, _ = whole_lattice_system(spec)
         norm = spec.beta + 8.0 * np.max(weight) / (spec.h * spec.h)
         f = np.max(np.abs(field.values[field.tags != EXTERIOR]))
         psi = np.max(np.abs(_sample(spec.source_fn(), *_nodes(field.axis, field.interior_mask),
                                     "source")))
-        got = backward_error(field, spec, residual)
+        assert field.max_abs == f
         assert got == pytest.approx(residual / (norm * f + psi), rel=1e-14, abs=0.0)
         assert 0.0 < got <= 10 * sys.float_info.epsilon
 
     def test_zero_residual_gives_zero(self):
         spec = GridSpec(beta=1.0, r_max=0.6, h=0.05)
         field = assemble_and_solve(spec)
-        assert residual_field(field, spec) == 0.0
-        assert backward_error(field, spec, 0.0) == 0.0
+        assert residual_field(field) == (0.0, 0.0)
 
     def test_an_inexact_field_reads_its_perturbation(self):
         # an exact solution sampled on the lattice: its residual is the
         # stencil's truncation, far above rounding
         spec = manufactured_spec(beta=2.5, r_max=0.8, h=0.02)
         field = sample_exact(spec, coshdist_exact)
-        assert backward_error(field, spec, residual_field(field, spec)) > 1e-6
+        assert residual_field(field)[1] > 1e-6
 
-    def test_huge_beta_does_not_overflow(self):
-        # ||M|| ||f|| is about 1.7e308 * 9.5; the quotient is taken in an
-        # order that stays finite
-        spec = GridSpec(beta=1.7e308, r_max=0.9, h=0.1, boundary=coshdist_exact)
-        field = assemble_and_solve(spec)
+    @pytest.mark.parametrize("beta, r_max, h", [
+        (1.7e308, 0.9, 0.1),        # ||M|| ||f|| is about 1.7e308 * 9.5
+        (1e308, 1e-153, 1.5e-154),  # beta + 2/h^2 is about 1.9e308
+        (1.7e308, 1e-153, 2e-154),  # and 2.2e308
+    ])
+    def test_huge_beta_does_not_overflow(self, beta, r_max, h):
+        # ||M|| is formed from its half, so neither it nor any quotient by
+        # it overflows, and a nonzero residual reads nonzero
+        spec = GridSpec(beta=beta, r_max=r_max, h=h, boundary=coshdist_exact)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = backward_error(field, spec, residual_field(field, spec))
-        assert 0.0 <= got <= 10 * sys.float_info.epsilon
+            residual, got = residual_field(assemble_and_solve(spec))
+        assert residual > 0.0
+        assert 0.0 < got <= 10 * sys.float_info.epsilon
 
 
 def truncation_oracle(spec):
@@ -468,8 +476,13 @@ class TestRateFloor:
         # (max error, max|f|) per level; the floor itself counts as rounding
         levels = {0.16: (1e-3, 1.0), 0.08: (2.5e-4, 1.0), 0.04: (1e-8, 1.0),
                   0.02: (4e-6, 100.0), 0.01: (1e-6, 99.0), 0.005: (2.5e-7, 25.0)}
-        monkeypatch.setattr(screened_pde, "_measure_level",
-                            lambda spec, exact: levels[spec.h])
+        class Level:
+            def __init__(self, spec):
+                self.error, self.max_abs = levels[spec.h]
+
+            def max_error_against(self, exact):
+                return self.error
+        monkeypatch.setattr(screened_pde, "assemble_and_solve", Level)
         spec = GridSpec(beta=1.0, r_max=0.8, h=0.16)
         rows = convergence_study(spec, list(levels), coshdist_exact)["rows"]
         assert [row["observed_rate"] for row in rows] == [None, 2.0, None, None, 2.0, None]
@@ -1192,7 +1205,7 @@ class TestAxisDataFlow:
     def test_residual_and_exact_samples_match_the_meshes(self, name):
         spec = SPLIT_SPECS[name]
         field = assemble_and_solve(spec)
-        assert_same_bits(residual_field(field, spec), reference_residual(field, spec))
+        assert_same_bits(residual_field(field)[0], reference_residual(field, spec))
         mask = field.tags != EXTERIOR
         ref = reference_samples(field, nonsymmetric_exact)
         assert_same_bits(field.max_error_against(nonsymmetric_exact),
@@ -1256,13 +1269,13 @@ class TestRowBlocks:
         psi = np.max(np.abs(_sample(spec.source_fn(), X[interior], Y[interior], "source")))
         norm = spec.beta + 2.0 / (spec.h * spec.h)
         for field in (assemble_and_solve(spec), sample_exact(spec, nonsymmetric_exact)):
-            residual = residual_field(field, spec)
+            residual, backward = residual_field(field)
             assert_same_bits(residual, reference_residual(field, spec))
             want = np.max(np.abs(field.values[mask] - reference_samples(field, coshdist_exact)))
             assert_same_bits(field.max_error_against(coshdist_exact), want)
             f_max = max(np.nanmax(field.values), -np.nanmin(field.values))
             want = residual / norm / (f_max + (psi if spec.source else 0.0) / norm)
-            assert backward_error(field, spec, residual) == want
+            assert backward == want
 
     @pytest.mark.parametrize("name", BLOCK_SPECS)
     def test_source_and_exact_are_called_once_per_row_block(self, name, block_rows):
@@ -1281,7 +1294,7 @@ class TestRowBlocks:
         axis, tags = field.axis, field.tags
         spec = replace(SPLIT_SPECS[name], source=recorded(SPLIT_SPECS[name].source_fn()))
         for mask, run in ((tags == INTERIOR, lambda: _assemble(spec)),
-                          (tags == INTERIOR, lambda: residual_field(field, spec)),
+                          (tags == INTERIOR, lambda: residual_field(replace(field, spec=spec))),
                           (tags != EXTERIOR, lambda: field.max_error_against(
                               recorded(coshdist_exact)))):
             calls.clear()
@@ -1540,7 +1553,7 @@ class TestClassAssembly:
         try:
             field = assemble_and_solve(spec)
             field.max_error_against(coshdist_exact)
-            residual_field(field, spec)
+            residual_field(field)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1627,7 +1640,8 @@ class TestCsvOutput:
                            [1e300, -1e300, math.nan, -5e-324],
                            [math.nan, 2.5e-310, 0.0, 1.0 / 3.0],
                            [math.nan, math.nan, math.nan, math.nan]])
-        field = GridField(axis=axis, tags=tags, values=values)
+        # no spec has this axis; the writer reads none
+        field = GridField(axis=axis, tags=tags, values=values, spec=GridSpec(beta=1.0))
         text = written_text(field, tmp_path)
         assert_same_text(text, reference_text(field))
         assert "\n-0,-0,interior,-1.0000000000000001e+300\n" in text
