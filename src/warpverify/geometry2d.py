@@ -62,7 +62,7 @@ class ScalarField2D:
     only the value callback `_value`, for `without_exact` and scaling.
     """
 
-    # Read by `_require_stencil`: exact partials need no stencil.
+    # Read by `_checked_metric`: exact partials need no stencil.
     step = 0.0
 
     def __init__(self, value: Callable[[float, float], float], du, dv, duu, duv, dvv):
@@ -235,9 +235,6 @@ class Metric2D:
         self._domain = domain
         self.kind = kind
 
-    def contains(self, p: Point2) -> bool:
-        return bool(self._domain(p.u, p.v))
-
     def components(self, p: Point2) -> tuple[float, float]:
         return self.E.val(p), self.G.val(p)
 
@@ -274,43 +271,35 @@ def poincare_half_plane() -> Metric2D:
     return Metric2D(factor, factor, domain, kind="poincare_half_plane")
 
 
-# -- operator helpers ----------------------------------------------------------
+# -- operations ----------------------------------------------------------------
 
 
-def _require_in_domain(g: Metric2D, p: Point2):
-    if not g.contains(p):
-        raise DomainError(f"point ({p.u}, {p.v}) outside the {g.kind} chart domain")
+def _checked_metric(g: Metric2D, p: Point2, *fields: Field) -> tuple[float, float]:
+    """(E, G) at p, after checking in this order that p is in the chart, that
+    the widest finite-difference stencil among `fields` stays in it and that
+    E and G are positive.
 
-
-def _require_stencil(g: Metric2D, p: Point2, *fields: Field):
-    """FD stencils must not poke outside the chart.
-
-    Checking the four corner points suffices for the convex chart domains
-    in the catalog.
+    Checking the stencil's four corner points suffices for the convex chart
+    domains in the catalog.
     """
+    u, v, inside = p.u, p.v, g._domain
+    if not inside(u, v):
+        raise DomainError(f"point ({u}, {v}) outside the {g.kind} chart domain")
     h = 0.0
     for f in fields:
         if f.step > h:
             h = f.step
-    if h == 0.0:
-        return
-    for su in (-1.0, 1.0):
-        for sv in (-1.0, 1.0):
-            if not g._domain(p.u + su * h, p.v + sv * h):
+    if h > 0.0:
+        for du, dv in ((-h, -h), (-h, h), (h, -h), (h, h)):
+            if not inside(u + du, v + dv):
                 raise DomainError(
                     f"finite-difference stencil of half-width {h} at "
-                    f"({p.u}, {p.v}) leaves the {g.kind} chart domain")
-
-
-def _metric_at(g: Metric2D, p: Point2) -> tuple[float, float]:
-    E, G = g.components(p)
+                    f"({u}, {v}) leaves the {g.kind} chart domain")
+    E, G = g.E.val(p), g.G.val(p)
     if not (E > 0.0 and G > 0.0):
         raise PositivityError(
-            f"metric components must be positive, got E={E}, G={G} at ({p.u}, {p.v})")
+            f"metric components must be positive, got E={E}, G={G} at ({u}, {v})")
     return E, G
-
-
-# -- operations ----------------------------------------------------------------
 
 
 def laplace_beltrami(g: Metric2D, f: Field, p: Point2) -> float:
@@ -322,9 +311,7 @@ def laplace_beltrami(g: Metric2D, f: Field, p: Point2) -> float:
 
     which for a conformal metric E = G reduces to (f_uu + f_vv)/E.
     """
-    _require_in_domain(g, p)
-    _require_stencil(g, p, g.E, g.G, f)
-    E, G = _metric_at(g, p)
+    E, G = _checked_metric(g, p, g.E, g.G, f)
     Eu, Ev = g.E.grad(p)
     Gu, Gv = g.G.grad(p)
     fu, fv = f.grad(p)
@@ -340,40 +327,28 @@ def laplace_beltrami(g: Metric2D, f: Field, p: Point2) -> float:
 
 def grad_norm_sq(g: Metric2D, f: Field, p: Point2) -> float:
     """Squared gradient norm f_u^2/E + f_v^2/G at p (always >= 0)."""
-    _require_in_domain(g, p)
-    _require_stencil(g, p, f)
-    E, G = _metric_at(g, p)
+    E, G = _checked_metric(g, p, f)
     fu, fv = f.grad(p)
     return fu * fu / E + fv * fv / G
 
 
-def _christoffel(g: Metric2D, p: Point2) -> dict[str, float]:
-    """The six Christoffel symbols of an orthogonal metric at p: 'uuu' for
-    Gamma^u_{uu}, 'uuv' for Gamma^u_{uv}, 'uvv', 'vuu', 'vuv', 'vvv'."""
-    E, G = _metric_at(g, p)
-    Eu, Ev = g.E.grad(p)
-    Gu, Gv = g.G.grad(p)
-    return {
-        "uuu": Eu / (2.0 * E),
-        "uuv": Ev / (2.0 * E),
-        "uvv": -Gu / (2.0 * E),
-        "vuu": -Ev / (2.0 * G),
-        "vuv": Gu / (2.0 * G),
-        "vvv": Gv / (2.0 * G),
-    }
-
-
 def hessian(g: Metric2D, f: Field, p: Point2) -> tuple[float, float, float]:
     """Covariant Hessian Hess(f)_ij = d_i d_j f - Gamma^k_ij d_k f at p, as
-    its components (a11, a12, a22); a21 is a12."""
-    _require_in_domain(g, p)
-    _require_stencil(g, p, g.E, g.G, f)
-    gam = _christoffel(g, p)
+    its components (a11, a12, a22); a21 is a12.
+
+    The Christoffel symbols of an orthogonal metric are Gamma^u_uu = E_u/2E,
+    Gamma^u_uv = E_v/2E, Gamma^u_vv = -G_u/2E, Gamma^v_uu = -E_v/2G,
+    Gamma^v_uv = G_u/2G and Gamma^v_vv = G_v/2G.
+    """
+    E, G = _checked_metric(g, p, g.E, g.G, f)
+    Eu, Ev = g.E.grad(p)
+    Gu, Gv = g.G.grad(p)
     fu, fv = f.grad(p)
     fuu, fuv, fvv = f.second(p)
-    return (fuu - gam["uuu"] * fu - gam["vuu"] * fv,
-            fuv - gam["uuv"] * fu - gam["vuv"] * fv,
-            fvv - gam["uvv"] * fu - gam["vvv"] * fv)
+    E2, G2 = 2.0 * E, 2.0 * G
+    return (fuu - Eu / E2 * fu + Ev / G2 * fv,
+            fuv - Ev / E2 * fu - Gu / G2 * fv,
+            fvv + Gu / E2 * fu - Gv / G2 * fv)
 
 
 def gauss_curvature(g: Metric2D, p: Point2) -> float:
@@ -384,9 +359,7 @@ def gauss_curvature(g: Metric2D, p: Point2) -> float:
     The scalar curvature of the surface is 2K.  Raises DomainError where
     sqrt(EG) leaves BRIOSCHI_SCALE.
     """
-    _require_in_domain(g, p)
-    _require_stencil(g, p, g.E, g.G)
-    E, G = _metric_at(g, p)
+    E, G = _checked_metric(g, p, g.E, g.G)
     S = math.sqrt(E * G)
     if not BRIOSCHI_SCALE[0] <= S <= BRIOSCHI_SCALE[1]:
         raise DomainError(

@@ -688,9 +688,13 @@ def residual_field(field: GridField) -> tuple[float, float]:
     residual, psi = np.max(maxima, axis=0).tolist()
     if residual == 0.0:
         return 0.0, 0.0
+    f_max = field.max_abs
+    if f_max == 0.0:
+        # r is psi itself, so the quotient is 1 even where psi/||M|| underflows
+        return residual, 1.0
     m, e = math.frexp(0.5 * spec.beta + 1.0 / h2)
     m *= 2.0
-    return residual, math.ldexp(residual / m, -e) / (field.max_abs + math.ldexp(psi / m, -e))
+    return residual, math.ldexp(residual / m, -e) / (f_max + math.ldexp(psi / m, -e))
 
 
 # An error at most this times max|f| of its level's solved field is rounding,

@@ -20,7 +20,7 @@ from warpverify.einstein import (
 from warpverify.errors import DomainError, PositivityError
 from warpverify.geometry2d import (
     CentralDifferences, Metric2D, Point2, ScalarField2D,
-    _christoffel, coordinate_u, gauss_curvature, grad_norm_sq, hessian,
+    coordinate_u, gauss_curvature, grad_norm_sq, hessian,
     laplace_beltrami, poincare_disk, poincare_half_plane, profile_field,
     radial_field, rescale,
 )
@@ -222,6 +222,88 @@ class TestGaussCurvature:
 
 
 # ---------------------------------------------------------------------------
+# operator guards
+# ---------------------------------------------------------------------------
+
+# Each operator on (metric, field, point); gauss_curvature reads no field.
+OPERATORS = {
+    "laplace_beltrami": laplace_beltrami,
+    "grad_norm_sq": grad_norm_sq,
+    "hessian": hessian,
+    "gauss_curvature": lambda g, f, p: gauss_curvature(g, p),
+}
+
+
+def unit_disk_metric(E, G):
+    return Metric2D(E, G, lambda u, v: u * u + v * v < 1.0, kind="custom")
+
+
+NEGATIVE_FD = constant_field(-1.0).without_exact(0.5)
+OUTSIDE = (DomainError, r"point \(0\.9, 0\.9\) outside the poincare_disk chart domain$")
+STENCIL_F = (DomainError, r"finite-difference stencil of half-width 0\.01 at \(0\.995, 0\.0\) "
+                          r"leaves the poincare_disk chart domain$")
+STENCIL_G = (DomainError, r"finite-difference stencil of half-width 0\.0001 at \(0\.99995, 0\.0\) "
+                          r"leaves the poincare_disk chart domain$")
+STENCIL_HALF = (DomainError, r"stencil of half-width 0\.5 at \(0\.6, 0\.0\) leaves the custom chart")
+NEGATIVE = (PositivityError, r"metric components must be positive, got E=-1\.0, G=-1\.0 at \(0\.0, 0\.0\)$")
+HUGE_NEGATIVE = (PositivityError, r"metric components must be positive, got E=-1e\+300")
+BRIOSCHI = (DomainError, r"outside the double-precision range of the curvature formula")
+
+# (metric, field, point, outcome per operator); None is a finite value.
+# The checks run chart, then the widest stencil among the fields an operator
+# reads, then positivity of E and G, then gauss_curvature's Brioschi range,
+# so a case that fails two of them names the earlier one.
+GUARD_CASES = {
+    "outside the chart": (
+        DISK, FSTAR, Point2(0.9, 0.9), dict.fromkeys(OPERATORS, OUTSIDE)),
+    "outside the chart before stencil and positivity": (
+        unit_disk_metric(NEGATIVE_FD, NEGATIVE_FD), NEGATIVE_FD, Point2(1.0, 0.0),
+        dict.fromkeys(OPERATORS, (DomainError, r"^point \(1\.0, 0\.0\) outside the custom chart domain$"))),
+    "the field's stencil leaves the chart": (
+        DISK, FSTAR.without_exact(1e-2), Point2(0.995, 0.0),
+        {"laplace_beltrami": STENCIL_F, "grad_norm_sq": STENCIL_F, "hessian": STENCIL_F,
+         "gauss_curvature": None}),
+    "the metric's stencil leaves the chart": (
+        DISK.with_fd_derivatives(), FSTAR, Point2(0.99995, 0.0),
+        {"laplace_beltrami": STENCIL_G, "grad_norm_sq": None, "hessian": STENCIL_G,
+         "gauss_curvature": STENCIL_G}),
+    "the widest stencil is checked": (
+        DISK.with_fd_derivatives(), FSTAR.without_exact(1e-2), Point2(0.995, 0.0),
+        {"laplace_beltrami": STENCIL_F, "grad_norm_sq": STENCIL_F, "hessian": STENCIL_F,
+         "gauss_curvature": None}),
+    "stencil before positivity": (
+        unit_disk_metric(NEGATIVE_FD, NEGATIVE_FD), coordinate_u().without_exact(0.5),
+        Point2(0.6, 0.0), dict.fromkeys(OPERATORS, STENCIL_HALF)),
+    "non-positive components": (
+        unit_disk_metric(constant_field(-1.0), constant_field(-1.0)), coordinate_u(),
+        Point2(0.0, 0.0), dict.fromkeys(OPERATORS, NEGATIVE)),
+    "positivity before the Brioschi range": (
+        # E G overflows, so sqrt(EG) = inf is outside BRIOSCHI_SCALE too
+        unit_disk_metric(constant_field(-1e300), constant_field(-1e300)), coordinate_u(),
+        Point2(0.0, 0.0), dict.fromkeys(OPERATORS, HUGE_NEGATIVE)),
+    "the Brioschi range is gauss_curvature's alone": (
+        rescale(DISK, 1e105), FSTAR, Point2(0.1, 0.2),
+        {"laplace_beltrami": None, "grad_norm_sq": None, "hessian": None,
+         "gauss_curvature": BRIOSCHI}),
+}
+
+
+@pytest.mark.parametrize("case", GUARD_CASES)
+@pytest.mark.parametrize("name", OPERATORS)
+def test_operator_guards_and_their_order(name, case):
+    g, f, p, outcomes = GUARD_CASES[case]
+    outcome = outcomes[name]
+    if outcome is None:
+        value = OPERATORS[name](g, f, p)
+        assert all(map(math.isfinite, value if isinstance(value, tuple) else (value,)))
+        return
+    error, message = outcome
+    with pytest.raises(error, match=message) as raised:
+        OPERATORS[name](g, f, p)
+    assert type(raised.value) is error
+
+
+# ---------------------------------------------------------------------------
 # rescale
 # ---------------------------------------------------------------------------
 
@@ -417,9 +499,19 @@ def test_point_rejects_nonfinite():
         Point2(0.0, math.inf)
 
 
-def test_christoffel_flat_vanishes():
-    gam = _christoffel(FLAT, Point2(0.7, -0.2))
-    assert all(v == 0.0 for v in gam.values())
+def test_hessian_of_the_coordinates_reads_the_christoffel_symbols():
+    # Hess(u)_ij = -Gamma^u_ij and Hess(v)_ij = -Gamma^v_ij: zero on the flat
+    # chart, and on the disk, where d ln E = 4 (u du + v dv) / (1 - r^2),
+    # the symbols are +-2u/(1 - r^2) and +-2v/(1 - r^2)
+    u, v = coordinate_u(), poly_field({(0, 1): 1.0})
+    p = Point2(0.7, -0.2)
+    assert hessian(FLAT, u, p) == (0.0, 0.0, 0.0)
+    assert hessian(FLAT, v, p) == (0.0, 0.0, 0.0)
+    x, y = 0.3, -0.4
+    d = 1.0 - x * x - y * y
+    p = Point2(x, y)
+    assert hessian(DISK, u, p) == pytest.approx((-2 * x / d, -2 * y / d, 2 * x / d), rel=1e-12)
+    assert hessian(DISK, v, p) == pytest.approx((2 * y / d, -2 * x / d, -2 * y / d), rel=1e-12)
 
 
 def test_deriv_mode_tags():

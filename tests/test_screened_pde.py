@@ -263,6 +263,15 @@ class TestBackwardError:
         field = assemble_and_solve(spec)
         assert residual_field(field) == (0.0, 0.0)
 
+    def test_a_zero_field_reads_one(self):
+        # f ~ psi / beta underflows to 0 at every node, and so does
+        # ||psi|| / ||M||; the residual is psi itself, all of the data
+        spec = GridSpec(beta=1e300, r_max=0.6, h=0.1,
+                        source=lambda x, y: np.full(np.shape(x), 1e-300))
+        field = assemble_and_solve(spec)
+        assert field.max_abs == 0.0
+        assert residual_field(field) == (1e-300, 1.0)
+
     def test_an_inexact_field_reads_its_perturbation(self):
         # an exact solution sampled on the lattice: its residual is the
         # stencil's truncation, far above rounding
